@@ -47,21 +47,25 @@ def _cmd_simulate(args):
 def _cmd_solve(args):
     scen = _scen.load_scenario(args.scenario)
     cfg = _solvit.SolverConfig(tol=args.tol, max_iter=args.max_iter)
+    init = args.init or ("proposed" if args.solver == "solvit" else "centroid")
     if args.solver == "solvit":
-        rd = _scen.read_rangediffs_csv(args.measurements)
-        if args.x0 is not None:
-            x0 = np.asarray(args.x0, dtype=float)
-        elif args.init == "centroid":
-            x0 = scen.array.centroid()
-        elif args.init == "random":
-            x0 = np.random.default_rng(args.seed).uniform(0.0, 1.0, scen.array.n)
-        else:
-            x0 = _init.init_point(scen.array, rd, _init.InitConfig(seed=args.seed))
-        est, trace = _solvit.solvit_solve(x0, scen.array, rd, cfg)
+        meas = _scen.read_rangediffs_csv(args.measurements)
+    elif init == "proposed":
+        raise ValueError(_harness.SFP_PROPOSED_ERROR)
     else:
-        ranges = _scen.read_ranges_csv(args.measurements)
-        x0 = np.asarray(args.x0, dtype=float) if args.x0 is not None else None
-        est, trace = _sfp.sfp_solve(x0, scen.array, ranges, cfg)
+        meas = _scen.read_ranges_csv(args.measurements)
+    if args.x0 is not None:
+        x0 = np.asarray(args.x0, dtype=float)
+    elif init == "centroid":
+        x0 = scen.array.centroid()
+    elif init == "random":
+        x0 = np.random.default_rng(args.seed).uniform(0.0, 1.0, scen.array.n)
+    else:
+        x0 = _init.init_point(scen.array, meas, _init.InitConfig(seed=args.seed))
+    if args.solver == "solvit":
+        est, trace = _solvit.solvit_solve(x0, scen.array, meas, cfg)
+    else:
+        est, trace = _sfp.sfp_solve(x0, scen.array, meas, cfg)
     if args.trace is not None:
         _solvit.write_trace_csv(args.trace, trace)
     print(_fmt_point(est))
@@ -158,7 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measurements", required=True)
     p.add_argument("--solver", choices=("solvit", "sfp"), default="solvit")
     p.add_argument("--init", choices=("proposed", "random", "centroid"),
-                   default="proposed")
+                   default=None,
+                   help="starting point (default: proposed for solvit, "
+                        "centroid for sfp; sfp cannot use proposed)")
     p.add_argument("--x0", type=float, nargs="+", default=None,
                    help="explicit starting point (overrides --init)")
     p.add_argument("--tol", type=float, default=1e-4)

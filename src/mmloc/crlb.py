@@ -81,10 +81,14 @@ def rd_covariance(x, array, noise: NoiseModel) -> np.ndarray:
 
     Row/column order and orientation follow the zero-noise measurement
     set at x (ascending pair enumeration, value-sign orientation).  With
-    eps_ab = eps_a - eps_b and independent per-sensor noise, the entry for
-    pairs (a, b) and (c, d) is
+    eps_ab = eps_a - eps_b and independent per-sensor noise,
 
-        delta_ac var_a - delta_ad var_a - delta_bc var_b + delta_bd var_b.
+        cov = E diag(var) E^T,
+
+    where E is the (m_hat, m) pair-incidence matrix: the row of pair (a, b)
+    holds +1 in column a and -1 in column b.  Each entry has at most two
+    non-zero terms, delta_ac var_a - delta_ad var_a - delta_bc var_b +
+    delta_bd var_b for pairs (a, b) and (c, d).
     """
     coords = sensor_coords(array)
     p = as_position(x, coords.shape[1])
@@ -93,24 +97,12 @@ def rd_covariance(x, array, noise: NoiseModel) -> np.ndarray:
         if dk <= 0:
             raise SensorSingularityError(k + 1)
     var = np.array([range_variance(dk, noise) for dk in d])
-    pairs = _oriented_pairs(p, coords)
-    mh = len(pairs)
-    cov = np.zeros((mh, mh))
-    for a in range(mh):
-        ia, ja = pairs[a]
-        for b in range(a, mh):
-            ib, jb = pairs[b]
-            v = 0.0
-            if ia == ib:
-                v += var[ia - 1]
-            if ia == jb:
-                v -= var[ia - 1]
-            if ja == ib:
-                v -= var[ja - 1]
-            if ja == jb:
-                v += var[ja - 1]
-            cov[a, b] = cov[b, a] = v
-    return cov
+    pairs = np.array(_oriented_pairs(p, coords)) - 1
+    rows = np.arange(pairs.shape[0])
+    E = np.zeros((pairs.shape[0], coords.shape[0]))
+    E[rows, pairs[:, 0]] = 1.0
+    E[rows, pairs[:, 1]] = -1.0
+    return (E * var[None, :]) @ E.T
 
 
 def fisher(x, array, noise: NoiseModel) -> CrlbReport:

@@ -34,6 +34,8 @@ from .errors import LocalizationError
 _GENERATOR_ID = "numpy default_rng (PCG64)"
 
 _INIT_CHOICES = ("proposed", "random", "fixed", "centroid", "both")
+SFP_PROPOSED_ERROR = ("sfp consumes ranges; the proposed initializer needs range "
+                      "differences — use init=centroid, random, or fixed")
 
 
 @dataclass
@@ -89,10 +91,7 @@ class ExperimentConfig:
         if self.init not in _INIT_CHOICES:
             raise ValueError(f"init must be one of {_INIT_CHOICES}")
         if self.solver == "sfp" and self.init in ("proposed", "both"):
-            raise ValueError(
-                "sfp consumes ranges; the proposed initializer needs range "
-                "differences — use init=centroid, random, or fixed"
-            )
+            raise ValueError(SFP_PROPOSED_ERROR)
         if self.init == "fixed" and self.init_point is None:
             raise ValueError("init=fixed requires init_point")
         if not isinstance(self.scenario, dict) or not self.scenario:

@@ -33,6 +33,38 @@ class InitConfig:
             raise ValueError("coord_bound must be > 0")
 
 
+def _exit_angle(center, along, across, bound: float) -> float:
+    """Smallest t >= 0 at which center + along*cosh(t) + across*sinh(t)
+    leaves the box |x_k| <= bound, for a start (t = 0) inside the box.
+
+    With z = e^t, coordinate k meets the edge e = +-bound where
+
+        (A + S) z^2 + 2 (c_k - e) z + (A - S) = 0,   A = along_k, S = across_k.
+
+    Each quadratic is solved in the cancellation-free form (q = -(h +
+    sign(h) sqrt(h^2 - (A+S)(A-S))), roots q/(A+S) and (A-S)/q), whose
+    second root is also the root of the linear case A + S = 0.  A root
+    z >= 1 is an exit when the coordinate moves outward there, i.e. when
+    (A+S) z^2 - (A-S) has the sign of e.  The branch is unbounded (along
+    and across are orthogonal and not both zero), so an exit always exists.
+    """
+    z_exit = math.inf
+    for c, A, S in zip(center, along, across):
+        lead, const = A + S, A - S
+        for edge in (bound, -bound):
+            h = c - edge
+            disc = h * h - lead * const
+            if disc < 0.0:
+                continue
+            q = -(h + math.copysign(math.sqrt(disc), h))
+            roots = (q / lead if lead != 0.0 else math.inf,
+                     const / q if q != 0.0 else math.inf)
+            for z in roots:
+                if 1.0 <= z < z_exit and (lead * z * z > const) == (edge > 0.0):
+                    z_exit = z
+    return math.log(z_exit)
+
+
 def hyperbola_points(y_i, y_j, r_ij: float, l: int, coord_bound: float) -> np.ndarray:
     """l points on the branch where ||x - y_i|| - ||x - y_j|| = r_ij (n=2 only).
 
@@ -41,7 +73,9 @@ def hyperbola_points(y_i, y_j, r_ij: float, l: int, coord_bound: float) -> np.nd
     center + a*cosh(t)*u + b*sinh(t)*p with u the unit vector from y_i to
     y_j and p perpendicular to it.  r_ij = 0 degenerates to the
     perpendicular bisector.  The angle t is sampled uniformly over the
-    largest interval keeping every point inside ||x||_inf <= coord_bound.
+    largest interval around the vertex (t = 0) that keeps every point
+    inside ||x||_inf <= coord_bound; its ends are the closed-form angles
+    at which the branch first leaves the box on either side (_exit_angle).
     """
     yi = as_position(y_i)
     yj = as_position(y_j)
@@ -68,33 +102,17 @@ def hyperbola_points(y_i, y_j, r_ij: float, l: int, coord_bound: float) -> np.nd
     center = (yi + yj) / 2.0
     u = (yj - yi) / foc
     p = np.array([-u[1], u[0]])
-
-    def point(t: float) -> np.ndarray:
-        return center + a * math.cosh(t) * u + b * math.sinh(t) * p
-
-    if np.max(np.abs(point(0.0))) > coord_bound:
+    c_xy, along, across = center.tolist(), (a * u).tolist(), (b * p).tolist()
+    if max(abs(c_xy[0] + along[0]), abs(c_xy[1] + along[1])) > coord_bound:
         raise ValueError("hyperbola vertex lies outside the search box; "
                          "increase coord_bound")
-
-    def reach(sign: float) -> float:
-        # largest |t| in the given direction with the point still in the box;
-        # cosh grows fast, so cap the doubling phase well before overflow
-        t = 1.0
-        if np.max(np.abs(point(sign * t))) > coord_bound:
-            lo, hi = 0.0, t
-        else:
-            while np.max(np.abs(point(sign * t))) <= coord_bound and t < 512.0:
-                t *= 2.0
-            lo, hi = t / 2.0, t
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if np.max(np.abs(point(sign * mid))) <= coord_bound:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    ts = np.linspace(-reach(-1.0), reach(+1.0), l)
+    t_lo = _exit_angle(c_xy, along, [-v for v in across], coord_bound)
+    t_hi = _exit_angle(c_xy, along, across, coord_bound)
+    # np.linspace(-t_lo, t_hi, l), same arithmetic without its call overhead
+    ts = np.arange(l, dtype=float)
+    ts *= (t_hi + t_lo) / (l - 1)
+    ts -= t_lo
+    ts[-1] = t_hi
     return (center[None, :]
             + a * np.cosh(ts)[:, None] * u[None, :]
             + b * np.sinh(ts)[:, None] * p[None, :])
@@ -134,18 +152,19 @@ def init_point(array, rd: RangeDiffSet, cfg: InitConfig | None = None) -> np.nda
             bound = 1.0
     if coords.shape[1] != 2:
         return _grid_fallback(coords, rd, cfg.grid_size, bound)
-    feasible = [
-        (i, j, v) for (i, j, v) in rd.entries()
-        if v < np.linalg.norm(coords[i - 1] - coords[j - 1])
-    ]
-    if not feasible:
+    sep = np.linalg.norm(coords[rd.i - 1] - coords[rd.j - 1], axis=1)
+    feasible = np.flatnonzero(rd.values < sep)
+    if feasible.size == 0:
         return _grid_fallback(coords, rd, cfg.grid_size, bound)
     rng = np.random.default_rng(cfg.seed)
-    i, j, v = feasible[int(rng.integers(len(feasible)))]
+    k = feasible[int(rng.integers(feasible.size))]
     try:
-        pts = hyperbola_points(coords[i - 1], coords[j - 1], v, cfg.grid_size, bound)
-    except ValueError:
-        # a tight user-supplied box can exclude the branch vertex entirely
+        pts = hyperbola_points(coords[rd.i[k] - 1], coords[rd.j[k] - 1],
+                               float(rd.values[k]), cfg.grid_size, bound)
+    except (ValueError, DegenerateMeasurementError):
+        # a tight user-supplied box can exclude the branch vertex; a value
+        # within rounding of the separation can pass the row-wise-norm filter
+        # yet be a ray for hyperbola_points' vector norm
         return _grid_fallback(coords, rd, cfg.grid_size, bound)
     vals = f_rdls_many(pts, coords, rd)
     return pts[int(np.argmin(vals))]

@@ -25,6 +25,8 @@ def f_rls(x, array, ranges) -> float:
     r = np.asarray(ranges, dtype=float).reshape(-1)
     if r.size != coords.shape[0]:
         raise ValueError(f"{r.size} ranges for {coords.shape[0]} sensors")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("ranges must be finite")
     total = 0.0
     for k in range(r.size):
         e = r[k] - math.dist(p, coords[k])

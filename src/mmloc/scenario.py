@@ -381,7 +381,10 @@ def read_ranges_csv(path) -> np.ndarray:
             if not line:
                 continue
             i_s, v_s = line.split(",")
-            values[int(i_s)] = float(v_s)
+            v = float(v_s)
+            if not math.isfinite(v):
+                raise ValueError(f"range of sensor {i_s} is not finite: {v_s!r}")
+            values[int(i_s)] = v
     m = len(values)
     if sorted(values) != list(range(1, m + 1)):
         raise ValueError("range CSV must contain sensors 1..m exactly once each")

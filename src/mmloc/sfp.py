@@ -93,6 +93,8 @@ def sfp_solve(x0, array, ranges,
     r = np.asarray(ranges, dtype=float).reshape(-1)
     if r.size != coords.shape[0]:
         raise ValueError(f"{r.size} ranges for {coords.shape[0]} sensors")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("ranges must be finite")
     xs = coords.mean(axis=0) if x0 is None else as_position(x0, n)
     ys = [tuple(float(v) for v in row) for row in coords]
     rl = [float(v) for v in r]

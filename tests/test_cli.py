@@ -72,6 +72,40 @@ class TestSolveFlow:
         est = np.array([float(v) for v in out.split()])
         np.testing.assert_allclose(est, [1.0, 5.0], atol=1e-5)
 
+    def test_sfp_honours_init_random(self, tmp_path, capsys,
+                                     zero_noise_scenario):
+        scen_path, scen = zero_noise_scenario
+        r_path = tmp_path / "r.csv"
+        run_cli(capsys, "simulate", "--scenario", scen_path,
+                "--kind", "ranges", "--out", r_path)
+        starts = {}
+        for init in ("random", "centroid"):
+            trace_path = tmp_path / f"trace_{init}.csv"
+            code, _, _ = run_cli(capsys, "solve", "--scenario", scen_path,
+                                 "--measurements", r_path, "--solver", "sfp",
+                                 "--init", init, "--seed", "3",
+                                 "--trace", trace_path)
+            assert code == 0
+            first = trace_path.read_text().splitlines()[1].split(",")
+            starts[init] = np.array([float(v) for v in first[1:3]])
+        expected = np.random.default_rng(3).uniform(0.0, 1.0, 2)
+        np.testing.assert_array_equal(starts["random"], expected)
+        np.testing.assert_allclose(starts["centroid"], scen.array.centroid(),
+                                   atol=1e-12)
+
+    def test_sfp_rejects_init_proposed(self, tmp_path, capsys,
+                                       zero_noise_scenario):
+        scen_path, _ = zero_noise_scenario
+        r_path = tmp_path / "r.csv"
+        run_cli(capsys, "simulate", "--scenario", scen_path,
+                "--kind", "ranges", "--out", r_path)
+        code, out, err = run_cli(capsys, "solve", "--scenario", scen_path,
+                                 "--measurements", r_path, "--solver", "sfp",
+                                 "--init", "proposed")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: sfp consumes ranges")
+
     def test_init_prints_point(self, tmp_path, capsys, zero_noise_scenario):
         scen_path, _ = zero_noise_scenario
         rd_path = tmp_path / "rd.csv"

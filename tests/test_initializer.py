@@ -6,7 +6,9 @@ import pytest
 from mmloc import (
     DegenerateMeasurementError,
     InitConfig,
+    RangeDiffSet,
     RayMeasurementError,
+    SensorArray,
     f_rdls,
     hyperbola_points,
     init_point,
@@ -42,9 +44,41 @@ class TestHyperbolaPoints:
         np.testing.assert_allclose(pts[:, 0], 0.0, atol=1e-9)
 
     def test_points_respect_bound(self):
-        pts = hyperbola_points([-5.0, 0.0], [5.0, 0.0], 4.0, l=200,
-                               coord_bound=30.0)
-        assert np.max(np.abs(pts)) <= 30.0 + 1e-6
+        # random foci, differences and tight boxes: every sample lies inside
+        # the box, and both end samples touch it (the interval is maximal)
+        rng = np.random.default_rng(20)
+        checked = 0
+        while checked < 1000:
+            yi = rng.uniform(-40.0, 40.0, 2)
+            yj = rng.uniform(-40.0, 40.0, 2)
+            foc = np.linalg.norm(yj - yi)
+            r = rng.uniform(0.0, 0.999) * foc
+            u = (yj - yi) / foc
+            vertex = (yi + yj) / 2.0 + (r / 2.0) * u
+            bound = np.max(np.abs(vertex)) * rng.uniform(1.001, 3.0)
+            if bound == 0.0:
+                continue
+            pts = hyperbola_points(yi, yj, r, l=2048, coord_bound=bound)
+            tol = 1e-9 * bound
+            assert np.max(np.abs(pts)) <= bound + tol
+            for end in (pts[0], pts[-1]):
+                assert np.max(np.abs(end)) >= bound - tol
+            checked += 1
+
+    def test_first_exit_not_a_later_crossing(self):
+        # the branch leaves the box, re-enters, and leaves again; the
+        # sampled interval must stop at the first exit
+        pts = hyperbola_points([15.0, -39.0], [8.0, -1.0], 21.0, l=128,
+                               coord_bound=10.0)
+        assert np.max(np.abs(pts)) <= 10.0 * (1.0 + 1e-9)
+
+    def test_vertex_on_box_edge(self):
+        # bisector through (5, 5) with the box edge at 5: the branch leaves
+        # at once on one side and runs to the opposite corner on the other
+        pts = hyperbola_points([0.0, 10.0], [10.0, 0.0], 0.0, l=5,
+                               coord_bound=5.0)
+        np.testing.assert_allclose(pts[0], [-5.0, -5.0], atol=1e-12)
+        np.testing.assert_allclose(pts[-1], [5.0, 5.0], atol=1e-12)
 
     def test_ray_case_rejected(self):
         with pytest.raises(RayMeasurementError):
@@ -94,11 +128,29 @@ class TestInitPoint:
     def test_infeasible_pairs_fall_back_to_grid(self):
         # all differences above the sensor separations -> no usable hyperbola
         arr = np.array([[0.0, 0.0], [1.0, 0.0]])
-        from mmloc import SensorArray
         array = SensorArray(arr)
         rd = rangediffs_from_ranges(np.array([10.0, 1.0]))  # diff 9 > 1
         x0 = init_point(array, rd, InitConfig(grid_size=64, seed=0))
         assert x0.shape == (2,)
+
+    def test_separation_rounding_edge_falls_back_to_grid(self):
+        # a value equal to the sensor separation is a ray; the feasibility
+        # filter (row-wise norm) can put the separation one bit above
+        # hyperbola_points' focal distance (vector norm), and the start
+        # must then come from the grid instead of an exception
+        rng = np.random.default_rng(5)
+        for _ in range(1000):
+            pair = rng.uniform(-50.0, 50.0, (2, 2))
+            diff = pair[1] - pair[0]
+            foc = float(np.linalg.norm(diff))
+            sep = float(np.linalg.norm(diff[None, :], axis=1)[0])
+            if sep > foc:
+                break
+        array = SensorArray(pair)
+        for v in (foc, sep):
+            rd = RangeDiffSet(np.array([1]), np.array([2]), np.array([v]), 2)
+            x0 = init_point(array, rd, InitConfig(grid_size=16, seed=0))
+            assert x0.shape == (2,) and np.all(np.isfinite(x0))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

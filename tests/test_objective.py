@@ -35,6 +35,12 @@ class TestRangeObjective:
         got = f_rls(x, y, np.array([1.0, 1.0]))
         assert got == pytest.approx(20.0)
 
+    def test_rejects_nonfinite_range(self):
+        y = np.array([[0.0, 0.0], [4.0, 0.0]])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                f_rls(np.array([0.0, 3.0]), y, np.array([1.0, bad]))
+
     def test_batch_matches_scalar(self):
         array, _, r = make_range_instance(3, m=5, noise_std=0.1)
         rng = np.random.default_rng(7)

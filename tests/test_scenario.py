@@ -251,6 +251,13 @@ class TestFileIO:
         write_ranges_csv(path, r)
         np.testing.assert_array_equal(read_ranges_csv(path), r)
 
+    def test_ranges_csv_rejects_nonfinite(self, tmp_path):
+        path = tmp_path / "r.csv"
+        for bad in ("nan", "inf"):
+            path.write_text(f"i,r_i\n1,2.5\n2,{bad}\n")
+            with pytest.raises(ValueError, match="not finite"):
+                read_ranges_csv(path)
+
     def test_rangediffs_csv_roundtrip(self, tmp_path):
         rd = rangediffs_from_ranges(np.array([5.0, 2.0, 9.0, 3.3]))
         path = tmp_path / "rd.csv"

@@ -132,6 +132,14 @@ class TestSolve:
         est_shift, _ = sfp_solve(None, coords + t, r, cfg)
         np.testing.assert_allclose(est_shift, est + t, atol=1e-6)
 
+    def test_rejects_nonfinite_range(self):
+        coords, _, r = triangle_instance(6)
+        for bad in (np.nan, np.inf):
+            r_bad = r.copy()
+            r_bad[1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                sfp_solve(None, coords, r_bad)
+
     def test_trace_statuses(self):
         coords, source, r = triangle_instance(5)
         _, trace = sfp_solve(None, coords, r, SolverConfig(max_iter=1))
