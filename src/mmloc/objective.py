@@ -18,20 +18,48 @@ import numpy as np
 from .scenario import RangeDiffSet, as_position, sensor_coords
 
 
+def _check_ranges(ranges, m: int) -> np.ndarray:
+    """Ranges as a flat float vector of length m; rejects NaN and inf."""
+    r = np.asarray(ranges, dtype=float).reshape(-1)
+    if r.size != m:
+        raise ValueError(f"{r.size} ranges for {m} sensors")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("ranges must be finite")
+    return r
+
+
+def _f_ranges(x, ys, r):
+    """Range cost and the sensor distances at x, scalar arithmetic (entry order).
+
+    x: position; ys: sensor coordinates (rows); r: one range per sensor.
+    Returns (value, distances), so a caller can reuse the distances.
+    """
+    d = [math.dist(x, y) for y in ys]
+    total = 0.0
+    for k in range(len(d)):
+        e = r[k] - d[k]
+        total += e * e
+    return total, d
+
+
+def _f_pairs(x, ys, pairs):
+    """Range-difference cost and the sensor distances at x (entry order).
+
+    pairs: 0-based (i, j, r_ij).  Returns (value, distances).
+    """
+    d = [math.dist(x, y) for y in ys]
+    total = 0.0
+    for (ii, jj, r) in pairs:
+        e = r - (d[ii] - d[jj])
+        total += e * e
+    return total, d
+
+
 def f_rls(x, array, ranges) -> float:
     """Range least-squares cost at x [m^2]."""
     coords = sensor_coords(array)
     p = as_position(x, coords.shape[1])
-    r = np.asarray(ranges, dtype=float).reshape(-1)
-    if r.size != coords.shape[0]:
-        raise ValueError(f"{r.size} ranges for {coords.shape[0]} sensors")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("ranges must be finite")
-    total = 0.0
-    for k in range(r.size):
-        e = r[k] - math.dist(p, coords[k])
-        total += e * e
-    return total
+    return _f_ranges(p, coords, _check_ranges(ranges, coords.shape[0]))[0]
 
 
 def f_rdls(x, array, rd: RangeDiffSet) -> float:
@@ -40,21 +68,14 @@ def f_rdls(x, array, rd: RangeDiffSet) -> float:
     p = as_position(x, coords.shape[1])
     if rd.m != coords.shape[0]:
         raise ValueError(f"measurement set indexes {rd.m} sensors, array has {coords.shape[0]}")
-    d = [math.dist(p, coords[k]) for k in range(coords.shape[0])]
-    total = 0.0
-    for i, j, v in rd.entries():
-        e = v - (d[i - 1] - d[j - 1])
-        total += e * e
-    return total
+    return _f_pairs(p, coords, [(i - 1, j - 1, v) for i, j, v in rd.entries()])[0]
 
 
 def f_rls_many(X, array, ranges) -> np.ndarray:
     """f_rls evaluated at each row of X, shape (B, n) -> (B,)."""
     coords = sensor_coords(array)
     pts = np.atleast_2d(np.asarray(X, dtype=float))
-    r = np.asarray(ranges, dtype=float).reshape(-1)
-    if r.size != coords.shape[0]:
-        raise ValueError(f"{r.size} ranges for {coords.shape[0]} sensors")
+    r = _check_ranges(ranges, coords.shape[0])
     D = np.linalg.norm(pts[:, None, :] - coords[None, :, :], axis=2)
     return np.sum((r[None, :] - D) ** 2, axis=1)
 

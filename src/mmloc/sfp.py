@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from .errors import SensorSingularityError
+from .objective import _check_ranges, _f_ranges
 from .scenario import as_position, sensor_coords
 from .solvit import (
     SolverConfig,
@@ -30,9 +31,7 @@ def sfp_surrogate_many(X, x_k, array, ranges) -> np.ndarray:
     """Quadratic bound of f_rls around x_k at each row of X -> (B,)."""
     coords = sensor_coords(array)
     xk = as_position(x_k, coords.shape[1])
-    r = np.asarray(ranges, dtype=float).reshape(-1)
-    if r.size != coords.shape[0]:
-        raise ValueError(f"{r.size} ranges for {coords.shape[0]} sensors")
+    r = _check_ranges(ranges, coords.shape[0])
     pts = np.atleast_2d(np.asarray(X, dtype=float))
     _, w = _unit_vectors(xk, coords)
     out = np.zeros(pts.shape[0])
@@ -49,6 +48,31 @@ def sfp_surrogate(x, x_k, array, ranges) -> float:
 
 
 def _sfp_step_core(x: list[float], ys, r: list[float], n: int) -> list[float]:
+    """One fixed-point update on plain Python scalars (ys: sensor tuples)."""
+    if n == 2:
+        return _sfp_step_core_2d(x, ys, r)
+    return _sfp_step_core_nd(x, ys, r, n)
+
+
+def _sfp_step_core_2d(x, ys, r) -> list[float]:
+    """_sfp_step_core_nd unrolled for n == 2, bit-identical to it."""
+    x0, x1 = x
+    acc0 = acc1 = 0.0
+    for k, (y0, y1) in enumerate(ys):
+        d0 = x0 - y0
+        d1 = x1 - y1
+        nrm = math.sqrt(d0 * d0 + d1 * d1)
+        if nrm <= 0.0:
+            raise SensorSingularityError(k + 1)
+        scale = r[k] / nrm
+        acc0 += y0 + scale * d0
+        acc1 += y1 + scale * d1
+    m = len(ys)
+    return [acc0 / m, acc1 / m]
+
+
+def _sfp_step_core_nd(x: list[float], ys, r: list[float], n: int) -> list[float]:
+    """Generic update for any n; the reference the planar kernel must match."""
     m = len(ys)
     acc = [0.0] * n
     for k in range(m):
@@ -72,9 +96,7 @@ def sfp_step(x_k, array, ranges) -> np.ndarray:
     """One fixed-point update: the mean of per-sensor range projections."""
     coords = sensor_coords(array)
     xk = as_position(x_k, coords.shape[1])
-    r = np.asarray(ranges, dtype=float).reshape(-1)
-    if r.size != coords.shape[0]:
-        raise ValueError(f"{r.size} ranges for {coords.shape[0]} sensors")
+    r = _check_ranges(ranges, coords.shape[0])
     ys = [tuple(float(v) for v in row) for row in coords]
     return np.array(_sfp_step_core(list(map(float, xk)), ys,
                                    [float(v) for v in r], coords.shape[1]))
@@ -90,22 +112,10 @@ def sfp_solve(x0, array, ranges,
     cfg = cfg or SolverConfig()
     coords = sensor_coords(array)
     n = coords.shape[1]
-    r = np.asarray(ranges, dtype=float).reshape(-1)
-    if r.size != coords.shape[0]:
-        raise ValueError(f"{r.size} ranges for {coords.shape[0]} sensors")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("ranges must be finite")
+    r = _check_ranges(ranges, coords.shape[0])
     xs = coords.mean(axis=0) if x0 is None else as_position(x0, n)
     ys = [tuple(float(v) for v in row) for row in coords]
     rl = [float(v) for v in r]
-
-    def f_ranges(x):
-        total = 0.0
-        for k in range(len(rl)):
-            e = rl[k] - math.dist(x, ys[k])
-            total += e * e
-        return total
-
     return _iterate(xs, ys, n, cfg,
                     lambda x: _sfp_step_core(x, ys, rl, n),
-                    f_ranges)
+                    lambda x: _f_ranges(x, ys, rl))

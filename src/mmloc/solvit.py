@@ -23,7 +23,11 @@ The per-pair accumulation is written as plain scalar loops on purpose:
 the per-iteration cost is then proportional to the number of pairs
 (O(n^2 * m_hat)), which keeps the cost model measurable at small m
 instead of being buried under vectorization overhead.  Accumulation runs
-in entry order, so traces are bit-reproducible.
+in entry order, so traces are bit-reproducible.  The planar step
+(_step_core_2d) is an unrolled copy of the generic loop (_step_core_nd):
+the same floating-point operations in the same order, with the per-sensor
+terms computed once instead of once per pair.  It must stay bit-identical
+to the generic loop; TestPlanarKernel in tests/test_solvit.py checks this.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SensorSingularityError, SingularSystemError
+from .objective import _f_pairs
 from .scenario import RangeDiffSet, as_position, sensor_coords
 
 # termination labels shared by all iterative solvers
@@ -243,6 +248,75 @@ def _step_core(x: list[float], ys: list[tuple[float, ...]],
 
     x: current iterate; ys: sensor tuples; pairs: 0-based (i, j, r_ij).
     """
+    if n == 2:
+        return _step_core_2d(x, ys, pairs)
+    return _step_core_nd(x, ys, pairs, n)
+
+
+def _step_core_2d(x, ys, pairs) -> list[float]:
+    """_step_core_nd unrolled for n == 2, bit-identical to it.
+
+    Each sensor's distance, unit vector and w_i . y_i are formed once, with
+    the generic loop's operations, instead of once per pair that uses it.
+    """
+    x0, x1 = x
+    sens = []
+    for k, (y0, y1) in enumerate(ys):
+        d0 = x0 - y0
+        d1 = x1 - y1
+        nrm = math.sqrt(d0 * d0 + d1 * d1)
+        if nrm <= 0.0:
+            raise SensorSingularityError(k + 1)
+        w0 = d0 / nrm
+        w1 = d1 / nrm
+        # w_k . y_k, summed from 0.0 as the generic loop does
+        sens.append((y0, y1, w0, w1, nrm, 0.0 + w0 * y0 + w1 * y1))
+
+    a00 = a01 = a11 = b0 = b1 = 0.0
+    for (ii, jj, r) in pairs:
+        yi0, yi1, wi0, wi1, _, wi_yi = sens[ii]
+        yj0, yj1, wj0, wj1, rho_j, wj_yj = sens[jj]
+        s = r / rho_j
+        diag = 2.0 + s
+        a00 += diag - 2.0 * wj0 * wi0
+        a01 -= wj0 * wi1 + wi0 * wj1
+        b0 += yi0 + yj0 + r * wi0 + s * yj0 - wj0 * wi_yi - wi0 * wj_yj
+        a11 += diag - 2.0 * wj1 * wi1
+        b1 += yi1 + yj1 + r * wi1 + s * yj1 - wj1 * wi_yi - wi1 * wj_yj
+
+    # _sym_eig_range, n == 2 branch
+    half_tr = 0.5 * (a00 + a11)
+    disc2 = 0.25 * (a00 - a11) ** 2 + a01 * a01
+    if 0.0 > disc2:
+        disc2 = 0.0
+    disc = math.sqrt(disc2)
+    lam_min = half_tr - disc
+    lam_max = half_tr + disc
+    if lam_min <= 0.0 or lam_max / lam_min > _COND_LIMIT:
+        raise SingularSystemError(
+            f"step system ill-conditioned (eigenvalue range [{lam_min:.3e}, {lam_max:.3e}])"
+        )
+
+    # _solve_small: partial pivoting swaps rows only on a strictly larger pivot
+    if abs(a01) > abs(a00):
+        p0, p1, p2, q0, q1, q2 = a01, a11, b1, a00, a01, b0
+    else:
+        p0, p1, p2, q0, q1, q2 = a00, a01, b0, a01, a11, b1
+    if p0 == 0.0:
+        raise SingularSystemError("pivot vanished in the step linear system")
+    f = q0 * (1.0 / p0)
+    if f != 0.0:
+        q1 -= f * p1
+        q2 -= f * p2
+    if q1 == 0.0:
+        raise SingularSystemError("pivot vanished in the step linear system")
+    z1 = q2 / q1
+    return [(p2 - p1 * z1) / p0, z1]
+
+
+def _step_core_nd(x: list[float], ys: list[tuple[float, ...]],
+                  pairs: list[tuple[int, int, float]], n: int) -> list[float]:
+    """Generic step for any n; the reference the planar kernel must match."""
     m = len(ys)
     rho = [0.0] * m
     w = [None] * m
@@ -311,16 +385,6 @@ def solvit_step(x_k, array, rd: RangeDiffSet, *,
 # iteration loop
 # ---------------------------------------------------------------------------
 
-def _f_pairs(x: list[float], ys, pairs, n: int) -> float:
-    """Objective over the active pairs, scalar arithmetic (entry order)."""
-    d = [math.dist(x, y) for y in ys]
-    total = 0.0
-    for (ii, jj, r) in pairs:
-        e = r - (d[ii] - d[jj])
-        total += e * e
-    return total
-
-
 def _nudge_off_sensors(x: list[float], ys, n: int) -> list[float]:
     """Move x 1e-6 m toward the centroid of the other sensors if it sits on one.
 
@@ -351,10 +415,14 @@ def _nudge_off_sensors(x: list[float], ys, n: int) -> list[float]:
 
 
 def _iterate(x0, ys, n, cfg, stepper, objective):
-    """Shared MM loop: monotone descent with the three-way stopping rule."""
+    """Shared MM loop: monotone descent with the three-way stopping rule.
+
+    objective(x) returns (value, sensor distances at x); the distances of
+    the current iterate decide whether it must be nudged off a sensor.
+    """
     x = list(map(float, x0))
     x = _nudge_off_sensors(x, ys, n)
-    f_cur = objective(x)
+    f_cur, d = objective(x)
     iterates = [list(x)]
     objectives = [f_cur]
     status = MAX_ITER
@@ -362,13 +430,14 @@ def _iterate(x0, ys, n, cfg, stepper, objective):
         status = CONVERGED
     else:
         for _ in range(cfg.max_iter):
-            x = _nudge_off_sensors(x, ys, n)
+            if min(d) < _SENSOR_GUARD:
+                x = _nudge_off_sensors(x, ys, n)
             try:
                 x_next = stepper(x)
             except (SensorSingularityError, SingularSystemError):
                 status = SINGULAR_SYSTEM
                 break
-            f_next = objective(x_next)
+            f_next, d = objective(x_next)
             iterates.append(list(x_next))
             objectives.append(f_next)
             x = x_next
@@ -403,4 +472,4 @@ def solvit_solve(x0, array, rd: RangeDiffSet,
     xs = as_position(x0, n)
     return _iterate(xs, ys, n, cfg,
                     lambda x: _step_core(x, ys, pairs, n),
-                    lambda x: _f_pairs(x, ys, pairs, n))
+                    lambda x: _f_pairs(x, ys, pairs))

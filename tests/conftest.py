@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from mmloc import (
+    CONVERGED,
+    MAX_ITER,
+    SINGULAR_SYSTEM,
     NoiseModel,
     SensorArray,
     noisy_rangediffs,
@@ -13,6 +16,8 @@ from mmloc import (
     random_array,
     true_ranges,
 )
+from mmloc.errors import SensorSingularityError, SingularSystemError
+from mmloc.solvit import _ZERO_OBJECTIVE, SolveTrace, _nudge_off_sensors
 
 
 def make_instance(seed, m=4, n=2, box=10.0, sigma2=0.0):
@@ -51,6 +56,65 @@ def make_range_instance(seed, m=4, n=2, box=10.0, noise_std=0.0):
             source = rng.uniform(-box, box, n)
             r = true_ranges(source, array) + noise_std * rng.standard_normal(m)
     return array, source, r
+
+
+def reference_iterate(x0, ys, n, cfg, stepper, objective):
+    """The MM loop as it was before it reused the objective's distances.
+
+    It nudges (one distance pass), steps and evaluates the objective on
+    every iteration; objective returns (value, distances) and only the
+    value is used.  The solvers' fast paths must reproduce its traces.
+    """
+    x = list(map(float, x0))
+    x = _nudge_off_sensors(x, ys, n)
+    f_cur = objective(x)[0]
+    iterates = [list(x)]
+    objectives = [f_cur]
+    status = MAX_ITER
+    if f_cur <= _ZERO_OBJECTIVE:
+        status = CONVERGED
+    else:
+        for _ in range(cfg.max_iter):
+            x = _nudge_off_sensors(x, ys, n)
+            try:
+                x_next = stepper(x)
+            except (SensorSingularityError, SingularSystemError):
+                status = SINGULAR_SYSTEM
+                break
+            f_next = objective(x_next)[0]
+            iterates.append(list(x_next))
+            objectives.append(f_next)
+            x = x_next
+            if f_next <= _ZERO_OBJECTIVE:
+                status = CONVERGED
+                break
+            if abs(f_next - f_cur) / f_cur < cfg.tol:
+                status = CONVERGED
+                break
+            f_cur = f_next
+    trace = SolveTrace(np.array(iterates), np.array(objectives), status,
+                       len(objectives) - 1)
+    return np.array(x), trace
+
+
+def assert_same_solve(got, ref):
+    """Bit-identical estimate, iterates, objectives, status and count."""
+    (est, trace), (est_ref, trace_ref) = got, ref
+    assert est.tobytes() == est_ref.tobytes()
+    assert np.array_equal(trace.iterates, trace_ref.iterates)
+    assert trace.iterates.tobytes() == trace_ref.iterates.tobytes()
+    assert np.array_equal(trace.objectives, trace_ref.objectives)
+    assert trace.objectives.tobytes() == trace_ref.objectives.tobytes()
+    assert trace.status == trace_ref.status
+    assert trace.iterations == trace_ref.iterations
+
+
+def step_outcome(step, *args):
+    """A step's result as float hex strings, or its exception class and text."""
+    try:
+        return [float(v).hex() for v in step(*args)]
+    except (SensorSingularityError, SingularSystemError) as exc:
+        return type(exc), str(exc)
 
 
 @pytest.fixture

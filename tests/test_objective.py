@@ -40,6 +40,8 @@ class TestRangeObjective:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 f_rls(np.array([0.0, 3.0]), y, np.array([1.0, bad]))
+            with pytest.raises(ValueError, match="finite"):
+                f_rls_many(np.zeros((3, 2)), y, np.array([bad, 1.0]))
 
     def test_batch_matches_scalar(self):
         array, _, r = make_range_instance(3, m=5, noise_std=0.1)

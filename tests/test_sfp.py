@@ -12,7 +12,15 @@ from mmloc import (
     sfp_surrogate,
     true_ranges,
 )
-from conftest import make_range_instance
+from mmloc.errors import SensorSingularityError
+from mmloc.objective import _f_ranges
+from mmloc.sfp import _sfp_step_core, _sfp_step_core_nd, sfp_surrogate_many
+from conftest import (
+    assert_same_solve,
+    make_range_instance,
+    reference_iterate,
+    step_outcome,
+)
 
 
 def triangle_instance(seed):
@@ -134,11 +142,18 @@ class TestSolve:
 
     def test_rejects_nonfinite_range(self):
         coords, _, r = triangle_instance(6)
-        for bad in (np.nan, np.inf):
+        x = np.array([1.0, 1.0])
+        for bad in (np.nan, np.inf, -np.inf):
             r_bad = r.copy()
             r_bad[1] = bad
             with pytest.raises(ValueError, match="finite"):
                 sfp_solve(None, coords, r_bad)
+            with pytest.raises(ValueError, match="finite"):
+                sfp_step(x, coords, r_bad)
+            with pytest.raises(ValueError, match="finite"):
+                sfp_surrogate(x, x, coords, r_bad)
+            with pytest.raises(ValueError, match="finite"):
+                sfp_surrogate_many(np.zeros((4, 2)), x, coords, r_bad)
 
     def test_trace_statuses(self):
         coords, source, r = triangle_instance(5)
@@ -147,3 +162,39 @@ class TestSolve:
         _, trace = sfp_solve(None, coords, r,
                              SolverConfig(tol=1e-14, max_iter=30000))
         assert trace.status == CONVERGED
+
+
+class TestPlanarKernel:
+    """The n == 2 update reproduces the generic loop bit for bit."""
+
+    def test_step_matches_generic_loop(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(1500):
+            m = int(rng.integers(1, 10))
+            ys = [tuple(map(float, rng.uniform(-50.0, 50.0, 2))) for _ in range(m)]
+            r = [float(v) for v in np.abs(rng.normal(0.0, 30.0, m))]
+            x = [float(v) for v in rng.uniform(-60.0, 60.0, 2)]
+            if rng.uniform() < 0.1:  # exactly on a sensor
+                x = list(ys[int(rng.integers(m))])
+            got = step_outcome(_sfp_step_core, x, ys, r, 2)
+            assert got == step_outcome(_sfp_step_core_nd, x, ys, r, 2)
+            if x in [list(y) for y in ys]:
+                assert got[0] is SensorSingularityError
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_solve_matches_reference_loop(self, n):
+        rng = np.random.default_rng(400 + n)
+        for case in range(40):
+            m = int(rng.integers(3, 8))
+            array, _, r = make_range_instance(rng.integers(2**32), m=m, n=n,
+                                              noise_std=float(rng.uniform(0.0, 1.0)))
+            x0 = (array.sensors[case % m] if case % 4 == 0
+                  else rng.uniform(-12.0, 12.0, n))
+            cfg = SolverConfig(tol=float(10.0 ** -rng.integers(4, 13)),
+                               max_iter=int(rng.integers(1, 400)))
+            ys = [tuple(map(float, row)) for row in array.sensors]
+            rl = [float(v) for v in r]
+            ref = reference_iterate(x0, ys, n, cfg,
+                                    lambda x: _sfp_step_core_nd(x, ys, rl, n),
+                                    lambda x: _f_ranges(x, ys, rl))
+            assert_same_solve(sfp_solve(x0, array, r, cfg), ref)

@@ -24,8 +24,9 @@ from mmloc import (
     write_trace_csv,
 )
 from mmloc.errors import SensorSingularityError, SingularSystemError
-from mmloc.solvit import _iterate
-from conftest import make_instance
+from mmloc.objective import _f_pairs, _f_ranges
+from mmloc.solvit import _iterate, _prepare, _step_core, _step_core_nd
+from conftest import assert_same_solve, make_instance, reference_iterate, step_outcome
 
 
 def quad_min_from_evals(g, n):
@@ -221,10 +222,148 @@ class TestSolve:
         ys = [(0.0, 0.0), (5.0, 0.0)]
         x, trace = _iterate(np.array([1.0, 1.0]), ys, 2,
                             SolverConfig(tol=1e-12, max_iter=50),
-                            stepper, lambda x: 1.0 + x[0])
+                            stepper,
+                            lambda x: (1.0 + x[0], [math.dist(x, y) for y in ys]))
         assert trace.status == SINGULAR_SYSTEM
         np.testing.assert_allclose(x, [2.0, 1.0])
         assert trace.iterates.shape[0] == 2
+
+
+def random_step_instance(rng):
+    """Random planar sensors, iterate and oriented pairs (m = 2..9)."""
+    m = int(rng.integers(2, 10))
+    ys = [tuple(map(float, rng.uniform(-50.0, 50.0, 2))) for _ in range(m)]
+    pairs = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            if rng.uniform() < 0.8:
+                r = 0.0 if rng.uniform() < 0.1 else float(rng.normal(0.0, 20.0))
+                pairs.append((i, j, r) if rng.uniform() < 0.5 else (j, i, r))
+    if not pairs:
+        pairs.append((0, 1, float(rng.normal(0.0, 20.0))))
+    x = [float(v) for v in rng.uniform(-60.0, 60.0, 2)]
+    if rng.uniform() < 0.1:  # close to, but not on, a sensor
+        y = ys[int(rng.integers(m))]
+        x = [y[0] + 1e-7, y[1] - 1e-7]
+    return x, ys, pairs
+
+
+def step_matrix(x, ys, pairs):
+    """The summed bound matrix, in numpy; only used to classify instances."""
+    w = {k: (np.array(x) - y) / np.linalg.norm(np.array(x) - y) for k, y in enumerate(ys)}
+    A = np.zeros((2, 2))
+    for i, j, r in pairs:
+        Q = np.outer(w[j], w[i])
+        A += (2.0 + r / math.dist(x, ys[j])) * np.eye(2) - (Q + Q.T)
+    return A
+
+
+class TestPlanarKernel:
+    """The n == 2 kernels reproduce the generic loops bit for bit."""
+
+    def test_step_matches_generic_loop(self):
+        rng = np.random.default_rng(2024)
+        solved = 0
+        for _ in range(1500):
+            x, ys, pairs = random_step_instance(rng)
+            got = step_outcome(_step_core, x, ys, pairs, 2)
+            assert got == step_outcome(_step_core_nd, x, ys, pairs, 2)
+            solved += isinstance(got, list)
+        assert solved > 1000
+
+    def test_row_swap_matches_generic_loop(self):
+        # |a01| > |a00| makes the elimination swap its rows
+        rng = np.random.default_rng(77)
+        found = 0
+        while found < 25:
+            x, ys, pairs = random_step_instance(rng)
+            A = step_matrix(x, ys, pairs)
+            if not abs(A[0, 1]) > 1.01 * abs(A[0, 0]):
+                continue
+            got = step_outcome(_step_core, x, ys, pairs, 2)
+            assert got == step_outcome(_step_core_nd, x, ys, pairs, 2)
+            found += isinstance(got, list)
+
+    def test_pivot_tie_keeps_row_order(self):
+        # w_1 = (0, 1) and w_2 = w_3 = (1, 0) exactly, s_12 = -1, s_23 = 0, so
+        # a00 = 1 = -a01 for any shift t: a tie must not swap the rows
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            t0, t1 = (float(v) for v in rng.uniform(-10.0, 10.0, 2))
+            x = [t0, t1]
+            ys = [(t0, t1 - 1.0), (t0 - 1.0, t1), (t0 - 2.0, t1)]
+            pairs = [(0, 1, -math.dist(x, ys[1])), (1, 2, 0.0)]
+            assert (step_outcome(_step_core, x, ys, pairs, 2)
+                    == step_outcome(_step_core_nd, x, ys, pairs, 2))
+
+    def test_ill_conditioned_raises_like_generic_loop(self):
+        # collinear sensors, iterate on their line: the bound is singular
+        ys = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+        pairs = [(0, 1, 0.0), (0, 2, 0.0), (1, 2, 0.0)]
+        for x in ([5.0, 0.0], [-3.0, 0.0]):
+            got = step_outcome(_step_core, x, ys, pairs, 2)
+            assert got == step_outcome(_step_core_nd, x, ys, pairs, 2)
+            assert got[0] is SingularSystemError
+
+    def test_iterate_on_sensor_raises_like_generic_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            x, ys, pairs = random_step_instance(rng)
+            k = int(rng.integers(len(ys)))
+            on = list(ys[k])
+            got = step_outcome(_step_core, on, ys, pairs, 2)
+            assert got == step_outcome(_step_core_nd, on, ys, pairs, 2)
+            assert got[0] is SensorSingularityError
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_solve_matches_reference_loop(self, n):
+        rng = np.random.default_rng(300 + n)
+        for case in range(40):
+            m = int(rng.integers(3, 8))
+            array, _, rd = make_instance(rng.integers(2**32), m=m, n=n,
+                                         sigma2=float(rng.uniform(0.0, 1.0)))
+            x0 = (array.sensors[case % m] if case % 4 == 0
+                  else rng.uniform(-12.0, 12.0, n))
+            cfg = SolverConfig(tol=float(10.0 ** -rng.integers(4, 13)),
+                               max_iter=int(rng.integers(1, 400)))
+            _, ys, pairs = _prepare(array, rd, False)
+            ref = reference_iterate(x0, ys, n, cfg,
+                                    lambda x: _step_core_nd(x, ys, pairs, n),
+                                    lambda x: _f_pairs(x, ys, pairs))
+            assert_same_solve(solvit_solve(x0, array, rd, cfg), ref)
+
+    def test_loop_nudges_mid_run_like_reference(self):
+        # a step that lands exactly on a sensor is nudged before the next step
+        ys = [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0)]
+
+        def run(loop):
+            seen = []
+
+            def stepper(x):
+                seen.append(list(x))
+                return [0.0, 0.0] if len(seen) == 1 else [x[0] + 0.5, x[1] + 0.25]
+
+            out = loop([2.0, 1.0], ys, 2, SolverConfig(tol=1e-12, max_iter=4),
+                       stepper, lambda x: _f_ranges(x, ys, [1.0, 2.0, 3.0]))
+            return out, seen
+
+        got, seen = run(_iterate)
+        ref, seen_ref = run(reference_iterate)
+        assert_same_solve(got, ref)
+        assert seen == seen_ref
+        assert math.dist(seen[1], ys[0]) == pytest.approx(1e-6)
+
+    def test_singular_solve_matches_reference_loop(self):
+        sensors = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        rd = rangediffs_from_ranges(np.zeros(3))
+        cfg = SolverConfig()
+        _, ys, pairs = _prepare(sensors, rd, False)
+        ref = reference_iterate([5.0, 0.0], ys, 2, cfg,
+                                lambda x: _step_core_nd(x, ys, pairs, 2),
+                                lambda x: _f_pairs(x, ys, pairs))
+        got = solvit_solve([5.0, 0.0], sensors, rd, cfg)
+        assert_same_solve(got, ref)
+        assert got[1].status == SINGULAR_SYSTEM
 
 
 class TestConfigAndTrace:
