@@ -23,7 +23,6 @@ from . import crlb as _crlb
 from . import harness as _harness
 from . import initializer as _init
 from . import scenario as _scen
-from . import sfp as _sfp
 from . import solvit as _solvit
 from . import tdoa as _tdoa
 
@@ -55,17 +54,9 @@ def _cmd_solve(args):
     else:
         meas = _scen.read_ranges_csv(args.measurements)
     if args.x0 is not None:
-        x0 = np.asarray(args.x0, dtype=float)
-    elif init == "centroid":
-        x0 = scen.array.centroid()
-    elif init == "random":
-        x0 = np.random.default_rng(args.seed).uniform(0.0, 1.0, scen.array.n)
-    else:
-        x0 = _init.init_point(scen.array, meas, _init.InitConfig(seed=args.seed))
-    if args.solver == "solvit":
-        est, trace = _solvit.solvit_solve(x0, scen.array, meas, cfg)
-    else:
-        est, trace = _sfp.sfp_solve(x0, scen.array, meas, cfg)
+        init = "fixed"
+    est, trace = _harness.solve_one(args.solver, init, scen.array, meas, args.seed, cfg,
+                                    fixed=args.x0)
     if args.trace is not None:
         _solvit.write_trace_csv(args.trace, trace)
     print(_fmt_point(est))

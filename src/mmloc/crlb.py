@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SensorSingularityError
-from .scenario import NoiseModel, as_position, sensor_coords, unordered_pairs
+from .scenario import NoiseModel, as_position, rangediffs_from_ranges, sensor_coords
 
 
 @dataclass(frozen=True)
@@ -62,20 +62,6 @@ def range_variance(D: float, noise: NoiseModel) -> float:
     return num / den
 
 
-def _oriented_pairs(x: np.ndarray, coords: np.ndarray) -> list[tuple[int, int]]:
-    """Pairs in ascending (i < j) enumeration, oriented by the sign of the
-    true difference (ties keep i < j) — the same order and orientation a
-    zero-noise measurement set stores."""
-    d = np.linalg.norm(x[None, :] - coords, axis=1)
-    out = []
-    for (i, j) in unordered_pairs(coords.shape[0]):
-        if d[i - 1] - d[j - 1] >= 0:
-            out.append((i, j))
-        else:
-            out.append((j, i))
-    return out
-
-
 def rd_covariance(x, array, noise: NoiseModel) -> np.ndarray:
     """Covariance of the range-difference noise vector, (m_hat, m_hat).
 
@@ -97,11 +83,11 @@ def rd_covariance(x, array, noise: NoiseModel) -> np.ndarray:
         if dk <= 0:
             raise SensorSingularityError(k + 1)
     var = np.array([range_variance(dk, noise) for dk in d])
-    pairs = np.array(_oriented_pairs(p, coords)) - 1
-    rows = np.arange(pairs.shape[0])
-    E = np.zeros((pairs.shape[0], coords.shape[0]))
-    E[rows, pairs[:, 0]] = 1.0
-    E[rows, pairs[:, 1]] = -1.0
+    rd = rangediffs_from_ranges(d)
+    rows = np.arange(rd.n_pairs)
+    E = np.zeros((rd.n_pairs, coords.shape[0]))
+    E[rows, rd.i - 1] = 1.0
+    E[rows, rd.j - 1] = -1.0
     return (E * var[None, :]) @ E.T
 
 
@@ -119,8 +105,8 @@ def fisher(x, array, noise: NoiseModel) -> CrlbReport:
         if dk <= 0:
             raise SensorSingularityError(k + 1)
     units = (p[None, :] - coords) / d[:, None]
-    pairs = _oriented_pairs(p, coords)
-    H = np.column_stack([units[i - 1] - units[j - 1] for (i, j) in pairs])
+    rd = rangediffs_from_ranges(d)
+    H = np.ascontiguousarray((units[rd.i - 1] - units[rd.j - 1]).T)
     cov = rd_covariance(p, coords, noise)
     J = H @ np.linalg.pinv(cov) @ H.T
     J = 0.5 * (J + J.T)

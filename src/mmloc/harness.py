@@ -176,16 +176,35 @@ def _sigma2_of(snr_db: float) -> float:
 # runs
 # ---------------------------------------------------------------------------
 
-def _pick_x0(init: str, cfg: ExperimentConfig, array, rd, init_seed):
+def _pick_x0(init: str, array, meas, seed, fixed=None):
     if init == "proposed":
-        return _init.init_point(array, rd, _init.InitConfig(seed=init_seed))
+        return _init.init_point(array, meas, _init.InitConfig(seed=seed))
     if init == "random":
-        return np.random.default_rng(init_seed).uniform(0.0, 1.0, size=array.n)
+        return np.random.default_rng(seed).uniform(0.0, 1.0, size=array.n)
     if init == "fixed":
-        return _scen.as_position(cfg.init_point, array.n)
+        return fixed  # the solver validates it as a position
     if init == "centroid":
         return array.centroid()
     raise ValueError(f"init {init!r} not valid here")
+
+
+def _measurement(solver: str, ranges):
+    """The measurement `solver` consumes, formed from one range per sensor."""
+    return _scen.rangediffs_from_ranges(ranges) if solver == "solvit" else ranges
+
+
+def solve_one(solver: str, init: str, array, meas, seed, solver_cfg, fixed=None):
+    """Pick the starting point `init` (seeded by `seed`; `fixed` is the
+    init="fixed" point) and run `solver` on `meas` from it.
+
+    meas is a RangeDiffSet for solvit and the ranges for sfp.  Every solve
+    of the CLI, the traces and the sweeps goes through here; it calls the
+    solvers and the initializer through their modules, so a wrapper put on
+    a module attribute sees every call.  Returns (estimate, SolveTrace).
+    """
+    x0 = _pick_x0(init, array, meas, seed, fixed)
+    solve = _solvit.solvit_solve if solver == "solvit" else _sfp.sfp_solve
+    return solve(x0, array, meas, solver_cfg)
 
 
 def run_trace(cfg: ExperimentConfig, out_dir=None) -> dict:
@@ -204,21 +223,12 @@ def run_trace(cfg: ExperimentConfig, out_dir=None) -> dict:
     init_seeds = init_ss.spawn(len(init_names))
 
     # one measurement draw shared by every initialization
-    if cfg.solver == "solvit":
-        rd = _scen.noisy_rangediffs(source, array, noise,
-                                    seed=np.random.default_rng(meas_ss))
-    else:
-        ranges = _scen.noisy_ranges(source, array, noise,
-                                    seed=np.random.default_rng(meas_ss))
-
+    ranges = _scen.noisy_ranges(source, array, noise, seed=np.random.default_rng(meas_ss))
+    meas = _measurement(cfg.solver, ranges)
     results = {}
     for name, init_seed in zip(init_names, init_seeds):
-        if cfg.solver == "solvit":
-            x0 = _pick_x0(name, cfg, array, rd, init_seed)
-            est, trace = _solvit.solvit_solve(x0, array, rd, solver_cfg)
-        else:
-            x0 = None if name == "centroid" else _pick_x0(name, cfg, array, None, init_seed)
-            est, trace = _sfp.sfp_solve(x0, array, ranges, solver_cfg)
+        est, trace = solve_one(cfg.solver, name, array, meas, init_seed, solver_cfg,
+                               cfg.init_point)
         results[name] = (est, trace)
         if out_dir is not None:
             _solvit.write_trace_csv(os.path.join(out_dir, f"trace_{name}.csv"), trace)
@@ -264,16 +274,10 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[RmseRow]:
         sqerrs = []
         failed = 0
         for eps_unit, init_seed in trial_states:
-            meas = d_true + eps_unit * std
             try:
-                if cfg.solver == "solvit":
-                    rd = _scen.rangediffs_from_ranges(meas)
-                    x0 = _pick_x0(cfg.init, cfg, array, rd, init_seed)
-                    est, trace = _solvit.solvit_solve(x0, array, rd, solver_cfg)
-                else:
-                    x0 = (None if cfg.init == "centroid"
-                          else _pick_x0(cfg.init, cfg, array, None, init_seed))
-                    est, trace = _sfp.sfp_solve(x0, array, meas, solver_cfg)
+                est, trace = solve_one(cfg.solver, cfg.init, array,
+                                       _measurement(cfg.solver, d_true + eps_unit * std),
+                                       init_seed, solver_cfg, cfg.init_point)
             except LocalizationError:
                 failed += 1
                 continue

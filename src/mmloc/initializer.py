@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMeasurementError, RayMeasurementError
-from .objective import f_rdls_many
+from .objective import _check_rd, f_rdls_many
 from .scenario import RangeDiffSet, as_position, sensor_coords
 
 
@@ -143,8 +143,7 @@ def init_point(array, rd: RangeDiffSet, cfg: InitConfig | None = None) -> np.nda
     """
     cfg = cfg or InitConfig()
     coords = sensor_coords(array)
-    if rd.m != coords.shape[0]:
-        raise ValueError(f"measurement set indexes {rd.m} sensors, array has {coords.shape[0]}")
+    _check_rd(rd, coords.shape[0])
     bound = cfg.coord_bound
     if bound is None:
         bound = 2.0 * float(np.max(np.abs(coords)))

@@ -28,6 +28,12 @@ def _check_ranges(ranges, m: int) -> np.ndarray:
     return r
 
 
+def _check_rd(rd: RangeDiffSet, m: int) -> None:
+    """Rejects a range-difference set that indexes other than m sensors."""
+    if rd.m != m:
+        raise ValueError(f"measurement set indexes {rd.m} sensors, array has {m}")
+
+
 def _f_ranges(x, ys, r):
     """Range cost and the sensor distances at x, scalar arithmetic (entry order).
 
@@ -66,8 +72,7 @@ def f_rdls(x, array, rd: RangeDiffSet) -> float:
     """Range-difference least-squares cost at x [m^2], each unordered pair once."""
     coords = sensor_coords(array)
     p = as_position(x, coords.shape[1])
-    if rd.m != coords.shape[0]:
-        raise ValueError(f"measurement set indexes {rd.m} sensors, array has {coords.shape[0]}")
+    _check_rd(rd, coords.shape[0])
     return _f_pairs(p, coords, [(i - 1, j - 1, v) for i, j, v in rd.entries()])[0]
 
 
@@ -84,8 +89,7 @@ def f_rdls_many(X, array, rd: RangeDiffSet) -> np.ndarray:
     """f_rdls evaluated at each row of X, shape (B, n) -> (B,)."""
     coords = sensor_coords(array)
     pts = np.atleast_2d(np.asarray(X, dtype=float))
-    if rd.m != coords.shape[0]:
-        raise ValueError(f"measurement set indexes {rd.m} sensors, array has {coords.shape[0]}")
+    _check_rd(rd, coords.shape[0])
     D = np.linalg.norm(pts[:, None, :] - coords[None, :, :], axis=2)
     res = rd.values[None, :] - (D[:, rd.i - 1] - D[:, rd.j - 1])
     return np.sum(res ** 2, axis=1)

@@ -282,23 +282,29 @@ def noisy_ranges(x, array, noise: NoiseModel, seed=None) -> np.ndarray:
     return r
 
 
-def rangediffs_from_ranges(ranges) -> RangeDiffSet:
-    """Pairwise differences r_i - r_j for i < j, oriented so stored values are >= 0.
+def oriented_rangediffs(diffs, m: int) -> RangeDiffSet:
+    """Measurement set from signed differences r_i - r_j, one per pair in
+    unordered_pairs(m) order.
 
-    Ties (difference exactly 0) keep the (i, j) order with i < j.
+    Each entry is stored farther sensor first, so its value is >= 0; ties
+    (difference exactly 0) keep the (i, j) order with i < j.
     """
-    r = np.asarray(ranges, dtype=float).reshape(-1)
-    m = r.size
-    if m < 2:
-        raise ValueError("need at least 2 ranges")
     ii, jj, vv = [], [], []
-    for (i, j) in unordered_pairs(m):
-        v = r[i - 1] - r[j - 1]
+    for (i, j), v in zip(unordered_pairs(m), diffs, strict=True):
         if v >= 0:
             ii.append(i); jj.append(j); vv.append(v)
         else:
             ii.append(j); jj.append(i); vv.append(-v)
     return RangeDiffSet(np.array(ii), np.array(jj), np.array(vv), m)
+
+
+def rangediffs_from_ranges(ranges) -> RangeDiffSet:
+    """Pairwise differences r_i - r_j for i < j, oriented as oriented_rangediffs stores them."""
+    r = np.asarray(ranges, dtype=float).reshape(-1).tolist()
+    m = len(r)
+    if m < 2:
+        raise ValueError("need at least 2 ranges")
+    return oriented_rangediffs([r[i - 1] - r[j - 1] for (i, j) in unordered_pairs(m)], m)
 
 
 def noisy_rangediffs(x, array, noise: NoiseModel, seed=None) -> RangeDiffSet:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SensorSingularityError, SingularSystemError
-from .objective import _f_pairs
+from .objective import _check_rd, _f_pairs
 from .scenario import RangeDiffSet, as_position, sensor_coords
 
 # termination labels shared by all iterative solvers
@@ -61,7 +61,6 @@ class SolverConfig:
 
     tol: float = 1e-4        # relative objective change threshold
     max_iter: int = 500
-    strict_positive_pairs: bool = False  # drop r_ij == 0 pairs (literal textbook sum)
 
     def __post_init__(self):
         if not (self.tol > 0 and math.isfinite(self.tol)):
@@ -128,31 +127,19 @@ def _unit_vectors(x: np.ndarray, coords: np.ndarray):
     return rho, diffs / rho[:, None]
 
 
-def _active_entries(rd: RangeDiffSet, strict: bool):
-    ent = list(rd.entries())
-    if strict:
-        ent = [(i, j, v) for (i, j, v) in ent if v > 0]
-        if not ent:
-            raise ValueError("no positive pairs left under strict_positive_pairs")
-    return ent
-
-
-def bound_quantities(x_k, array, rd: RangeDiffSet, *,
-                     strict_positive_pairs: bool = False) -> BoundQuantities:
+def bound_quantities(x_k, array, rd: RangeDiffSet) -> BoundQuantities:
     """Evaluate w_i, s_ij, Q_ij at the iterate x_k (pair order = stored order)."""
     coords = sensor_coords(array)
     xk = as_position(x_k, coords.shape[1])
-    if rd.m != coords.shape[0]:
-        raise ValueError(f"measurement set indexes {rd.m} sensors, array has {coords.shape[0]}")
+    _check_rd(rd, coords.shape[0])
     rho, w = _unit_vectors(xk, coords)
-    ent = _active_entries(rd, strict_positive_pairs)
+    ent = list(rd.entries())
     s = np.array([v / rho[j - 1] for (_, j, v) in ent])
     Q = np.stack([np.outer(w[j - 1], w[i - 1]) for (i, j, _) in ent])
     return BoundQuantities(w=w, s=s, Q=Q)
 
 
-def surrogate_g_many(X, x_k, array, rd: RangeDiffSet, *,
-                     strict_positive_pairs: bool = False) -> np.ndarray:
+def surrogate_g_many(X, x_k, array, rd: RangeDiffSet) -> np.ndarray:
     """Quadratic bound around x_k evaluated at each row of X -> (B,).
 
     Includes the per-pair constant r_ij * ||x^k - y_j|| produced by the
@@ -162,12 +149,11 @@ def surrogate_g_many(X, x_k, array, rd: RangeDiffSet, *,
     """
     coords = sensor_coords(array)
     xk = as_position(x_k, coords.shape[1])
-    if rd.m != coords.shape[0]:
-        raise ValueError(f"measurement set indexes {rd.m} sensors, array has {coords.shape[0]}")
+    _check_rd(rd, coords.shape[0])
     pts = np.atleast_2d(np.asarray(X, dtype=float))
     rho, w = _unit_vectors(xk, coords)
     out = np.zeros(pts.shape[0])
-    for i, j, r in _active_entries(rd, strict_positive_pairs):
+    for i, j, r in rd.entries():
         yi = coords[i - 1]; yj = coords[j - 1]
         wi = w[i - 1]; wj = w[j - 1]
         s = r / rho[j - 1]
@@ -181,11 +167,9 @@ def surrogate_g_many(X, x_k, array, rd: RangeDiffSet, *,
     return out
 
 
-def surrogate_g(x, x_k, array, rd: RangeDiffSet, *,
-                strict_positive_pairs: bool = False) -> float:
+def surrogate_g(x, x_k, array, rd: RangeDiffSet) -> float:
     """Quadratic bound around x_k at a single point (see surrogate_g_many)."""
-    return float(surrogate_g_many(np.asarray(x, dtype=float)[None, :], x_k, array, rd,
-                                  strict_positive_pairs=strict_positive_pairs)[0])
+    return float(surrogate_g_many(np.asarray(x, dtype=float)[None, :], x_k, array, rd)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -364,19 +348,17 @@ def _step_core_nd(x: list[float], ys: list[tuple[float, ...]],
     return _solve_small(A, b, n)
 
 
-def _prepare(array, rd: RangeDiffSet, strict: bool):
+def _prepare(array, rd: RangeDiffSet):
     coords = sensor_coords(array)
-    if rd.m != coords.shape[0]:
-        raise ValueError(f"measurement set indexes {rd.m} sensors, array has {coords.shape[0]}")
+    _check_rd(rd, coords.shape[0])
     ys = [tuple(float(v) for v in row) for row in coords]
-    pairs = [(i - 1, j - 1, v) for (i, j, v) in _active_entries(rd, strict)]
+    pairs = [(i - 1, j - 1, v) for (i, j, v) in rd.entries()]
     return coords, ys, pairs
 
 
-def solvit_step(x_k, array, rd: RangeDiffSet, *,
-                strict_positive_pairs: bool = False) -> np.ndarray:
+def solvit_step(x_k, array, rd: RangeDiffSet) -> np.ndarray:
     """Minimizer of the quadratic bound formed at x_k (one solver iteration)."""
-    coords, ys, pairs = _prepare(array, rd, strict_positive_pairs)
+    coords, ys, pairs = _prepare(array, rd)
     xk = as_position(x_k, coords.shape[1])
     return np.array(_step_core(list(map(float, xk)), ys, pairs, coords.shape[1]))
 
@@ -467,7 +449,7 @@ def solvit_solve(x0, array, rd: RangeDiffSet,
         (final iterate, SolveTrace)
     """
     cfg = cfg or SolverConfig()
-    coords, ys, pairs = _prepare(array, rd, cfg.strict_positive_pairs)
+    coords, ys, pairs = _prepare(array, rd)
     n = coords.shape[1]
     xs = as_position(x0, n)
     return _iterate(xs, ys, n, cfg,

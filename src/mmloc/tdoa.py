@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as _sig
 
-from .scenario import RangeDiffSet, sensor_coords, unordered_pairs
+from .scenario import RangeDiffSet, oriented_rangediffs, sensor_coords, unordered_pairs
 
 # fixture defaults for the anechoic microphone experiment
 TONE_F0 = 250.0          # [Hz]
@@ -128,19 +128,14 @@ def delays_to_rangediffs(delays, c: float) -> RangeDiffSet:
         if key in lookup:
             raise ValueError(f"pair {{{i},{j}}} supplied twice")
         lookup[key] = (i, j, float(tau))
-    ii, jj, vv = [], [], []
+    diffs = []
     for (i, j) in unordered_pairs(m):
         key = frozenset((i, j))
         if key not in lookup:
             raise ValueError(f"missing delay for pair ({i}, {j})")
         a, b, tau = lookup[key]
-        tau_ij = tau if (a, b) == (i, j) else -tau
-        v = c * tau_ij
-        if v >= 0:
-            ii.append(i); jj.append(j); vv.append(v)
-        else:
-            ii.append(j); jj.append(i); vv.append(-v)
-    return RangeDiffSet(np.array(ii), np.array(jj), np.array(vv), m)
+        diffs.append(c * (tau if (a, b) == (i, j) else -tau))
+    return oriented_rangediffs(diffs, m)
 
 
 def estimate_rangediffs(signals, c: float = SOUND_SPEED,
@@ -220,13 +215,11 @@ def read_signals_csv(path) -> list[SignalRecord]:
         if not header.startswith("# fs="):
             raise ValueError("missing '# fs=<Hz>' header line")
         fs = float(header[len("# fs="):])
-        rows = [
-            [float(v) for v in line.strip().split(",")]
-            for line in fh if line.strip()
-        ]
-    if not rows:
+        lines = [line for line in fh if line.strip()]
+    if not lines:
         raise ValueError("no samples in signal CSV")
-    data = np.asarray(rows, dtype=float)
+    # comments=None: a '#' line in the body is an error, not a skipped comment
+    data = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
     return [SignalRecord(data[:, k], fs) for k in range(data.shape[1])]
 
 

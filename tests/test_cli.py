@@ -99,12 +99,33 @@ class TestSolveFlow:
         r_path = tmp_path / "r.csv"
         run_cli(capsys, "simulate", "--scenario", scen_path,
                 "--kind", "ranges", "--out", r_path)
-        code, out, err = run_cli(capsys, "solve", "--scenario", scen_path,
-                                 "--measurements", r_path, "--solver", "sfp",
-                                 "--init", "proposed")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: sfp consumes ranges")
+        # an explicit --x0 does not make the proposed initializer valid
+        for x0 in ([], ["--x0", "1", "1"]):
+            code, out, err = run_cli(capsys, "solve", "--scenario", scen_path,
+                                     "--measurements", r_path, "--solver", "sfp",
+                                     "--init", "proposed", *x0)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: sfp consumes ranges")
+
+    def test_x0_overrides_init_and_starts_the_trace(self, tmp_path, capsys,
+                                                    zero_noise_scenario):
+        scen_path, _ = zero_noise_scenario
+        rd_path = tmp_path / "rd.csv"
+        r_path = tmp_path / "r.csv"
+        run_cli(capsys, "simulate", "--scenario", scen_path, "--out", rd_path)
+        run_cli(capsys, "simulate", "--scenario", scen_path,
+                "--kind", "ranges", "--out", r_path)
+        for solver, meas, init in (("solvit", rd_path, "proposed"),
+                                   ("sfp", r_path, "random")):
+            trace_path = tmp_path / f"trace_{solver}.csv"
+            code, _, _ = run_cli(capsys, "solve", "--scenario", scen_path,
+                                 "--measurements", meas, "--solver", solver,
+                                 "--init", init, "--x0", "2.5", "-1.5",
+                                 "--trace", trace_path)
+            assert code == 0
+            first = trace_path.read_text().splitlines()[1].split(",")
+            assert [float(v) for v in first[1:3]] == [2.5, -1.5]
 
     def test_init_prints_point(self, tmp_path, capsys, zero_noise_scenario):
         scen_path, _ = zero_noise_scenario

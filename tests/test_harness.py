@@ -6,15 +6,24 @@ import math
 import numpy as np
 import pytest
 
+import mmloc.initializer
+import mmloc.scenario
+import mmloc.sfp
+import mmloc.solvit
 from mmloc import (
     ExperimentConfig,
+    NoiseModel,
     RmseRow,
+    Scenario,
+    circular_array,
     read_rmse_csv,
     run_rmse_sweep,
     run_trace,
+    save_scenario,
     write_metadata,
     write_rmse_csv,
 )
+from mmloc.cli import main
 
 SIM1_SCENARIO = {
     "sensors": {"kind": "random", "m": 4, "lo": -10.0, "hi": 10.0},
@@ -180,3 +189,54 @@ class TestOutputs:
         assert "PCG64" in meta["generator"]
         assert "unit signal power" in meta["snr_to_sigma2"]
         assert "excluded" in meta["failed_policy"]
+
+
+class TestSolvePath:
+    def test_solves_reach_the_module_attributes(self, tmp_path, capsys, monkeypatch):
+        """Sweeps, traces and `mmloc solve` call the solvers, the initializer
+        and the measurement builder through their modules, so a wrapper put
+        on the module attribute (as the benchmark's spans do) sees every call."""
+        targets = ((mmloc.solvit, "solvit_solve"), (mmloc.sfp, "sfp_solve"),
+                   (mmloc.initializer, "init_point"),
+                   (mmloc.scenario, "rangediffs_from_ranges"))
+        counts = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in targets:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+
+        def calls(run):
+            counts.update((name, 0) for _, name in targets)
+            run()
+            return tuple(counts[name] for _, name in targets)
+
+        # a sweep solves trials x sweep values; solvit builds one set per solve
+        assert calls(lambda: run_rmse_sweep(small_config(init="proposed", trials=3))) == (6, 0, 6, 6)
+        assert calls(lambda: run_rmse_sweep(small_config(solver="sfp", init="random",
+                                                         trials=3))) == (0, 6, 0, 0)
+        # a trace solves once per initialization, on one measurement draw
+        trace_cfg = dict(snr_grid=None, freq_grid=None)
+        assert calls(lambda: run_trace(small_config(init="both", **trace_cfg))) == (2, 0, 1, 1)
+        assert calls(lambda: run_trace(small_config(init="fixed", init_point=[1.0, 2.0],
+                                                    **trace_cfg))) == (1, 0, 0, 1)
+        assert calls(lambda: run_trace(small_config(solver="sfp", init="centroid",
+                                                    **trace_cfg))) == (0, 1, 0, 0)
+
+        scen_path = tmp_path / "scen.json"
+        save_scenario(scen_path, Scenario(circular_array(5, radius=10.0), np.array([1.0, 5.0]),
+                                          NoiseModel(sigma2=0.0, f0=1000.0, c=340.0)))
+        rd_path = tmp_path / "rd.csv"
+        r_path = tmp_path / "r.csv"
+        assert main(["simulate", "--scenario", str(scen_path), "--out", str(rd_path)]) == 0
+        assert main(["simulate", "--scenario", str(scen_path), "--kind", "ranges",
+                     "--out", str(r_path)]) == 0
+        solve = ["solve", "--scenario", str(scen_path), "--measurements"]
+        assert calls(lambda: main(solve + [str(rd_path)])) == (1, 0, 1, 0)
+        assert calls(lambda: main(solve + [str(rd_path), "--x0", "2", "3"])) == (1, 0, 0, 0)
+        assert calls(lambda: main(solve + [str(r_path), "--solver", "sfp"])) == (0, 1, 0, 0)
+        capsys.readouterr()

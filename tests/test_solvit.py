@@ -153,12 +153,6 @@ class TestStep:
         assert step.shape == (3,)
         assert f_rdls(step, array, rd) <= f_rdls(xk, array, rd) + 1e-12
 
-    def test_strict_positive_pairs_all_zero(self, square_array):
-        rd = rangediffs_from_ranges(np.full(4, math.sqrt(2.0)))
-        with pytest.raises(ValueError):
-            solvit_step(np.array([0.3, 0.1]), square_array, rd,
-                        strict_positive_pairs=True)
-
 
 class TestSolve:
     def test_exact_recovery_zero_noise(self):
@@ -326,7 +320,7 @@ class TestPlanarKernel:
                   else rng.uniform(-12.0, 12.0, n))
             cfg = SolverConfig(tol=float(10.0 ** -rng.integers(4, 13)),
                                max_iter=int(rng.integers(1, 400)))
-            _, ys, pairs = _prepare(array, rd, False)
+            _, ys, pairs = _prepare(array, rd)
             ref = reference_iterate(x0, ys, n, cfg,
                                     lambda x: _step_core_nd(x, ys, pairs, n),
                                     lambda x: _f_pairs(x, ys, pairs))
@@ -357,7 +351,7 @@ class TestPlanarKernel:
         sensors = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         rd = rangediffs_from_ranges(np.zeros(3))
         cfg = SolverConfig()
-        _, ys, pairs = _prepare(sensors, rd, False)
+        _, ys, pairs = _prepare(sensors, rd)
         ref = reference_iterate([5.0, 0.0], ys, 2, cfg,
                                 lambda x: _step_core_nd(x, ys, pairs, 2),
                                 lambda x: _f_pairs(x, ys, pairs))

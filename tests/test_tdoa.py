@@ -1,5 +1,7 @@
 """Signal front-end: filtering, delay estimation, range-difference assembly."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,10 @@ class TestDelaysToRangediffs:
         rd1 = delays_to_rangediffs({(1, 2): 2e-3}, c=340.0)
         rd2 = delays_to_rangediffs({(2, 1): -2e-3}, c=340.0)
         assert list(rd1.entries()) == list(rd2.entries())
+        # a zero delay is a tie, which keeps the ascending order i < j
+        for key in ((1, 2), (2, 1)):
+            rd = delays_to_rangediffs({key: 0.0}, c=340.0)
+            assert [(i, j, v) for i, j, v in rd.entries()] == [(1, 2, 0.0)]
 
     def test_missing_pair(self):
         with pytest.raises(ValueError):
@@ -188,6 +194,22 @@ class TestSignalIO:
         for orig, rec in zip(sigs, back):
             np.testing.assert_array_equal(rec.samples, orig.samples)
             assert rec.fs == 8000.0
+
+    def test_csv_skips_blank_lines_and_rejects_malformed_files(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("# fs=8000.0\n1.0,2.0\n\n  \n3.0,4.0\n")
+        back = read_signals_csv(path)
+        assert [rec.samples.tolist() for rec in back] == [[1.0, 3.0], [2.0, 4.0]]
+        assert back[0].fs == 8000.0
+        for text in ("1.0,2.0\n3.0,4.0\n",              # no header
+                     "# fs=8000.0\n1.0,2.0\n3.0\n",      # ragged rows
+                     "# fs=8000.0\n1.0,2.0\n# x\n",      # comment in the body
+                     "# fs=8000.0\n\n  \n"):             # empty body
+            path.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError):
+                    read_signals_csv(path)
 
     def test_raw_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
