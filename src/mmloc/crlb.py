@@ -62,6 +62,28 @@ def range_variance(D: float, noise: NoiseModel) -> float:
     return num / den
 
 
+def _geometry(x, array):
+    """Sensor coordinates, the position, its sensor distances and the
+    zero-noise measurement set at it; errors when x sits on a sensor."""
+    coords = sensor_coords(array)
+    p = as_position(x, coords.shape[1])
+    d = np.linalg.norm(p[None, :] - coords, axis=1)
+    for k, dk in enumerate(d):
+        if dk <= 0:
+            raise SensorSingularityError(k + 1)
+    return coords, p, d, rangediffs_from_ranges(d)
+
+
+def _covariance(d, rd, noise: NoiseModel) -> np.ndarray:
+    """E diag(var) E^T for sensor distances d and measurement set rd."""
+    var = np.array([range_variance(dk, noise) for dk in d])
+    rows = np.arange(rd.n_pairs)
+    E = np.zeros((rd.n_pairs, d.size))
+    E[rows, rd.i - 1] = 1.0
+    E[rows, rd.j - 1] = -1.0
+    return (E * var[None, :]) @ E.T
+
+
 def rd_covariance(x, array, noise: NoiseModel) -> np.ndarray:
     """Covariance of the range-difference noise vector, (m_hat, m_hat).
 
@@ -76,19 +98,8 @@ def rd_covariance(x, array, noise: NoiseModel) -> np.ndarray:
     non-zero terms, delta_ac var_a - delta_ad var_a - delta_bc var_b +
     delta_bd var_b for pairs (a, b) and (c, d).
     """
-    coords = sensor_coords(array)
-    p = as_position(x, coords.shape[1])
-    d = np.linalg.norm(p[None, :] - coords, axis=1)
-    for k, dk in enumerate(d):
-        if dk <= 0:
-            raise SensorSingularityError(k + 1)
-    var = np.array([range_variance(dk, noise) for dk in d])
-    rd = rangediffs_from_ranges(d)
-    rows = np.arange(rd.n_pairs)
-    E = np.zeros((rd.n_pairs, coords.shape[0]))
-    E[rows, rd.i - 1] = 1.0
-    E[rows, rd.j - 1] = -1.0
-    return (E * var[None, :]) @ E.T
+    _, _, d, rd = _geometry(x, array)
+    return _covariance(d, rd, noise)
 
 
 def fisher(x, array, noise: NoiseModel) -> CrlbReport:
@@ -98,16 +109,10 @@ def fisher(x, array, noise: NoiseModel) -> CrlbReport:
     column and the corresponding covariance row/column change sign), so
     the report does not depend on measurement noise realizations.
     """
-    coords = sensor_coords(array)
-    p = as_position(x, coords.shape[1])
-    d = np.linalg.norm(p[None, :] - coords, axis=1)
-    for k, dk in enumerate(d):
-        if dk <= 0:
-            raise SensorSingularityError(k + 1)
+    coords, p, d, rd = _geometry(x, array)
     units = (p[None, :] - coords) / d[:, None]
-    rd = rangediffs_from_ranges(d)
     H = np.ascontiguousarray((units[rd.i - 1] - units[rd.j - 1]).T)
-    cov = rd_covariance(p, coords, noise)
+    cov = _covariance(d, rd, noise)
     J = H @ np.linalg.pinv(cov) @ H.T
     J = 0.5 * (J + J.T)
     cov_rank = int(np.linalg.matrix_rank(cov))

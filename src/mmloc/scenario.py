@@ -127,16 +127,19 @@ class RangeDiffSet:
         expected = m * (m - 1) // 2
         if ii.size != expected:
             raise ValueError(f"expected {expected} entries for m={m}, got {ii.size}")
-        if np.any((ii < 1) | (ii > m)) or np.any((jj < 1) | (jj > m)):
+        # checked on Python scalars: at m <= 10 a numpy call per check costs
+        # more than the check itself
+        il, jl, vl = ii.tolist(), jj.tolist(), vv.tolist()
+        if min(il) < 1 or max(il) > m or min(jl) < 1 or max(jl) > m:
             raise ValueError("pair indices out of range")
-        if np.any(ii == jj):
+        if any(a == b for a, b in zip(il, jl)):
             raise ValueError("pair indices must differ")
-        seen = {frozenset((a, b)) for a, b in zip(ii, jj)}
+        seen = {(a, b) if a < b else (b, a) for a, b in zip(il, jl)}
         if len(seen) != expected:
             raise ValueError("each unordered pair must appear exactly once")
-        if not np.all(np.isfinite(vv)):
+        if not all(map(math.isfinite, vl)):
             raise ValueError("range differences must be finite")
-        if np.any(vv < 0):
+        if min(vl) < 0:
             raise ValueError("stored range differences must be >= 0 (flip i,j instead)")
         for name, arr in (("i", ii), ("j", jj), ("values", vv)):
             arr = arr.copy()

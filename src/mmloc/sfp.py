@@ -8,6 +8,14 @@ solver, but for f_rls, gives an update that is a plain average:
 i.e. each sensor votes for the point at measured range r_i along the ray
 from itself through the current iterate, and the iterate moves to the
 mean of the votes.  Descent is monotone for nonnegative r_i.
+
+An update is about ten flops per sensor, less than the Python calls that
+would wrap it, so for n == 2 sfp_solve runs _sfp_solve_2d: an inlined copy
+of solvit._iterate + _sfp_step_core_nd + objective._f_ranges in one frame,
+with the same floating-point operations in the same order.  It must stay
+bit-identical to them: TestPlanarKernel in tests/test_sfp.py compares its
+traces with conftest.reference_iterate around those two kernels, and
+tests/test_solve_pins.py pins fixed solves.  n == 3 runs the shared loop.
 """
 
 from __future__ import annotations
@@ -20,9 +28,15 @@ from .errors import SensorSingularityError
 from .objective import _check_ranges, _f_ranges
 from .scenario import as_position, sensor_coords
 from .solvit import (
+    _SENSOR_GUARD,
+    _ZERO_OBJECTIVE,
+    CONVERGED,
+    MAX_ITER,
+    SINGULAR_SYSTEM,
     SolverConfig,
     SolveTrace,
     _iterate,
+    _nudge_off_sensors,
     _unit_vectors,
 )
 
@@ -45,30 +59,6 @@ def sfp_surrogate(x, x_k, array, ranges) -> float:
     """Quadratic bound of f_rls around x_k at a single point."""
     return float(sfp_surrogate_many(np.asarray(x, dtype=float)[None, :],
                                     x_k, array, ranges)[0])
-
-
-def _sfp_step_core(x: list[float], ys, r: list[float], n: int) -> list[float]:
-    """One fixed-point update on plain Python scalars (ys: sensor tuples)."""
-    if n == 2:
-        return _sfp_step_core_2d(x, ys, r)
-    return _sfp_step_core_nd(x, ys, r, n)
-
-
-def _sfp_step_core_2d(x, ys, r) -> list[float]:
-    """_sfp_step_core_nd unrolled for n == 2, bit-identical to it."""
-    x0, x1 = x
-    acc0 = acc1 = 0.0
-    for k, (y0, y1) in enumerate(ys):
-        d0 = x0 - y0
-        d1 = x1 - y1
-        nrm = math.sqrt(d0 * d0 + d1 * d1)
-        if nrm <= 0.0:
-            raise SensorSingularityError(k + 1)
-        scale = r[k] / nrm
-        acc0 += y0 + scale * d0
-        acc1 += y1 + scale * d1
-    m = len(ys)
-    return [acc0 / m, acc1 / m]
 
 
 def _sfp_step_core_nd(x: list[float], ys, r: list[float], n: int) -> list[float]:
@@ -97,9 +87,71 @@ def sfp_step(x_k, array, ranges) -> np.ndarray:
     coords = sensor_coords(array)
     xk = as_position(x_k, coords.shape[1])
     r = _check_ranges(ranges, coords.shape[0])
-    ys = [tuple(float(v) for v in row) for row in coords]
-    return np.array(_sfp_step_core(list(map(float, xk)), ys,
-                                   [float(v) for v in r], coords.shape[1]))
+    ys = list(map(tuple, coords.tolist()))
+    return np.array(_sfp_step_core_nd(xk.tolist(), ys, r.tolist(), coords.shape[1]))
+
+
+def _sfp_solve_2d(x0: list[float], ys, r: list[float], cfg: SolverConfig):
+    """_iterate with _sfp_step_core_nd and _f_ranges inlined, for n == 2.
+
+    The same floating-point operations in the same order as those three,
+    so every trace is bit-identical to the shared loop's; an iteration
+    then costs its arithmetic and no call.  math.hypot of the coordinate
+    differences is math.dist bit for bit (both are CPython's vector_norm).
+    """
+    sens = [(y0, y1, rk) for (y0, y1), rk in zip(ys, r)]
+    m = len(sens)
+    sqrt, hypot, guard = math.sqrt, math.hypot, _SENSOR_GUARD
+    x0, x1 = _nudge_off_sensors(x0, ys, 2)
+    f_cur, d = _f_ranges((x0, x1), ys, r)
+    near = min(d) < guard
+    iterates = [(x0, x1)]
+    objectives = [f_cur]
+    status = MAX_ITER
+    if f_cur <= _ZERO_OBJECTIVE:
+        status = CONVERGED
+    else:
+        tol = cfg.tol
+        for _ in range(cfg.max_iter):
+            if near:
+                x0, x1 = _nudge_off_sensors([x0, x1], ys, 2)
+            # the update: mean of the per-sensor range projections
+            acc0 = acc1 = 0.0
+            for y0, y1, rk in sens:
+                d0 = x0 - y0
+                d1 = x1 - y1
+                nrm = sqrt(d0 * d0 + d1 * d1)
+                if nrm <= 0.0:
+                    break
+                scale = rk / nrm
+                acc0 += y0 + scale * d0
+                acc1 += y1 + scale * d1
+            if nrm <= 0.0:  # where _sfp_step_core_nd raises SensorSingularityError
+                status = SINGULAR_SYSTEM
+                break
+            x0 = acc0 / m
+            x1 = acc1 / m
+            # the cost, and whether the new iterate must be nudged
+            f_next = 0.0
+            near = False
+            for y0, y1, rk in sens:
+                dk = hypot(x0 - y0, x1 - y1)
+                e = rk - dk
+                f_next += e * e
+                if dk < guard:
+                    near = True
+            iterates.append((x0, x1))
+            objectives.append(f_next)
+            if f_next <= _ZERO_OBJECTIVE:
+                status = CONVERGED
+                break
+            if abs(f_next - f_cur) / f_cur < tol:
+                status = CONVERGED
+                break
+            f_cur = f_next
+    trace = SolveTrace(np.array(iterates), np.array(objectives), status,
+                       len(objectives) - 1)
+    return np.array([x0, x1]), trace
 
 
 def sfp_solve(x0, array, ranges,
@@ -114,8 +166,8 @@ def sfp_solve(x0, array, ranges,
     n = coords.shape[1]
     r = _check_ranges(ranges, coords.shape[0])
     xs = coords.mean(axis=0) if x0 is None else as_position(x0, n)
-    ys = [tuple(float(v) for v in row) for row in coords]
-    rl = [float(v) for v in r]
-    return _iterate(xs, ys, n, cfg,
-                    lambda x: _sfp_step_core(x, ys, rl, n),
-                    lambda x: _f_ranges(x, ys, rl))
+    ys = list(map(tuple, coords.tolist()))
+    rl = r.tolist()
+    if n == 2:
+        return _sfp_solve_2d(xs.tolist(), ys, rl, cfg)
+    return _iterate(xs, ys, n, cfg, _sfp_step_core_nd, _f_ranges, rl)

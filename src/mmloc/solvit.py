@@ -28,6 +28,14 @@ in entry order, so traces are bit-reproducible.  The planar step
 the same floating-point operations in the same order, with the per-sensor
 terms computed once instead of once per pair.  It must stay bit-identical
 to the generic loop; TestPlanarKernel in tests/test_solvit.py checks this.
+
+The iteration loop (_iterate) calls its step kernel and objective directly,
+with no closure or dispatcher in between.  The step stays a call and is
+not inlined into the loop, unlike the range solver's planar loop in
+sfp.py: acceptance criterion 11 times _step_core, which sends n == 2 to
+the same _step_core_2d the solver calls, so the gate times the code the
+solver runs (test_planar_solve_calls_step_core_2d_once_per_iteration
+checks that).  Inlining it measured no faster than the direct call.
 """
 
 from __future__ import annotations
@@ -237,11 +245,12 @@ def _step_core(x: list[float], ys: list[tuple[float, ...]],
     return _step_core_nd(x, ys, pairs, n)
 
 
-def _step_core_2d(x, ys, pairs) -> list[float]:
+def _step_core_2d(x, ys, pairs, n=2) -> list[float]:
     """_step_core_nd unrolled for n == 2, bit-identical to it.
 
     Each sensor's distance, unit vector and w_i . y_i are formed once, with
     the generic loop's operations, instead of once per pair that uses it.
+    n is accepted and ignored, so that _iterate calls every kernel alike.
     """
     x0, x1 = x
     sens = []
@@ -351,8 +360,8 @@ def _step_core_nd(x: list[float], ys: list[tuple[float, ...]],
 def _prepare(array, rd: RangeDiffSet):
     coords = sensor_coords(array)
     _check_rd(rd, coords.shape[0])
-    ys = [tuple(float(v) for v in row) for row in coords]
-    pairs = [(i - 1, j - 1, v) for (i, j, v) in rd.entries()]
+    ys = list(map(tuple, coords.tolist()))
+    pairs = list(zip((rd.i - 1).tolist(), (rd.j - 1).tolist(), rd.values.tolist()))
     return coords, ys, pairs
 
 
@@ -360,7 +369,7 @@ def solvit_step(x_k, array, rd: RangeDiffSet) -> np.ndarray:
     """Minimizer of the quadratic bound formed at x_k (one solver iteration)."""
     coords, ys, pairs = _prepare(array, rd)
     xk = as_position(x_k, coords.shape[1])
-    return np.array(_step_core(list(map(float, xk)), ys, pairs, coords.shape[1]))
+    return np.array(_step_core(xk.tolist(), ys, pairs, coords.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -396,37 +405,39 @@ def _nudge_off_sensors(x: list[float], ys, n: int) -> list[float]:
     return [x[t] + _NUDGE_STEP * direction[t] / nrm for t in range(n)]
 
 
-def _iterate(x0, ys, n, cfg, stepper, objective):
+def _iterate(x0, ys, n, cfg, step, objective, data):
     """Shared MM loop: monotone descent with the three-way stopping rule.
 
-    objective(x) returns (value, sensor distances at x); the distances of
-    the current iterate decide whether it must be nudged off a sensor.
+    step(x, ys, data, n) is one MM update; objective(x, ys, data) returns
+    (value, sensor distances at x), and the distances of the current
+    iterate decide whether it must be nudged off a sensor.  data holds the
+    measurements (pairs or ranges).  Both are called directly, with no
+    closure between the loop and the kernels.
     """
-    x = list(map(float, x0))
-    x = _nudge_off_sensors(x, ys, n)
-    f_cur, d = objective(x)
-    iterates = [list(x)]
+    x = _nudge_off_sensors(list(map(float, x0)), ys, n)
+    f_cur, d = objective(x, ys, data)
+    iterates = [x]
     objectives = [f_cur]
     status = MAX_ITER
     if f_cur <= _ZERO_OBJECTIVE:
         status = CONVERGED
     else:
+        tol = cfg.tol
         for _ in range(cfg.max_iter):
             if min(d) < _SENSOR_GUARD:
                 x = _nudge_off_sensors(x, ys, n)
             try:
-                x_next = stepper(x)
+                x = step(x, ys, data, n)
             except (SensorSingularityError, SingularSystemError):
                 status = SINGULAR_SYSTEM
                 break
-            f_next, d = objective(x_next)
-            iterates.append(list(x_next))
+            f_next, d = objective(x, ys, data)
+            iterates.append(x)  # the kernels return a fresh list and never mutate it
             objectives.append(f_next)
-            x = x_next
             if f_next <= _ZERO_OBJECTIVE:
                 status = CONVERGED
                 break
-            if abs(f_next - f_cur) / f_cur < cfg.tol:
+            if abs(f_next - f_cur) / f_cur < tol:
                 status = CONVERGED
                 break
             f_cur = f_next
@@ -452,6 +463,5 @@ def solvit_solve(x0, array, rd: RangeDiffSet,
     coords, ys, pairs = _prepare(array, rd)
     n = coords.shape[1]
     xs = as_position(x0, n)
-    return _iterate(xs, ys, n, cfg,
-                    lambda x: _step_core(x, ys, pairs, n),
-                    lambda x: _f_pairs(x, ys, pairs))
+    return _iterate(xs, ys, n, cfg, _step_core_2d if n == 2 else _step_core_nd,
+                    _f_pairs, pairs)

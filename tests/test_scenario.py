@@ -243,6 +243,35 @@ class TestRangeDiffSet:
         rd = rangediffs_from_ranges(np.arange(1.0, 6.0))
         assert rd.n_pairs == 10
 
+    @pytest.mark.parametrize("i, j, values, m, message", [
+        ([1, 2], [2], [0.5], 2, "i, j, values must be 1-D arrays of equal length"),
+        ([1], [2], [0.5], 1, "need at least 2 sensors"),
+        ([1, 1], [2, 3], [0.5, 0.5], 4, "expected 6 entries for m=4, got 2"),
+        # several checks fail at once: the first in check order is reported
+        ([0, 1, 2], [2, 3, 3], [np.nan, 0.5, -1.0], 3, "pair indices out of range"),
+        ([1, 1, 2], [2, 4, 3], [0.5, 0.5, 0.5], 3, "pair indices out of range"),
+        ([1, 3, 2], [2, 3, 2], [np.nan, 0.5, 0.5], 3, "pair indices must differ"),
+        ([1, 2, 1], [2, 1, 3], [np.inf, 0.5, 0.5], 3,
+         "each unordered pair must appear exactly once"),
+        ([1, 1, 2], [2, 3, 3], [-1.0, np.nan, 0.5], 3, "range differences must be finite"),
+        ([1, 1, 2], [2, 3, 3], [0.5, -np.inf, 0.5], 3, "range differences must be finite"),
+        ([1, 1, 2], [2, 3, 3], [0.5, 0.0, -1e-300], 3,
+         "stored range differences must be >= 0 (flip i,j instead)"),
+    ])
+    def test_rejects_with_first_failing_check(self, i, j, values, m, message):
+        with pytest.raises(ValueError) as exc:
+            RangeDiffSet(np.array(i), np.array(j), np.array(values), m)
+        assert str(exc.value) == message
+
+    def test_stores_read_only_copies(self):
+        i, j, v = np.array([1, 1, 3]), np.array([2, 3, 2]), np.array([0.5, -0.0, 2.0])
+        rd = RangeDiffSet(i, j, v, 3)
+        for stored, given in ((rd.i, i), (rd.j, j), (rd.values, v)):
+            assert not stored.flags.writeable
+            assert not np.shares_memory(stored, given)
+            np.testing.assert_array_equal(stored, given)
+        assert list(rd.entries()) == [(1, 2, 0.5), (1, 3, -0.0), (3, 2, 2.0)]
+
 
 class TestFileIO:
     def test_ranges_csv_roundtrip(self, tmp_path):

@@ -5,6 +5,8 @@ import pytest
 
 from mmloc import (
     CONVERGED,
+    MAX_ITER,
+    SINGULAR_SYSTEM,
     SolverConfig,
     f_rls,
     sfp_solve,
@@ -14,13 +16,9 @@ from mmloc import (
 )
 from mmloc.errors import SensorSingularityError
 from mmloc.objective import _f_ranges
-from mmloc.sfp import _sfp_step_core, _sfp_step_core_nd, sfp_surrogate_many
-from conftest import (
-    assert_same_solve,
-    make_range_instance,
-    reference_iterate,
-    step_outcome,
-)
+from mmloc.scenario import sensor_coords
+from mmloc.sfp import _sfp_step_core_nd, sfp_surrogate_many
+from conftest import assert_same_solve, make_range_instance, reference_iterate
 
 
 def triangle_instance(seed):
@@ -164,22 +162,38 @@ class TestSolve:
         assert trace.status == CONVERGED
 
 
-class TestPlanarKernel:
-    """The n == 2 update reproduces the generic loop bit for bit."""
+def reference_sfp_solve(x0, array, ranges, cfg):
+    """The shared MM loop around the generic update: sfp_solve's reference."""
+    coords = sensor_coords(array)
+    n = coords.shape[1]
+    ys = [tuple(map(float, row)) for row in coords]
+    rl = [float(v) for v in ranges]
+    xs = coords.mean(axis=0) if x0 is None else x0
+    return reference_iterate(xs, ys, n, cfg,
+                             lambda x: _sfp_step_core_nd(x, ys, rl, n),
+                             lambda x: _f_ranges(x, ys, rl))
 
-    def test_step_matches_generic_loop(self):
+
+class TestPlanarKernel:
+    """sfp_solve's loops reproduce the shared loop and generic update bit for bit."""
+
+    def test_random_solves_match_reference_loop(self):
+        # m = 1..9 on raw coordinate arrays; one start in ten exactly on a sensor
         rng = np.random.default_rng(2025)
+        on_sensor = 0
         for _ in range(1500):
             m = int(rng.integers(1, 10))
-            ys = [tuple(map(float, rng.uniform(-50.0, 50.0, 2))) for _ in range(m)]
-            r = [float(v) for v in np.abs(rng.normal(0.0, 30.0, m))]
-            x = [float(v) for v in rng.uniform(-60.0, 60.0, 2)]
-            if rng.uniform() < 0.1:  # exactly on a sensor
-                x = list(ys[int(rng.integers(m))])
-            got = step_outcome(_sfp_step_core, x, ys, r, 2)
-            assert got == step_outcome(_sfp_step_core_nd, x, ys, r, 2)
-            if x in [list(y) for y in ys]:
-                assert got[0] is SensorSingularityError
+            ys = rng.uniform(-50.0, 50.0, (m, 2))
+            r = np.abs(rng.normal(0.0, 30.0, m))
+            x0 = rng.uniform(-60.0, 60.0, 2)
+            if rng.uniform() < 0.1:
+                x0 = ys[int(rng.integers(m))].copy()
+                on_sensor += 1
+            cfg = SolverConfig(tol=float(10.0 ** -rng.integers(3, 13)),
+                               max_iter=int(rng.integers(1, 40)))
+            assert_same_solve(sfp_solve(x0, ys, r, cfg),
+                              reference_sfp_solve(x0, ys, r, cfg))
+        assert on_sensor > 100
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_solve_matches_reference_loop(self, n):
@@ -192,9 +206,51 @@ class TestPlanarKernel:
                   else rng.uniform(-12.0, 12.0, n))
             cfg = SolverConfig(tol=float(10.0 ** -rng.integers(4, 13)),
                                max_iter=int(rng.integers(1, 400)))
-            ys = [tuple(map(float, row)) for row in array.sensors]
-            rl = [float(v) for v in r]
-            ref = reference_iterate(x0, ys, n, cfg,
-                                    lambda x: _sfp_step_core_nd(x, ys, rl, n),
-                                    lambda x: _f_ranges(x, ys, rl))
-            assert_same_solve(sfp_solve(x0, array, r, cfg), ref)
+            assert_same_solve(sfp_solve(x0, array, r, cfg),
+                              reference_sfp_solve(x0, array, r, cfg))
+
+    @pytest.mark.parametrize("sensors, ranges, x0, cfg, status, iterations", [
+        # start exactly on a sensor: nudged before the first step
+        ([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]], [2.0, 2.5, 2.0], [4.0, 0.0],
+         SolverConfig(tol=1e-12), CONVERGED, None),
+        # the start nudge lands on sensor 2, whose nudge lands on sensor 1:
+        # the update meets a sensor and the run stops as singular
+        ([[0.0, 0.0], [1e-6, 0.0]], [1.0, 1.0], [0.0, 0.0],
+         SolverConfig(), SINGULAR_SYSTEM, 0),
+        # zero objective at the start
+        ([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]], [5.0, 3.0, 4.0], [4.0, 3.0],
+         SolverConfig(), CONVERGED, 0),
+        # zero objective after one update (m = 1)
+        ([[0.0, 0.0]], [10.0], [3.0, 4.0], SolverConfig(), CONVERGED, 1),
+        # relative-change stop on a noisy triangle
+        ([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]], [2.1, 2.4, 2.2], [1.0, 1.0],
+         SolverConfig(tol=1e-6), CONVERGED, None),
+        # max_iter=1
+        ([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]], [2.1, 2.4, 2.2], [1.0, 1.0],
+         SolverConfig(max_iter=1), MAX_ITER, 1),
+    ])
+    def test_stop_branches_match_reference_loop(self, sensors, ranges, x0, cfg,
+                                                status, iterations):
+        ys, r, start = np.array(sensors), np.array(ranges), np.array(x0)
+        got = sfp_solve(start, ys, r, cfg)
+        assert_same_solve(got, reference_sfp_solve(start, ys, r, cfg))
+        trace = got[1]
+        if status is not None:
+            assert trace.status == status
+        if iterations is not None:
+            assert trace.iterations == iterations
+        if status == CONVERGED and iterations is None:
+            assert trace.objectives[-1] > 1e-18  # stopped by tol, not zero objective
+
+    def test_update_landing_on_sensor_is_nudged(self):
+        # the mean of the votes from (5, 0) is sensor 2 itself; the update
+        # from there would divide by zero, so the loop nudges first
+        ys, r = np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([1.0, 1.0])
+        x0, cfg = np.array([5.0, 0.0]), SolverConfig(max_iter=5)
+        got = sfp_solve(x0, ys, r, cfg)
+        assert_same_solve(got, reference_sfp_solve(x0, ys, r, cfg))
+        trace = got[1]
+        assert trace.iterates.tolist() == [[5.0, 0.0], [2.0, 0.0], [1.0, 0.0]]
+        assert trace.status == CONVERGED and trace.objectives[-1] == 0.0
+        with pytest.raises(SensorSingularityError):
+            sfp_step(trace.iterates[1], ys, r)

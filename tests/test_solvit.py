@@ -23,6 +23,7 @@ from mmloc import (
     true_ranges,
     write_trace_csv,
 )
+from mmloc import solvit
 from mmloc.errors import SensorSingularityError, SingularSystemError
 from mmloc.objective import _f_pairs, _f_ranges
 from mmloc.solvit import _iterate, _prepare, _step_core, _step_core_nd
@@ -207,17 +208,19 @@ class TestSolve:
         # drive the shared loop with a stepper that dies on iteration 2
         calls = {"k": 0}
 
-        def stepper(x):
+        def stepper(x, ys, data, n):
             calls["k"] += 1
             if calls["k"] >= 2:
                 raise SingularSystemError("synthetic failure")
             return [x[0] + 1.0, x[1]]
 
+        def objective(x, ys, data):
+            return 1.0 + x[0], [math.dist(x, y) for y in ys]
+
         ys = [(0.0, 0.0), (5.0, 0.0)]
         x, trace = _iterate(np.array([1.0, 1.0]), ys, 2,
                             SolverConfig(tol=1e-12, max_iter=50),
-                            stepper,
-                            lambda x: (1.0 + x[0], [math.dist(x, y) for y in ys]))
+                            stepper, objective, None)
         assert trace.status == SINGULAR_SYSTEM
         np.testing.assert_allclose(x, [2.0, 1.0])
         assert trace.iterates.shape[0] == 2
@@ -330,22 +333,42 @@ class TestPlanarKernel:
         # a step that lands exactly on a sensor is nudged before the next step
         ys = [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0)]
 
-        def run(loop):
+        r = [1.0, 2.0, 3.0]
+        cfg = SolverConfig(tol=1e-12, max_iter=4)
+
+        def make_stepper():
             seen = []
 
-            def stepper(x):
+            def stepper(x, *_):
                 seen.append(list(x))
                 return [0.0, 0.0] if len(seen) == 1 else [x[0] + 0.5, x[1] + 0.25]
 
-            out = loop([2.0, 1.0], ys, 2, SolverConfig(tol=1e-12, max_iter=4),
-                       stepper, lambda x: _f_ranges(x, ys, [1.0, 2.0, 3.0]))
-            return out, seen
+            return stepper, seen
 
-        got, seen = run(_iterate)
-        ref, seen_ref = run(reference_iterate)
+        stepper, seen = make_stepper()
+        got = _iterate([2.0, 1.0], ys, 2, cfg, stepper, _f_ranges, r)
+        stepper, seen_ref = make_stepper()
+        ref = reference_iterate([2.0, 1.0], ys, 2, cfg, stepper,
+                                lambda x: _f_ranges(x, ys, r))
         assert_same_solve(got, ref)
         assert seen == seen_ref
         assert math.dist(seen[1], ys[0]) == pytest.approx(1e-6)
+
+    def test_planar_solve_calls_step_core_2d_once_per_iteration(self, monkeypatch):
+        # criterion 11 times _step_core, which sends n == 2 to _step_core_2d:
+        # the solver must call that kernel once per iteration
+        calls = []
+        kernel = solvit._step_core_2d
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(solvit, "_step_core_2d", counted)
+        array, _, rd = make_instance(21, m=5, sigma2=0.3)
+        _, trace = solvit_solve(np.zeros(2), array, rd, SolverConfig(tol=1e-10))
+        assert trace.status == CONVERGED
+        assert len(calls) == trace.iterations > 5
 
     def test_singular_solve_matches_reference_loop(self):
         sensors = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
