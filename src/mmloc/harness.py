@@ -16,7 +16,6 @@ metadata sidecar.
 
 from __future__ import annotations
 
-import importlib.metadata
 import json
 import math
 import os
@@ -284,7 +283,7 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[RmseRow]:
             if trace.status == _solvit.SINGULAR_SYSTEM:
                 failed += 1
                 continue
-            sqerrs.append(float(np.sum((est - source) ** 2)))
+            sqerrs.append(sum(v * v for v in (est - source).tolist()))
         rmse = math.sqrt(sum(sqerrs) / len(sqerrs)) if sqerrs else math.inf
         rows.append(RmseRow(sweep=float(value), rmse=rmse, crlb=bound,
                             trials_failed=failed))
@@ -318,6 +317,8 @@ def read_rmse_csv(path) -> list[RmseRow]:
 
 
 def _pkg_version() -> str:
+    import importlib.metadata  # here, not at module level: it costs ~16 ms at start-up
+
     try:
         return importlib.metadata.version("mmloc")
     except importlib.metadata.PackageNotFoundError:  # pragma: no cover

@@ -105,7 +105,7 @@ def _sfp_solve_2d(x0: list[float], ys, r: list[float], cfg: SolverConfig):
     x0, x1 = _nudge_off_sensors(x0, ys, 2)
     f_cur, d = _f_ranges((x0, x1), ys, r)
     near = min(d) < guard
-    iterates = [(x0, x1)]
+    flat = [x0, x1]  # iterates, row after row
     objectives = [f_cur]
     status = MAX_ITER
     if f_cur <= _ZERO_OBJECTIVE:
@@ -140,7 +140,7 @@ def _sfp_solve_2d(x0: list[float], ys, r: list[float], cfg: SolverConfig):
                 f_next += e * e
                 if dk < guard:
                     near = True
-            iterates.append((x0, x1))
+            flat += (x0, x1)
             objectives.append(f_next)
             if f_next <= _ZERO_OBJECTIVE:
                 status = CONVERGED
@@ -149,7 +149,7 @@ def _sfp_solve_2d(x0: list[float], ys, r: list[float], cfg: SolverConfig):
                 status = CONVERGED
                 break
             f_cur = f_next
-    trace = SolveTrace(np.array(iterates), np.array(objectives), status,
+    trace = SolveTrace(np.array(flat).reshape(-1, 2), np.array(objectives), status,
                        len(objectives) - 1)
     return np.array([x0, x1]), trace
 

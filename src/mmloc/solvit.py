@@ -416,7 +416,7 @@ def _iterate(x0, ys, n, cfg, step, objective, data):
     """
     x = _nudge_off_sensors(list(map(float, x0)), ys, n)
     f_cur, d = objective(x, ys, data)
-    iterates = [x]
+    flat = list(x)  # iterates, row after row
     objectives = [f_cur]
     status = MAX_ITER
     if f_cur <= _ZERO_OBJECTIVE:
@@ -432,7 +432,7 @@ def _iterate(x0, ys, n, cfg, step, objective, data):
                 status = SINGULAR_SYSTEM
                 break
             f_next, d = objective(x, ys, data)
-            iterates.append(x)  # the kernels return a fresh list and never mutate it
+            flat += x
             objectives.append(f_next)
             if f_next <= _ZERO_OBJECTIVE:
                 status = CONVERGED
@@ -441,7 +441,7 @@ def _iterate(x0, ys, n, cfg, step, objective, data):
                 status = CONVERGED
                 break
             f_cur = f_next
-    trace = SolveTrace(np.array(iterates), np.array(objectives), status,
+    trace = SolveTrace(np.array(flat).reshape(-1, n), np.array(objectives), status,
                        len(objectives) - 1)
     return np.array(x), trace
 

@@ -9,7 +9,12 @@ The intended chain for an m-channel recording of one source:
 The filter is forward-only (causal); its group delay is common to every
 identically filtered channel and cancels in the cross-correlations.
 Delay estimates have integer-sample resolution, so each recovered range
-difference carries up to c/fs of quantization error.
+difference carries up to c/fs of quantization error; refine=True adds a
+parabolic sub-sample fit (off by default, and in `mmloc tdoa`).
+
+scipy.signal is loaded by bandpass and xcorr_delay on their first call,
+not by this module: the solvers need only numpy, and importing scipy.signal
+costs about a second.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _sig
 
 from .scenario import RangeDiffSet, oriented_rangediffs, sensor_coords, unordered_pairs
 
@@ -67,6 +71,8 @@ def bandpass(sig: SignalRecord, f_lo: float, f_hi: float) -> SignalRecord:
             f"cutoffs must satisfy 0 < f_lo < f_hi < fs/2, got "
             f"({f_lo}, {f_hi}) at fs={sig.fs}"
         )
+    from scipy import signal as _sig
+
     sos = _sig.butter(2, [f_lo, f_hi], btype="bandpass", fs=sig.fs, output="sos")
     return SignalRecord(_sig.sosfilt(sos, sig.samples), sig.fs)
 
@@ -87,6 +93,8 @@ def xcorr_delay(a: SignalRecord, b: SignalRecord, refine: bool = False) -> float
         sa = np.concatenate([sa, np.zeros(L - sa.size)])
     if sb.size < L:
         sb = np.concatenate([sb, np.zeros(L - sb.size)])
+    from scipy import signal as _sig
+
     corr = _sig.correlate(sb, sa, mode="full")
     lags = _sig.correlation_lags(L, L, mode="full")
     k = int(np.argmax(corr))

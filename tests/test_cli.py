@@ -1,6 +1,7 @@
 """Command-line interface, exercised in-process through main(argv)."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -201,13 +202,28 @@ class TestBenchAndPlot:
         meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
         assert meta["seed"] == 9
 
-    def test_plot_gnuplot_script(self, tmp_path, capsys):
+    @pytest.fixture
+    def rmse_csv(self, tmp_path):
         csv = tmp_path / "rmse.csv"
         csv.write_text("sweep,rmse,crlb,failed\n0.0,0.5,0.25,0\n5.0,0.3,0.15,0\n")
+        return csv
+
+    def test_plot_gnuplot_script(self, tmp_path, capsys, rmse_csv):
         gp = tmp_path / "rmse.gp"
-        code, _, _ = run_cli(capsys, "plot", "--input", csv, "--gnuplot", gp)
+        code, _, _ = run_cli(capsys, "plot", "--input", rmse_csv, "--gnuplot", gp)
         assert code == 0
         assert "logscale" in gp.read_text()
+
+    def test_plot_without_matplotlib_reports_one_line(self, tmp_path, capsys,
+                                                      monkeypatch, rmse_csv):
+        monkeypatch.setitem(sys.modules, "matplotlib", None)  # import raises
+        png = tmp_path / "rmse.png"
+        code, out, err = run_cli(capsys, "plot", "--input", rmse_csv, "--out", png)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: matplotlib is not installed; use --gnuplot FILE instead"]
+        assert not png.exists()
 
 
 class TestErrorReporting:
