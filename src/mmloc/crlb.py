@@ -15,14 +15,14 @@ sqrt(trace(J^{-1})), reported as +inf when J is singular.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SensorSingularityError
-from .scenario import NoiseModel, as_position, rangediffs_from_ranges, sensor_coords
+from .scenario import (NoiseModel, _write_json, as_position, rangediffs_from_ranges,
+                       sensor_coords)
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,7 @@ class CrlbReport:
 
     def save_json(self, path) -> None:
         # non-finite bounds serialize as Infinity (json module convention)
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, self.to_dict())
 
 
 def range_variance(D: float, noise: NoiseModel) -> float:

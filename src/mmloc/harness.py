@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -83,8 +83,8 @@ class ExperimentConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        self.trials = _scen._as_count("trials", self.trials, 1)
+        self.max_iter = _scen._as_count("max_iter", self.max_iter, 1)
         if self.solver not in ("solvit", "sfp"):
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.init not in _INIT_CHOICES:
@@ -110,9 +110,7 @@ class ExperimentConfig:
         return cls(**doc)
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _scen._write_json(path, asdict(self))
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +132,10 @@ def _build_array(spec: dict, rng) -> _scen.SensorArray:
 
 
 def _resolve_scenario(spec: dict, rng):
-    """Return (array, source, noise-template dict without sigma2)."""
+    """Return (array, source, noise model); each run replaces its sigma2."""
     if "file" in spec:
         scen = _scen.load_scenario(spec["file"])
-        noise = {"f0": scen.noise.f0, "c": scen.noise.c,
-                 "fs_factor": scen.noise.fs_factor}
-        return scen.array, scen.source, noise
+        return scen.array, scen.source, scen.noise
     array = _build_array(spec["sensors"], rng)
     src_spec = spec["source"]
     if isinstance(src_spec, dict):
@@ -148,21 +144,13 @@ def _resolve_scenario(spec: dict, rng):
     else:
         source = _scen.as_position(src_spec, array.n)
     noise_spec = spec.get("noise", {})
-    noise = {
-        "f0": float(noise_spec.get("f0", 1000.0)),
-        "c": float(noise_spec.get("c", 340.0)),
-        "fs_factor": float(noise_spec.get("fs_factor", 4.0)),
-    }
-    return array, source, noise
-
-
-def _noise_at(noise_template: dict, sigma2: float, f0: float | None = None) -> _scen.NoiseModel:
-    return _scen.NoiseModel(
-        sigma2=sigma2,
-        f0=noise_template["f0"] if f0 is None else f0,
-        c=noise_template["c"],
-        fs_factor=noise_template["fs_factor"],
+    noise = _scen.NoiseModel(
+        sigma2=0.0,
+        f0=float(noise_spec.get("f0", 1000.0)),
+        c=float(noise_spec.get("c", 340.0)),
+        fs_factor=float(noise_spec.get("fs_factor", 4.0)),
     )
+    return array, source, noise
 
 
 def _sigma2_of(snr_db: float) -> float:
@@ -216,7 +204,7 @@ def run_trace(cfg: ExperimentConfig, out_dir=None) -> dict:
     master = np.random.SeedSequence(cfg.seed)
     scen_ss, meas_ss, init_ss = master.spawn(3)
     array, source, noise_t = _resolve_scenario(cfg.scenario, np.random.default_rng(scen_ss))
-    noise = _noise_at(noise_t, _sigma2_of(cfg.snr_db))
+    noise = replace(noise_t, sigma2=_sigma2_of(cfg.snr_db))
     solver_cfg = cfg.solver_config()
     init_names = ["proposed", "random"] if cfg.init == "both" else [cfg.init]
     init_seeds = init_ss.spawn(len(init_names))
@@ -262,9 +250,9 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[RmseRow]:
     rows = []
     for value in sweep:
         if by_freq:
-            noise = _noise_at(noise_t, _sigma2_of(cfg.snr_db), f0=float(value))
+            noise = replace(noise_t, sigma2=_sigma2_of(cfg.snr_db), f0=float(value))
         else:
-            noise = _noise_at(noise_t, _sigma2_of(float(value)))
+            noise = replace(noise_t, sigma2=_sigma2_of(float(value)))
         std = _scen.range_noise_std(source, array, noise)
         if cfg.solver == "solvit":
             bound = _crlb.fisher(source, array, noise).rmse_bound
@@ -295,25 +283,13 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[RmseRow]:
 # ---------------------------------------------------------------------------
 
 def write_rmse_csv(path, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write("sweep,rmse,crlb,failed\n")
-        for row in rows:
-            fh.write(f"{row.sweep!r},{row.rmse!r},{row.crlb!r},{row.trials_failed}\n")
+    _scen._write_table(path, "sweep,rmse,crlb,failed", [
+        [repr(r.sweep), repr(r.rmse), repr(r.crlb), str(r.trials_failed)] for r in rows])
 
 
 def read_rmse_csv(path) -> list[RmseRow]:
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "sweep,rmse,crlb,failed":
-            raise ValueError(f"expected header 'sweep,rmse,crlb,failed', got {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            s, r, c, f = line.split(",")
-            rows.append(RmseRow(float(s), float(r), float(c), int(f)))
-    return rows
+    return [RmseRow(float(s), float(r), float(c), int(f))
+            for s, r, c, f in _scen._read_table(path, "sweep,rmse,crlb,failed")]
 
 
 def _pkg_version() -> str:
@@ -327,7 +303,7 @@ def _pkg_version() -> str:
 
 def write_metadata(path, cfg: ExperimentConfig) -> None:
     """JSON sidecar recording everything needed to reproduce a result file."""
-    doc = {
+    _scen._write_json(path, {
         "seed": cfg.seed,
         "generator": _GENERATOR_ID,
         "solver": {
@@ -343,7 +319,4 @@ def write_metadata(path, cfg: ExperimentConfig) -> None:
         "failed_policy": "failed trials excluded from RMSE, counted in the failed column",
         "crlb_column": "range-difference bound at the true source; NaN for the range-only solver",
         "version": _pkg_version(),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateMeasurementError, RayMeasurementError
 from .objective import _check_rd, f_rdls_many
-from .scenario import RangeDiffSet, as_position, sensor_coords
+from .scenario import RangeDiffSet, _as_count, as_position, sensor_coords
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,7 @@ class InitConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.grid_size < 2:
-            raise ValueError("grid_size must be >= 2")
+        object.__setattr__(self, "grid_size", _as_count("grid_size", self.grid_size, 2))
         if self.coord_bound is not None and not self.coord_bound > 0:
             raise ValueError("coord_bound must be > 0")
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,6 +35,15 @@ def as_position(x, n: int | None = None) -> np.ndarray:
     if n is not None and p.size != n:
         raise ValueError(f"position has dimension {p.size}, expected {n}")
     return p
+
+
+def _as_count(name: str, value, minimum: int) -> int:
+    """A count field as an int >= minimum; Python and numpy integers pass, bool does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -336,22 +345,49 @@ class Scenario:
         object.__setattr__(self, "source", as_position(self.source, self.array.n))
 
 
-def save_scenario(path, scen: Scenario) -> None:
-    doc = {
-        "n": scen.array.n,
-        "sensors": scen.array.sensors.tolist(),
-        "source": scen.source.tolist(),
-        "noise": {
-            "sigma2": scen.noise.sigma2,
-            "f0": scen.noise.f0,
-            "c": scen.noise.c,
-            "fs_factor": scen.noise.fs_factor,
-        },
-        "seed": scen.seed,
-    }
+def _write_table(path, header: str, rows) -> None:
+    """Write a CSV table: the header line, then each row's preformatted fields."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+def _read_table(path, header: str) -> list[list[str]]:
+    """Fields of each non-blank line after the exact header; each has the header's count."""
+    width = header.count(",") + 1
+    with open(path) as fh:
+        got = fh.readline().strip()
+        if got != header:
+            raise ValueError(f"expected header {header!r}, got {got!r}")
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != width:
+                raise ValueError(f"line {lineno} has {len(fields)} fields, "
+                                 f"expected {width} ({header!r}): {line!r}")
+            rows.append(fields)
+    return rows
+
+
+def _write_json(path, doc) -> None:
+    """Write `doc` as JSON indented by 2, keys sorted, with a final newline."""
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_scenario(path, scen: Scenario) -> None:
+    _write_json(path, {
+        "n": scen.array.n,
+        "sensors": scen.array.sensors.tolist(),
+        "source": scen.source.tolist(),
+        "noise": asdict(scen.noise),
+        "seed": scen.seed,
+    })
 
 
 def load_scenario(path) -> Scenario:
@@ -372,53 +408,28 @@ def load_scenario(path) -> Scenario:
 
 
 def write_ranges_csv(path, ranges) -> None:
-    r = np.asarray(ranges, dtype=float).reshape(-1)
-    with open(path, "w") as fh:
-        fh.write("i,r_i\n")
-        for k, v in enumerate(r, start=1):
-            fh.write(f"{k},{float(v)!r}\n")
+    r = np.asarray(ranges, dtype=float).reshape(-1).tolist()
+    _write_table(path, "i,r_i", ((str(k), repr(v)) for k, v in enumerate(r, start=1)))
 
 
 def read_ranges_csv(path) -> np.ndarray:
-    values = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "i,r_i":
-            raise ValueError(f"expected header 'i,r_i', got {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            i_s, v_s = line.split(",")
-            v = float(v_s)
-            if not math.isfinite(v):
-                raise ValueError(f"range of sensor {i_s} is not finite: {v_s!r}")
-            values[int(i_s)] = v
-    m = len(values)
-    if sorted(values) != list(range(1, m + 1)):
+    rows = sorted(_read_table(path, "i,r_i"), key=lambda row: int(row[0]))
+    if [int(i_s) for i_s, _ in rows] != list(range(1, len(rows) + 1)):
         raise ValueError("range CSV must contain sensors 1..m exactly once each")
-    return np.array([values[i] for i in range(1, m + 1)])
+    for i_s, v_s in rows:
+        if not math.isfinite(float(v_s)):
+            raise ValueError(f"range of sensor {i_s} is not finite: {v_s!r}")
+    return np.array([float(v_s) for _, v_s in rows])
 
 
 def write_rangediffs_csv(path, rd: RangeDiffSet) -> None:
-    with open(path, "w") as fh:
-        fh.write("i,j,r_ij\n")
-        for i, j, v in rd.entries():
-            fh.write(f"{i},{j},{v!r}\n")
+    _write_table(path, "i,j,r_ij", ((str(i), str(j), repr(v)) for i, j, v in rd.entries()))
 
 
 def read_rangediffs_csv(path) -> RangeDiffSet:
     ii, jj, vv = [], [], []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "i,j,r_ij":
-            raise ValueError(f"expected header 'i,j,r_ij', got {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            i_s, j_s, v_s = line.split(",")
-            ii.append(int(i_s)); jj.append(int(j_s)); vv.append(float(v_s))
+    for i_s, j_s, v_s in _read_table(path, "i,j,r_ij"):
+        ii.append(int(i_s)); jj.append(int(j_s)); vv.append(float(v_s))
     if not ii:
         raise ValueError("empty range-difference CSV")
     m = max(max(ii), max(jj))

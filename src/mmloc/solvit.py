@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import SensorSingularityError, SingularSystemError
 from .objective import _check_rd, _f_pairs
-from .scenario import RangeDiffSet, as_position, sensor_coords
+from .scenario import RangeDiffSet, _as_count, _write_table, as_position, sensor_coords
 
 # termination labels shared by all iterative solvers
 CONVERGED = "converged"
@@ -73,8 +73,7 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError("tol must be finite and > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        object.__setattr__(self, "max_iter", _as_count("max_iter", self.max_iter, 1))
 
 
 @dataclass(frozen=True)
@@ -114,11 +113,10 @@ def write_trace_csv(path, trace: SolveTrace) -> None:
     """Export a trace as CSV with header iter,x_1..x_n,objective."""
     n = trace.iterates.shape[1]
     cols = ",".join(f"x_{k + 1}" for k in range(n))
-    with open(path, "w") as fh:
-        fh.write(f"iter,{cols},objective\n")
-        for k in range(trace.objectives.size):
-            xs = ",".join(repr(float(v)) for v in trace.iterates[k])
-            fh.write(f"{k},{xs},{float(trace.objectives[k])!r}\n")
+    rows = []
+    for k, (x, f) in enumerate(zip(trace.iterates.tolist(), trace.objectives.tolist())):
+        rows.append([str(k), *map(repr, x), repr(f)])
+    _write_table(path, f"iter,{cols},objective", rows)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_json(path)
 
+    def test_counts_must_be_integers(self, tmp_path, capsys):
+        for field in ("trials", "max_iter"):
+            for bad in (2.5, True, "10"):
+                with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                    small_config(**{field: bad})
+        cfg = small_config(trials=np.int64(3), max_iter=np.int64(40))
+        assert (cfg.trials, cfg.max_iter) == (3, 40)
+        assert type(cfg.trials) is int and type(cfg.max_iter) is int
+        # a bench config with "max_iter": 1e3 fails when it is read, not in the MM loop
+        path = tmp_path / "cfg.json"
+        cfg.to_json(path)
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), max_iter=1e3)))
+        assert main(["bench", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err == "error: max_iter must be an integer, got 1000.0\n"
+
     def test_grid_exclusivity(self):
         cfg = small_config(snr_grid=None, freq_grid=None)
         with pytest.raises(ValueError):

@@ -158,6 +158,13 @@ class TestInitPoint:
         with pytest.raises(ValueError):
             InitConfig(coord_bound=0.0)
 
+    def test_grid_size_must_be_an_integer(self):
+        for bad in (2.5, 128.0, True, "128"):
+            with pytest.raises(ValueError, match="grid_size must be an integer"):
+                InitConfig(grid_size=bad)
+        cfg = InitConfig(grid_size=np.int32(16))
+        assert cfg.grid_size == 16 and type(cfg.grid_size) is int
+
     def test_beats_random_start_on_average(self):
         # the sampled start should usually score below a random unit-box start
         wins = 0

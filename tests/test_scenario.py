@@ -20,6 +20,7 @@ from mmloc import (
     rangediffs_from_ranges,
     read_rangediffs_csv,
     read_ranges_csv,
+    read_rmse_csv,
     rhombus_array,
     save_scenario,
     snr_to_sigma2,
@@ -286,6 +287,30 @@ class TestFileIO:
             path.write_text(f"i,r_i\n1,2.5\n2,{bad}\n")
             with pytest.raises(ValueError, match="not finite"):
                 read_ranges_csv(path)
+
+    def test_ranges_csv_rejects_repeated_sensor(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("i,r_i\n1,5.0\n2,6.0\n1,7.0\n")
+        with pytest.raises(ValueError, match="exactly once"):
+            read_ranges_csv(path)
+
+    @pytest.mark.parametrize("reader, header, row", [
+        (read_ranges_csv, "i,r_i", "1,5.0"),
+        (read_rangediffs_csv, "i,j,r_ij", "2,1,3.0"),
+        (read_rmse_csv, "sweep,rmse,crlb,failed", "0.0,0.5,0.25,1"),
+    ])
+    def test_tables_skip_blank_lines_and_name_a_ragged_row(self, tmp_path, reader, header,
+                                                           row):
+        path = tmp_path / "t.csv"
+        path.write_text(f"{header}\n\n{row}\n  \n")
+        reader(path)  # blank lines, even with spaces, are skipped
+        width = header.count(",") + 1
+        for bad in (row + ",7", row.rsplit(",", 1)[0]):
+            path.write_text(f"{header}\n{row}\n\n{bad}\n")
+            fields = bad.count(",") + 1
+            with pytest.raises(ValueError,
+                               match=f"line 4 has {fields} fields, expected {width}"):
+                reader(path)
 
     def test_rangediffs_csv_roundtrip(self, tmp_path):
         rd = rangediffs_from_ranges(np.array([5.0, 2.0, 9.0, 3.3]))

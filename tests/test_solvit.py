@@ -390,6 +390,13 @@ class TestConfigAndTrace:
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
 
+    def test_max_iter_must_be_an_integer(self):
+        for bad in (2.5, 1e3, True, "500", None):
+            with pytest.raises(ValueError, match="max_iter must be an integer"):
+                SolverConfig(max_iter=bad)
+        cfg = SolverConfig(max_iter=np.int64(7))
+        assert cfg.max_iter == 7 and type(cfg.max_iter) is int
+
     def test_trace_validation(self):
         with pytest.raises(ValueError):
             SolveTrace(np.zeros((3, 2)), np.zeros(2), CONVERGED, 1)
