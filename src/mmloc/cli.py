@@ -46,13 +46,9 @@ def _cmd_simulate(args):
 def _cmd_solve(args):
     scen = _scen.load_scenario(args.scenario)
     cfg = _solvit.SolverConfig(tol=args.tol, max_iter=args.max_iter)
-    init = args.init or ("proposed" if args.solver == "solvit" else "centroid")
-    if args.solver == "solvit":
-        meas = _scen.read_rangediffs_csv(args.measurements)
-    elif init == "proposed":
-        raise ValueError(_harness.SFP_PROPOSED_ERROR)
-    else:
-        meas = _scen.read_ranges_csv(args.measurements)
+    init = _harness.start_rule(args.solver, args.init)
+    read = _scen.read_rangediffs_csv if args.solver == "solvit" else _scen.read_ranges_csv
+    meas = read(args.measurements)
     if args.x0 is not None:
         init = "fixed"
     est, trace = _harness.solve_one(args.solver, init, scen.array, meas, args.seed, cfg,
@@ -158,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "centroid for sfp; sfp cannot use proposed)")
     p.add_argument("--x0", type=float, nargs="+", default=None,
                    help="explicit starting point (overrides --init)")
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--max-iter", type=int, default=500)
+    p.add_argument("--tol", type=float, default=_solvit.SolverConfig.tol)
+    p.add_argument("--max-iter", type=int, default=_solvit.SolverConfig.max_iter)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", default=None, help="write iterate trace CSV here")
     p.set_defaults(func=_cmd_solve)
@@ -167,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("init", help="range-diff measurements -> starting point")
     p.add_argument("--scenario", required=True)
     p.add_argument("--measurements", required=True)
-    p.add_argument("--grid-size", type=int, default=128)
+    p.add_argument("--grid-size", type=int, default=_init.InitConfig.grid_size)
     p.add_argument("--bound", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_init)

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SensorSingularityError
-from .scenario import (NoiseModel, _write_json, as_position, rangediffs_from_ranges,
-                       sensor_coords)
+from .scenario import (NoiseModel, _unit_vectors, _write_json, as_position,
+                       range_variance, rangediffs_from_ranges, sensor_coords)
 
 
 @dataclass(frozen=True)
@@ -43,33 +42,12 @@ class CrlbReport:
         _write_json(path, self.to_dict())
 
 
-def range_variance(D: float, noise: NoiseModel) -> float:
-    """Variance [m^2] of a single range estimate at source distance D [m].
-
-    For a sinusoidal source of frequency f0 received with noise power
-    sigma2 and sampled at fs_factor * f0:
-
-        var = sigma2 * c^2 * D^4 / ((fs_factor/2) * (c^2 + 4 pi^2 f0^2 D^2))
-
-    which grows ~D^2 at long range and ~D^4 when the phase term is small.
-    """
-    if not D > 0:
-        raise ValueError("distance D must be > 0")
-    num = noise.sigma2 * noise.c ** 2 * D ** 4
-    den = (noise.fs_factor / 2.0) * (noise.c ** 2 + 4.0 * math.pi ** 2 * noise.f0 ** 2 * D ** 2)
-    return num / den
-
-
 def _geometry(x, array):
-    """Sensor coordinates, the position, its sensor distances and the
-    zero-noise measurement set at it; errors when x sits on a sensor."""
+    """Sensor distances at x, their unit vectors and the zero-noise
+    measurement set there; errors when x sits on a sensor."""
     coords = sensor_coords(array)
-    p = as_position(x, coords.shape[1])
-    d = np.linalg.norm(p[None, :] - coords, axis=1)
-    for k, dk in enumerate(d):
-        if dk <= 0:
-            raise SensorSingularityError(k + 1)
-    return coords, p, d, rangediffs_from_ranges(d)
+    d, units = _unit_vectors(as_position(x, coords.shape[1]), coords)
+    return d, units, rangediffs_from_ranges(d)
 
 
 def _covariance(d, rd, noise: NoiseModel) -> np.ndarray:
@@ -96,7 +74,7 @@ def rd_covariance(x, array, noise: NoiseModel) -> np.ndarray:
     non-zero terms, delta_ac var_a - delta_ad var_a - delta_bc var_b +
     delta_bd var_b for pairs (a, b) and (c, d).
     """
-    _, _, d, rd = _geometry(x, array)
+    d, _, rd = _geometry(x, array)
     return _covariance(d, rd, noise)
 
 
@@ -107,8 +85,7 @@ def fisher(x, array, noise: NoiseModel) -> CrlbReport:
     column and the corresponding covariance row/column change sign), so
     the report does not depend on measurement noise realizations.
     """
-    coords, p, d, rd = _geometry(x, array)
-    units = (p[None, :] - coords) / d[:, None]
+    d, units, rd = _geometry(x, array)
     H = np.ascontiguousarray((units[rd.i - 1] - units[rd.j - 1]).T)
     cov = _covariance(d, rd, noise)
     J = H @ np.linalg.pinv(cov) @ H.T

@@ -33,8 +33,6 @@ from .errors import LocalizationError
 _GENERATOR_ID = "numpy default_rng (PCG64)"
 
 _INIT_CHOICES = ("proposed", "random", "fixed", "centroid", "both")
-SFP_PROPOSED_ERROR = ("sfp consumes ranges; the proposed initializer needs range "
-                      "differences — use init=centroid, random, or fixed")
 
 
 @dataclass
@@ -62,12 +60,14 @@ class ExperimentConfig:
         {"kind": "circular", "m":.., "radius":..} | {"kind": "rhombus"}
         | {"kind": "linear"}
         | {"kind": "random", "m":.., "lo":.., "hi":.., "n":..}.
+        The other sensor keys are the array constructor's arguments and
+        the noise keys NoiseModel's; every key is checked on construction.
     snr_grid / freq_grid: exactly one non-empty for RMSE sweeps.  A
         frequency sweep holds the SNR at snr_db.  Infinite SNR entries
         mean zero noise.
     init: proposed | random | fixed | centroid | both ("both" only for
-        traces; "fixed" requires init_point; sfp cannot use "proposed"
-        since the hyperbola scheme needs range differences).
+        traces; "fixed" requires init_point; see start_rule for sfp).
+    tol / max_iter: default to and are checked by SolverConfig.
     """
 
     scenario: dict
@@ -79,22 +79,21 @@ class ExperimentConfig:
     init: str = "proposed"
     init_point: list[float] | None = None
     seed: int = 0
-    tol: float = 1e-4
-    max_iter: int = 500
+    tol: float = _solvit.SolverConfig.tol
+    max_iter: int = _solvit.SolverConfig.max_iter
 
     def __post_init__(self):
         self.trials = _scen._as_count("trials", self.trials, 1)
-        self.max_iter = _scen._as_count("max_iter", self.max_iter, 1)
+        self.max_iter = self.solver_config().max_iter
         if self.solver not in ("solvit", "sfp"):
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.init not in _INIT_CHOICES:
-            raise ValueError(f"init must be one of {_INIT_CHOICES}")
-        if self.solver == "sfp" and self.init in ("proposed", "both"):
-            raise ValueError(SFP_PROPOSED_ERROR)
+        start_rule(self.solver, self.init)
         if self.init == "fixed" and self.init_point is None:
             raise ValueError("init=fixed requires init_point")
         if not isinstance(self.scenario, dict) or not self.scenario:
             raise ValueError("scenario spec must be a non-empty object")
+        # builds the scenario once and discards it, so a bad key fails now
+        _resolve_scenario(self.scenario, np.random.default_rng(0))
 
     def solver_config(self) -> _solvit.SolverConfig:
         return _solvit.SolverConfig(tol=self.tol, max_iter=self.max_iter)
@@ -103,53 +102,63 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             doc = json.load(fh)
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(doc) - known
-        if extra:
-            raise ValueError(f"unknown config fields: {sorted(extra)}")
+        _scen._check_keys("config", doc, cls.__dataclass_fields__)
         return cls(**doc)
 
     def to_json(self, path) -> None:
         _scen._write_json(path, asdict(self))
 
 
+def start_rule(solver: str, init: str | None) -> str:
+    """The init `solver` starts from: `init`, or when None the solver's
+    default (proposed for solvit, centroid for sfp)."""
+    if init is None:
+        return "proposed" if solver == "solvit" else "centroid"
+    if init not in _INIT_CHOICES:
+        raise ValueError(f"init must be one of {_INIT_CHOICES}")
+    if solver == "sfp" and init in ("proposed", "both"):
+        raise ValueError("sfp consumes ranges; the proposed initializer needs range "
+                         "differences — use init=centroid, random, or fixed")
+    return init
+
+
 # ---------------------------------------------------------------------------
 # scenario resolution
 # ---------------------------------------------------------------------------
 
+_ARRAY_KINDS = {"circular": _scen.circular_array, "rhombus": _scen.rhombus_array,
+                "linear": _scen.linear_array, "random": _scen.random_array}
+
+
 def _build_array(spec: dict, rng) -> _scen.SensorArray:
-    kind = spec.get("kind")
-    if kind == "circular":
-        return _scen.circular_array(int(spec["m"]), float(spec["radius"]))
-    if kind == "rhombus":
-        return _scen.rhombus_array()
-    if kind == "linear":
-        return _scen.linear_array()
+    """The array spec["kind"] names, built from the spec's other keys; the
+    constructor checks them, and a random array draws from rng."""
+    params = dict(spec)
+    kind = params.pop("kind", None)
+    if kind not in _ARRAY_KINDS:
+        raise ValueError(f"unknown sensor kind {kind!r}")
     if kind == "random":
-        return _scen.random_array(int(spec["m"]), float(spec["lo"]), float(spec["hi"]),
-                                  n=int(spec.get("n", 2)), seed=rng)
-    raise ValueError(f"unknown sensor kind {kind!r}")
+        return _scen.random_array(**params, seed=rng)
+    return _ARRAY_KINDS[kind](**params)
 
 
 def _resolve_scenario(spec: dict, rng):
     """Return (array, source, noise model); each run replaces its sigma2."""
+    known = ("file",) if "file" in spec else ("sensors", "source", "noise")
+    _scen._check_keys("scenario", spec, known)
     if "file" in spec:
         scen = _scen.load_scenario(spec["file"])
         return scen.array, scen.source, scen.noise
     array = _build_array(spec["sensors"], rng)
     src_spec = spec["source"]
     if isinstance(src_spec, dict):
-        lo, hi = (float(v) for v in src_spec["uniform"])
+        _scen._check_keys("source", src_spec, ("uniform",))
+        lo, hi = src_spec["uniform"]
         source = rng.uniform(lo, hi, size=array.n)
     else:
         source = _scen.as_position(src_spec, array.n)
-    noise_spec = spec.get("noise", {})
-    noise = _scen.NoiseModel(
-        sigma2=0.0,
-        f0=float(noise_spec.get("f0", 1000.0)),
-        c=float(noise_spec.get("c", 340.0)),
-        fs_factor=float(noise_spec.get("fs_factor", 4.0)),
-    )
+    noise = _scen.NoiseModel(**{"sigma2": 0.0, "f0": 1000.0, "c": 340.0,
+                                **spec.get("noise", {})})
     return array, source, noise
 
 

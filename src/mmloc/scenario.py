@@ -2,7 +2,7 @@
 
 Measurements follow the additive model r_i = ||x - y_i|| + eps_i with
 independent zero-mean Gaussian eps_i per sensor.  The per-sensor variance
-is distance dependent (see crlb.range_variance).  Range differences are
+is distance dependent (see range_variance).  Range differences are
 formed by differencing one noise draw per sensor, so entries that share a
 sensor are correlated by construction, and each stored entry is oriented
 so that its value is nonnegative.
@@ -20,6 +20,8 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from .errors import SensorSingularityError
 
 # sensors closer than this are considered coincident [m]
 COINCIDENT_TOL = 1e-12
@@ -44,6 +46,13 @@ def _as_count(name: str, value, minimum: int) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
     return int(value)
+
+
+def _check_keys(what: str, doc: dict, known) -> None:
+    """Raise ValueError naming every key of doc that is not in known."""
+    extra = set(doc) - set(known)
+    if extra:
+        raise ValueError(f"unknown {what} fields: {sorted(extra)}")
 
 
 @dataclass(frozen=True)
@@ -186,14 +195,30 @@ class NoiseModel:
             raise ValueError("fs_factor must be finite and > 0")
 
 
+def range_variance(D: float, noise: NoiseModel) -> float:
+    """Variance [m^2] of a single range estimate at source distance D [m].
+
+    For a sinusoidal source of frequency f0 received with noise power
+    sigma2 and sampled at fs_factor * f0:
+
+        var = sigma2 * c^2 * D^4 / ((fs_factor/2) * (c^2 + 4 pi^2 f0^2 D^2))
+
+    which grows ~D^2 at long range and ~D^4 when the phase term is small.
+    """
+    if not D > 0:
+        raise ValueError("distance D must be > 0")
+    num = noise.sigma2 * noise.c ** 2 * D ** 4
+    den = (noise.fs_factor / 2.0) * (noise.c ** 2 + 4.0 * math.pi ** 2 * noise.f0 ** 2 * D ** 2)
+    return num / den
+
+
 # ---------------------------------------------------------------------------
 # array constructors
 # ---------------------------------------------------------------------------
 
 def circular_array(m: int, radius: float) -> SensorArray:
     """m sensors on a circle: sensor i at radius*[cos(2*pi*i/m), sin(2*pi*i/m)]."""
-    if m < 2:
-        raise ValueError(f"need at least 2 sensors, got {m}")
+    m = _as_count("m", m, 2)
     if not radius > 0:
         raise ValueError("radius must be > 0")
     idx = np.arange(1, m + 1)
@@ -213,8 +238,7 @@ def linear_array() -> SensorArray:
 
 def random_array(m: int, lo: float, hi: float, n: int = 2, seed=None) -> SensorArray:
     """Sensors with i.i.d. uniform coordinates in [lo, hi]^n, deterministic given seed."""
-    if m < 2:
-        raise ValueError(f"need at least 2 sensors, got {m}")
+    m = _as_count("m", m, 2)
     if not lo < hi:
         raise ValueError(f"degenerate bounds: lo={lo} must be < hi={hi}")
     if n not in (2, 3):
@@ -247,6 +271,16 @@ def true_ranges(x, array) -> np.ndarray:
     return np.linalg.norm(p - coords, axis=1)
 
 
+def _unit_vectors(x: np.ndarray, coords: np.ndarray):
+    """Distances and unit vectors from every sensor to x; errors at sensors."""
+    diffs = x[None, :] - coords
+    rho = np.linalg.norm(diffs, axis=1)
+    for k, r in enumerate(rho):
+        if r <= 0.0:
+            raise SensorSingularityError(k + 1)
+    return rho, diffs / rho[:, None]
+
+
 def snr_to_sigma2(snr_db: float) -> float:
     """Map an SNR in dB to a noise variance under a unit-signal-power convention.
 
@@ -265,14 +299,8 @@ def range_noise_std(x, array, noise: NoiseModel) -> np.ndarray:
     The variance is distance dependent; a sensor at zero distance gets the
     limiting value 0.
     """
-    from .crlb import range_variance  # local import to avoid a module cycle
-
-    d = true_ranges(x, array)
-    out = np.zeros_like(d)
-    for k, dk in enumerate(d):
-        if dk > 0:
-            out[k] = math.sqrt(range_variance(dk, noise))
-    return out
+    return np.array([math.sqrt(range_variance(dk, noise)) if dk > 0 else 0.0
+                     for dk in true_ranges(x, array)])
 
 
 def noisy_ranges(x, array, noise: NoiseModel, seed=None) -> np.ndarray:
@@ -393,18 +421,15 @@ def save_scenario(path, scen: Scenario) -> None:
 def load_scenario(path) -> Scenario:
     with open(path) as fh:
         doc = json.load(fh)
+    _check_keys("scenario", doc, ("n", "sensors", "source", "noise", "seed"))
     array = SensorArray(np.asarray(doc["sensors"], dtype=float))
-    if array.n != int(doc["n"]):
+    if array.n != _as_count("n", doc["n"], 2):
         raise ValueError("scenario dimension field disagrees with sensor coordinates")
-    noise = NoiseModel(
-        sigma2=float(doc["noise"]["sigma2"]),
-        f0=float(doc["noise"]["f0"]),
-        c=float(doc["noise"]["c"]),
-        fs_factor=float(doc["noise"].get("fs_factor", 4.0)),
-    )
+    # NoiseModel owns the fields and their defaults; an unknown key is a TypeError
+    noise = NoiseModel(**{k: float(v) for k, v in doc["noise"].items()})
     seed = doc.get("seed")
     return Scenario(array, np.asarray(doc["source"], dtype=float), noise,
-                    None if seed is None else int(seed))
+                    None if seed is None else _as_count("seed", seed, 0))
 
 
 def write_ranges_csv(path, ranges) -> None:

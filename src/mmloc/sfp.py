@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import SensorSingularityError
 from .objective import _check_ranges, _f_ranges
-from .scenario import as_position, sensor_coords
+from .scenario import _unit_vectors, as_position, sensor_coords
 from .solvit import (
     _SENSOR_GUARD,
     _ZERO_OBJECTIVE,
@@ -37,7 +37,6 @@ from .solvit import (
     SolveTrace,
     _iterate,
     _nudge_off_sensors,
-    _unit_vectors,
 )
 
 

@@ -47,7 +47,8 @@ import numpy as np
 
 from .errors import SensorSingularityError, SingularSystemError
 from .objective import _check_rd, _f_pairs
-from .scenario import RangeDiffSet, _as_count, _write_table, as_position, sensor_coords
+from .scenario import (RangeDiffSet, _as_count, _unit_vectors, _write_table, as_position,
+                       sensor_coords)
 
 # termination labels shared by all iterative solvers
 CONVERGED = "converged"
@@ -122,16 +123,6 @@ def write_trace_csv(path, trace: SolveTrace) -> None:
 # ---------------------------------------------------------------------------
 # bound quantities and surrogate
 # ---------------------------------------------------------------------------
-
-def _unit_vectors(x: np.ndarray, coords: np.ndarray):
-    """Distances and unit vectors from every sensor to x; errors at sensors."""
-    diffs = x[None, :] - coords
-    rho = np.linalg.norm(diffs, axis=1)
-    for k, r in enumerate(rho):
-        if r <= 0.0:
-            raise SensorSingularityError(k + 1)
-    return rho, diffs / rho[:, None]
-
 
 def bound_quantities(x_k, array, rd: RangeDiffSet) -> BoundQuantities:
     """Evaluate w_i, s_ij, Q_ij at the iterate x_k (pair order = stored order)."""

@@ -4,7 +4,10 @@ and conversion of pairwise delays into range-difference measurements.
 The intended chain for an m-channel recording of one source:
 
     bandpass each channel -> xcorr_delay per channel pair
-    -> delays_to_rangediffs -> feed the range-difference solver
+    -> c * delay per pair, oriented -> feed the range-difference solver
+
+estimate_rangediffs runs the middle two steps; delays_to_rangediffs converts
+delays given as a mapping (i, j) -> tau.
 
 The filter is forward-only (causal); its group delay is common to every
 identically filtered channel and cancels in the cross-correlations.
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import (RangeDiffSet, _write_table, oriented_rangediffs, sensor_coords,
-                       unordered_pairs)
+from .scenario import (RangeDiffSet, _as_count, _write_table, oriented_rangediffs,
+                       sensor_coords, unordered_pairs)
 
 # fixture defaults for the anechoic microphone experiment
 TONE_F0 = 250.0          # [Hz]
@@ -53,6 +56,8 @@ class SignalRecord:
         s = np.asarray(self.samples, dtype=float).reshape(-1)
         if s.size < 2:
             raise ValueError("signal must have at least 2 samples")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("signal samples must be finite")
         if not (self.fs > 0 and math.isfinite(self.fs)):
             raise ValueError("fs must be finite and > 0")
         s = s.copy()
@@ -97,9 +102,8 @@ def xcorr_delay(a: SignalRecord, b: SignalRecord, refine: bool = False) -> float
     from scipy import signal as _sig
 
     corr = _sig.correlate(sb, sa, mode="full")
-    lags = _sig.correlation_lags(L, L, mode="full")
     k = int(np.argmax(corr))
-    lag = float(lags[k])
+    lag = float(k - (L - 1))  # corr[k] is the lag k - (L - 1) of the full correlation
     if refine and 0 < k < corr.size - 1:
         c0, c1, c2 = corr[k - 1], corr[k], corr[k + 1]
         denom = c0 - 2.0 * c1 + c2
@@ -126,25 +130,19 @@ def delays_to_rangediffs(delays, c: float) -> RangeDiffSet:
         raise ValueError("c must be > 0")
     if not delays:
         raise ValueError("empty delay mapping")
-    m = 0
-    for (i, j) in delays:
+    diffs = {}  # (i, j) with i < j -> c * tau_ij
+    for (i, j), tau in delays.items():
         if i == j or i < 1 or j < 1:
             raise ValueError(f"bad pair indices ({i}, {j})")
-        m = max(m, i, j)
-    lookup = {}
-    for (i, j), tau in delays.items():
-        key = frozenset((i, j))
-        if key in lookup:
+        key = (min(i, j), max(i, j))
+        if key in diffs:
             raise ValueError(f"pair {{{i},{j}}} supplied twice")
-        lookup[key] = (i, j, float(tau))
-    diffs = []
-    for (i, j) in unordered_pairs(m):
-        key = frozenset((i, j))
-        if key not in lookup:
-            raise ValueError(f"missing delay for pair ({i}, {j})")
-        a, b, tau = lookup[key]
-        diffs.append(c * (tau if (a, b) == (i, j) else -tau))
-    return oriented_rangediffs(diffs, m)
+        diffs[key] = c * (float(tau) if i < j else -float(tau))
+    m = max(j for _, j in diffs)
+    for pair in unordered_pairs(m):
+        if pair not in diffs:
+            raise ValueError(f"missing delay for pair {pair}")
+    return oriented_rangediffs([diffs[pair] for pair in unordered_pairs(m)], m)
 
 
 def estimate_rangediffs(signals, c: float = SOUND_SPEED,
@@ -156,11 +154,13 @@ def estimate_rangediffs(signals, c: float = SOUND_SPEED,
     sigs = list(signals)
     if len(sigs) < 2:
         raise ValueError("need at least 2 channels")
-    delays = {}
-    for (i, j) in unordered_pairs(len(sigs)):
-        # tau_ij = arrival_i - arrival_j: positive when channel i lags channel j
-        delays[(i, j)] = xcorr_delay(sigs[j - 1], sigs[i - 1], refine=refine)
-    return delays_to_rangediffs(delays, c)
+    if not c > 0:
+        raise ValueError("c must be > 0")
+    # c * tau_ij, tau_ij = arrival_i - arrival_j (positive when channel i lags
+    # channel j); xcorr_delay goes through the module global, so a wrapper applies
+    diffs = [c * xcorr_delay(sigs[j - 1], sigs[i - 1], refine=refine)
+             for (i, j) in unordered_pairs(len(sigs))]
+    return oriented_rangediffs(diffs, len(sigs))
 
 
 def tone_burst_signals(source, mics, *, f0: float = TONE_F0, fs: float = TONE_FS,
@@ -249,10 +249,10 @@ def read_signals_raw(path, sidecar=None) -> list[SignalRecord]:
     side = sidecar if sidecar is not None else f"{path}.json"
     with open(side) as fh:
         meta = json.load(fh)
-    channels = int(meta["channels"])
+    channels = _as_count("channels", meta["channels"], 1)
     fs = float(meta["fs"])
     flat = np.fromfile(path, dtype="<f8")
-    if channels < 1 or flat.size % channels:
+    if flat.size % channels:
         raise ValueError("raw file length is not a multiple of the channel count")
     frames = flat.reshape(-1, channels)
     return [SignalRecord(frames[:, k], fs) for k in range(channels)]

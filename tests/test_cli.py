@@ -2,6 +2,7 @@
 
 import json
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -178,6 +179,24 @@ class TestTdoa:
         assert out_path.exists()
 
 
+    def test_nonfinite_sample_fails_without_output(self, tmp_path, capsys):
+        sigs = tone_burst_signals(np.array([1.0, 0.5]), ANECHOIC_MICROPHONES)
+        sig_path = tmp_path / "sig.csv"
+        write_signals_csv(sig_path, sigs)
+        lines = sig_path.read_text().splitlines()
+        row = lines[100].split(",")
+        row[2] = "nan"  # channel 3
+        lines[100] = ",".join(row)
+        sig_path.write_text("\n".join(lines) + "\n")
+        out_path = tmp_path / "rd.csv"
+        code, out, err = run_cli(capsys, "tdoa", "--signals", sig_path,
+                                 "--band", "150", "350", "--out", out_path)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: signal samples must be finite"]
+        assert not out_path.exists()
+
+
 class TestBenchAndPlot:
     def test_bench_identical_seeds_byte_identical(self, tmp_path, capsys):
         cfg = {
@@ -224,6 +243,50 @@ class TestBenchAndPlot:
         assert err.splitlines() == [
             "error: matplotlib is not installed; use --gnuplot FILE instead"]
         assert not png.exists()
+
+
+    @pytest.fixture
+    def stub_matplotlib(self, monkeypatch):
+        """A matplotlib stand-in that records the backend and every drawing call."""
+        calls = []
+
+        class Axes:
+            def __getattr__(self, name):  # semilogy, set_xlabel, set_ylabel, legend
+                return lambda *args, **kwargs: calls.append((name, args, kwargs))
+
+        class Figure:
+            def savefig(self, path, **kwargs):
+                calls.append(("savefig", (path,), kwargs))
+
+        pyplot = types.ModuleType("matplotlib.pyplot")
+        pyplot.subplots = lambda: (Figure(), Axes())
+        mpl = types.ModuleType("matplotlib")
+        mpl.use = lambda backend: calls.append(("use", (backend,), {}))
+        mpl.pyplot = pyplot
+        monkeypatch.setitem(sys.modules, "matplotlib", mpl)
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+        return calls
+
+    def test_plot_with_matplotlib(self, tmp_path, capsys, monkeypatch, rmse_csv,
+                                  stub_matplotlib):
+        png = tmp_path / "out.png"
+        code, out, _ = run_cli(capsys, "plot", "--input", rmse_csv, "--out", png)
+        assert code == 0 and out == f"wrote {png}\n"
+        assert stub_matplotlib[0] == ("use", ("Agg",), {})
+        assert [c[1][0] for c in stub_matplotlib if c[0] == "savefig"] == [str(png)]
+        drawn = [c for c in stub_matplotlib if c[0] == "semilogy"]
+        assert [c[2]["label"] for c in drawn] == ["rmse", "crlb"]
+        assert drawn[1][1][1] == [0.25, 0.15]
+
+        # without --out the image is rmse.png; an all-NaN CRLB column is not drawn
+        stub_matplotlib.clear()
+        nan_csv = tmp_path / "nan.csv"
+        nan_csv.write_text("sweep,rmse,crlb,failed\n0.0,0.5,nan,0\n5.0,0.3,nan,0\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "plot", "--input", nan_csv)
+        assert code == 0 and out == "wrote rmse.png\n"
+        assert [c[1][0] for c in stub_matplotlib if c[0] == "savefig"] == ["rmse.png"]
+        assert [c[2]["label"] for c in stub_matplotlib if c[0] == "semilogy"] == ["rmse"]
 
 
 class TestErrorReporting:

@@ -1,7 +1,9 @@
 """Experiment runner: config validation, reproducibility, sweep semantics."""
 
+import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from mmloc import (
     RmseRow,
     Scenario,
     circular_array,
+    load_scenario,
     read_rmse_csv,
     run_rmse_sweep,
     run_trace,
@@ -24,6 +27,7 @@ from mmloc import (
     write_rmse_csv,
 )
 from mmloc.cli import main
+from mmloc.harness import start_rule
 
 SIM1_SCENARIO = {
     "sensors": {"kind": "random", "m": 4, "lo": -10.0, "hi": 10.0},
@@ -45,6 +49,16 @@ class TestConfig:
             small_config(solver="sfp", init="proposed")
         with pytest.raises(ValueError):
             small_config(solver="sfp", init="both")
+
+    def test_start_rule(self):
+        assert start_rule("solvit", None) == "proposed"
+        assert start_rule("sfp", None) == "centroid"
+        assert start_rule("sfp", "random") == "random"
+        for init in ("proposed", "both"):
+            with pytest.raises(ValueError, match="sfp consumes ranges"):
+                start_rule("sfp", init)
+        with pytest.raises(ValueError, match="init must be one of"):
+            start_rule("solvit", "warmstart")
 
     def test_fixed_requires_point(self):
         with pytest.raises(ValueError):
@@ -84,6 +98,58 @@ class TestConfig:
         path.write_text(json.dumps(dict(json.loads(path.read_text()), max_iter=1e3)))
         assert main(["bench", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
         assert capsys.readouterr().err == "error: max_iter must be an integer, got 1000.0\n"
+
+    # (document edited, edit, error message): each input used to run silently,
+    # or to fail only once the sweep ran
+    LOUD_CASES = {
+        "noise key typo": ("config", lambda d: d["scenario"]["noise"].update(fs_factr=40),
+                           "unexpected keyword argument 'fs_factr'"),
+        "n on a circular array": ("config", lambda d: d["scenario"].update(
+            sensors={"kind": "circular", "m": 5, "radius": 10.0, "n": 3}),
+            "circular_array() got an unexpected keyword argument 'n'"),
+        "fractional m": ("config", lambda d: d["scenario"]["sensors"].update(m=5.7),
+                         "m must be an integer, got 5.7"),
+        "scenario key typo": ("config", lambda d: d["scenario"].update(nosie={"f0": 500.0}),
+                              "unknown scenario fields: ['nosie']"),
+        "extra source key": ("config", lambda d: d["scenario"].update(
+            source={"uniform": [-5.0, 5.0], "seed": 3}), "unknown source fields: ['seed']"),
+        "zero tol": ("config", lambda d: d.update(tol=0), "tol must be finite and > 0"),
+        "fractional n in the scenario file": ("scenario file", lambda d: d.update(n=2.5),
+                                              "n must be an integer, got 2.5"),
+        "noise key typo in the scenario file": (
+            "scenario file", lambda d: d["noise"].update(fs_factr=8.0),
+            "unexpected keyword argument 'fs_factr'"),
+        "unknown key in the scenario file": ("scenario file", lambda d: d.update(sede=4),
+                                             "unknown scenario fields: ['sede']"),
+    }
+
+    @pytest.mark.parametrize("case", LOUD_CASES)
+    def test_bad_input_fails_when_read(self, tmp_path, capsys, case):
+        target, edit, message = self.LOUD_CASES[case]
+        doc = {"scenario": copy.deepcopy(SIM1_SCENARIO), "snr_grid": [0.0], "trials": 2,
+               "init": "centroid"}
+        if target == "scenario file":
+            scen_path = tmp_path / "scen.json"
+            save_scenario(scen_path, Scenario(circular_array(5, radius=10.0),
+                                              np.array([1.0, 5.0]),
+                                              NoiseModel(sigma2=0.0, f0=1000.0, c=340.0), 7))
+            scen_doc = json.loads(scen_path.read_text())
+            edit(scen_doc)
+            scen_path.write_text(json.dumps(scen_doc))
+            with pytest.raises((TypeError, ValueError), match=re.escape(message)):
+                load_scenario(scen_path)
+            doc["scenario"] = {"file": str(scen_path)}
+        else:
+            edit(doc)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        with pytest.raises((TypeError, ValueError), match=re.escape(message)):
+            ExperimentConfig.from_json(cfg_path)
+        out = tmp_path / "rmse.csv"
+        assert main(["bench", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+        assert not out.exists() and not (tmp_path / "rmse.csv.meta.json").exists()
 
     def test_grid_exclusivity(self):
         cfg = small_config(snr_grid=None, freq_grid=None)

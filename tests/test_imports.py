@@ -1,9 +1,11 @@
-"""Start-up cost: only the TDOA front-end loads scipy, and only when it runs.
+"""Import structure: only the TDOA front-end loads scipy, and only when it
+runs; no module imports another mmloc module inside a function.
 
-Each test starts a fresh interpreter, because the test process itself has
-long since imported scipy.
+The scipy tests start a fresh interpreter each, because the test process
+itself has long since imported scipy.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -88,3 +90,15 @@ codes.append(main(["tdoa", "--signals", sig, "--band", "150", "350",
 """ + _REPORT
     report = run_child(code, tmp_path)
     assert report == {"codes": [False, 0], "scipy": True, "scipy.signal": True}
+
+
+def test_no_relative_import_inside_a_function():
+    """A function-level import of a sibling module hides an import cycle;
+    the layering stays a DAG only if every such import sits at module level."""
+    found = []
+    for path in sorted((SRC / "mmloc").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno} in {fn.name}" for node in ast.walk(fn)
+                          if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert found == []

@@ -101,6 +101,16 @@ class TestFixtureArrays:
         np.testing.assert_array_equal(a1.sensors, a2.sensors)
         assert np.all(np.abs(a1.sensors) <= 50.0)
 
+    def test_sensor_count_must_be_an_integer(self):
+        for bad in (5.7, True, "5"):
+            with pytest.raises(ValueError, match="m must be an integer"):
+                circular_array(bad, radius=10.0)
+            with pytest.raises(ValueError, match="m must be an integer"):
+                random_array(bad, -1.0, 1.0, seed=0)
+        with pytest.raises(ValueError, match="m must be >= 2"):
+            circular_array(1, radius=10.0)
+        assert circular_array(np.int64(3), radius=1.0).m == 3
+
     def test_random_array_degenerate_bounds(self):
         with pytest.raises(ValueError):
             random_array(2, 0.0, 0.0)

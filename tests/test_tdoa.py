@@ -1,5 +1,7 @@
 """Signal front-end: filtering, delay estimation, range-difference assembly."""
 
+import json
+import math
 import warnings
 
 import numpy as np
@@ -39,6 +41,13 @@ class TestSignalRecord:
             SignalRecord(np.array([1.0]), fs=100.0)
         with pytest.raises(ValueError):
             SignalRecord(np.zeros(10), fs=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_samples(self, bad):
+        samples = np.zeros(10)
+        samples[3] = bad
+        with pytest.raises(ValueError, match="signal samples must be finite"):
+            SignalRecord(samples, fs=100.0)
 
     def test_samples_write_protected(self):
         rec = SignalRecord(np.zeros(16), fs=100.0)
@@ -210,6 +219,28 @@ class TestSignalIO:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError):
                     read_signals_csv(path)
+
+    def test_readers_reject_nonfinite_samples(self, tmp_path):
+        csv = tmp_path / "sig.csv"
+        csv.write_text("# fs=8000.0\n1.0,2.0\n3.0,nan\n")
+        with pytest.raises(ValueError, match="signal samples must be finite"):
+            read_signals_csv(csv)
+        raw = tmp_path / "sig.f64"
+        write_signals_raw(raw, [SignalRecord(np.zeros(8), 8000.0)] * 2)
+        frames = np.fromfile(raw, dtype="<f8")
+        frames[5] = np.inf
+        frames.tofile(raw)
+        with pytest.raises(ValueError, match="signal samples must be finite"):
+            read_signals_raw(raw)
+
+    def test_raw_sidecar_channel_count_must_be_an_integer(self, tmp_path):
+        raw = tmp_path / "sig.f64"
+        write_signals_raw(raw, [SignalRecord(np.zeros(8), 8000.0)] * 2)
+        side = tmp_path / "sig.f64.json"
+        for bad in (2.5, True, 0):
+            side.write_text(json.dumps({"channels": bad, "fs": 8000.0}))
+            with pytest.raises(ValueError, match="channels must be"):
+                read_signals_raw(raw)
 
     def test_raw_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
