@@ -15,6 +15,7 @@ Errors exit with status 2 and a single "error: <reason>" line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -201,8 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# building the parser tree costs about a millisecond, and parsing leaves it
+# unchanged, so every main call in a process shares one
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         args.func(args)
     except Exception as exc:  # single-line, machine-parsable failure report

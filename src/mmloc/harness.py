@@ -84,7 +84,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.trials = _scen._as_count("trials", self.trials, 1)
+        self.seed = _scen._as_count("seed", self.seed, 0)
         self.max_iter = self.solver_config().max_iter
+        if self.snr_grid and self.freq_grid:
+            raise ValueError("give at most one of snr_grid / freq_grid")
         if self.solver not in ("solvit", "sfp"):
             raise ValueError(f"unknown solver {self.solver!r}")
         start_rule(self.solver, self.init)

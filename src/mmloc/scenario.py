@@ -39,13 +39,19 @@ def as_position(x, n: int | None = None) -> np.ndarray:
     return p
 
 
-def _as_count(name: str, value, minimum: int) -> int:
-    """A count field as an int >= minimum; Python and numpy integers pass, bool does not."""
+def _as_int(name: str, value) -> int:
+    """An integer field as an int; Python and numpy integers pass, bool does not."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _as_count(name: str, value, minimum: int) -> int:
+    """A count field as an int >= minimum (see _as_int)."""
+    value = _as_int(name, value)
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
-    return int(value)
+    return value
 
 
 def _check_keys(what: str, doc: dict, known) -> None:
@@ -139,7 +145,7 @@ class RangeDiffSet:
         vv = np.asarray(self.values, dtype=float)
         if not (ii.shape == jj.shape == vv.shape) or ii.ndim != 1:
             raise ValueError("i, j, values must be 1-D arrays of equal length")
-        m = int(self.m)
+        m = _as_int("m", self.m)
         if m < 2:
             raise ValueError("need at least 2 sensors")
         expected = m * (m - 1) // 2

@@ -29,13 +29,22 @@ the same floating-point operations in the same order, with the per-sensor
 terms computed once instead of once per pair.  It must stay bit-identical
 to the generic loop; TestPlanarKernel in tests/test_solvit.py checks this.
 
-The iteration loop (_iterate) calls its step kernel and objective directly,
-with no closure or dispatcher in between.  The step stays a call and is
-not inlined into the loop, unlike the range solver's planar loop in
-sfp.py: acceptance criterion 11 times _step_core, which sends n == 2 to
-the same _step_core_2d the solver calls, so the gate times the code the
-solver runs (test_planar_solve_calls_step_core_2d_once_per_iteration
-checks that).  Inlining it measured no faster than the direct call.
+For n == 2, solvit_solve runs _solvit_solve_2d: _iterate, _step_core_2d
+and objective._f_pairs inlined into one frame, as sfp._sfp_solve_2d is for
+the range solver.  Each iteration makes one pass over the sensors, which
+forms the cost's distances and the next step's per-sensor terms from the
+same differences, and one pass over the pairs, which sums the cost and the
+next bound system.  It must stay bit-identical to _iterate, _step_core_2d
+and _f_pairs together: TestPlanarKernel in tests/test_solvit.py compares
+its traces with conftest.reference_iterate around those kernels
+(test_random_solves_match_reference_loop,
+test_stop_branches_match_reference_loop,
+test_step_landing_by_a_sensor_is_nudged), and tests/test_solve_pins.py pins
+fixed solves, the 25 TDOA fixture solves among them.  _step_core_2d stays
+the reference step: solvit_step calls it, and acceptance criterion 11 times
+it through _step_core, so the gate times the reference step, not the loop.
+n == 3 runs the shared loop _iterate, which calls its step kernel and
+objective directly, with no closure or dispatcher in between.
 """
 
 from __future__ import annotations
@@ -234,12 +243,11 @@ def _step_core(x: list[float], ys: list[tuple[float, ...]],
     return _step_core_nd(x, ys, pairs, n)
 
 
-def _step_core_2d(x, ys, pairs, n=2) -> list[float]:
+def _step_core_2d(x, ys, pairs) -> list[float]:
     """_step_core_nd unrolled for n == 2, bit-identical to it.
 
     Each sensor's distance, unit vector and w_i . y_i are formed once, with
     the generic loop's operations, instead of once per pair that uses it.
-    n is accepted and ignored, so that _iterate calls every kernel alike.
     """
     x0, x1 = x
     sens = []
@@ -435,6 +443,100 @@ def _iterate(x0, ys, n, cfg, step, objective, data):
     return np.array(x), trace
 
 
+def _solvit_solve_2d(x0: list[float], ys, pairs, cfg: SolverConfig):
+    """_iterate with _step_core_2d and _f_pairs inlined, for n == 2.
+
+    The same floating-point operations in the same order as those three,
+    so every trace is bit-identical to the shared loop's.  The cost at an
+    iterate and the bound system formed there share one pass over the
+    sensors (math.hypot of the differences for the cost, which is
+    math.dist bit for bit; sqrt of their squares for the step) and one
+    pass over the pairs.  The system is solved only when the stop rule
+    lets the loop go on.  An iterate within _SENSOR_GUARD of a sensor
+    is nudged first, and _step_core_2d forms the step at the nudged point.
+    """
+    # per pair: y_i + y_j, the first sum of each b term, and y_j
+    prs = [(ii, jj, r, ys[ii][0] + ys[jj][0], ys[ii][1] + ys[jj][1], *ys[jj])
+           for ii, jj, r in pairs]
+    sqrt, hypot, guard = math.sqrt, math.hypot, _SENSOR_GUARD
+    max_iter, tol = cfg.max_iter, cfg.tol
+    x0, x1 = _nudge_off_sensors(x0, ys, 2)
+    flat = [x0, x1]  # iterates, row after row
+    objectives = []
+    status = MAX_ITER
+    f_cur = math.inf  # no relative change to test at the start
+    for it in range(max_iter + 1):
+        # one sensor pass: distance for the cost, and the step's terms
+        sens = []
+        near = False
+        for y0, y1 in ys:
+            d0 = x0 - y0
+            d1 = x1 - y1
+            dk = hypot(d0, d1)
+            if dk < guard:  # nudged before the next step; no terms needed
+                near = True
+                sens.append((dk, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0))
+                continue
+            nrm = sqrt(d0 * d0 + d1 * d1)
+            w0 = d0 / nrm
+            w1 = d1 / nrm
+            sens.append((dk, w0, w1, 2.0 * w0, 2.0 * w1, nrm, 0.0 + w0 * y0 + w1 * y1))
+        # one pair pass: the cost, and the bound system for the next step
+        f_next = a00 = a01 = a11 = b0 = b1 = 0.0
+        for ii, jj, r, c0, c1, yj0, yj1 in prs:
+            di, wi0, wi1, _, _, _, wi_yi = sens[ii]
+            dj, wj0, wj1, tj0, tj1, rho_j, wj_yj = sens[jj]
+            e = r - (di - dj)
+            f_next += e * e
+            s = r / rho_j
+            diag = 2.0 + s
+            a00 += diag - tj0 * wi0
+            a01 -= wj0 * wi1 + wi0 * wj1
+            b0 += c0 + r * wi0 + s * yj0 - wj0 * wi_yi - wi0 * wj_yj
+            a11 += diag - tj1 * wi1
+            b1 += c1 + r * wi1 + s * yj1 - wj1 * wi_yi - wi1 * wj_yj
+        objectives.append(f_next)
+        if f_next <= _ZERO_OBJECTIVE or abs(f_next - f_cur) / f_cur < tol:
+            status = CONVERGED
+            break
+        if it == max_iter:
+            break
+        f_cur = f_next
+        if near:
+            x0, x1 = _nudge_off_sensors([x0, x1], ys, 2)
+            try:
+                x0, x1 = _step_core_2d([x0, x1], ys, pairs)
+            except (SensorSingularityError, SingularSystemError):
+                status = SINGULAR_SYSTEM
+                break
+        else:
+            # the 2x2 solve of _step_core_2d, without its clamp of the
+            # discriminant at 0: a sum of squares is never negative
+            half_tr = 0.5 * (a00 + a11)
+            disc = sqrt(0.25 * (a00 - a11) ** 2 + a01 * a01)
+            lam_min = half_tr - disc
+            if abs(a01) > abs(a00):
+                p0, p1, p2, q0, q1, q2 = a01, a11, b1, a00, a01, b0
+            else:
+                p0, p1, p2, q0, q1, q2 = a00, a01, b0, a01, a11, b1
+            if lam_min <= 0.0 or (half_tr + disc) / lam_min > _COND_LIMIT or p0 == 0.0:
+                status = SINGULAR_SYSTEM
+                break
+            f = q0 * (1.0 / p0)
+            if f != 0.0:
+                q1 -= f * p1
+                q2 -= f * p2
+            if q1 == 0.0:
+                status = SINGULAR_SYSTEM
+                break
+            x1 = q2 / q1
+            x0 = (p2 - p1 * x1) / p0
+        flat += (x0, x1)
+    trace = SolveTrace(np.array(flat).reshape(-1, 2), np.array(objectives), status,
+                       len(objectives) - 1)
+    return np.array([x0, x1]), trace
+
+
 def solvit_solve(x0, array, rd: RangeDiffSet,
                  cfg: SolverConfig | None = None) -> tuple[np.ndarray, SolveTrace]:
     """Iterate the bound-minimization step from x0 until convergence.
@@ -452,5 +554,6 @@ def solvit_solve(x0, array, rd: RangeDiffSet,
     coords, ys, pairs = _prepare(array, rd)
     n = coords.shape[1]
     xs = as_position(x0, n)
-    return _iterate(xs, ys, n, cfg, _step_core_2d if n == 2 else _step_core_nd,
-                    _f_pairs, pairs)
+    if n == 2:
+        return _solvit_solve_2d(xs.tolist(), ys, pairs, cfg)
+    return _iterate(xs, ys, n, cfg, _step_core_nd, _f_pairs, pairs)

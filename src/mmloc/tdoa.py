@@ -22,6 +22,7 @@ costs about a second.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -79,8 +80,24 @@ def bandpass(sig: SignalRecord, f_lo: float, f_hi: float) -> SignalRecord:
         )
     from scipy import signal as _sig
 
-    sos = _sig.butter(2, [f_lo, f_hi], btype="bandpass", fs=sig.fs, output="sos")
+    # sosfilt takes only a writable array, so it gets a copy of the cached one
+    sos = _butter_sos(sig.fs, f_lo, f_hi).copy()
     return SignalRecord(_sig.sosfilt(sos, sig.samples), sig.fs)
+
+
+@functools.lru_cache(maxsize=8)
+def _butter_sos(fs: float, f_lo: float, f_hi: float) -> np.ndarray:
+    """bandpass's second-order sections, designed once per (fs, band).
+
+    Designing costs about five times as much as filtering one channel, and
+    every channel of a recording shares the design.  Read-only, since the
+    cache hands the same array to every caller.
+    """
+    from scipy import signal as _sig
+
+    sos = _sig.butter(2, [f_lo, f_hi], btype="bandpass", fs=fs, output="sos")
+    sos.setflags(write=False)
+    return sos
 
 
 def xcorr_delay(a: SignalRecord, b: SignalRecord, refine: bool = False) -> float:

@@ -14,6 +14,7 @@ from mmloc import (
     circular_array,
     save_scenario,
 )
+from mmloc import cli
 from mmloc.cli import main
 from mmloc.tdoa import ANECHOIC_MICROPHONES, TONE_FS, tone_burst_signals, write_signals_csv
 
@@ -306,3 +307,35 @@ class TestErrorReporting:
                                "--out", tmp_path / "o.csv")
         assert code == 2
         assert "error:" in err
+
+
+class TestParser:
+    def test_shared_parser_gives_fresh_parser_output(self, tmp_path, capsys, monkeypatch,
+                                                     zero_noise_scenario):
+        scen_path, _ = zero_noise_scenario
+        rd_path = tmp_path / "rd.csv"
+        calls = [
+            ["simulate", "--scenario", scen_path, "--out", rd_path],
+            ["solve", "--scenario", scen_path, "--measurements", rd_path],
+            ["solve", "--scenario", scen_path, "--measurements", rd_path, "--bogus-flag", "1"],
+            ["solve", "--scenario", scen_path, "--measurements", rd_path, "--tol", "1e-9"],
+        ]
+
+        def run_all():
+            results = []
+            for argv in calls:
+                try:
+                    code = main([str(a) for a in argv])
+                except SystemExit as exc:  # argparse rejects the bad flag
+                    code = exc.code
+                out = capsys.readouterr()
+                results.append((code, out.out, out.err))
+            return results
+
+        shared = run_all()
+        assert cli._shared_parser() is cli._shared_parser()
+        assert cli.build_parser() is not cli.build_parser()
+        monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+        assert run_all() == shared
+        assert [code for code, _, _ in shared] == [0, 0, 2, 0]
+        assert "unrecognized arguments: --bogus-flag 1" in shared[2][2]

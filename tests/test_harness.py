@@ -114,6 +114,10 @@ class TestConfig:
         "extra source key": ("config", lambda d: d["scenario"].update(
             source={"uniform": [-5.0, 5.0], "seed": 3}), "unknown source fields: ['seed']"),
         "zero tol": ("config", lambda d: d.update(tol=0), "tol must be finite and > 0"),
+        "fractional seed": ("config", lambda d: d.update(seed=5.7),
+                            "seed must be an integer, got 5.7"),
+        "two sweep grids": ("config", lambda d: d.update(freq_grid=[500.0, 1000.0]),
+                            "give at most one of snr_grid / freq_grid"),
         "fractional n in the scenario file": ("scenario file", lambda d: d.update(n=2.5),
                                               "n must be an integer, got 2.5"),
         "noise key typo in the scenario file": (
@@ -155,9 +159,9 @@ class TestConfig:
         cfg = small_config(snr_grid=None, freq_grid=None)
         with pytest.raises(ValueError):
             run_rmse_sweep(cfg)
-        cfg = small_config(freq_grid=[500.0])
-        with pytest.raises(ValueError):
-            run_rmse_sweep(cfg)
+        # two grids are rejected when the config is built, before any sweep
+        with pytest.raises(ValueError, match="at most one of snr_grid / freq_grid"):
+            small_config(freq_grid=[500.0])
 
 
 class TestRunTrace:

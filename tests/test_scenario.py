@@ -250,6 +250,14 @@ class TestRangeDiffSet:
             RangeDiffSet(np.array([1, 2, 1]), np.array([2, 1, 3]),
                          np.array([0.5, 0.5, 0.5]), m=3)
 
+    def test_sensor_count_must_be_an_integer(self):
+        # checked before the size rules, so 2.7 is not read as 2
+        for bad in (2.7, 2.0, np.float64(3.0), True, "2", None):
+            with pytest.raises(ValueError, match="m must be an integer"):
+                RangeDiffSet(np.array([1]), np.array([2]), np.array([0.5]), bad)
+        rd = RangeDiffSet(np.array([1]), np.array([2]), np.array([0.5]), np.int64(2))
+        assert rd.m == 2 and type(rd.m) is int
+
     def test_n_pairs(self):
         rd = rangediffs_from_ranges(np.arange(1.0, 6.0))
         assert rd.n_pairs == 10

@@ -8,11 +8,20 @@ criterion-7 array at three SNRs and the linear array.  Every start is a
 fixed point (no initializer), and the noisy measurements are stored with
 the outputs, so replaying a pin runs only the solvers' own arithmetic.
 
-Regenerate (only on purpose, saying in the change why the pins moved):
+tests/data/tdoa_solve_pins.json records the 25 range-difference sets of the
+anechoic fixture (sources on the 5 x 5 grid x in 0.6..1.8 m, y in 0.3..1.5 m,
+band-passed 150-350 Hz, integer-lag delays) as float hex, and each set's
+solvit solve from (1.0, 1.4) with tol 1e-12 and max_iter 20000: about
+10,000 planar MM iterations per solve, seven of them stopping at max_iter.
+Those estimates are pinned bit for bit.
+
+Regenerate both files (only on purpose, saying in the change why the pins
+moved):
 
     PYTHONPATH=src python tests/test_solve_pins.py
 """
 
+import itertools
 import json
 import math
 import pathlib
@@ -20,6 +29,7 @@ import pathlib
 import numpy as np
 from mmloc import (
     NoiseModel,
+    RangeDiffSet,
     SolverConfig,
     linear_array,
     random_array,
@@ -30,8 +40,12 @@ from mmloc import (
     true_ranges,
 )
 from mmloc.scenario import range_noise_std
+from mmloc.tdoa import (ANECHOIC_MICROPHONES, BAND_HI, BAND_LO, SOUND_SPEED, bandpass,
+                        estimate_rangediffs, tone_burst_signals)
 
 PINS = pathlib.Path(__file__).with_name("data") / "solve_pins.json"
+TDOA_PINS = PINS.with_name("tdoa_solve_pins.json")
+TDOA_X0, TDOA_TOL, TDOA_MAX_ITER = (1.0, 1.4), 1e-12, 20000
 
 # the criterion-7 array: random m=5 in +-50 m drawn from that config's seed
 C7_SENSORS = [
@@ -92,6 +106,31 @@ def make_pins():
     return pins
 
 
+def tdoa_solve(pin):
+    """The fixture solve of one pinned range-difference set."""
+    values = np.array([float.fromhex(v) for v in pin["values"]])
+    rd = RangeDiffSet(np.array(pin["i"]), np.array(pin["j"]), values,
+                      len(ANECHOIC_MICROPHONES))
+    return solvit_solve(np.array(TDOA_X0), ANECHOIC_MICROPHONES, rd,
+                        SolverConfig(tol=TDOA_TOL, max_iter=TDOA_MAX_ITER))
+
+
+def make_tdoa_pins():
+    """The fixture's range-difference sets and their solves (run at the pinning commit)."""
+    pins = []
+    for x, y in itertools.product((0.6, 0.9, 1.2, 1.5, 1.8), (0.3, 0.6, 0.9, 1.2, 1.5)):
+        sigs = [bandpass(s, BAND_LO, BAND_HI)
+                for s in tone_burst_signals(np.array([x, y]), ANECHOIC_MICROPHONES)]
+        rd = estimate_rangediffs(sigs, c=SOUND_SPEED)
+        pin = {"source": [x, y], "i": rd.i.tolist(), "j": rd.j.tolist(),
+               "values": [v.hex() for v in rd.values.tolist()]}
+        est, trace = tdoa_solve(pin)
+        pin.update(status=trace.status, iterations=trace.iterations,
+                   estimate=[v.hex() for v in est.tolist()])
+        pins.append(pin)
+    return pins
+
+
 def load_pins():
     return json.loads(PINS.read_text())
 
@@ -116,5 +155,19 @@ def test_solves_match_pins():
     assert not wrong
 
 
+def test_tdoa_fixture_solves_match_pins():
+    pins = json.loads(TDOA_PINS.read_text())
+    assert len(pins) == 25
+    assert {p["status"] for p in pins} == {"converged", "max_iter"}
+    wrong = []
+    for pin in pins:
+        est, trace = tdoa_solve(pin)
+        got = (trace.status, trace.iterations, [v.hex() for v in est.tolist()])
+        if got != (pin["status"], pin["iterations"], pin["estimate"]):
+            wrong.append((pin["source"], got))
+    assert not wrong
+
+
 if __name__ == "__main__":
     PINS.write_text(json.dumps(make_pins(), indent=1) + "\n")
+    TDOA_PINS.write_text(json.dumps(make_tdoa_pins(), indent=1) + "\n")

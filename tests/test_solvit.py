@@ -9,6 +9,7 @@ from mmloc import (
     CONVERGED,
     MAX_ITER,
     SINGULAR_SYSTEM,
+    RangeDiffSet,
     SensorArray,
     SolveTrace,
     SolverConfig,
@@ -26,7 +27,8 @@ from mmloc import (
 from mmloc import solvit
 from mmloc.errors import SensorSingularityError, SingularSystemError
 from mmloc.objective import _f_pairs, _f_ranges
-from mmloc.solvit import _iterate, _prepare, _step_core, _step_core_nd
+from mmloc.scenario import oriented_rangediffs
+from mmloc.solvit import _iterate, _prepare, _step_core, _step_core_2d, _step_core_nd
 from conftest import assert_same_solve, make_instance, reference_iterate, step_outcome
 
 
@@ -245,6 +247,14 @@ def random_step_instance(rng):
     return x, ys, pairs
 
 
+def reference_solvit_solve(x0, array, rd, cfg):
+    """The shared MM loop around the planar step and the pair cost:
+    planar solvit_solve's reference."""
+    _, ys, pairs = _prepare(array, rd)
+    return reference_iterate(x0, ys, 2, cfg, lambda x: _step_core_2d(x, ys, pairs),
+                             lambda x: _f_pairs(x, ys, pairs))
+
+
 def step_matrix(x, ys, pairs):
     """The summed bound matrix, in numpy; only used to classify instances."""
     w = {k: (np.array(x) - y) / np.linalg.norm(np.array(x) - y) for k, y in enumerate(ys)}
@@ -354,21 +364,97 @@ class TestPlanarKernel:
         assert seen == seen_ref
         assert math.dist(seen[1], ys[0]) == pytest.approx(1e-6)
 
-    def test_planar_solve_calls_step_core_2d_once_per_iteration(self, monkeypatch):
-        # criterion 11 times _step_core, which sends n == 2 to _step_core_2d:
-        # the solver must call that kernel once per iteration
-        calls = []
-        kernel = solvit._step_core_2d
+    def test_random_solves_match_reference_loop(self, monkeypatch):
+        # m = 2..9 on raw coordinate arrays; one start in five exactly on a sensor
+        runs = []
+        loop = solvit._solvit_solve_2d
 
         def counted(*args):
-            calls.append(1)
-            return kernel(*args)
+            runs.append(1)
+            return loop(*args)
 
-        monkeypatch.setattr(solvit, "_step_core_2d", counted)
-        array, _, rd = make_instance(21, m=5, sigma2=0.3)
-        _, trace = solvit_solve(np.zeros(2), array, rd, SolverConfig(tol=1e-10))
-        assert trace.status == CONVERGED
-        assert len(calls) == trace.iterations > 5
+        monkeypatch.setattr(solvit, "_solvit_solve_2d", counted)
+        rng = np.random.default_rng(2026)
+        on_sensor = 0
+        statuses = set()
+        for _ in range(1500):
+            m = int(rng.integers(2, 10))
+            ys = rng.uniform(-50.0, 50.0, (m, 2))
+            diffs = rng.normal(0.0, 20.0, m * (m - 1) // 2)
+            diffs[rng.uniform(size=diffs.size) < 0.1] = 0.0
+            rd = oriented_rangediffs(diffs.tolist(), m)
+            x0 = rng.uniform(-60.0, 60.0, 2)
+            if rng.uniform() < 0.2:
+                x0 = ys[int(rng.integers(m))].copy()
+                on_sensor += 1
+            cfg = SolverConfig(tol=float(10.0 ** -rng.integers(3, 13)),
+                               max_iter=int(rng.integers(1, 60)))
+            got = solvit_solve(x0, ys, rd, cfg)
+            assert_same_solve(got, reference_solvit_solve(x0, ys, rd, cfg))
+            statuses.add(got[1].status)
+        assert len(runs) == 1500
+        assert on_sensor > 250
+        assert statuses == {CONVERGED, MAX_ITER}
+
+    # a singular 2x2 system: test_singular_solve_matches_reference_loop
+    @pytest.mark.parametrize("sensors, ranges, x0, cfg, status, iterations", [
+        # the start nudge lands on sensor 2, whose nudge lands on sensor 1:
+        # the step meets a sensor and the run stops as singular
+        ([[0.0, 0.0], [1e-6, 0.0]], [1.0, 1.0], [0.0, 0.0],
+         SolverConfig(), SINGULAR_SYSTEM, 0),
+        # zero objective at the start: exact data, start on the source
+        ([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]], [5.0, 3.0, 4.0], [4.0, 3.0],
+         SolverConfig(), CONVERGED, 0),
+        # zero objective after one update: exact data for the source
+        # (1.5, 1.25), start 5.6e-10 m from it (f = 2.8e-18, then 5.3e-19)
+        ([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0], [4.0, 3.0]],
+         [1.9525624189766635, 2.7950849718747373, 2.3048861143232218,
+          3.0516389039334255], [1.5 + 5e-10, 1.25 - 2.5e-10], SolverConfig(), CONVERGED, 1),
+        # relative-change stop on noisy ranges
+        ([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0], [4.0, 3.0]], [2.1, 2.4, 2.2, 3.0],
+         [1.0, 1.0], SolverConfig(tol=1e-6), CONVERGED, None),
+        # max_iter=1
+        ([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0], [4.0, 3.0]], [2.1, 2.4, 2.2, 3.0],
+         [1.0, 1.0], SolverConfig(max_iter=1), MAX_ITER, 1),
+    ])
+    def test_stop_branches_match_reference_loop(self, sensors, ranges, x0, cfg,
+                                                status, iterations):
+        ys, start = np.array(sensors), np.array(x0)
+        rd = rangediffs_from_ranges(np.array(ranges))
+        got = solvit_solve(start, ys, rd, cfg)
+        assert_same_solve(got, reference_solvit_solve(start, ys, rd, cfg))
+        trace = got[1]
+        assert trace.status == status
+        if iterations is not None:
+            assert trace.iterations == iterations
+        if status == CONVERGED and iterations is None:
+            assert trace.objectives[-1] > 1e-18  # stopped by tol, not zero objective
+            assert trace.iterations > 5
+
+    # the first step from (4, 4) lands exactly on sensor 4 at (2, 1.5); one
+    # ulp more on the first measurement lands it 4.4e-16 m away, inside
+    # the sensor guard but not on the sensor
+    LANDING_SENSORS = [[0.0, 0.0], [6.0, 0.0], [0.0, 5.0], [2.0, 1.5]]
+    LANDING_PAIRS = [(2, 1, 1006.6133890553983), (3, 1, 1281.4008252257877),
+                     (1, 4, 0.7920663610669413), (3, 2, 1.819557073001583),
+                     (2, 4, 1.2920020967206232), (4, 3, 0.5464865819461924)]
+
+    @pytest.mark.parametrize("ulps, distance", [(0, 0.0), (1, 4.440892098500626e-16)])
+    def test_step_landing_by_a_sensor_is_nudged(self, ulps, distance):
+        i, j, v = zip(*self.LANDING_PAIRS)
+        v = list(v)
+        for _ in range(ulps):
+            v[0] = math.nextafter(v[0], math.inf)
+        ys = np.array(self.LANDING_SENSORS)
+        rd = RangeDiffSet(np.array(i), np.array(j), np.array(v), 4)
+        x0, cfg = np.array([4.0, 4.0]), SolverConfig(tol=1e-10, max_iter=50)
+        got = solvit_solve(x0, ys, rd, cfg)
+        assert_same_solve(got, reference_solvit_solve(x0, ys, rd, cfg))
+        trace = got[1]
+        assert math.dist(trace.iterates[1], ys[3]) == distance
+        # the next step is taken from 1e-6 m off the sensor and leaves it
+        assert math.dist(trace.iterates[2], ys[3]) > 1e-6
+        assert trace.status == CONVERGED and trace.iterations > 10
 
     def test_singular_solve_matches_reference_loop(self):
         sensors = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])

@@ -23,6 +23,7 @@ from mmloc.tdoa import (
     SOUND_SPEED,
     TONE_F0,
     TONE_FS,
+    _butter_sos,
     read_signals_csv,
     read_signals_raw,
     write_signals_csv,
@@ -80,6 +81,24 @@ class TestBandpass:
         out = bandpass(rec, 100.0, 900.0)
         assert out.samples.size == 1024
         assert out.fs == 8000.0
+
+    def test_matches_a_direct_design_on_the_fixture(self):
+        from scipy import signal
+
+        sigs = tone_burst_signals(np.array([1.2, 0.9]), ANECHOIC_MICROPHONES)
+        sos = signal.butter(2, [BAND_LO, BAND_HI], btype="bandpass", fs=TONE_FS,
+                            output="sos")
+        for _ in range(2):  # the second round filters with the cached design
+            for rec in sigs:
+                out = bandpass(rec, BAND_LO, BAND_HI)
+                assert out.samples.tobytes() == signal.sosfilt(sos, rec.samples).tobytes()
+
+    def test_design_is_cached_read_only(self):
+        first = _butter_sos(TONE_FS, BAND_LO, BAND_HI)
+        assert _butter_sos(TONE_FS, BAND_LO, BAND_HI) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
 
     def test_cutoff_validation(self):
         rec = SignalRecord(np.zeros(64), fs=1000.0)
