@@ -28,8 +28,8 @@ class InitConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "grid_size", _as_count("grid_size", self.grid_size, 2))
-        if self.coord_bound is not None and not self.coord_bound > 0:
-            raise ValueError("coord_bound must be > 0")
+        if self.coord_bound is not None and not 0 < self.coord_bound < math.inf:
+            raise ValueError("coord_bound must be finite and > 0")
 
 
 def _exit_angle(center, along, across, bound: float) -> float:
@@ -80,8 +80,7 @@ def hyperbola_points(y_i, y_j, r_ij: float, l: int, coord_bound: float) -> np.nd
     yj = as_position(y_j)
     if yi.size != 2 or yj.size != 2:
         raise ValueError("hyperbola sampling is 2-D only")
-    if not (l >= 2):
-        raise ValueError("l must be >= 2")
+    l = _as_count("l", l, 2)
     if not coord_bound > 0:
         raise ValueError("coord_bound must be > 0")
     if r_ij < 0:
@@ -126,8 +125,19 @@ def _grid_fallback(coords: np.ndarray, rd: RangeDiffSet, l: int,
     axes = [np.linspace(-bound, bound, side)] * n
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=1)
+    return _best_sample(pts, coords, rd, bound)
+
+
+def _best_sample(pts: np.ndarray, coords: np.ndarray, rd: RangeDiffSet,
+                 bound: float) -> np.ndarray:
+    """The row of pts with the lowest f_rdls, which must be finite: in a
+    box too large for float arithmetic the samples or their costs overflow."""
     vals = f_rdls_many(pts, coords, rd)
-    return pts[int(np.argmin(vals))]
+    k = int(np.argmin(vals))
+    if not math.isfinite(vals[k]):
+        raise ValueError(f"coord_bound={bound!r} is too large: the cost at the "
+                         "best sample is not finite")
+    return pts[k]
 
 
 def init_point(array, rd: RangeDiffSet, cfg: InitConfig | None = None) -> np.ndarray:
@@ -164,5 +174,4 @@ def init_point(array, rd: RangeDiffSet, cfg: InitConfig | None = None) -> np.nda
         # within rounding of the separation can pass the row-wise-norm filter
         # yet be a ray for hyperbola_points' vector norm
         return _grid_fallback(coords, rd, cfg.grid_size, bound)
-    vals = f_rdls_many(pts, coords, rd)
-    return pts[int(np.argmin(vals))]
+    return _best_sample(pts, coords, rd, bound)

@@ -23,26 +23,21 @@ The per-pair accumulation is written as plain scalar loops on purpose:
 the per-iteration cost is then proportional to the number of pairs
 (O(n^2 * m_hat)), which keeps the cost model measurable at small m
 instead of being buried under vectorization overhead.  Accumulation runs
-in entry order, so traces are bit-reproducible.  The planar step
-(_step_core_2d) is an unrolled copy of the generic loop (_step_core_nd):
-the same floating-point operations in the same order, with the per-sensor
-terms computed once instead of once per pair.  It must stay bit-identical
-to the generic loop; TestPlanarKernel in tests/test_solvit.py checks this.
+in entry order, so traces are bit-reproducible.  _step_core_nd is the one
+step kernel: solvit_step and the n == 3 loop call it.
 
-For n == 2, solvit_solve runs _solvit_solve_2d: _iterate, _step_core_2d
+For n == 2, solvit_solve runs _solvit_solve_2d: _iterate, _step_core_nd
 and objective._f_pairs inlined into one frame, as sfp._sfp_solve_2d is for
 the range solver.  Each iteration makes one pass over the sensors, which
 forms the cost's distances and the next step's per-sensor terms from the
 same differences, and one pass over the pairs, which sums the cost and the
-next bound system.  It must stay bit-identical to _iterate, _step_core_2d
+next bound system.  It must stay bit-identical to _iterate, _step_core_nd
 and _f_pairs together: TestPlanarKernel in tests/test_solvit.py compares
-its traces with conftest.reference_iterate around those kernels
-(test_random_solves_match_reference_loop,
-test_stop_branches_match_reference_loop,
-test_step_landing_by_a_sensor_is_nudged), and tests/test_solve_pins.py pins
-fixed solves, the 25 TDOA fixture solves among them.  _step_core_2d stays
-the reference step: solvit_step calls it, and acceptance criterion 11 times
-it through _step_core, so the gate times the reference step, not the loop.
+its traces with conftest.reference_iterate around _step_core_nd and
+_f_pairs, one step at a time (test_step_matches_generic_loop and the four
+tests after it) and over whole solves, and tests/test_solve_pins.py pins
+fixed solves, the 25 TDOA fixture solves among them.  Acceptance
+criterion 11 times this loop per iteration.
 n == 3 runs the shared loop _iterate, which calls its step kernel and
 objective directly, with no closure or dispatcher in between.
 """
@@ -232,81 +227,12 @@ def _solve_small(A: list[list[float]], b: list[float], n: int) -> list[float]:
     return x
 
 
-def _step_core(x: list[float], ys: list[tuple[float, ...]],
-               pairs: list[tuple[int, int, float]], n: int) -> list[float]:
-    """One bound-minimization step on plain Python scalars.
+def _step_core_nd(x: list[float], ys: list[tuple[float, ...]],
+                  pairs: list[tuple[int, int, float]], n: int) -> list[float]:
+    """One bound-minimization step on plain Python scalars, for n = 2 or 3.
 
     x: current iterate; ys: sensor tuples; pairs: 0-based (i, j, r_ij).
     """
-    if n == 2:
-        return _step_core_2d(x, ys, pairs)
-    return _step_core_nd(x, ys, pairs, n)
-
-
-def _step_core_2d(x, ys, pairs) -> list[float]:
-    """_step_core_nd unrolled for n == 2, bit-identical to it.
-
-    Each sensor's distance, unit vector and w_i . y_i are formed once, with
-    the generic loop's operations, instead of once per pair that uses it.
-    """
-    x0, x1 = x
-    sens = []
-    for k, (y0, y1) in enumerate(ys):
-        d0 = x0 - y0
-        d1 = x1 - y1
-        nrm = math.sqrt(d0 * d0 + d1 * d1)
-        if nrm <= 0.0:
-            raise SensorSingularityError(k + 1)
-        w0 = d0 / nrm
-        w1 = d1 / nrm
-        # w_k . y_k, summed from 0.0 as the generic loop does
-        sens.append((y0, y1, w0, w1, nrm, 0.0 + w0 * y0 + w1 * y1))
-
-    a00 = a01 = a11 = b0 = b1 = 0.0
-    for (ii, jj, r) in pairs:
-        yi0, yi1, wi0, wi1, _, wi_yi = sens[ii]
-        yj0, yj1, wj0, wj1, rho_j, wj_yj = sens[jj]
-        s = r / rho_j
-        diag = 2.0 + s
-        a00 += diag - 2.0 * wj0 * wi0
-        a01 -= wj0 * wi1 + wi0 * wj1
-        b0 += yi0 + yj0 + r * wi0 + s * yj0 - wj0 * wi_yi - wi0 * wj_yj
-        a11 += diag - 2.0 * wj1 * wi1
-        b1 += yi1 + yj1 + r * wi1 + s * yj1 - wj1 * wi_yi - wi1 * wj_yj
-
-    # _sym_eig_range, n == 2 branch
-    half_tr = 0.5 * (a00 + a11)
-    disc2 = 0.25 * (a00 - a11) ** 2 + a01 * a01
-    if 0.0 > disc2:
-        disc2 = 0.0
-    disc = math.sqrt(disc2)
-    lam_min = half_tr - disc
-    lam_max = half_tr + disc
-    if lam_min <= 0.0 or lam_max / lam_min > _COND_LIMIT:
-        raise SingularSystemError(
-            f"step system ill-conditioned (eigenvalue range [{lam_min:.3e}, {lam_max:.3e}])"
-        )
-
-    # _solve_small: partial pivoting swaps rows only on a strictly larger pivot
-    if abs(a01) > abs(a00):
-        p0, p1, p2, q0, q1, q2 = a01, a11, b1, a00, a01, b0
-    else:
-        p0, p1, p2, q0, q1, q2 = a00, a01, b0, a01, a11, b1
-    if p0 == 0.0:
-        raise SingularSystemError("pivot vanished in the step linear system")
-    f = q0 * (1.0 / p0)
-    if f != 0.0:
-        q1 -= f * p1
-        q2 -= f * p2
-    if q1 == 0.0:
-        raise SingularSystemError("pivot vanished in the step linear system")
-    z1 = q2 / q1
-    return [(p2 - p1 * z1) / p0, z1]
-
-
-def _step_core_nd(x: list[float], ys: list[tuple[float, ...]],
-                  pairs: list[tuple[int, int, float]], n: int) -> list[float]:
-    """Generic step for any n; the reference the planar kernel must match."""
     m = len(ys)
     rho = [0.0] * m
     w = [None] * m
@@ -366,7 +292,7 @@ def solvit_step(x_k, array, rd: RangeDiffSet) -> np.ndarray:
     """Minimizer of the quadratic bound formed at x_k (one solver iteration)."""
     coords, ys, pairs = _prepare(array, rd)
     xk = as_position(x_k, coords.shape[1])
-    return np.array(_step_core(xk.tolist(), ys, pairs, coords.shape[1]))
+    return np.array(_step_core_nd(xk.tolist(), ys, pairs, coords.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +370,7 @@ def _iterate(x0, ys, n, cfg, step, objective, data):
 
 
 def _solvit_solve_2d(x0: list[float], ys, pairs, cfg: SolverConfig):
-    """_iterate with _step_core_2d and _f_pairs inlined, for n == 2.
+    """_iterate with _step_core_nd and _f_pairs inlined, for n == 2.
 
     The same floating-point operations in the same order as those three,
     so every trace is bit-identical to the shared loop's.  The cost at an
@@ -453,7 +379,7 @@ def _solvit_solve_2d(x0: list[float], ys, pairs, cfg: SolverConfig):
     math.dist bit for bit; sqrt of their squares for the step) and one
     pass over the pairs.  The system is solved only when the stop rule
     lets the loop go on.  An iterate within _SENSOR_GUARD of a sensor
-    is nudged first, and _step_core_2d forms the step at the nudged point.
+    is nudged first, and _step_core_nd forms the step at the nudged point.
     """
     # per pair: y_i + y_j, the first sum of each b term, and y_j
     prs = [(ii, jj, r, ys[ii][0] + ys[jj][0], ys[ii][1] + ys[jj][1], *ys[jj])
@@ -505,13 +431,14 @@ def _solvit_solve_2d(x0: list[float], ys, pairs, cfg: SolverConfig):
         if near:
             x0, x1 = _nudge_off_sensors([x0, x1], ys, 2)
             try:
-                x0, x1 = _step_core_2d([x0, x1], ys, pairs)
+                x0, x1 = _step_core_nd([x0, x1], ys, pairs, 2)
             except (SensorSingularityError, SingularSystemError):
                 status = SINGULAR_SYSTEM
                 break
         else:
-            # the 2x2 solve of _step_core_2d, without its clamp of the
-            # discriminant at 0: a sum of squares is never negative
+            # _sym_eig_range and _solve_small for n == 2, without the clamp
+            # of the discriminant at 0 (a sum of squares is never negative);
+            # partial pivoting swaps the rows only on a strictly larger pivot
             half_tr = 0.5 * (a00 + a11)
             disc = sqrt(0.25 * (a00 - a11) ** 2 + a01 * a01)
             lam_min = half_tr - disc

@@ -109,14 +109,6 @@ def assert_same_solve(got, ref):
     assert trace.iterations == trace_ref.iterations
 
 
-def step_outcome(step, *args):
-    """A step's result as float hex strings, or its exception class and text."""
-    try:
-        return [float(v).hex() for v in step(*args)]
-    except (SensorSingularityError, SingularSystemError) as exc:
-        return type(exc), str(exc)
-
-
 @pytest.fixture
 def square_array():
     """Unit-free 2x2 square centred at the origin."""

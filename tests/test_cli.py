@@ -139,6 +139,23 @@ class TestSolveFlow:
         assert code == 0
         assert len(out.split()) == 2
 
+    # an infinite box fails in InitConfig; a finite one too large for float
+    # arithmetic overflows the samples and fails in init_point
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bound, reason", [
+        ("inf", "coord_bound must be finite and > 0"),
+        ("1e300", "coord_bound=1e+300 is too large: the cost at the best sample is not finite"),
+    ], ids=["inf", "1e300"])
+    def test_init_rejects_a_box_too_large(self, tmp_path, capsys, zero_noise_scenario,
+                                          bound, reason):
+        scen_path, _ = zero_noise_scenario
+        rd_path = tmp_path / "rd.csv"
+        run_cli(capsys, "simulate", "--scenario", scen_path, "--out", rd_path)
+        code, out, err = run_cli(capsys, "init", "--scenario", scen_path,
+                                 "--measurements", rd_path, "--bound", bound)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: {reason}"]
+
 
 class TestCrlb:
     def test_collinear_pair_prints_inf(self, tmp_path, capsys):

@@ -91,8 +91,11 @@ class TestHyperbolaPoints:
                              coord_bound=20.0)
 
     def test_bad_args(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="l must be >= 2"):
             hyperbola_points([0.0, 0.0], [4.0, 0.0], 1.0, l=1, coord_bound=10.0)
+        for l in (2.5, 4.7, 8.0, True):
+            with pytest.raises(ValueError, match="l must be an integer"):
+                hyperbola_points([0.0, 0.0], [4.0, 0.0], 1.0, l=l, coord_bound=10.0)
         with pytest.raises(ValueError):
             hyperbola_points([0.0, 0.0], [4.0, 0.0], 1.0, l=8, coord_bound=-1.0)
         with pytest.raises(ValueError):
@@ -155,8 +158,18 @@ class TestInitPoint:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             InitConfig(grid_size=1)
-        with pytest.raises(ValueError):
-            InitConfig(coord_bound=0.0)
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="coord_bound must be finite and > 0"):
+                InitConfig(coord_bound=bad)
+
+    # the hyperbola samples (n = 2) or the grid costs (n = 3) overflow
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("bound", [1e155, 1e300])
+    def test_box_too_large_for_a_finite_cost(self, n, bound):
+        array, _, rd = make_instance(1, m=5, n=n)
+        with pytest.raises(ValueError, match="coord_bound=.* is too large"):
+            init_point(array, rd, InitConfig(coord_bound=bound, seed=0))
 
     def test_grid_size_must_be_an_integer(self):
         for bad in (2.5, 128.0, True, "128"):

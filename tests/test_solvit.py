@@ -28,8 +28,8 @@ from mmloc import solvit
 from mmloc.errors import SensorSingularityError, SingularSystemError
 from mmloc.objective import _f_pairs, _f_ranges
 from mmloc.scenario import oriented_rangediffs
-from mmloc.solvit import _iterate, _prepare, _step_core, _step_core_2d, _step_core_nd
-from conftest import assert_same_solve, make_instance, reference_iterate, step_outcome
+from mmloc.solvit import _iterate, _prepare, _solvit_solve_2d, _step_core_nd
+from conftest import assert_same_solve, make_instance, reference_iterate
 
 
 def quad_min_from_evals(g, n):
@@ -247,12 +247,26 @@ def random_step_instance(rng):
     return x, ys, pairs
 
 
-def reference_solvit_solve(x0, array, rd, cfg):
-    """The shared MM loop around the planar step and the pair cost:
-    planar solvit_solve's reference."""
-    _, ys, pairs = _prepare(array, rd)
-    return reference_iterate(x0, ys, 2, cfg, lambda x: _step_core_2d(x, ys, pairs),
+def reference_loop(x0, ys, pairs, cfg):
+    """The shared MM loop around the generic step and the pair cost: the
+    reference of the planar loop _solvit_solve_2d."""
+    return reference_iterate(x0, ys, 2, cfg, lambda x: _step_core_nd(x, ys, pairs, 2),
                              lambda x: _f_pairs(x, ys, pairs))
+
+
+def reference_solvit_solve(x0, array, rd, cfg):
+    """Planar solvit_solve's reference (see reference_loop)."""
+    _, ys, pairs = _prepare(array, rd)
+    return reference_loop(x0, ys, pairs, cfg)
+
+
+def one_step_solve(x, ys, pairs):
+    """One MM step of the planar loop, checked bit for bit against
+    reference_loop; returns the loop's trace."""
+    cfg = SolverConfig(tol=1e-12, max_iter=1)
+    got = _solvit_solve_2d(x, ys, pairs, cfg)
+    assert_same_solve(got, reference_loop(x, ys, pairs, cfg))
+    return got[1]
 
 
 def step_matrix(x, ys, pairs):
@@ -266,16 +280,14 @@ def step_matrix(x, ys, pairs):
 
 
 class TestPlanarKernel:
-    """The n == 2 kernels reproduce the generic loops bit for bit."""
+    """The planar loop reproduces the generic loop bit for bit."""
 
     def test_step_matches_generic_loop(self):
         rng = np.random.default_rng(2024)
         solved = 0
         for _ in range(1500):
             x, ys, pairs = random_step_instance(rng)
-            got = step_outcome(_step_core, x, ys, pairs, 2)
-            assert got == step_outcome(_step_core_nd, x, ys, pairs, 2)
-            solved += isinstance(got, list)
+            solved += one_step_solve(x, ys, pairs).iterations
         assert solved > 1000
 
     def test_row_swap_matches_generic_loop(self):
@@ -287,9 +299,7 @@ class TestPlanarKernel:
             A = step_matrix(x, ys, pairs)
             if not abs(A[0, 1]) > 1.01 * abs(A[0, 0]):
                 continue
-            got = step_outcome(_step_core, x, ys, pairs, 2)
-            assert got == step_outcome(_step_core_nd, x, ys, pairs, 2)
-            found += isinstance(got, list)
+            found += one_step_solve(x, ys, pairs).iterations
 
     def test_pivot_tie_keeps_row_order(self):
         # w_1 = (0, 1) and w_2 = w_3 = (1, 0) exactly, s_12 = -1, s_23 = 0, so
@@ -300,27 +310,31 @@ class TestPlanarKernel:
             x = [t0, t1]
             ys = [(t0, t1 - 1.0), (t0 - 1.0, t1), (t0 - 2.0, t1)]
             pairs = [(0, 1, -math.dist(x, ys[1])), (1, 2, 0.0)]
-            assert (step_outcome(_step_core, x, ys, pairs, 2)
-                    == step_outcome(_step_core_nd, x, ys, pairs, 2))
+            assert one_step_solve(x, ys, pairs).iterations == 1
 
     def test_ill_conditioned_raises_like_generic_loop(self):
         # collinear sensors, iterate on their line: the bound is singular
         ys = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
         pairs = [(0, 1, 0.0), (0, 2, 0.0), (1, 2, 0.0)]
         for x in ([5.0, 0.0], [-3.0, 0.0]):
-            got = step_outcome(_step_core, x, ys, pairs, 2)
-            assert got == step_outcome(_step_core_nd, x, ys, pairs, 2)
-            assert got[0] is SingularSystemError
+            with pytest.raises(SingularSystemError):
+                _step_core_nd(x, ys, pairs, 2)
+            assert one_step_solve(x, ys, pairs).status == SINGULAR_SYSTEM
 
     def test_iterate_on_sensor_raises_like_generic_loop(self):
+        # the step itself refuses an iterate on a sensor; the loop nudges
+        # such a start off the sensor first, as the reference loop does
         rng = np.random.default_rng(5)
         for _ in range(50):
             x, ys, pairs = random_step_instance(rng)
             k = int(rng.integers(len(ys)))
             on = list(ys[k])
-            got = step_outcome(_step_core, on, ys, pairs, 2)
-            assert got == step_outcome(_step_core_nd, on, ys, pairs, 2)
-            assert got[0] is SensorSingularityError
+            with pytest.raises(SensorSingularityError):
+                _step_core_nd(on, ys, pairs, 2)
+            rd = rangediffs_from_ranges(np.arange(1.0, len(ys) + 1.0))
+            with pytest.raises(SensorSingularityError):
+                solvit_step(on, np.array(ys), rd)
+            assert one_step_solve(on, ys, pairs).iterates[0].tolist() != on
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_solve_matches_reference_loop(self, n):
@@ -460,12 +474,8 @@ class TestPlanarKernel:
         sensors = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         rd = rangediffs_from_ranges(np.zeros(3))
         cfg = SolverConfig()
-        _, ys, pairs = _prepare(sensors, rd)
-        ref = reference_iterate([5.0, 0.0], ys, 2, cfg,
-                                lambda x: _step_core_nd(x, ys, pairs, 2),
-                                lambda x: _f_pairs(x, ys, pairs))
         got = solvit_solve([5.0, 0.0], sensors, rd, cfg)
-        assert_same_solve(got, ref)
+        assert_same_solve(got, reference_solvit_solve([5.0, 0.0], sensors, rd, cfg))
         assert got[1].status == SINGULAR_SYSTEM
 
 
