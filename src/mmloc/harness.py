@@ -9,6 +9,10 @@ trial's noise is drawn once as unit normals and rescaled per sweep value
 through the noise level, not the realization.  Per-trial seeding also
 makes results independent of any execution order or worker count.
 
+A sweep builds every (value, trial) measurement set, then picks every
+start (proposed ones in one initializer.init_points call, a random one per
+trial, the centroid or fixed point once) and solves in value, trial order.
+
 Failed trials (singular step systems) are excluded from the RMSE average
 and counted in the "failed" column; this policy is recorded in the
 metadata sidecar.
@@ -187,6 +191,11 @@ def _pick_x0(init: str, array, meas, seed, fixed=None):
     raise ValueError(f"init {init!r} not valid here")
 
 
+def _solve_fn(solver: str):
+    """The solver, read from its module so that a wrapper put there applies."""
+    return _solvit.solvit_solve if solver == "solvit" else _sfp.sfp_solve
+
+
 def _measurement(solver: str, ranges):
     """The measurement `solver` consumes, formed from one range per sensor."""
     return _scen.rangediffs_from_ranges(ranges) if solver == "solvit" else ranges
@@ -197,13 +206,11 @@ def solve_one(solver: str, init: str, array, meas, seed, solver_cfg, fixed=None)
     init="fixed" point) and run `solver` on `meas` from it.
 
     meas is a RangeDiffSet for solvit and the ranges for sfp.  Every solve
-    of the CLI, the traces and the sweeps goes through here; it calls the
-    solvers and the initializer through their modules, so a wrapper put on
-    a module attribute sees every call.  Returns (estimate, SolveTrace).
+    of the CLI and the traces goes through here; it calls the solvers and
+    the initializer through their modules, so a wrapper put on a module
+    attribute sees every call.  Returns (estimate, SolveTrace).
     """
-    x0 = _pick_x0(init, array, meas, seed, fixed)
-    solve = _solvit.solvit_solve if solver == "solvit" else _sfp.sfp_solve
-    return solve(x0, array, meas, solver_cfg)
+    return _solve_fn(solver)(_pick_x0(init, array, meas, seed, fixed), array, meas, solver_cfg)
 
 
 def run_trace(cfg: ExperimentConfig, out_dir=None) -> dict:
@@ -259,24 +266,33 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[RmseRow]:
         trial_states.append((rng_t.standard_normal(array.m),
                              int(rng_t.integers(2 ** 63))))
 
-    rows = []
+    # every (sweep value, trial) measurement set, value-major, then every start
+    bounds, meas = [], []
     for value in sweep:
         if by_freq:
             noise = replace(noise_t, sigma2=_sigma2_of(cfg.snr_db), f0=float(value))
         else:
             noise = replace(noise_t, sigma2=_sigma2_of(float(value)))
         std = _scen.range_noise_std(source, array, noise)
-        if cfg.solver == "solvit":
-            bound = _crlb.fisher(source, array, noise).rmse_bound
-        else:
-            bound = math.nan
+        bounds.append(_crlb.fisher(source, array, noise).rmse_bound
+                      if cfg.solver == "solvit" else math.nan)
+        meas += [_measurement(cfg.solver, d_true + eps_unit * std)
+                 for eps_unit, _ in trial_states]
+    if cfg.init == "proposed":
+        x0s = _init.init_points(array, meas, [seed for _ in sweep for _, seed in trial_states])
+    elif cfg.init == "random":  # a trial's start is shared by every sweep value
+        x0s = [_pick_x0("random", array, None, seed) for _, seed in trial_states] * len(sweep)
+    else:
+        x0s = [_pick_x0(cfg.init, array, None, None, cfg.init_point)] * len(meas)
+
+    solve = _solve_fn(cfg.solver)
+    rows = []
+    for value, bound, first in zip(sweep, bounds, range(0, len(meas), cfg.trials)):
         sqerrs = []
         failed = 0
-        for eps_unit, init_seed in trial_states:
+        for k in range(first, first + cfg.trials):
             try:
-                est, trace = solve_one(cfg.solver, cfg.init, array,
-                                       _measurement(cfg.solver, d_true + eps_unit * std),
-                                       init_seed, solver_cfg, cfg.init_point)
+                est, trace = solve(x0s[k], array, meas[k], solver_cfg)
             except LocalizationError:
                 failed += 1
                 continue

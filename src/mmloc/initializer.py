@@ -6,6 +6,10 @@ stored value ||x - y_i|| - ||x - y_j|| = r_ij is nonnegative).  One stored
 pair is chosen uniformly at random, l points are placed along that branch
 uniformly in the hyperbolic angle, clipped to a bounding box, and the
 point with the smallest range-difference cost is returned.
+
+init_points does this for many measurement sets at once (an RMSE sweep's
+trials), bit for bit as init_point on each; init_point is init_points on
+one row, and hyperbola_points and f_rdls_many share its sample and cost code.
 """
 
 from __future__ import annotations
@@ -16,8 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMeasurementError, RayMeasurementError
-from .objective import _check_rd, f_rdls_many
+from .objective import _check_rd, _rd_costs, f_rdls_many
 from .scenario import RangeDiffSet, _as_count, as_position, sensor_coords
+
+# float64s in the largest temporary of one init_points chunk (16 MB)
+_CHUNK_FLOATS = 1 << 21
+_TOO_LARGE = "coord_bound={!r} is too large: the cost at the best sample is not finite"
+
+
+def _check_bound(bound) -> None:
+    if not 0 < bound < math.inf:
+        raise ValueError("coord_bound must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -28,8 +41,8 @@ class InitConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "grid_size", _as_count("grid_size", self.grid_size, 2))
-        if self.coord_bound is not None and not 0 < self.coord_bound < math.inf:
-            raise ValueError("coord_bound must be finite and > 0")
+        if self.coord_bound is not None:
+            _check_bound(self.coord_bound)
 
 
 def _exit_angle(center, along, across, bound: float) -> float:
@@ -64,28 +77,15 @@ def _exit_angle(center, along, across, bound: float) -> float:
     return math.log(z_exit)
 
 
-def hyperbola_points(y_i, y_j, r_ij: float, l: int, coord_bound: float) -> np.ndarray:
-    """l points on the branch where ||x - y_i|| - ||x - y_j|| = r_ij (n=2 only).
+def _arc(yi, yj, foc: float, r_ij: float, bound: float):
+    """(center, u, a, b, t_lo, t_hi) of the branch ||x - y_i|| - ||x - y_j|| =
+    r_ij, on Python floats (yi, yj: float pairs; foc: ||y_j - y_i||).
 
-    Canonical form: semi-transverse a = r_ij/2, focal half-distance
-    c = ||y_i - y_j||/2, b^2 = c^2 - a^2, parameterized as
-    center + a*cosh(t)*u + b*sinh(t)*p with u the unit vector from y_i to
-    y_j and p perpendicular to it.  r_ij = 0 degenerates to the
-    perpendicular bisector.  The angle t is sampled uniformly over the
-    largest interval around the vertex (t = 0) that keeps every point
-    inside ||x||_inf <= coord_bound; its ends are the closed-form angles
-    at which the branch first leaves the box on either side (_exit_angle).
+    Canonical form: center + a*cosh(t)*u + b*sinh(t)*p with a = r_ij/2,
+    b^2 = (foc/2)^2 - a^2, u the unit vector from y_i to y_j, p = (-u_1, u_0).
+    [-t_lo, t_hi] is the largest interval around the vertex (t = 0) inside
+    ||x||_inf <= bound (_exit_angle; infinite if the box overflows floats).
     """
-    yi = as_position(y_i)
-    yj = as_position(y_j)
-    if yi.size != 2 or yj.size != 2:
-        raise ValueError("hyperbola sampling is 2-D only")
-    l = _as_count("l", l, 2)
-    if not coord_bound > 0:
-        raise ValueError("coord_bound must be > 0")
-    if r_ij < 0:
-        raise ValueError("r_ij must be >= 0")
-    foc = float(np.linalg.norm(yj - yi))
     if r_ij == foc:
         raise RayMeasurementError(
             f"range difference {r_ij} equals the focal distance; the locus is a ray"
@@ -97,23 +97,59 @@ def hyperbola_points(y_i, y_j, r_ij: float, l: int, coord_bound: float) -> np.nd
     a = r_ij / 2.0
     c = foc / 2.0
     b = math.sqrt(c * c - a * a)
-    center = (yi + yj) / 2.0
-    u = (yj - yi) / foc
-    p = np.array([-u[1], u[0]])
-    c_xy, along, across = center.tolist(), (a * u).tolist(), (b * p).tolist()
-    if max(abs(c_xy[0] + along[0]), abs(c_xy[1] + along[1])) > coord_bound:
+    center = [(yi[0] + yj[0]) / 2.0, (yi[1] + yj[1]) / 2.0]
+    u = [(yj[0] - yi[0]) / foc, (yj[1] - yi[1]) / foc]
+    along, across = [a * u[0], a * u[1]], [b * -u[1], b * u[0]]
+    if max(abs(center[0] + along[0]), abs(center[1] + along[1])) > bound:
         raise ValueError("hyperbola vertex lies outside the search box; "
                          "increase coord_bound")
-    t_lo = _exit_angle(c_xy, along, [-v for v in across], coord_bound)
-    t_hi = _exit_angle(c_xy, along, across, coord_bound)
-    # np.linspace(-t_lo, t_hi, l), same arithmetic without its call overhead
-    ts = np.arange(l, dtype=float)
-    ts *= (t_hi + t_lo) / (l - 1)
-    ts -= t_lo
-    ts[-1] = t_hi
-    return (center[None, :]
-            + a * np.cosh(ts)[:, None] * u[None, :]
-            + b * np.sinh(ts)[:, None] * p[None, :])
+    t_lo = _exit_angle(center, along, [-v for v in across], bound)
+    t_hi = _exit_angle(center, along, across, bound)
+    return center, u, a, b, t_lo, t_hi
+
+
+def _arc_samples(arcs, l: int, bound: float) -> np.ndarray:
+    """l points on each _arc, uniform in the angle: (B, l, 2), all finite."""
+    center, u, a, b, t_lo, t_hi = map(np.array, zip(*arcs))
+    p = np.stack([-u[:, 1], u[:, 0]], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ts = np.arange(l, dtype=float) * ((t_hi + t_lo) / (l - 1))[:, None]
+        ts -= t_lo[:, None]
+        ts[:, -1] = t_hi
+        pts = (center[:, None, :]
+               + (a[:, None] * np.cosh(ts))[:, :, None] * u[:, None, :]
+               + (b[:, None] * np.sinh(ts))[:, :, None] * p[:, None, :])
+    if not np.isfinite(pts).all():
+        raise ValueError(_TOO_LARGE.format(bound))
+    return pts
+
+
+def hyperbola_points(y_i, y_j, r_ij: float, l: int, coord_bound: float) -> np.ndarray:
+    """l points on the branch where ||x - y_i|| - ||x - y_j|| = r_ij (n=2 only).
+
+    Uniform in the hyperbolic angle over the largest arc around the vertex
+    inside ||x||_inf <= coord_bound (_arc); r_ij = 0 gives the bisector.
+    """
+    yi = as_position(y_i)
+    yj = as_position(y_j)
+    if yi.size != 2 or yj.size != 2:
+        raise ValueError("hyperbola sampling is 2-D only")
+    l = _as_count("l", l, 2)
+    _check_bound(coord_bound)
+    if r_ij < 0:
+        raise ValueError("r_ij must be >= 0")
+    arc = _arc(yi.tolist(), yj.tolist(), float(np.linalg.norm(yj - yi)), r_ij, coord_bound)
+    return _arc_samples([arc], l, coord_bound)[0]
+
+
+def _best_rows(pts: np.ndarray, vals: np.ndarray, bound: float) -> np.ndarray:
+    """Per row, the sample of pts (B, L, n) with the lowest cost in vals
+    (B, L), which must be finite (a box too large for floats overflows)."""
+    k = np.argmin(vals, axis=1)
+    rows = np.arange(k.size)
+    if not np.isfinite(vals[rows, k]).all():
+        raise ValueError(_TOO_LARGE.format(bound))
+    return pts[rows, k]
 
 
 def _grid_fallback(coords: np.ndarray, rd: RangeDiffSet, l: int,
@@ -125,19 +161,76 @@ def _grid_fallback(coords: np.ndarray, rd: RangeDiffSet, l: int,
     axes = [np.linspace(-bound, bound, side)] * n
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=1)
-    return _best_sample(pts, coords, rd, bound)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = f_rdls_many(pts, coords, rd)
+    return _best_rows(pts[None], vals[None], bound)[0]
 
 
-def _best_sample(pts: np.ndarray, coords: np.ndarray, rd: RangeDiffSet,
-                 bound: float) -> np.ndarray:
-    """The row of pts with the lowest f_rdls, which must be finite: in a
-    box too large for float arithmetic the samples or their costs overflow."""
-    vals = f_rdls_many(pts, coords, rd)
-    k = int(np.argmin(vals))
-    if not math.isfinite(vals[k]):
-        raise ValueError(f"coord_bound={bound!r} is too large: the cost at the "
-                         "best sample is not finite")
-    return pts[k]
+def _draw(seed, count: int, memo: dict) -> int:
+    """default_rng(seed).integers(count), kept in memo for an integer seed."""
+    if not isinstance(seed, (int, np.integer)):
+        return int(np.random.default_rng(seed).integers(count))
+    if (seed, count) not in memo:
+        memo[seed, count] = int(np.random.default_rng(seed).integers(count))
+    return memo[seed, count]
+
+
+def init_points(array, rds, seeds, cfg: InitConfig | None = None) -> np.ndarray:
+    """Starting points for many range-difference sets on one array, (B, n).
+
+    Row b is init_point(array, rds[b], InitConfig(seed=seeds[b], grid_size=
+    cfg.grid_size, coord_bound=cfg.coord_bound)) bit for bit.  The checks,
+    the pair draw and the arc run per row; rows with no usable arc (or
+    n = 3) take the grid fallback, and the others' samples, costs and argmin
+    run as one numpy pass, _CHUNK_FLOATS at a time.
+    """
+    cfg = cfg or InitConfig()
+    if len(rds) != len(seeds):
+        raise ValueError(f"{len(rds)} measurement sets for {len(seeds)} seeds")
+    coords = sensor_coords(array)
+    m, n = coords.shape
+    l = cfg.grid_size
+    bound = cfg.coord_bound
+    if bound is None:
+        bound = 2.0 * float(np.max(np.abs(coords)))
+        if bound <= 0:
+            bound = 1.0
+    out = np.empty((len(rds), n))
+    # separations as the feasibility filter takes them (row-wise norms) and
+    # focal distances as hyperbola_points takes them (vector norms)
+    sep = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2).tolist()
+    ys = coords.tolist()
+    foc, memo = {}, {}
+    rows, arcs = [], []
+    for b, (rd, seed) in enumerate(zip(rds, seeds)):
+        _check_rd(rd, m)
+        il, jl, vl = rd.i.tolist(), rd.j.tolist(), rd.values.tolist()
+        feasible = [k for k, v in enumerate(vl) if v < sep[il[k] - 1][jl[k] - 1]] if n == 2 else []
+        if feasible:
+            k = feasible[_draw(seed, len(feasible), memo)]
+            i, j = il[k] - 1, jl[k] - 1
+            if (i, j) not in foc:
+                foc[i, j] = float(np.linalg.norm(coords[j] - coords[i]))
+            try:
+                arcs.append(_arc(ys[i], ys[j], foc[i, j], vl[k], bound))
+                rows.append(b)
+                continue
+            except (ValueError, DegenerateMeasurementError):
+                # a tight user-supplied box can exclude the branch vertex; a
+                # value within rounding of the separation can pass the
+                # row-wise-norm filter yet be a ray for the vector norm
+                pass
+        out[b] = _grid_fallback(coords, rd, l, bound)
+    chunk = max(1, _CHUNK_FLOATS // (l * max(m, m * (m - 1) // 2)))  # n == 2 here
+    for s in range(0, len(rows), chunk):
+        part = [rds[b] for b in rows[s:s + chunk]]
+        pts = _arc_samples(arcs[s:s + chunk], l, bound)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = _rd_costs(pts, coords, np.stack([rd.i for rd in part]) - 1,
+                             np.stack([rd.j for rd in part]) - 1,
+                             np.stack([rd.values for rd in part]))
+        out[rows[s:s + chunk]] = _best_rows(pts, vals, bound)
+    return out
 
 
 def init_point(array, rd: RangeDiffSet, cfg: InitConfig | None = None) -> np.ndarray:
@@ -148,30 +241,7 @@ def init_point(array, rd: RangeDiffSet, cfg: InitConfig | None = None) -> np.nda
     the lowest f_rdls.  Pairs whose value is geometrically infeasible
     (>= the sensor separation, which noise can produce) are excluded from
     the draw; if none remain, or for n=3, a coarse grid over the box is
-    searched instead.
+    searched instead.  This is init_points on one row.
     """
     cfg = cfg or InitConfig()
-    coords = sensor_coords(array)
-    _check_rd(rd, coords.shape[0])
-    bound = cfg.coord_bound
-    if bound is None:
-        bound = 2.0 * float(np.max(np.abs(coords)))
-        if bound <= 0:
-            bound = 1.0
-    if coords.shape[1] != 2:
-        return _grid_fallback(coords, rd, cfg.grid_size, bound)
-    sep = np.linalg.norm(coords[rd.i - 1] - coords[rd.j - 1], axis=1)
-    feasible = np.flatnonzero(rd.values < sep)
-    if feasible.size == 0:
-        return _grid_fallback(coords, rd, cfg.grid_size, bound)
-    rng = np.random.default_rng(cfg.seed)
-    k = feasible[int(rng.integers(feasible.size))]
-    try:
-        pts = hyperbola_points(coords[rd.i[k] - 1], coords[rd.j[k] - 1],
-                               float(rd.values[k]), cfg.grid_size, bound)
-    except (ValueError, DegenerateMeasurementError):
-        # a tight user-supplied box can exclude the branch vertex; a value
-        # within rounding of the separation can pass the row-wise-norm filter
-        # yet be a ray for hyperbola_points' vector norm
-        return _grid_fallback(coords, rd, cfg.grid_size, bound)
-    return _best_sample(pts, coords, rd, bound)
+    return init_points(array, [rd], [cfg.seed], cfg)[0]

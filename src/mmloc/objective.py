@@ -85,14 +85,31 @@ def f_rls_many(X, array, ranges) -> np.ndarray:
     return np.sum((r[None, :] - D) ** 2, axis=1)
 
 
+def _rd_costs(pts, coords, i0, j0, values) -> np.ndarray:
+    """f_rdls at pts (B, L, n) for B sets given as 0-based i0, j0 and values,
+    each (B, P) -> (B, L).  Distances add the squares as np.linalg.norm
+    does; residuals lie (B, P, L), points innermost like the one-set gather
+    D[:, i], so np.sum rounds each point's sum as that formula did."""
+    B, L, n = pts.shape
+    m = coords.shape[0]
+    d = pts[:, None, :, 0] - coords[None, :, 0, None]
+    sq = d * d
+    for t in range(1, n):
+        d = pts[:, None, :, t] - coords[None, :, t, None]
+        sq += d * d
+    D = np.sqrt(sq).reshape(B * m, L)
+    first = np.arange(0, B * m, m)[:, None]  # row of each set's first sensor in D
+    res = values[:, :, None] - (D[first + i0] - D[first + j0])
+    return np.sum(res ** 2, axis=1)
+
+
 def f_rdls_many(X, array, rd: RangeDiffSet) -> np.ndarray:
     """f_rdls evaluated at each row of X, shape (B, n) -> (B,)."""
     coords = sensor_coords(array)
     pts = np.atleast_2d(np.asarray(X, dtype=float))
     _check_rd(rd, coords.shape[0])
-    D = np.linalg.norm(pts[:, None, :] - coords[None, :, :], axis=2)
-    res = rd.values[None, :] - (D[:, rd.i - 1] - D[:, rd.j - 1])
-    return np.sum(res ** 2, axis=1)
+    return _rd_costs(pts[None], coords, (rd.i - 1)[None], (rd.j - 1)[None],
+                     rd.values[None])[0]
 
 
 def grad_fd(f, x, h: float | None = None, sensors=None) -> np.ndarray:

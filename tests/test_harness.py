@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,11 @@ from mmloc import (
     write_rmse_csv,
 )
 from mmloc.cli import main
-from mmloc.harness import start_rule
+from mmloc.errors import LocalizationError
+from mmloc.harness import (_measurement, _resolve_scenario, _sigma2_of, solve_one,
+                           start_rule)
+from mmloc.scenario import range_noise_std, true_ranges
+from mmloc.solvit import SINGULAR_SYSTEM
 
 SIM1_SCENARIO = {
     "sensors": {"kind": "random", "m": 4, "lo": -10.0, "hi": 10.0},
@@ -255,6 +260,56 @@ class TestRmseSweep:
         assert rows[0].rmse == rows[1].rmse
 
 
+def per_trial_sweep(cfg):
+    """run_rmse_sweep's (sweep, rmse, failed) rows from a per-trial loop that
+    picks each start through solve_one: the reference of the batched start."""
+    scen_ss, _, trial_ss = np.random.SeedSequence(cfg.seed).spawn(3)
+    array, source, noise = _resolve_scenario(cfg.scenario, np.random.default_rng(scen_ss))
+    d_true = true_ranges(source, array)
+    states = []
+    for ss in trial_ss.spawn(cfg.trials):
+        rng = np.random.default_rng(ss)
+        states.append((rng.standard_normal(array.m), int(rng.integers(2 ** 63))))
+    rows = []
+    for value in cfg.snr_grid:
+        std = range_noise_std(source, array, replace(noise, sigma2=_sigma2_of(value)))
+        sqerrs, failed = [], 0
+        for eps, seed in states:
+            try:
+                est, trace = solve_one(cfg.solver, cfg.init, array,
+                                       _measurement(cfg.solver, d_true + eps * std), seed,
+                                       cfg.solver_config(), cfg.init_point)
+            except LocalizationError:
+                failed += 1
+                continue
+            if trace.status == SINGULAR_SYSTEM:
+                failed += 1
+                continue
+            sqerrs.append(sum(v * v for v in (est - source).tolist()))
+        rows.append((value, math.sqrt(sum(sqerrs) / len(sqerrs)) if sqerrs else math.inf,
+                     failed))
+    return rows
+
+
+class TestBatchedStart:
+    """A sweep picks its starts for the whole sweep before it solves; its
+    rows equal those of a per-trial solve_one loop, byte for byte."""
+
+    LINEAR = {"sensors": {"kind": "linear"}, "source": [-5.0, 5.0],
+              "noise": {"f0": 1000.0, "c": 340.0}}
+
+    @pytest.mark.parametrize("solver, init", [
+        ("solvit", "proposed"), ("solvit", "random"), ("solvit", "centroid"),
+        ("solvit", "fixed"), ("sfp", "centroid"), ("sfp", "random"), ("sfp", "fixed")])
+    @pytest.mark.parametrize("scenario", [SIM1_SCENARIO, LINEAR], ids=["random", "linear"])
+    def test_rows_match_per_trial_loop(self, solver, init, scenario):
+        cfg = small_config(scenario=dict(scenario), snr_grid=[-10.0, 0.0, 20.0], trials=8,
+                           solver=solver, init=init,
+                           init_point=[1.0, 2.0] if init == "fixed" else None)
+        got = [(r.sweep, r.rmse, r.trials_failed) for r in run_rmse_sweep(cfg)]
+        assert repr(got) == repr(per_trial_sweep(cfg))
+
+
 class TestOutputs:
     def test_rmse_csv_roundtrip(self, tmp_path):
         rows = [RmseRow(sweep=0.0, rmse=0.5, crlb=0.25, trials_failed=1),
@@ -282,7 +337,7 @@ class TestSolvePath:
         and the measurement builder through their modules, so a wrapper put
         on the module attribute (as the benchmark's spans do) sees every call."""
         targets = ((mmloc.solvit, "solvit_solve"), (mmloc.sfp, "sfp_solve"),
-                   (mmloc.initializer, "init_point"),
+                   (mmloc.initializer, "init_point"), (mmloc.initializer, "init_points"),
                    (mmloc.scenario, "rangediffs_from_ranges"))
         counts = {}
 
@@ -301,16 +356,19 @@ class TestSolvePath:
             return tuple(counts[name] for _, name in targets)
 
         # a sweep solves trials x sweep values; solvit builds one set per solve
-        assert calls(lambda: run_rmse_sweep(small_config(init="proposed", trials=3))) == (6, 0, 6, 6)
+        # and picks every proposed start in one batch
+        assert calls(lambda: run_rmse_sweep(small_config(init="proposed", trials=3))) == \
+            (6, 0, 0, 1, 6)
         assert calls(lambda: run_rmse_sweep(small_config(solver="sfp", init="random",
-                                                         trials=3))) == (0, 6, 0, 0)
-        # a trace solves once per initialization, on one measurement draw
+                                                         trials=3))) == (0, 6, 0, 0, 0)
+        # a trace solves once per initialization, on one measurement draw;
+        # init_point is init_points on one row
         trace_cfg = dict(snr_grid=None, freq_grid=None)
-        assert calls(lambda: run_trace(small_config(init="both", **trace_cfg))) == (2, 0, 1, 1)
+        assert calls(lambda: run_trace(small_config(init="both", **trace_cfg))) == (2, 0, 1, 1, 1)
         assert calls(lambda: run_trace(small_config(init="fixed", init_point=[1.0, 2.0],
-                                                    **trace_cfg))) == (1, 0, 0, 1)
+                                                    **trace_cfg))) == (1, 0, 0, 0, 1)
         assert calls(lambda: run_trace(small_config(solver="sfp", init="centroid",
-                                                    **trace_cfg))) == (0, 1, 0, 0)
+                                                    **trace_cfg))) == (0, 1, 0, 0, 0)
 
         scen_path = tmp_path / "scen.json"
         save_scenario(scen_path, Scenario(circular_array(5, radius=10.0), np.array([1.0, 5.0]),
@@ -321,7 +379,7 @@ class TestSolvePath:
         assert main(["simulate", "--scenario", str(scen_path), "--kind", "ranges",
                      "--out", str(r_path)]) == 0
         solve = ["solve", "--scenario", str(scen_path), "--measurements"]
-        assert calls(lambda: main(solve + [str(rd_path)])) == (1, 0, 1, 0)
-        assert calls(lambda: main(solve + [str(rd_path), "--x0", "2", "3"])) == (1, 0, 0, 0)
-        assert calls(lambda: main(solve + [str(r_path), "--solver", "sfp"])) == (0, 1, 0, 0)
+        assert calls(lambda: main(solve + [str(rd_path)])) == (1, 0, 1, 1, 0)
+        assert calls(lambda: main(solve + [str(rd_path), "--x0", "2", "3"])) == (1, 0, 0, 0, 0)
+        assert calls(lambda: main(solve + [str(r_path), "--solver", "sfp"])) == (0, 1, 0, 0, 0)
         capsys.readouterr()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mmloc.initializer
 from mmloc import (
     DegenerateMeasurementError,
     InitConfig,
@@ -12,9 +13,15 @@ from mmloc import (
     f_rdls,
     hyperbola_points,
     init_point,
+    init_points,
     rangediffs_from_ranges,
+    true_ranges,
 )
 from conftest import make_instance
+
+
+def hexes(x):
+    return [v.hex() for v in np.asarray(x, dtype=float).ravel().tolist()]
 
 
 class TestHyperbolaPoints:
@@ -101,6 +108,15 @@ class TestHyperbolaPoints:
         with pytest.raises(ValueError):
             hyperbola_points([0.0, 0.0], [4.0, 0.0], -0.5, l=8, coord_bound=10.0)
 
+    def test_box_too_large_rejected(self):
+        # an infinite or NaN box fails as InitConfig does; one too large for
+        # float arithmetic (infinite exit angle) raises instead of NaN points
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="coord_bound must be finite and > 0"):
+                hyperbola_points([0.0, 0.0], [4.0, 0.0], 1.0, l=8, coord_bound=bad)
+        with pytest.raises(ValueError, match="coord_bound=1e\\+300 is too large"):
+            hyperbola_points([0.0, 0.0], [4.0, 0.0], 1.0, l=8, coord_bound=1e300)
+
 
 class TestInitPoint:
     def test_deterministic_given_seed(self):
@@ -162,8 +178,8 @@ class TestInitPoint:
             with pytest.raises(ValueError, match="coord_bound must be finite and > 0"):
                 InitConfig(coord_bound=bad)
 
-    # the hyperbola samples (n = 2) or the grid costs (n = 3) overflow
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # the hyperbola arc (n = 2) or the grid costs (n = 3) overflow; the error
+    # comes without a RuntimeWarning first (pytest turns one into an error)
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("bound", [1e155, 1e300])
     def test_box_too_large_for_a_finite_cost(self, n, bound):
@@ -188,3 +204,127 @@ class TestInitPoint:
             if f_rdls(x0, array, rd) <= f_rdls(xr, array, rd):
                 wins += 1
         assert wins >= 15
+
+
+class TestInitPoints:
+    """init_points row b is init_point on rds[b] with seeds[b], bit for bit."""
+
+    # init_point before the batched start, float hex: (instance seed, m, n,
+    # sigma2, InitConfig fields) -> start
+    PINS = [
+        (0, 3, 2, 0.5, {}, ["-0x1.09f305e8ca4a3p+3", "-0x1.671a97b2c6cf8p+3"]),
+        (1, 5, 2, 0.5, {}, ["0x1.4c85b3ea17074p+3", "-0x1.7d8e2f6f2baf2p+2"]),
+        (2, 9, 2, 2.0, {}, ["0x1.bfb34fd0547cbp+2", "0x1.3f63a5cf1f713p+4"]),
+        (3, 5, 2, 0.0, {"coord_bound": 5.0}, ["-0x1.4000000000000p+2", "0x1.4000000000000p+2"]),
+        (4, 6, 3, 0.5, {}, ["0x0.0p+0", "0x1.35ec25c8058eap+3", "-0x1.35ec25c8058ebp+3"]),
+        (5, 4, 2, 50.0, {"grid_size": 16}, ["0x1.5b85a6b26d5dap+0", "0x1.798d014723e65p+2"]),
+    ]
+
+    @staticmethod
+    def batch(rng, array, source, trials, noise_std, shuffle=False):
+        """Noisy range-difference sets for one array; with shuffle each set
+        stores its pairs in a random order."""
+        rds = []
+        for _ in range(trials):
+            rd = rangediffs_from_ranges(true_ranges(source, array)
+                                        + noise_std * rng.standard_normal(array.m))
+            if shuffle:
+                k = rng.permutation(rd.n_pairs)
+                rd = RangeDiffSet(rd.i[k], rd.j[k], rd.values[k], rd.m)
+            rds.append(rd)
+        return rds
+
+    @staticmethod
+    def assert_rows(array, rds, seeds, **kw):
+        got = init_points(array, rds, seeds, InitConfig(**kw))
+        assert got.shape == (len(rds), array.n)
+        for rd, seed, row in zip(rds, seeds, got):
+            assert hexes(row) == hexes(init_point(array, rd, InitConfig(seed=seed, **kw)))
+        return got
+
+    def test_pinned_starts(self):
+        for seed, m, n, sigma2, kw, want in self.PINS:
+            array, _, rd = make_instance(seed, m=m, n=n, sigma2=sigma2)
+            assert hexes(init_point(array, rd, InitConfig(seed=seed, **kw))) == want
+            assert hexes(init_points(array, [rd], [seed], InitConfig(**kw))) == want
+
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["stored", "shuffled"])
+    def test_rows_match_init_point(self, shuffle):
+        # m = 3..9, low to high noise (infeasible pairs and grid fallbacks),
+        # seeds shared by several rows as in a sweep, and some tight boxes
+        rng = np.random.default_rng(11 + shuffle)
+        for m in range(3, 10):
+            array = SensorArray(rng.uniform(-50.0, 50.0, (m, 2)))
+            source = rng.uniform(-20.0, 20.0, 2)
+            rds = []
+            for noise_std in (0.0, 0.3, 3.0, 30.0):
+                rds += self.batch(rng, array, source, 6, noise_std, shuffle)
+            seeds = [int(rng.integers(2 ** 63)) for _ in range(6)] * 4
+            self.assert_rows(array, rds, seeds)
+            self.assert_rows(array, rds, seeds, coord_bound=float(rng.uniform(2.0, 30.0)),
+                             grid_size=int(rng.integers(2, 200)))
+
+    def test_fallback_rows(self, monkeypatch):
+        # no feasible pair, a vertex outside a tight box and a value one bit
+        # above the vector-norm focal distance each take the grid, among rows
+        # that do not
+        calls = []
+        fallback = mmloc.initializer._grid_fallback
+        monkeypatch.setattr(mmloc.initializer, "_grid_fallback",
+                            lambda *a: calls.append(1) or fallback(*a))
+        rng = np.random.default_rng(5)
+        for _ in range(1000):
+            pair = rng.uniform(-50.0, 50.0, (2, 2))
+            diff = pair[1] - pair[0]
+            foc = float(np.linalg.norm(diff))
+            if float(np.linalg.norm(diff[None, :], axis=1)[0]) > foc:
+                break
+        array = SensorArray(pair)
+        rds = [RangeDiffSet(np.array([1]), np.array([2]), np.array([v]), 2)
+               for v in (foc, 0.5 * foc, 2.0 * foc, 0.25 * foc)]
+        self.assert_rows(array, rds, [0, 1, 2, 3], grid_size=16)
+        assert len(calls) == 2 * 2  # the rounding edge and the infeasible pair, twice
+        calls.clear()
+        array, _, rd = make_instance(2, m=4, sigma2=1.0)
+        self.assert_rows(array, [rd, rd], [0, 1], coord_bound=0.05)
+        assert len(calls) == 2 * 2
+
+    def test_three_dimensional_batch(self, monkeypatch):
+        calls = []
+        fallback = mmloc.initializer._grid_fallback
+        monkeypatch.setattr(mmloc.initializer, "_grid_fallback",
+                            lambda *a: calls.append(1) or fallback(*a))
+        rng = np.random.default_rng(3)
+        array = SensorArray(rng.uniform(-20.0, 20.0, (6, 3)))
+        rds = self.batch(rng, array, rng.uniform(-5.0, 5.0, 3), 5, 0.5)
+        self.assert_rows(array, rds, list(range(5)), grid_size=64)
+        assert len(calls) == 2 * 5
+
+    def test_batch_larger_than_one_chunk(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        array = SensorArray(rng.uniform(-50.0, 50.0, (5, 2)))
+        rds = self.batch(rng, array, rng.uniform(-10.0, 10.0, 2), 40, 1.0)
+        seeds = list(range(40))
+        whole = init_points(array, rds, seeds)
+        # 128 samples x 10 pairs per row: 3 rows per chunk
+        monkeypatch.setattr(mmloc.initializer, "_CHUNK_FLOATS", 3 * 128 * 10)
+        sizes = []
+        samples = mmloc.initializer._arc_samples
+        monkeypatch.setattr(mmloc.initializer, "_arc_samples",
+                            lambda arcs, *a: sizes.append(len(arcs)) or samples(arcs, *a))
+        assert hexes(init_points(array, rds, seeds)) == hexes(whole)
+        assert sizes == [3] * 13 + [1]  # every row samples a hyperbola
+        self.assert_rows(array, rds, seeds)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_box_too_large_for_a_finite_cost(self, n):
+        array, _, rd = make_instance(1, m=5, n=n)
+        for bound in (1e155, 1e300):
+            with pytest.raises(ValueError, match="coord_bound=.* is too large"):
+                init_points(array, [rd, rd], [0, 1], InitConfig(coord_bound=bound))
+
+    def test_one_seed_per_set(self):
+        array, _, rd = make_instance(0, m=4)
+        with pytest.raises(ValueError, match="2 measurement sets for 1 seeds"):
+            init_points(array, [rd, rd], [0])
+        assert init_points(array, [], []).shape == (0, 2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mmloc import (
+    RangeDiffSet,
     SensorArray,
     f_rdls,
     f_rdls_many,
@@ -85,6 +86,20 @@ class TestRangeDiffObjective:
         batch = f_rdls_many(X, array, rd)
         for k in range(64):
             assert batch[k] == pytest.approx(f_rdls(X[k], array, rd), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batch_sums_pairs_in_stored_order(self, n):
+        # bit for bit the one-set numpy formula, whatever order the set
+        # stores its pairs in (numpy's pairwise sum depends on that order)
+        rng = np.random.default_rng(n)
+        for m in (4, 5, 9):
+            array, _, rd = make_instance(m, m=m, n=n, sigma2=0.5)
+            k = rng.permutation(rd.n_pairs)
+            rd = RangeDiffSet(rd.i[k], rd.j[k], rd.values[k], m)
+            X = rng.uniform(-20.0, 20.0, (33, n))
+            D = np.linalg.norm(X[:, None, :] - array.sensors[None, :, :], axis=2)
+            want = np.sum((rd.values[None, :] - (D[:, rd.i - 1] - D[:, rd.j - 1])) ** 2, axis=1)
+            assert f_rdls_many(X, array, rd).tobytes() == want.tobytes()
 
     def test_translation_invariance(self):
         array, source, rd = make_instance(9, m=4)

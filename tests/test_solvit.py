@@ -470,6 +470,20 @@ class TestPlanarKernel:
         assert math.dist(trace.iterates[2], ys[3]) > 1e-6
         assert trace.status == CONVERGED and trace.iterations > 10
 
+    def test_condition_limit_stops_like_generic_loop(self):
+        # the iterate on the sensors' line and a tiny value: the bound matrix
+        # is diag(s, 2 + s) with s = 2.5e-15, positive definite with a
+        # condition number near 8e14, so only _COND_LIMIT stops the loop
+        sensors = np.array([[0.0, 0.0], [1.0, 0.0]])
+        rd = RangeDiffSet(np.array([1]), np.array([2]), np.array([1e-14]), 2)
+        _, ys, pairs = _prepare(sensors, rd)
+        lam = np.linalg.eigvalsh(step_matrix([5.0, 0.0], ys, pairs))
+        assert 0.0 < lam[0] and 1e12 < lam[1] / lam[0] < 1e30
+        cfg = SolverConfig()
+        got = solvit_solve([5.0, 0.0], sensors, rd, cfg)
+        assert_same_solve(got, reference_solvit_solve([5.0, 0.0], sensors, rd, cfg))
+        assert got[1].status == SINGULAR_SYSTEM and got[1].iterations == 0
+
     def test_singular_solve_matches_reference_loop(self):
         sensors = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         rd = rangediffs_from_ranges(np.zeros(3))
