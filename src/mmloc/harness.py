@@ -33,6 +33,7 @@ from . import scenario as _scen
 from . import sfp as _sfp
 from . import solvit as _solvit
 from .errors import LocalizationError
+from .objective import _sum
 
 _GENERATOR_ID = "numpy default_rng (PCG64)"
 
@@ -299,8 +300,8 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[RmseRow]:
             if trace.status == _solvit.SINGULAR_SYSTEM:
                 failed += 1
                 continue
-            sqerrs.append(sum(v * v for v in (est - source).tolist()))
-        rmse = math.sqrt(sum(sqerrs) / len(sqerrs)) if sqerrs else math.inf
+            sqerrs.append(_sum(v * v for v in (est - source).tolist()))
+        rmse = math.sqrt(_sum(sqerrs) / len(sqerrs)) if sqerrs else math.inf
         rows.append(RmseRow(sweep=float(value), rmse=rmse, crlb=bound,
                             trials_failed=failed))
     return rows

@@ -4,14 +4,17 @@ f_rls(x)  = sum_i (r_i - ||x - y_i||)^2
 f_rdls(x) = sum over stored pairs of (r_ij - (||x - y_i|| - ||x - y_j||))^2
 
 Both are nonnegative, nonconvex, and non-smooth exactly at the sensor
-positions.  Scalar evaluators accumulate in entry order with plain
-floating-point sums; the *_many variants evaluate a batch of points with
-numpy and exist for grid searches and property tests.
+positions.  One distance (_dists: the sqrt of the squared coordinate
+differences added in coordinate order) and one summation order (_sum: in
+entry order) serve every cost and MM step, so the *_many variants, which
+evaluate a batch of points with numpy, equal f_rls and f_rdls bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -34,18 +37,32 @@ def _check_rd(rd: RangeDiffSet, m: int) -> None:
         raise ValueError(f"measurement set indexes {rd.m} sensors, array has {m}")
 
 
+def _sum(terms):
+    """The terms added one after another from 0.0 (rows of an array elementwise);
+    the builtin sum() of floats is compensated on Python >= 3.12."""
+    return functools.reduce(operator.add, terms, 0.0)
+
+
+def _dists(x, ys) -> list[float]:
+    """||x - y|| for each row y of ys (n = 2 or 3): the sqrt of the squared
+    coordinate differences added in coordinate order, written out per n."""
+    if len(x) == 2:
+        x0, x1 = x
+        return [math.sqrt((x0 - a) * (x0 - a) + (x1 - b) * (x1 - b)) for a, b in ys]
+    x0, x1, x2 = x
+    return [math.sqrt((x0 - a) * (x0 - a) + (x1 - b) * (x1 - b) + (x2 - c) * (x2 - c))
+            for a, b, c in ys]
+
+
 def _f_ranges(x, ys, r):
     """Range cost and the sensor distances at x, scalar arithmetic (entry order).
 
     x: position; ys: sensor coordinates (rows); r: one range per sensor.
     Returns (value, distances), so a caller can reuse the distances.
     """
-    d = [math.dist(x, y) for y in ys]
-    total = 0.0
-    for k in range(len(d)):
-        e = r[k] - d[k]
-        total += e * e
-    return total, d
+    d = _dists(x, ys)
+    e = [rk - dk for rk, dk in zip(r, d)]
+    return _sum(v * v for v in e), d
 
 
 def _f_pairs(x, ys, pairs):
@@ -53,12 +70,9 @@ def _f_pairs(x, ys, pairs):
 
     pairs: 0-based (i, j, r_ij).  Returns (value, distances).
     """
-    d = [math.dist(x, y) for y in ys]
-    total = 0.0
-    for (ii, jj, r) in pairs:
-        e = r - (d[ii] - d[jj])
-        total += e * e
-    return total, d
+    d = _dists(x, ys)
+    e = [r - (d[ii] - d[jj]) for ii, jj, r in pairs]
+    return _sum(v * v for v in e), d
 
 
 def f_rls(x, array, ranges) -> float:
@@ -81,26 +95,22 @@ def f_rls_many(X, array, ranges) -> np.ndarray:
     coords = sensor_coords(array)
     pts = np.atleast_2d(np.asarray(X, dtype=float))
     r = _check_ranges(ranges, coords.shape[0])
-    D = np.linalg.norm(pts[:, None, :] - coords[None, :, :], axis=2)
-    return np.sum((r[None, :] - D) ** 2, axis=1)
+    res = r[:, None] - np.linalg.norm(pts[None, :, :] - coords[:, None, :], axis=2)
+    return _sum(res * res)
 
 
 def _rd_costs(pts, coords, i0, j0, values) -> np.ndarray:
     """f_rdls at pts (B, L, n) for B sets given as 0-based i0, j0 and values,
-    each (B, P) -> (B, L).  Distances add the squares as np.linalg.norm
-    does; residuals lie (B, P, L), points innermost like the one-set gather
-    D[:, i], so np.sum rounds each point's sum as that formula did."""
+    each (B, P) -> (B, L).  The distances round as _dists does, and each
+    point's squared residuals are added in the set's stored pair order, as
+    _f_pairs adds them."""
     B, L, n = pts.shape
     m = coords.shape[0]
-    d = pts[:, None, :, 0] - coords[None, :, 0, None]
-    sq = d * d
-    for t in range(1, n):
-        d = pts[:, None, :, t] - coords[None, :, t, None]
-        sq += d * d
-    D = np.sqrt(sq).reshape(B * m, L)
+    diffs = (pts[:, None, :, t] - coords[None, :, t, None] for t in range(n))
+    D = np.sqrt(_sum(d * d for d in diffs)).reshape(B * m, L)
     first = np.arange(0, B * m, m)[:, None]  # row of each set's first sensor in D
     res = values[:, :, None] - (D[first + i0] - D[first + j0])
-    return np.sum(res ** 2, axis=1)
+    return _sum(np.moveaxis(res * res, 1, 0))
 
 
 def f_rdls_many(X, array, rd: RangeDiffSet) -> np.ndarray:

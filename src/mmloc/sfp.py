@@ -12,7 +12,9 @@ mean of the votes.  Descent is monotone for nonnegative r_i.
 An update is about ten flops per sensor, less than the Python calls that
 would wrap it, so for n == 2 sfp_solve runs _sfp_solve_2d: an inlined copy
 of solvit._iterate + _sfp_step_core_nd + objective._f_ranges in one frame,
-with the same floating-point operations in the same order.  It must stay
+with the same floating-point operations in the same order.  One pass over
+the sensors per iteration gives both the cost and the update, since both
+take the one norm per sensor (objective._dists' rounding).  It must stay
 bit-identical to them: TestPlanarKernel in tests/test_sfp.py compares its
 traces with conftest.reference_iterate around those two kernels, and
 tests/test_solve_pins.py pins fixed solves.  n == 3 runs the shared loop.
@@ -95,59 +97,53 @@ def _sfp_solve_2d(x0: list[float], ys, r: list[float], cfg: SolverConfig):
 
     The same floating-point operations in the same order as those three,
     so every trace is bit-identical to the shared loop's; an iteration
-    then costs its arithmetic and no call.  math.hypot of the coordinate
-    differences is math.dist bit for bit (both are CPython's vector_norm).
+    then costs its arithmetic and no call.  Each iteration makes one pass
+    over the sensors, whose norms give both the cost at x and the update
+    from x.  An iterate within _SENSOR_GUARD of a sensor is nudged first,
+    and _sfp_step_core_nd forms the update at the nudged point.
     """
     sens = [(y0, y1, rk) for (y0, y1), rk in zip(ys, r)]
     m = len(sens)
-    sqrt, hypot, guard = math.sqrt, math.hypot, _SENSOR_GUARD
+    sqrt, guard, max_iter, tol = math.sqrt, _SENSOR_GUARD, cfg.max_iter, cfg.tol
     x0, x1 = _nudge_off_sensors(x0, ys, 2)
-    f_cur, d = _f_ranges((x0, x1), ys, r)
-    near = min(d) < guard
     flat = [x0, x1]  # iterates, row after row
-    objectives = [f_cur]
+    objectives = []
     status = MAX_ITER
-    if f_cur <= _ZERO_OBJECTIVE:
-        status = CONVERGED
-    else:
-        tol = cfg.tol
-        for _ in range(cfg.max_iter):
-            if near:
-                x0, x1 = _nudge_off_sensors([x0, x1], ys, 2)
-            # the update: mean of the per-sensor range projections
-            acc0 = acc1 = 0.0
-            for y0, y1, rk in sens:
-                d0 = x0 - y0
-                d1 = x1 - y1
-                nrm = sqrt(d0 * d0 + d1 * d1)
-                if nrm <= 0.0:
-                    break
-                scale = rk / nrm
-                acc0 += y0 + scale * d0
-                acc1 += y1 + scale * d1
-            if nrm <= 0.0:  # where _sfp_step_core_nd raises SensorSingularityError
+    f_cur = math.inf  # no relative change to test at the start
+    for it in range(max_iter + 1):
+        # one sensor pass: the cost, and the mean of the range projections
+        f_next = acc0 = acc1 = 0.0
+        near = False
+        for y0, y1, rk in sens:
+            d0 = x0 - y0
+            d1 = x1 - y1
+            nrm = sqrt(d0 * d0 + d1 * d1)
+            e = rk - nrm
+            f_next += e * e
+            if nrm < guard:  # nudged before the update, which needs no terms
+                near = True
+                continue
+            scale = rk / nrm
+            acc0 += y0 + scale * d0
+            acc1 += y1 + scale * d1
+        objectives.append(f_next)
+        if f_next <= _ZERO_OBJECTIVE or abs(f_next - f_cur) / f_cur < tol:
+            status = CONVERGED
+            break
+        if it == max_iter:
+            break
+        f_cur = f_next
+        if near:
+            x0, x1 = _nudge_off_sensors([x0, x1], ys, 2)
+            try:
+                x0, x1 = _sfp_step_core_nd([x0, x1], ys, r, 2)
+            except SensorSingularityError:
                 status = SINGULAR_SYSTEM
                 break
+        else:
             x0 = acc0 / m
             x1 = acc1 / m
-            # the cost, and whether the new iterate must be nudged
-            f_next = 0.0
-            near = False
-            for y0, y1, rk in sens:
-                dk = hypot(x0 - y0, x1 - y1)
-                e = rk - dk
-                f_next += e * e
-                if dk < guard:
-                    near = True
-            flat += (x0, x1)
-            objectives.append(f_next)
-            if f_next <= _ZERO_OBJECTIVE:
-                status = CONVERGED
-                break
-            if abs(f_next - f_cur) / f_cur < tol:
-                status = CONVERGED
-                break
-            f_cur = f_next
+        flat += (x0, x1)
     trace = SolveTrace(np.array(flat).reshape(-1, 2), np.array(objectives), status,
                        len(objectives) - 1)
     return np.array([x0, x1]), trace

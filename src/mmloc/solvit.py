@@ -28,9 +28,9 @@ step kernel: solvit_step and the n == 3 loop call it.
 
 For n == 2, solvit_solve runs _solvit_solve_2d: _iterate, _step_core_nd
 and objective._f_pairs inlined into one frame, as sfp._sfp_solve_2d is for
-the range solver.  Each iteration makes one pass over the sensors, which
-forms the cost's distances and the next step's per-sensor terms from the
-same differences, and one pass over the pairs, which sums the cost and the
+the range solver.  Each iteration makes one pass over the sensors, whose
+norms (objective._dists' rounding) are both the cost's distances and the
+step's divisors, and one pass over the pairs, which sums the cost and the
 next bound system.  It must stay bit-identical to _iterate, _step_core_nd
 and _f_pairs together: TestPlanarKernel in tests/test_solvit.py compares
 its traces with conftest.reference_iterate around _step_core_nd and
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SensorSingularityError, SingularSystemError
-from .objective import _check_rd, _f_pairs
+from .objective import _check_rd, _dists, _f_pairs, _sum
 from .scenario import (RangeDiffSet, _as_count, _unit_vectors, _write_table, as_position,
                        sensor_coords)
 
@@ -305,23 +305,17 @@ def _nudge_off_sensors(x: list[float], ys, n: int) -> list[float]:
     The bounds divide by ||x - y_i||, so iterates that land on a sensor
     must be displaced; the direction is deterministic.
     """
-    m = len(ys)
-    nearest = -1
-    best = _SENSOR_GUARD
-    for k in range(m):
-        dk = math.dist(x, ys[k])
-        if dk < best:
-            best = dk
-            nearest = k
-    if nearest < 0:
+    d = _dists(x, ys)
+    nearest = min(range(len(d)), key=d.__getitem__)
+    if not d[nearest] < _SENSOR_GUARD:
         return x
-    others = [ys[k] for k in range(m) if k != nearest]
+    others = [y for k, y in enumerate(ys) if k != nearest]
     if others:
-        ctr = [sum(y[t] for y in others) / len(others) for t in range(n)]
+        ctr = [_sum(y[t] for y in others) / len(others) for t in range(n)]
     else:
         ctr = [x[t] + 1.0 if t == 0 else x[t] for t in range(n)]
     direction = [ctr[t] - x[t] for t in range(n)]
-    nrm = math.sqrt(sum(v * v for v in direction))
+    nrm = _dists(x, [ctr])[0]
     if nrm <= 0.0:
         direction = [1.0 if t == 0 else 0.0 for t in range(n)]
         nrm = 1.0
@@ -373,54 +367,53 @@ def _solvit_solve_2d(x0: list[float], ys, pairs, cfg: SolverConfig):
     """_iterate with _step_core_nd and _f_pairs inlined, for n == 2.
 
     The same floating-point operations in the same order as those three,
-    so every trace is bit-identical to the shared loop's.  The cost at an
-    iterate and the bound system formed there share one pass over the
-    sensors (math.hypot of the differences for the cost, which is
-    math.dist bit for bit; sqrt of their squares for the step) and one
-    pass over the pairs.  The system is solved only when the stop rule
-    lets the loop go on.  An iterate within _SENSOR_GUARD of a sensor
-    is nudged first, and _step_core_nd forms the step at the nudged point.
+    so every trace is bit-identical to the shared loop's.  Each iteration
+    makes one pass over the sensors, whose norms serve as the cost's
+    distances and as the step's divisors, and one pass over the pairs,
+    which adds up the cost and the next bound system in stored order.  The
+    system is solved only when the stop rule lets the loop go on.  An
+    iterate within _SENSOR_GUARD of a sensor takes the reference path:
+    _f_pairs gives its cost, and _step_core_nd the step from the nudged point.
     """
     # per pair: y_i + y_j, the first sum of each b term, and y_j
     prs = [(ii, jj, r, ys[ii][0] + ys[jj][0], ys[ii][1] + ys[jj][1], *ys[jj])
            for ii, jj, r in pairs]
-    sqrt, hypot, guard = math.sqrt, math.hypot, _SENSOR_GUARD
-    max_iter, tol = cfg.max_iter, cfg.tol
+    sqrt, guard, max_iter, tol = math.sqrt, _SENSOR_GUARD, cfg.max_iter, cfg.tol
     x0, x1 = _nudge_off_sensors(x0, ys, 2)
     flat = [x0, x1]  # iterates, row after row
     objectives = []
     status = MAX_ITER
     f_cur = math.inf  # no relative change to test at the start
     for it in range(max_iter + 1):
-        # one sensor pass: distance for the cost, and the step's terms
+        # one sensor pass: the distance, and the step's terms
         sens = []
-        near = False
         for y0, y1 in ys:
             d0 = x0 - y0
             d1 = x1 - y1
-            dk = hypot(d0, d1)
-            if dk < guard:  # nudged before the next step; no terms needed
-                near = True
-                sens.append((dk, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0))
-                continue
             nrm = sqrt(d0 * d0 + d1 * d1)
+            if nrm < guard:
+                break
             w0 = d0 / nrm
             w1 = d1 / nrm
-            sens.append((dk, w0, w1, 2.0 * w0, 2.0 * w1, nrm, 0.0 + w0 * y0 + w1 * y1))
-        # one pair pass: the cost, and the bound system for the next step
-        f_next = a00 = a01 = a11 = b0 = b1 = 0.0
-        for ii, jj, r, c0, c1, yj0, yj1 in prs:
-            di, wi0, wi1, _, _, _, wi_yi = sens[ii]
-            dj, wj0, wj1, tj0, tj1, rho_j, wj_yj = sens[jj]
-            e = r - (di - dj)
-            f_next += e * e
-            s = r / rho_j
-            diag = 2.0 + s
-            a00 += diag - tj0 * wi0
-            a01 -= wj0 * wi1 + wi0 * wj1
-            b0 += c0 + r * wi0 + s * yj0 - wj0 * wi_yi - wi0 * wj_yj
-            a11 += diag - tj1 * wi1
-            b1 += c1 + r * wi1 + s * yj1 - wj1 * wi_yi - wi1 * wj_yj
+            sens.append((nrm, w0, w1, 2.0 * w0, 2.0 * w1, 0.0 + w0 * y0 + w1 * y1))
+        near = len(sens) < len(ys)  # the pass stopped at a sensor within the guard
+        if near:
+            f_next = _f_pairs((x0, x1), ys, pairs)[0]
+        else:
+            # one pair pass: the cost, and the bound system for the next step
+            f_next = a00 = a01 = a11 = b0 = b1 = 0.0
+            for ii, jj, r, c0, c1, yj0, yj1 in prs:
+                di, wi0, wi1, _, _, wi_yi = sens[ii]
+                dj, wj0, wj1, tj0, tj1, wj_yj = sens[jj]
+                e = r - (di - dj)
+                f_next += e * e
+                s = r / dj
+                diag = 2.0 + s
+                a00 += diag - tj0 * wi0
+                a01 -= wj0 * wi1 + wi0 * wj1
+                b0 += c0 + r * wi0 + s * yj0 - wj0 * wi_yi - wi0 * wj_yj
+                a11 += diag - tj1 * wi1
+                b1 += c1 + r * wi1 + s * yj1 - wj1 * wi_yi - wi1 * wj_yj
         objectives.append(f_next)
         if f_next <= _ZERO_OBJECTIVE or abs(f_next - f_cur) / f_cur < tol:
             status = CONVERGED
