@@ -5,8 +5,8 @@ f_rdls(x) = sum over stored pairs of (r_ij - (||x - y_i|| - ||x - y_j||))^2
 
 Both are nonnegative, nonconvex, and non-smooth exactly at the sensor
 positions.  One distance (_dists: the sqrt of the squared coordinate
-differences added in coordinate order) and one summation order (_sum: in
-entry order) serve every cost and MM step, so the *_many variants, which
+differences added in coordinate order) and one summation order (entry
+order, from 0.0) serve every cost and MM step, so the *_many variants, which
 evaluate a batch of points with numpy, equal f_rls and f_rdls bit for bit.
 """
 
@@ -61,8 +61,11 @@ def _f_ranges(x, ys, r):
     Returns (value, distances), so a caller can reuse the distances.
     """
     d = _dists(x, ys)
-    e = [rk - dk for rk, dk in zip(r, d)]
-    return _sum(v * v for v in e), d
+    total = 0.0
+    for rk, dk in zip(r, d):
+        e = rk - dk
+        total += e * e
+    return total, d
 
 
 def _f_pairs(x, ys, pairs):
@@ -71,8 +74,11 @@ def _f_pairs(x, ys, pairs):
     pairs: 0-based (i, j, r_ij).  Returns (value, distances).
     """
     d = _dists(x, ys)
-    e = [r - (d[ii] - d[jj]) for ii, jj, r in pairs]
-    return _sum(v * v for v in e), d
+    total = 0.0
+    for ii, jj, r in pairs:
+        e = r - (d[ii] - d[jj])
+        total += e * e
+    return total, d
 
 
 def f_rls(x, array, ranges) -> float:

@@ -9,15 +9,17 @@ i.e. each sensor votes for the point at measured range r_i along the ray
 from itself through the current iterate, and the iterate moves to the
 mean of the votes.  Descent is monotone for nonnegative r_i.
 
-An update is about ten flops per sensor, less than the Python calls that
-would wrap it, so for n == 2 sfp_solve runs _sfp_solve_2d: an inlined copy
-of solvit._iterate + _sfp_step_core_nd + objective._f_ranges in one frame,
-with the same floating-point operations in the same order.  One pass over
-the sensors per iteration gives both the cost and the update, since both
-take the one norm per sensor (objective._dists' rounding).  It must stay
+Both solvers run the one loop solvit._mm_loop over a sweep that returns
+(f(x), x_next); see the solvit module docstring for the contract.  An
+update is about ten flops per sensor, less than the Python calls that
+would wrap it, so for n == 2 the sweep is _sfp_sweep_2d:
+_sfp_step_core_nd and objective._f_ranges unrolled into one pass over the
+sensors, whose norms give both the cost at x and the update from x, with
+the same floating-point operations in the same order.  It must stay
 bit-identical to them: TestPlanarKernel in tests/test_sfp.py compares its
 traces with conftest.reference_iterate around those two kernels, and
-tests/test_solve_pins.py pins fixed solves.  n == 3 runs the shared loop.
+tests/test_solve_pins.py pins fixed solves.  n == 3 sweeps with
+solvit._reference_sweep around the same two kernels.
 """
 
 from __future__ import annotations
@@ -29,17 +31,7 @@ import numpy as np
 from .errors import SensorSingularityError
 from .objective import _check_ranges, _f_ranges
 from .scenario import _unit_vectors, as_position, sensor_coords
-from .solvit import (
-    _SENSOR_GUARD,
-    _ZERO_OBJECTIVE,
-    CONVERGED,
-    MAX_ITER,
-    SINGULAR_SYSTEM,
-    SolverConfig,
-    SolveTrace,
-    _iterate,
-    _nudge_off_sensors,
-)
+from .solvit import _SENSOR_GUARD, SolverConfig, SolveTrace, _mm_loop, _reference_sweep
 
 
 def sfp_surrogate_many(X, x_k, array, ranges) -> np.ndarray:
@@ -92,61 +84,33 @@ def sfp_step(x_k, array, ranges) -> np.ndarray:
     return np.array(_sfp_step_core_nd(xk.tolist(), ys, r.tolist(), coords.shape[1]))
 
 
-def _sfp_solve_2d(x0: list[float], ys, r: list[float], cfg: SolverConfig):
-    """_iterate with _sfp_step_core_nd and _f_ranges inlined, for n == 2.
+def _sfp_sweep_2d(ys, r: list[float]):
+    """_reference_sweep(ys, 2, _f_ranges, _sfp_step_core_nd, r), unrolled.
 
-    The same floating-point operations in the same order as those three,
-    so every trace is bit-identical to the shared loop's; an iteration
-    then costs its arithmetic and no call.  Each iteration makes one pass
-    over the sensors, whose norms give both the cost at x and the update
-    from x.  An iterate within _SENSOR_GUARD of a sensor is nudged first,
-    and _sfp_step_core_nd forms the update at the nudged point.
+    The same floating-point operations in the same order, so every trace
+    is bit-identical; one pass over the sensors gives the cost at x and the
+    update from x.  At a sensor within the guard x_next is None.
     """
     sens = [(y0, y1, rk) for (y0, y1), rk in zip(ys, r)]
-    m = len(sens)
-    sqrt, guard, max_iter, tol = math.sqrt, _SENSOR_GUARD, cfg.max_iter, cfg.tol
-    x0, x1 = _nudge_off_sensors(x0, ys, 2)
-    flat = [x0, x1]  # iterates, row after row
-    objectives = []
-    status = MAX_ITER
-    f_cur = math.inf  # no relative change to test at the start
-    for it in range(max_iter + 1):
-        # one sensor pass: the cost, and the mean of the range projections
-        f_next = acc0 = acc1 = 0.0
+
+    def sweep(x, sens=sens, m=len(sens), sqrt=math.sqrt, guard=_SENSOR_GUARD):
+        x0, x1 = x
+        f = acc0 = acc1 = 0.0
         near = False
         for y0, y1, rk in sens:
             d0 = x0 - y0
             d1 = x1 - y1
             nrm = sqrt(d0 * d0 + d1 * d1)
             e = rk - nrm
-            f_next += e * e
+            f += e * e
             if nrm < guard:  # nudged before the update, which needs no terms
                 near = True
                 continue
             scale = rk / nrm
             acc0 += y0 + scale * d0
             acc1 += y1 + scale * d1
-        objectives.append(f_next)
-        if f_next <= _ZERO_OBJECTIVE or abs(f_next - f_cur) / f_cur < tol:
-            status = CONVERGED
-            break
-        if it == max_iter:
-            break
-        f_cur = f_next
-        if near:
-            x0, x1 = _nudge_off_sensors([x0, x1], ys, 2)
-            try:
-                x0, x1 = _sfp_step_core_nd([x0, x1], ys, r, 2)
-            except SensorSingularityError:
-                status = SINGULAR_SYSTEM
-                break
-        else:
-            x0 = acc0 / m
-            x1 = acc1 / m
-        flat += (x0, x1)
-    trace = SolveTrace(np.array(flat).reshape(-1, 2), np.array(objectives), status,
-                       len(objectives) - 1)
-    return np.array([x0, x1]), trace
+        return f, (None if near else (acc0 / m, acc1 / m))
+    return sweep
 
 
 def sfp_solve(x0, array, ranges,
@@ -163,6 +127,6 @@ def sfp_solve(x0, array, ranges,
     xs = coords.mean(axis=0) if x0 is None else as_position(x0, n)
     ys = list(map(tuple, coords.tolist()))
     rl = r.tolist()
-    if n == 2:
-        return _sfp_solve_2d(xs.tolist(), ys, rl, cfg)
-    return _iterate(xs, ys, n, cfg, _sfp_step_core_nd, _f_ranges, rl)
+    sweep = (_sfp_sweep_2d(ys, rl) if n == 2
+             else _reference_sweep(ys, n, _f_ranges, _sfp_step_core_nd, rl))
+    return _mm_loop(xs.tolist(), ys, n, cfg, sweep, _sfp_step_core_nd, rl)

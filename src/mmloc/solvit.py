@@ -24,22 +24,23 @@ the per-iteration cost is then proportional to the number of pairs
 (O(n^2 * m_hat)), which keeps the cost model measurable at small m
 instead of being buried under vectorization overhead.  Accumulation runs
 in entry order, so traces are bit-reproducible.  _step_core_nd is the one
-step kernel: solvit_step and the n == 3 loop call it.
+step kernel.
 
-For n == 2, solvit_solve runs _solvit_solve_2d: _iterate, _step_core_nd
-and objective._f_pairs inlined into one frame, as sfp._sfp_solve_2d is for
-the range solver.  Each iteration makes one pass over the sensors, whose
-norms (objective._dists' rounding) are both the cost's distances and the
-step's divisors, and one pass over the pairs, which sums the cost and the
-next bound system.  It must stay bit-identical to _iterate, _step_core_nd
-and _f_pairs together: TestPlanarKernel in tests/test_solvit.py compares
-its traces with conftest.reference_iterate around _step_core_nd and
-_f_pairs, one step at a time (test_step_matches_generic_loop and the four
-tests after it) and over whole solves, and tests/test_solve_pins.py pins
-fixed solves, the 25 TDOA fixture solves among them.  Acceptance
-criterion 11 times this loop per iteration.
-n == 3 runs the shared loop _iterate, which calls its step kernel and
-objective directly, with no closure or dispatcher in between.
+Both solvers run one loop, _mm_loop, over a sweep: one pass at x that
+returns (f(x), x_next), the cost and the MM update, or None for x_next
+where it cannot form the update (x within _SENSOR_GUARD of a sensor, or a
+singular system); the loop then nudges x and calls the reference step.
+The start nudge, the stop rule, the max_iter exit, the singular exit and
+the trace are each written once there.  n == 3 sweeps with
+_reference_sweep around _f_pairs and _step_core_nd; n == 2 with
+_solvit_sweep_2d, those two unrolled into one sensor pass, one pair pass
+and an inline 2x2 solve.  It must stay bit-identical to them:
+TestPlanarKernel in tests/test_solvit.py compares its traces with
+conftest.reference_iterate around _step_core_nd and _f_pairs, one step at
+a time (test_step_matches_generic_loop and the four tests after it) and
+over whole solves, and tests/test_solve_pins.py pins fixed solves, the 25
+TDOA fixture solves among them.  tests/test_one_loop.py checks that every
+solve runs _mm_loop.  Acceptance criterion 11 times the planar loop.
 """
 
 from __future__ import annotations
@@ -322,98 +323,23 @@ def _nudge_off_sensors(x: list[float], ys, n: int) -> list[float]:
     return [x[t] + _NUDGE_STEP * direction[t] / nrm for t in range(n)]
 
 
-def _iterate(x0, ys, n, cfg, step, objective, data):
-    """Shared MM loop: monotone descent with the three-way stopping rule.
+def _mm_loop(x0, ys, n, cfg, sweep, step, data):
+    """The MM loop of both solvers: monotone descent with the three-way stop rule.
 
-    step(x, ys, data, n) is one MM update; objective(x, ys, data) returns
-    (value, sensor distances at x), and the distances of the current
-    iterate decide whether it must be nudged off a sensor.  data holds the
-    measurements (pairs or ranges).  Both are called directly, with no
-    closure between the loop and the kernels.
+    x0 is the start as a list of floats; sweep(x) returns (f(x), x_next).
+    Where x_next is None, x is nudged off the sensor and step(x, ys, data, n)
+    forms the update; an error from it ends the run as singular_system at
+    the nudged iterate.  x_next is used only when the stop rule lets the
+    loop go on.
     """
-    x = _nudge_off_sensors(list(map(float, x0)), ys, n)
-    f_cur, d = objective(x, ys, data)
+    x = _nudge_off_sensors(x0, ys, n)
     flat = list(x)  # iterates, row after row
-    objectives = [f_cur]
-    status = MAX_ITER
-    if f_cur <= _ZERO_OBJECTIVE:
-        status = CONVERGED
-    else:
-        tol = cfg.tol
-        for _ in range(cfg.max_iter):
-            if min(d) < _SENSOR_GUARD:
-                x = _nudge_off_sensors(x, ys, n)
-            try:
-                x = step(x, ys, data, n)
-            except (SensorSingularityError, SingularSystemError):
-                status = SINGULAR_SYSTEM
-                break
-            f_next, d = objective(x, ys, data)
-            flat += x
-            objectives.append(f_next)
-            if f_next <= _ZERO_OBJECTIVE:
-                status = CONVERGED
-                break
-            if abs(f_next - f_cur) / f_cur < tol:
-                status = CONVERGED
-                break
-            f_cur = f_next
-    trace = SolveTrace(np.array(flat).reshape(-1, n), np.array(objectives), status,
-                       len(objectives) - 1)
-    return np.array(x), trace
-
-
-def _solvit_solve_2d(x0: list[float], ys, pairs, cfg: SolverConfig):
-    """_iterate with _step_core_nd and _f_pairs inlined, for n == 2.
-
-    The same floating-point operations in the same order as those three,
-    so every trace is bit-identical to the shared loop's.  Each iteration
-    makes one pass over the sensors, whose norms serve as the cost's
-    distances and as the step's divisors, and one pass over the pairs,
-    which adds up the cost and the next bound system in stored order.  The
-    system is solved only when the stop rule lets the loop go on.  An
-    iterate within _SENSOR_GUARD of a sensor takes the reference path:
-    _f_pairs gives its cost, and _step_core_nd the step from the nudged point.
-    """
-    # per pair: y_i + y_j, the first sum of each b term, and y_j
-    prs = [(ii, jj, r, ys[ii][0] + ys[jj][0], ys[ii][1] + ys[jj][1], *ys[jj])
-           for ii, jj, r in pairs]
-    sqrt, guard, max_iter, tol = math.sqrt, _SENSOR_GUARD, cfg.max_iter, cfg.tol
-    x0, x1 = _nudge_off_sensors(x0, ys, 2)
-    flat = [x0, x1]  # iterates, row after row
     objectives = []
     status = MAX_ITER
+    max_iter, tol = cfg.max_iter, cfg.tol
     f_cur = math.inf  # no relative change to test at the start
     for it in range(max_iter + 1):
-        # one sensor pass: the distance, and the step's terms
-        sens = []
-        for y0, y1 in ys:
-            d0 = x0 - y0
-            d1 = x1 - y1
-            nrm = sqrt(d0 * d0 + d1 * d1)
-            if nrm < guard:
-                break
-            w0 = d0 / nrm
-            w1 = d1 / nrm
-            sens.append((nrm, w0, w1, 2.0 * w0, 2.0 * w1, 0.0 + w0 * y0 + w1 * y1))
-        near = len(sens) < len(ys)  # the pass stopped at a sensor within the guard
-        if near:
-            f_next = _f_pairs((x0, x1), ys, pairs)[0]
-        else:
-            # one pair pass: the cost, and the bound system for the next step
-            f_next = a00 = a01 = a11 = b0 = b1 = 0.0
-            for ii, jj, r, c0, c1, yj0, yj1 in prs:
-                di, wi0, wi1, _, _, wi_yi = sens[ii]
-                dj, wj0, wj1, tj0, tj1, wj_yj = sens[jj]
-                e = r - (di - dj)
-                f_next += e * e
-                s = r / dj
-                diag = 2.0 + s
-                a00 += diag - tj0 * wi0
-                a01 -= wj0 * wi1 + wi0 * wj1
-                b0 += c0 + r * wi0 + s * yj0 - wj0 * wi_yi - wi0 * wj_yj
-                a11 += diag - tj1 * wi1
-                b1 += c1 + r * wi1 + s * yj1 - wj1 * wi_yi - wi1 * wj_yj
+        f_next, x_next = sweep(x)
         objectives.append(f_next)
         if f_next <= _ZERO_OBJECTIVE or abs(f_next - f_cur) / f_cur < tol:
             status = CONVERGED
@@ -421,40 +347,97 @@ def _solvit_solve_2d(x0: list[float], ys, pairs, cfg: SolverConfig):
         if it == max_iter:
             break
         f_cur = f_next
-        if near:
-            x0, x1 = _nudge_off_sensors([x0, x1], ys, 2)
+        if x_next is None:
+            x = _nudge_off_sensors(x, ys, n)
             try:
-                x0, x1 = _step_core_nd([x0, x1], ys, pairs, 2)
+                x_next = step(x, ys, data, n)
             except (SensorSingularityError, SingularSystemError):
                 status = SINGULAR_SYSTEM
                 break
-        else:
-            # _sym_eig_range and _solve_small for n == 2, without the clamp
-            # of the discriminant at 0 (a sum of squares is never negative);
-            # partial pivoting swaps the rows only on a strictly larger pivot
-            half_tr = 0.5 * (a00 + a11)
-            disc = sqrt(0.25 * (a00 - a11) ** 2 + a01 * a01)
-            lam_min = half_tr - disc
-            if abs(a01) > abs(a00):
-                p0, p1, p2, q0, q1, q2 = a01, a11, b1, a00, a01, b0
-            else:
-                p0, p1, p2, q0, q1, q2 = a00, a01, b0, a01, a11, b1
-            if lam_min <= 0.0 or (half_tr + disc) / lam_min > _COND_LIMIT or p0 == 0.0:
-                status = SINGULAR_SYSTEM
-                break
-            f = q0 * (1.0 / p0)
-            if f != 0.0:
-                q1 -= f * p1
-                q2 -= f * p2
-            if q1 == 0.0:
-                status = SINGULAR_SYSTEM
-                break
-            x1 = q2 / q1
-            x0 = (p2 - p1 * x1) / p0
-        flat += (x0, x1)
-    trace = SolveTrace(np.array(flat).reshape(-1, 2), np.array(objectives), status,
+        x = x_next
+        flat += x
+    trace = SolveTrace(np.array(flat).reshape(-1, n), np.array(objectives), status,
                        len(objectives) - 1)
-    return np.array([x0, x1]), trace
+    return np.array(x), trace
+
+
+def _reference_sweep(ys, n, objective, step, data):
+    """The sweep of the reference kernels: objective(x, ys, data) gives f(x)
+    and the sensor distances, and step(x, ys, data, n) the update unless a
+    distance is within _SENSOR_GUARD or the system is singular."""
+    def sweep(x):
+        f, d = objective(x, ys, data)
+        if min(d) < _SENSOR_GUARD:
+            return f, None
+        try:
+            return f, step(x, ys, data, n)
+        except SingularSystemError:
+            return f, None
+    return sweep
+
+
+def _solvit_sweep_2d(ys, pairs):
+    """_reference_sweep(ys, 2, _f_pairs, _step_core_nd, pairs), unrolled.
+
+    The same floating-point operations in the same order, so every trace is
+    bit-identical.  One pass over the sensors gives the norms that are both
+    the cost's distances and the step's divisors, one pass over the pairs
+    adds up the cost and the bound system in stored order, and the 2x2
+    system is solved inline.  At a sensor within the guard the cost comes
+    from _f_pairs and x_next is None, as for a singular system.
+    """
+    # per pair: y_i + y_j, the first sum of each b term, and y_j
+    prs = [(ii, jj, r, ys[ii][0] + ys[jj][0], ys[ii][1] + ys[jj][1], *ys[jj])
+           for ii, jj, r in pairs]
+
+    def sweep(x, ys=ys, prs=prs, sqrt=math.sqrt, guard=_SENSOR_GUARD):
+        x0, x1 = x
+        # one sensor pass: the distance, and the step's terms
+        sens = []
+        for y0, y1 in ys:
+            d0 = x0 - y0
+            d1 = x1 - y1
+            nrm = sqrt(d0 * d0 + d1 * d1)
+            if nrm < guard:
+                return _f_pairs(x, ys, pairs)[0], None
+            w0 = d0 / nrm
+            w1 = d1 / nrm
+            sens.append((nrm, w0, w1, 2.0 * w0, 2.0 * w1, 0.0 + w0 * y0 + w1 * y1))
+        # one pair pass: the cost, and the bound system for the step
+        f = a00 = a01 = a11 = b0 = b1 = 0.0
+        for ii, jj, r, c0, c1, yj0, yj1 in prs:
+            di, wi0, wi1, _, _, wi_yi = sens[ii]
+            dj, wj0, wj1, tj0, tj1, wj_yj = sens[jj]
+            e = r - (di - dj)
+            f += e * e
+            s = r / dj
+            diag = 2.0 + s
+            a00 += diag - tj0 * wi0
+            a01 -= wj0 * wi1 + wi0 * wj1
+            b0 += c0 + r * wi0 + s * yj0 - wj0 * wi_yi - wi0 * wj_yj
+            a11 += diag - tj1 * wi1
+            b1 += c1 + r * wi1 + s * yj1 - wj1 * wi_yi - wi1 * wj_yj
+        # _sym_eig_range and _solve_small for n == 2, without the clamp of
+        # the discriminant at 0 (a sum of squares is never negative); partial
+        # pivoting swaps the rows only on a strictly larger pivot
+        half_tr = 0.5 * (a00 + a11)
+        disc = sqrt(0.25 * (a00 - a11) ** 2 + a01 * a01)
+        lam_min = half_tr - disc
+        if abs(a01) > abs(a00):
+            p0, p1, p2, q0, q1, q2 = a01, a11, b1, a00, a01, b0
+        else:
+            p0, p1, p2, q0, q1, q2 = a00, a01, b0, a01, a11, b1
+        if lam_min <= 0.0 or (half_tr + disc) / lam_min > _COND_LIMIT or p0 == 0.0:
+            return f, None
+        k = q0 * (1.0 / p0)
+        if k != 0.0:
+            q1 -= k * p1
+            q2 -= k * p2
+        if q1 == 0.0:
+            return f, None
+        x1 = q2 / q1
+        return f, ((p2 - p1 * x1) / p0, x1)
+    return sweep
 
 
 def solvit_solve(x0, array, rd: RangeDiffSet,
@@ -473,7 +456,6 @@ def solvit_solve(x0, array, rd: RangeDiffSet,
     cfg = cfg or SolverConfig()
     coords, ys, pairs = _prepare(array, rd)
     n = coords.shape[1]
-    xs = as_position(x0, n)
-    if n == 2:
-        return _solvit_solve_2d(xs.tolist(), ys, pairs, cfg)
-    return _iterate(xs, ys, n, cfg, _step_core_nd, _f_pairs, pairs)
+    sweep = (_solvit_sweep_2d(ys, pairs) if n == 2
+             else _reference_sweep(ys, n, _f_pairs, _step_core_nd, pairs))
+    return _mm_loop(as_position(x0, n).tolist(), ys, n, cfg, sweep, _step_core_nd, pairs)

@@ -28,7 +28,7 @@ from mmloc import solvit
 from mmloc.errors import SensorSingularityError, SingularSystemError
 from mmloc.objective import _f_pairs, _f_ranges
 from mmloc.scenario import oriented_rangediffs
-from mmloc.solvit import _iterate, _prepare, _solvit_solve_2d, _step_core_nd
+from mmloc.solvit import _mm_loop, _prepare, _solvit_sweep_2d, _step_core_nd
 from conftest import assert_same_solve, make_instance, reference_iterate
 
 
@@ -207,7 +207,8 @@ class TestSolve:
         assert trace.iterations == trace.objectives.size - 1
 
     def test_singular_step_reports_last_good_iterate(self):
-        # drive the shared loop with a stepper that dies on iteration 2
+        # drive the loop with a sweep that never forms the update and a
+        # stepper that dies on iteration 2
         calls = {"k": 0}
 
         def stepper(x, ys, data, n):
@@ -220,12 +221,37 @@ class TestSolve:
             return 1.0 + x[0], [math.dist(x, y) for y in ys]
 
         ys = [(0.0, 0.0), (5.0, 0.0)]
-        x, trace = _iterate(np.array([1.0, 1.0]), ys, 2,
+        x, trace = _mm_loop([1.0, 1.0], ys, 2,
                             SolverConfig(tol=1e-12, max_iter=50),
-                            stepper, objective, None)
+                            lambda x: (objective(x, ys, None)[0], None), stepper, None)
         assert trace.status == SINGULAR_SYSTEM
         np.testing.assert_allclose(x, [2.0, 1.0])
         assert trace.iterates.shape[0] == 2
+
+    @pytest.mark.parametrize("values, max_iter, status", [
+        ([4.0, 3.0, 2.0, 1.0], 3, MAX_ITER),  # the last allowed iteration
+        ([4.0, 3.0, 3.0], 50, CONVERGED),     # the stop rule fires
+    ])
+    def test_sweep_without_update_at_the_stop_never_steps(self, values, max_iter, status):
+        # the sweep cannot form the update at the iterate where the run ends:
+        # the loop must stop there without calling the step
+        seen = []
+
+        def sweep(x):
+            seen.append(list(x))
+            k = len(seen) - 1
+            return values[k], (None if k == len(values) - 1 else [x[0] + 1.0, x[1]])
+
+        def stepper(*_):
+            raise AssertionError("the step was called")
+
+        x, trace = _mm_loop([1.0, 1.0], [(0.0, 0.0), (5.0, 0.0)], 2,
+                            SolverConfig(tol=1e-12, max_iter=max_iter),
+                            sweep, stepper, None)
+        assert trace.status == status
+        assert trace.objectives.tolist() == values
+        assert trace.iterates.tolist() == seen
+        assert x.tolist() == seen[-1]
 
 
 def random_step_instance(rng):
@@ -248,8 +274,8 @@ def random_step_instance(rng):
 
 
 def reference_loop(x0, ys, pairs, cfg):
-    """The shared MM loop around the generic step and the pair cost: the
-    reference of the planar loop _solvit_solve_2d."""
+    """The reference MM loop around the generic step and the pair cost: the
+    reference of _mm_loop over _solvit_sweep_2d."""
     return reference_iterate(x0, ys, 2, cfg, lambda x: _step_core_nd(x, ys, pairs, 2),
                              lambda x: _f_pairs(x, ys, pairs))
 
@@ -264,7 +290,7 @@ def one_step_solve(x, ys, pairs):
     """One MM step of the planar loop, checked bit for bit against
     reference_loop; returns the loop's trace."""
     cfg = SolverConfig(tol=1e-12, max_iter=1)
-    got = _solvit_solve_2d(x, ys, pairs, cfg)
+    got = _mm_loop(x, ys, 2, cfg, _solvit_sweep_2d(ys, pairs), _step_core_nd, pairs)
     assert_same_solve(got, reference_loop(x, ys, pairs, cfg))
     return got[1]
 
@@ -370,7 +396,8 @@ class TestPlanarKernel:
             return stepper, seen
 
         stepper, seen = make_stepper()
-        got = _iterate([2.0, 1.0], ys, 2, cfg, stepper, _f_ranges, r)
+        got = _mm_loop([2.0, 1.0], ys, 2, cfg, lambda x: (_f_ranges(x, ys, r)[0], None),
+                       stepper, r)
         stepper, seen_ref = make_stepper()
         ref = reference_iterate([2.0, 1.0], ys, 2, cfg, stepper,
                                 lambda x: _f_ranges(x, ys, r))
@@ -381,13 +408,13 @@ class TestPlanarKernel:
     def test_random_solves_match_reference_loop(self, monkeypatch):
         # m = 2..9 on raw coordinate arrays; one start in five exactly on a sensor
         runs = []
-        loop = solvit._solvit_solve_2d
+        loop = solvit._mm_loop
 
         def counted(*args):
             runs.append(1)
             return loop(*args)
 
-        monkeypatch.setattr(solvit, "_solvit_solve_2d", counted)
+        monkeypatch.setattr(solvit, "_mm_loop", counted)
         rng = np.random.default_rng(2026)
         on_sensor = 0
         statuses = set()
