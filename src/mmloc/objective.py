@@ -26,7 +26,7 @@ def _check_ranges(ranges, m: int) -> np.ndarray:
     r = np.asarray(ranges, dtype=float).reshape(-1)
     if r.size != m:
         raise ValueError(f"{r.size} ranges for {m} sensors")
-    if not np.all(np.isfinite(r)):
+    if not all(map(math.isfinite, r.tolist())):
         raise ValueError("ranges must be finite")
     return r
 

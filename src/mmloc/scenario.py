@@ -28,11 +28,11 @@ COINCIDENT_TOL = 1e-12
 
 
 def as_position(x, n: int | None = None) -> np.ndarray:
-    """Validate and return a position as a float vector of length 2 or 3."""
+    """x as a flat float vector, a view when x is one, once it has 2 or 3 (or n) finite values."""
     p = np.asarray(x, dtype=float).reshape(-1)
     if p.size not in (2, 3):
         raise ValueError(f"position must have 2 or 3 coordinates, got {p.size}")
-    if not np.all(np.isfinite(p)):
+    if not all(map(math.isfinite, p.tolist())):
         raise ValueError("position coordinates must be finite")
     if n is not None and p.size != n:
         raise ValueError(f"position has dimension {p.size}, expected {n}")
@@ -131,7 +131,9 @@ class RangeDiffSet:
 
     Entry k states ||x - y_i[k]|| - ||x - y_j[k]|| ~= values[k] with
     values[k] >= 0; the (i, j) orientation encodes the sign.  Indices are
-    1-based.  Every unordered sensor pair appears exactly once.
+    1-based.  Checks, in order: equal 1-D shapes, an integer m >= 2, m(m-1)/2
+    entries, integer-typed indices (not bool or float), each in 1..m, i != j,
+    each unordered pair once, finite values >= 0.  Stores read-only copies.
     """
 
     i: np.ndarray        # (m_hat,) int, 1-based
@@ -140,9 +142,8 @@ class RangeDiffSet:
     m: int               # number of sensors
 
     def __post_init__(self):
-        ii = np.asarray(self.i, dtype=int)
-        jj = np.asarray(self.j, dtype=int)
-        vv = np.asarray(self.values, dtype=float)
+        ii, jj = np.array(self.i), np.array(self.j)
+        vv = np.array(self.values, dtype=float)
         if not (ii.shape == jj.shape == vv.shape) or ii.ndim != 1:
             raise ValueError("i, j, values must be 1-D arrays of equal length")
         m = _as_int("m", self.m)
@@ -151,6 +152,9 @@ class RangeDiffSet:
         expected = m * (m - 1) // 2
         if ii.size != expected:
             raise ValueError(f"expected {expected} entries for m={m}, got {ii.size}")
+        if ii.dtype.kind not in "iu" or jj.dtype.kind not in "iu":
+            raise ValueError(f"pair indices must be integers, got {ii.dtype} and {jj.dtype}")
+        ii, jj = ii.astype(int, copy=False), jj.astype(int, copy=False)
         # checked on Python scalars: at m <= 10 a numpy call per check costs
         # more than the check itself
         il, jl, vl = ii.tolist(), jj.tolist(), vv.tolist()
@@ -166,7 +170,6 @@ class RangeDiffSet:
         if min(vl) < 0:
             raise ValueError("stored range differences must be >= 0 (flip i,j instead)")
         for name, arr in (("i", ii), ("j", jj), ("values", vv)):
-            arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "m", m)
@@ -176,9 +179,8 @@ class RangeDiffSet:
         return self.values.size
 
     def entries(self):
-        """Yield (i, j, value) tuples with plain Python scalars."""
-        for a, b, v in zip(self.i, self.j, self.values):
-            yield int(a), int(b), float(v)
+        """An iterator of (i, j, value) tuples of plain Python scalars, in stored order."""
+        return zip(self.i.tolist(), self.j.tolist(), self.values.tolist())
 
 
 @dataclass(frozen=True)
@@ -341,7 +343,7 @@ def oriented_rangediffs(diffs, m: int) -> RangeDiffSet:
             ii.append(i); jj.append(j); vv.append(v)
         else:
             ii.append(j); jj.append(i); vv.append(-v)
-    return RangeDiffSet(np.array(ii), np.array(jj), np.array(vv), m)
+    return RangeDiffSet(ii, jj, vv, m)
 
 
 def rangediffs_from_ranges(ranges) -> RangeDiffSet:
@@ -464,4 +466,4 @@ def read_rangediffs_csv(path) -> RangeDiffSet:
     if not ii:
         raise ValueError("empty range-difference CSV")
     m = max(max(ii), max(jj))
-    return RangeDiffSet(np.array(ii), np.array(jj), np.array(vv), m)
+    return RangeDiffSet(ii, jj, vv, m)

@@ -84,7 +84,8 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveTrace:
-    """Iterate/objective history of one solver run."""
+    """Iterate/objective history of one solver run.  Checks one objective per iterate,
+    a known status and iterations == len(objectives) - 1; stores read-only copies."""
 
     iterates: np.ndarray    # (k+1, n)
     objectives: np.ndarray  # (k+1,)
@@ -92,18 +93,17 @@ class SolveTrace:
     iterations: int
 
     def __post_init__(self):
-        it = np.asarray(self.iterates, dtype=float)
-        ob = np.asarray(self.objectives, dtype=float)
+        it = np.array(self.iterates, dtype=float)
+        ob = np.array(self.objectives, dtype=float)
         if it.ndim != 2 or ob.ndim != 1 or it.shape[0] != ob.size:
             raise ValueError("iterates and objectives lengths disagree")
         if self.status not in (CONVERGED, MAX_ITER, SINGULAR_SYSTEM):
             raise ValueError(f"unknown status {self.status!r}")
         if self.iterations != ob.size - 1:
             raise ValueError("iterations must equal len(objectives) - 1")
-        it = it.copy(); it.setflags(write=False)
-        ob = ob.copy(); ob.setflags(write=False)
-        object.__setattr__(self, "iterates", it)
-        object.__setattr__(self, "objectives", ob)
+        for name, arr in (("iterates", it), ("objectives", ob)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -285,7 +285,7 @@ def _prepare(array, rd: RangeDiffSet):
     coords = sensor_coords(array)
     _check_rd(rd, coords.shape[0])
     ys = list(map(tuple, coords.tolist()))
-    pairs = list(zip((rd.i - 1).tolist(), (rd.j - 1).tolist(), rd.values.tolist()))
+    pairs = [(i - 1, j - 1, v) for i, j, v in rd.entries()]
     return coords, ys, pairs
 
 
@@ -301,15 +301,13 @@ def solvit_step(x_k, array, rd: RangeDiffSet) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _nudge_off_sensors(x: list[float], ys, n: int) -> list[float]:
-    """Move x 1e-6 m toward the centroid of the other sensors if it sits on one.
-
-    The bounds divide by ||x - y_i||, so iterates that land on a sensor
-    must be displaced; the direction is deterministic.
-    """
+    """x, or if it lies within _SENSOR_GUARD of a sensor (the bounds divide by
+    ||x - y_i||), x moved 1e-6 m toward the centroid of the other sensors; the
+    nearest sensor is looked up only then.  The direction is deterministic."""
     d = _dists(x, ys)
-    nearest = min(range(len(d)), key=d.__getitem__)
-    if not d[nearest] < _SENSOR_GUARD:
+    if not min(d) < _SENSOR_GUARD:
         return x
+    nearest = d.index(min(d))
     others = [y for k, y in enumerate(ys) if k != nearest]
     if others:
         ctr = [_sum(y[t] for y in others) / len(others) for t in range(n)]
@@ -356,7 +354,7 @@ def _mm_loop(x0, ys, n, cfg, sweep, step, data):
                 break
         x = x_next
         flat += x
-    trace = SolveTrace(np.array(flat).reshape(-1, n), np.array(objectives), status,
+    trace = SolveTrace(np.array(flat, dtype=float).reshape(-1, n), objectives, status,
                        len(objectives) - 1)
     return np.array(x), trace
 

@@ -291,6 +291,43 @@ class TestRangeDiffSet:
             np.testing.assert_array_equal(stored, given)
         assert list(rd.entries()) == [(1, 2, 0.5), (1, 3, -0.0), (3, 2, 2.0)]
 
+    @pytest.mark.parametrize("i, j", [
+        (np.array([1.9, 1.0, 2.0]), np.array([2, 3, 3])),      # fractional: not read as 1
+        (np.array([1.0, 1.0, 2.0]), np.array([2.0, 3.0, 3.0])),  # float-integer values
+        ([1, 1, 2], [2.0, 3, 3]),                               # one float in a list
+        (np.array([True, True, False]), np.array([2, 3, 3])),   # True is not index 1
+        ([True, True, False], [2, 3, 3]),                      # a list of bools too
+    ])
+    def test_rejects_non_integer_indices(self, i, j):
+        with pytest.raises(ValueError, match="pair indices must be integers"):
+            RangeDiffSet(i, j, np.array([0.1, 0.2, 0.3]), 3)
+
+    def test_accepts_every_integer_type_and_stores_int(self):
+        for dtype in (np.int8, np.int32, np.uint16, np.int64):
+            rd = RangeDiffSet(np.array([1, 1, 2], dtype=dtype), np.array([2, 3, 3], dtype=dtype),
+                              [0.1, 0.2, 0.3], 3)
+            assert rd.i.dtype == rd.j.dtype == np.dtype(int)
+            assert list(rd.entries()) == [(1, 2, 0.1), (1, 3, 0.2), (2, 3, 0.3)]
+
+    @pytest.mark.parametrize("as_array", [True, False])
+    def test_stored_fields_survive_mutating_the_inputs(self, as_array):
+        i, j, v = [1, 1, 3], [2, 3, 2], [0.5, 0.25, 2.0]
+        if as_array:
+            i, j, v = np.array(i), np.array(j), np.array(v)
+        rd = RangeDiffSet(i, j, v, 3)
+        i[0], j[0], v[0] = 2, 1, 9.0
+        assert list(rd.entries()) == [(1, 2, 0.5), (1, 3, 0.25), (3, 2, 2.0)]
+        for stored in (rd.i, rd.j, rd.values):
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError):
+                stored[0] = 1
+
+    def test_rangediffs_from_ranges_does_not_alias_its_input(self):
+        r = np.array([5.0, 3.0, 4.0])
+        rd = rangediffs_from_ranges(r)
+        r[:] = 0.0
+        assert list(rd.entries()) == [(1, 2, 2.0), (1, 3, 1.0), (3, 2, 1.0)]
+
 
 class TestFileIO:
     def test_ranges_csv_roundtrip(self, tmp_path):

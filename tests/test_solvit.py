@@ -18,6 +18,7 @@ from mmloc import (
     grad_fd,
     init_point,
     rangediffs_from_ranges,
+    sfp_solve,
     solvit_solve,
     solvit_step,
     surrogate_g,
@@ -29,7 +30,7 @@ from mmloc.errors import SensorSingularityError, SingularSystemError
 from mmloc.objective import _f_pairs, _f_ranges
 from mmloc.scenario import oriented_rangediffs
 from mmloc.solvit import _mm_loop, _prepare, _solvit_sweep_2d, _step_core_nd
-from conftest import assert_same_solve, make_instance, reference_iterate
+from conftest import assert_same_solve, make_instance, make_range_instance, reference_iterate
 
 
 def quad_min_from_evals(g, n):
@@ -541,6 +542,35 @@ class TestConfigAndTrace:
             SolveTrace(np.zeros((2, 2)), np.zeros(2), "bogus", 1)
         with pytest.raises(ValueError):
             SolveTrace(np.zeros((2, 2)), np.zeros(2), MAX_ITER, 5)
+
+    def test_trace_keeps_read_only_copies(self):
+        it, ob = np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([5.0, 4.0])
+        lists = ([[0.0, 1.0], [2.0, 3.0]], [5.0, 4.0])
+        for trace, given in ((SolveTrace(it, ob, CONVERGED, 1), (it, ob)),
+                             (SolveTrace(*lists, CONVERGED, 1), lists)):
+            given[0][0][0], given[1][0] = -7.0, -7.0
+            np.testing.assert_array_equal(trace.iterates, [[0.0, 1.0], [2.0, 3.0]])
+            np.testing.assert_array_equal(trace.objectives, [5.0, 4.0])
+            for stored in (trace.iterates, trace.objectives):
+                assert stored.dtype == float and not stored.flags.writeable
+                assert not any(isinstance(g, np.ndarray) and np.shares_memory(stored, g)
+                               for g in given)
+
+    @pytest.mark.parametrize("solver", ["solvit", "sfp"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_estimate_is_not_a_view_of_the_trace(self, solver, n):
+        for case, cfg in enumerate((SolverConfig(), SolverConfig(max_iter=1))):
+            if solver == "solvit":
+                array, _, meas = make_instance(70 + case, m=5, n=n, sigma2=0.2)
+                solve = solvit_solve
+            else:
+                array, _, meas = make_range_instance(70 + case, m=5, n=n, noise_std=0.2)
+                solve = sfp_solve
+            est, trace = solve(np.full(n, 1.5), array, meas, cfg)
+            assert not np.shares_memory(est, trace.iterates)
+            np.testing.assert_array_equal(est, trace.iterates[-1])
+            est[0] += 1.0  # the caller owns the estimate
+            assert trace.iterates[-1][0] != est[0]
 
     def test_trace_csv_format(self, tmp_path):
         array, _, rd = make_instance(18, m=4, sigma2=0.2)
