@@ -9,13 +9,14 @@ trial's noise is drawn once as unit normals and rescaled per sweep value
 through the noise level, not the realization.  Per-trial seeding also
 makes results independent of any execution order or worker count.
 
-A sweep builds every (value, trial) measurement set, then picks every
-start (proposed ones in one initializer.init_points call, a random one per
-trial, the centroid or fixed point once) and solves in value, trial order.
+A sweep builds every (value, trial) measurement set, picks every start
+(proposed ones in one initializer.init_points call, a random one per trial,
+the centroid or fixed point once), solves them in value, trial order keeping
+each trial's estimate and status, then forms one row per sweep value.
 
 Failed trials (singular step systems) are excluded from the RMSE average
 and counted in the "failed" column; this policy is recorded in the
-metadata sidecar.
+metadata sidecar.  A solver exception is not a failed trial: it propagates.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from . import initializer as _init
 from . import scenario as _scen
 from . import sfp as _sfp
 from . import solvit as _solvit
-from .errors import LocalizationError
 from .objective import _sum
 
 _GENERATOR_ID = "numpy default_rng (PCG64)"
@@ -69,7 +69,8 @@ class ExperimentConfig:
         the noise keys NoiseModel's; every key is checked on construction.
     snr_grid / freq_grid: exactly one non-empty for RMSE sweeps.  A
         frequency sweep holds the SNR at snr_db.  Infinite SNR entries
-        mean zero noise.
+        mean zero noise.  Every grid value, snr_db and init_point are
+        checked on construction by the rules the runs apply.
     init: proposed | random | fixed | centroid | both ("both" only for
         traces; "fixed" requires init_point; see start_rule for sfp).
     tol / max_iter: default to and are checked by SolverConfig.
@@ -100,8 +101,14 @@ class ExperimentConfig:
             raise ValueError("init=fixed requires init_point")
         if not isinstance(self.scenario, dict) or not self.scenario:
             raise ValueError("scenario spec must be a non-empty object")
-        # builds the scenario once and discards it, so a bad key fails now
-        _resolve_scenario(self.scenario, np.random.default_rng(0))
+        # builds the scenario and each run's noise once and discards them, so a
+        # bad key or value fails now; +inf SNR is zero noise
+        array, _, noise = _resolve_scenario(self.scenario, np.random.default_rng(0))
+        for value in self.snr_grid or self.freq_grid or ():
+            _sweep_noise(self, noise, value)
+        _sigma2_of(self.snr_db)
+        if self.init_point is not None:
+            _scen.as_position(self.init_point, array.n)
 
     def solver_config(self) -> _solvit.SolverConfig:
         return _solvit.SolverConfig(tol=self.tol, max_iter=self.max_iter)
@@ -174,6 +181,14 @@ def _sigma2_of(snr_db: float) -> float:
     if math.isinf(snr_db) and snr_db > 0:
         return 0.0
     return _scen.snr_to_sigma2(snr_db)
+
+
+def _sweep_noise(cfg, noise_t, value) -> _scen.NoiseModel:
+    """The noise of one sweep value: an SNR [dB], or a source frequency [Hz]
+    heard at cfg.snr_db; NoiseModel and _sigma2_of check the value."""
+    if cfg.freq_grid:
+        return replace(noise_t, sigma2=_sigma2_of(cfg.snr_db), f0=float(value))
+    return replace(noise_t, sigma2=_sigma2_of(float(value)))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +267,6 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[RmseRow]:
     if bool(cfg.snr_grid) == bool(cfg.freq_grid):
         raise ValueError("exactly one of snr_grid / freq_grid must be non-empty")
     sweep = list(cfg.snr_grid or cfg.freq_grid)
-    by_freq = cfg.freq_grid is not None and len(cfg.freq_grid) > 0
 
     master = np.random.SeedSequence(cfg.seed)
     scen_ss, _meas_ss, trial_ss = master.spawn(3)
@@ -270,10 +284,7 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[RmseRow]:
     # every (sweep value, trial) measurement set, value-major, then every start
     bounds, meas = [], []
     for value in sweep:
-        if by_freq:
-            noise = replace(noise_t, sigma2=_sigma2_of(cfg.snr_db), f0=float(value))
-        else:
-            noise = replace(noise_t, sigma2=_sigma2_of(float(value)))
+        noise = _sweep_noise(cfg, noise_t, value)
         std = _scen.range_noise_std(source, array, noise)
         bounds.append(_crlb.fisher(source, array, noise).rmse_bound
                       if cfg.solver == "solvit" else math.nan)
@@ -286,24 +297,19 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[RmseRow]:
     else:
         x0s = [_pick_x0(cfg.init, array, None, None, cfg.init_point)] * len(meas)
 
+    # the solve stage: every (start, measurement set) pair, value-major
     solve = _solve_fn(cfg.solver)
+    outcomes = [(est, trace.status) for est, trace in
+                (solve(x0, array, mk, solver_cfg) for x0, mk in zip(x0s, meas))]
+    # the row stage: each value's slice of trials; a singular solve is a failed trial
     rows = []
-    for value, bound, first in zip(sweep, bounds, range(0, len(meas), cfg.trials)):
-        sqerrs = []
-        failed = 0
-        for k in range(first, first + cfg.trials):
-            try:
-                est, trace = solve(x0s[k], array, meas[k], solver_cfg)
-            except LocalizationError:
-                failed += 1
-                continue
-            if trace.status == _solvit.SINGULAR_SYSTEM:
-                failed += 1
-                continue
-            sqerrs.append(_sum(v * v for v in (est - source).tolist()))
+    for value, bound, first in zip(sweep, bounds, range(0, len(outcomes), cfg.trials)):
+        sqerrs = [_sum(v * v for v in (est - source).tolist())
+                  for est, status in outcomes[first:first + cfg.trials]
+                  if status != _solvit.SINGULAR_SYSTEM]
         rmse = math.sqrt(_sum(sqerrs) / len(sqerrs)) if sqerrs else math.inf
         rows.append(RmseRow(sweep=float(value), rmse=rmse, crlb=bound,
-                            trials_failed=failed))
+                            trials_failed=cfg.trials - len(sqerrs)))
     return rows
 
 

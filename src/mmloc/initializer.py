@@ -136,7 +136,7 @@ def hyperbola_points(y_i, y_j, r_ij: float, l: int, coord_bound: float) -> np.nd
         raise ValueError("hyperbola sampling is 2-D only")
     l = _as_count("l", l, 2)
     _check_bound(coord_bound)
-    if r_ij < 0:
+    if not r_ij >= 0:  # NaN too
         raise ValueError("r_ij must be >= 0")
     arc = _arc(yi.tolist(), yj.tolist(), float(np.linalg.norm(yj - yi)), r_ij, coord_bound)
     return _arc_samples([arc], l, coord_bound)[0]

@@ -14,6 +14,7 @@ generator, which is what output metadata records.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -347,12 +348,13 @@ def oriented_rangediffs(diffs, m: int) -> RangeDiffSet:
 
 
 def rangediffs_from_ranges(ranges) -> RangeDiffSet:
-    """Pairwise differences r_i - r_j for i < j, oriented as oriented_rangediffs stores them."""
+    """Pairwise differences r_i - r_j for i < j, in unordered_pairs order (which
+    itertools.combinations follows), oriented as oriented_rangediffs stores them."""
     r = np.asarray(ranges, dtype=float).reshape(-1).tolist()
     m = len(r)
     if m < 2:
         raise ValueError("need at least 2 ranges")
-    return oriented_rangediffs([r[i - 1] - r[j - 1] for (i, j) in unordered_pairs(m)], m)
+    return oriented_rangediffs([a - b for a, b in itertools.combinations(r, 2)], m)
 
 
 def noisy_rangediffs(x, array, noise: NoiseModel, seed=None) -> RangeDiffSet:

@@ -16,7 +16,8 @@ from mmloc import (
 )
 from mmloc import cli
 from mmloc.cli import main
-from mmloc.tdoa import ANECHOIC_MICROPHONES, TONE_FS, tone_burst_signals, write_signals_csv
+from mmloc.tdoa import (ANECHOIC_MICROPHONES, TONE_FS, tone_burst_signals, write_signals_csv,
+                        write_signals_raw)
 
 
 @pytest.fixture
@@ -195,6 +196,20 @@ class TestTdoa:
         assert "6 pairs" in out
         assert out_path.exists()
 
+
+    def test_raw_signals_give_the_csv_result(self, tmp_path, capsys):
+        sigs = tone_burst_signals(np.array([1.0, 0.5]), ANECHOIC_MICROPHONES)
+        write_signals_csv(tmp_path / "sig.csv", sigs)
+        write_signals_raw(tmp_path / "sig.f64", sigs, sidecar=tmp_path / "side.json")
+        band = ("--band", "150", "350")
+        code, _, _ = run_cli(capsys, "tdoa", "--signals", tmp_path / "sig.csv", *band,
+                             "--out", tmp_path / "csv.rd")
+        assert code == 0
+        code, out, _ = run_cli(capsys, "tdoa", "--signals", tmp_path / "sig.f64", "--raw",
+                               "--sidecar", tmp_path / "side.json", *band,
+                               "--out", tmp_path / "raw.rd")
+        assert code == 0 and "6 pairs from 4 channels" in out
+        assert (tmp_path / "raw.rd").read_bytes() == (tmp_path / "csv.rd").read_bytes()
 
     def test_nonfinite_sample_fails_without_output(self, tmp_path, capsys):
         sigs = tone_burst_signals(np.array([1.0, 0.5]), ANECHOIC_MICROPHONES)

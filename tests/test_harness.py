@@ -130,6 +130,26 @@ class TestConfig:
             "unexpected keyword argument 'fs_factr'"),
         "unknown key in the scenario file": ("scenario file", lambda d: d.update(sede=4),
                                              "unknown scenario fields: ['sede']"),
+        "NaN snr_db": ("config", lambda d: d.update(snr_db=math.nan), "snr_db must be finite"),
+        "-inf SNR in the grid": ("config", lambda d: d.update(snr_grid=[0.0, -math.inf]),
+                                 "snr_db must be finite"),
+        "NaN SNR in the grid": ("config", lambda d: d.update(snr_grid=[math.nan]),
+                                "snr_db must be finite"),
+        "non-numeric grid entry": ("config", lambda d: d.update(snr_grid=[0.0, "ten"]),
+                                   "could not convert string to float: 'ten'"),
+        "zero frequency": ("config", lambda d: d.update(snr_grid=None, freq_grid=[500.0, 0.0]),
+                           "f0 must be finite and > 0"),
+        "negative frequency": ("config", lambda d: d.update(snr_grid=None, freq_grid=[-500.0]),
+                               "f0 must be finite and > 0"),
+        "NaN snr_db of a frequency sweep": ("config", lambda d: d.update(
+            snr_grid=None, freq_grid=[500.0], snr_db=math.nan), "snr_db must be finite"),
+        "init_point of the wrong dimension": ("config", lambda d: d.update(
+            init="fixed", init_point=[1.0, 2.0, 3.0]), "position has dimension 3, expected 2"),
+        "non-finite init_point": ("config", lambda d: d.update(init_point=[1.0, math.inf]),
+                                  "position coordinates must be finite"),
+        "non-numeric init_point": ("config", lambda d: d.update(init="fixed",
+                                                                init_point=["one", 2.0]),
+                                   "could not convert string to float: 'one'"),
     }
 
     @pytest.mark.parametrize("case", LOUD_CASES)
@@ -308,6 +328,62 @@ class TestBatchedStart:
                            init_point=[1.0, 2.0] if init == "fixed" else None)
         got = [(r.sweep, r.rmse, r.trials_failed) for r in run_rmse_sweep(cfg)]
         assert repr(got) == repr(per_trial_sweep(cfg))
+
+
+class TestFailedTrials:
+    """A trial whose solve ends singular_system is counted in `failed` and
+    left out of the RMSE; a value whose every trial fails reads rmse=inf."""
+
+    TRIALS = 4
+    FAILED = ({1, 3}, {0, 1, 2, 3}, set())  # per sweep value, the failed trials
+
+    @pytest.mark.parametrize("solver, init, module, name", [
+        ("solvit", "proposed", mmloc.solvit, "solvit_solve"),
+        ("sfp", "random", mmloc.sfp, "sfp_solve")])
+    def test_failed_trials_are_counted_and_left_out(self, tmp_path, capsys, monkeypatch,
+                                                     solver, init, module, name):
+        solve = getattr(module, name)
+        estimates = []
+
+        def failing(*args):
+            # sweeps solve value-major, trial-minor
+            est, trace = solve(*args)
+            value, trial = divmod(len(estimates), self.TRIALS)
+            estimates.append(est)
+            if trial in self.FAILED[value]:
+                trace = replace(trace, status=SINGULAR_SYSTEM)
+            return est, trace
+
+        monkeypatch.setattr(module, name, failing)
+        cfg = small_config(solver=solver, init=init, snr_grid=[0.0, 10.0, 20.0],
+                           trials=self.TRIALS)
+        rows = run_rmse_sweep(cfg)
+        assert len(estimates) == 3 * self.TRIALS
+        source = np.array(SIM1_SCENARIO["source"])
+        for value, (row, failed) in enumerate(zip(rows, self.FAILED)):
+            assert row.trials_failed == len(failed)
+            total, kept = 0.0, 0
+            for trial in range(self.TRIALS):
+                if trial not in failed:
+                    sqerr = 0.0
+                    for v in (estimates[value * self.TRIALS + trial] - source).tolist():
+                        sqerr += v * v
+                    total += sqerr
+                    kept += 1
+            assert row.rmse == (math.sqrt(total / kept) if kept else math.inf)
+        assert rows[1].rmse == math.inf and rows[1].trials_failed == self.TRIALS
+
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "rmse.csv"
+        cfg.to_json(cfg_path)
+        estimates.clear()
+        assert main(["bench", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = out.read_text().splitlines()
+        assert lines[0] == "sweep,rmse,crlb,failed"
+        assert [line.split(",")[3] for line in lines[1:]] == ["2", "4", "0"]
+        assert lines[2].split(",")[1] == "inf"
+        assert [(r.rmse, r.trials_failed) for r in read_rmse_csv(out)] == \
+            [(r.rmse, r.trials_failed) for r in rows]
 
 
 class TestOutputs:

@@ -1,5 +1,7 @@
 """Hyperbola-sampling starting-point selection."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,13 @@ class TestHyperbolaPoints:
             hyperbola_points([0.0, 0.0], [4.0, 0.0], 1.0, l=8, coord_bound=-1.0)
         with pytest.raises(ValueError):
             hyperbola_points([0.0, 0.0], [4.0, 0.0], -0.5, l=8, coord_bound=10.0)
+
+    def test_nan_difference_named(self):
+        # NaN is not >= 0, and is named as such; inf is beyond any focal distance
+        with pytest.raises(ValueError, match="r_ij must be >= 0"):
+            hyperbola_points([0.0, 0.0], [4.0, 0.0], math.nan, l=8, coord_bound=10.0)
+        with pytest.raises(DegenerateMeasurementError):
+            hyperbola_points([0.0, 0.0], [4.0, 0.0], math.inf, l=8, coord_bound=10.0)
 
     def test_box_too_large_rejected(self):
         # an infinite or NaN box fails as InitConfig does; one too large for

@@ -59,6 +59,17 @@ class TestRangeObjective:
             with pytest.raises(ValueError, match="finite"):
                 f_rls_many(np.zeros((3, 2)), y, np.array([bad, 1.0]))
 
+    def test_raw_sensor_arrays(self):
+        # a 1-D raw array is one sensor; other shapes and values are rejected
+        assert f_rls([0.0, 0.0], np.array([3.0, 4.0]), [2.0]) == 9.0
+        for coords, message in ((np.zeros((2, 2, 2)), "must have shape"),
+                                (np.zeros((2, 4)), "must have shape"),
+                                (np.zeros((0, 2)), "need at least one sensor"),
+                                (np.array([[0.0, math.nan]]), "sensor coordinates must be finite"),
+                                (np.array([[math.inf, 0.0]]), "sensor coordinates must be finite")):
+            with pytest.raises(ValueError, match=message):
+                f_rls([0.0, 0.0], coords, np.ones(len(coords)))
+
     def test_batch_matches_scalar(self):
         array, _, r = make_range_instance(3, m=5, noise_std=0.1)
         rng = np.random.default_rng(7)

@@ -29,6 +29,7 @@ from mmloc import (
     write_rangediffs_csv,
     write_ranges_csv,
 )
+from mmloc.scenario import oriented_rangediffs
 
 
 class TestSensorArray:
@@ -215,6 +216,16 @@ class TestMeasurements:
         rd = rangediffs_from_ranges(np.array([4.0, 4.0]))
         entries = list(rd.entries())
         assert entries == [(1, 2, 0.0)]
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_rangediffs_from_ranges_follows_unordered_pairs(self, m):
+        rng = np.random.default_rng(m)
+        r = rng.uniform(0.0, 20.0, m)
+        r[m // 2] = r[0]  # a tie
+        rd = rangediffs_from_ranges(r)
+        ref = oriented_rangediffs([r[i - 1] - r[j - 1] for i, j in unordered_pairs(m)], m)
+        for name in ("i", "j", "values"):
+            assert getattr(rd, name).tobytes() == getattr(ref, name).tobytes()
 
     def test_noisy_rangediffs_noiseless_matches_truth(self):
         arr = circular_array(4, radius=10.0)

@@ -254,3 +254,15 @@ class TestPlanarKernel:
         assert trace.status == CONVERGED and trace.objectives[-1] == 0.0
         with pytest.raises(SensorSingularityError):
             sfp_step(trace.iterates[1], ys, r)
+
+    def test_three_dimensional_update_landing_on_a_sensor(self):
+        # zero ranges make the first update the sensors' mean, sensor 3 itself;
+        # _reference_sweep then leaves the update to the loop, whose nudge has
+        # no direction toward the other sensors' centroid (sensor 3 again)
+        ys = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        r, x0, cfg = np.zeros(3), np.array([0.3, 0.4, 0.5]), SolverConfig()
+        got = sfp_solve(x0, ys, r, cfg)
+        assert_same_solve(got, reference_sfp_solve(x0, ys, r, cfg))
+        trace = got[1]
+        assert trace.iterates.tolist()[:2] == [[0.3, 0.4, 0.5], [0.0, 0.0, 0.0]]
+        assert trace.status == CONVERGED

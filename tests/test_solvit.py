@@ -520,6 +520,33 @@ class TestPlanarKernel:
         assert_same_solve(got, reference_solvit_solve([5.0, 0.0], sensors, rd, cfg))
         assert got[1].status == SINGULAR_SYSTEM
 
+    def test_three_dimensional_singular_solve_matches_reference_loop(self):
+        # collinear sensors, every difference 0 and a start on their line:
+        # the bound matrix is diag(0, 2m_hat, 2m_hat), so _reference_sweep
+        # finds the system singular and the loop's own step stops the run
+        sensors = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        rd = rangediffs_from_ranges(np.zeros(3))
+        cfg = SolverConfig()
+        got = solvit_solve([5.0, 0.0, 0.0], sensors, rd, cfg)
+        _, ys, pairs = _prepare(sensors, rd)
+        ref = reference_iterate([5.0, 0.0, 0.0], ys, 3, cfg,
+                                lambda x: _step_core_nd(x, ys, pairs, 3),
+                                lambda x: _f_pairs(x, ys, pairs))
+        assert_same_solve(got, ref)
+        assert got[1].status == SINGULAR_SYSTEM and got[1].iterations == 0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_nudge_off_a_sensor_at_the_centroid_of_the_others(self, n):
+        # the centroid of the other sensors is x itself, so no direction
+        # points at it: the nudge goes along the first axis
+        ys = [(-1.0,) + (0.0,) * (n - 1), (1.0,) + (0.0,) * (n - 1), (0.0,) * n]
+        assert solvit._nudge_off_sensors([0.0] * n, ys, n) == [1e-6] + [0.0] * (n - 1)
+
+    def test_eigenvalue_range_of_a_diagonal_3x3(self):
+        A = [[3.0, 0.0, 0.0], [0.0, -1.5, 0.0], [0.0, 0.0, 2.0]]
+        lam = np.linalg.eigvalsh(np.array(A))
+        assert solvit._sym_eig_range(A, 3) == (lam[0], lam[-1]) == (-1.5, 3.0)
+
 
 class TestConfigAndTrace:
     def test_config_validation(self):

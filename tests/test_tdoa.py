@@ -133,6 +133,13 @@ class TestXcorrDelay:
         got = xcorr_delay(SignalRecord(a, fs), SignalRecord(b, fs))
         assert got == pytest.approx(15.0 / fs, abs=1e-15)
 
+    def test_shorter_second_signal_padded(self):
+        fs = 1000.0
+        a = np.zeros(140); a[25] = 1.0
+        b = np.zeros(100); b[10] = 1.0
+        got = xcorr_delay(SignalRecord(a, fs), SignalRecord(b, fs))
+        assert got == pytest.approx(-15.0 / fs, abs=1e-15)
+
     def test_fs_mismatch(self):
         with pytest.raises(ValueError):
             xcorr_delay(SignalRecord(np.zeros(8), 100.0),
