@@ -52,13 +52,13 @@ def _cmd_solve(args):
     meas = read(args.measurements)
     if args.x0 is not None:
         init = "fixed"
-    est, trace = _harness.solve_one(args.solver, init, scen.array, meas, args.seed, cfg,
-                                    fixed=args.x0)
+    est, outcome = _harness.solve_one(args.solver, init, scen.array, meas, args.seed, cfg,
+                                      fixed=args.x0, trace=args.trace is not None)
     if args.trace is not None:
-        _solvit.write_trace_csv(args.trace, trace)
+        _solvit.write_trace_csv(args.trace, outcome.trace)
     print(_fmt_point(est))
-    print(f"status={trace.status} iterations={trace.iterations} "
-          f"objective={float(trace.objectives[-1])!r}", file=sys.stderr)
+    print(f"status={outcome.status} iterations={outcome.iterations} "
+          f"objective={outcome.objective!r}", file=sys.stderr)
 
 
 def _cmd_init(args):

@@ -12,7 +12,8 @@ makes results independent of any execution order or worker count.
 A sweep builds every (value, trial) measurement set, picks every start
 (proposed ones in one initializer.init_points call, a random one per trial,
 the centroid or fixed point once), solves them in value, trial order keeping
-each trial's estimate and status, then forms one row per sweep value.
+each trial's estimate and SolveOutcome (no trace), then forms one row per
+sweep value.
 
 Failed trials (singular step systems) are excluded from the RMSE average
 and counted in the "failed" column; this policy is recorded in the
@@ -177,7 +178,16 @@ def _resolve_scenario(spec: dict, rng):
     return array, source, noise
 
 
-def _sigma2_of(snr_db: float) -> float:
+def _as_real(value) -> float:
+    """A config number as a float.  float() would also read a string ("10")
+    or a bool (true as 1), which a JSON config does not mean as a number."""
+    if isinstance(value, (str, bool)):
+        raise TypeError(f"must be real number, not {type(value).__name__}")
+    return float(value)
+
+
+def _sigma2_of(snr_db) -> float:
+    snr_db = _as_real(snr_db)
     if math.isinf(snr_db) and snr_db > 0:
         return 0.0
     return _scen.snr_to_sigma2(snr_db)
@@ -185,10 +195,10 @@ def _sigma2_of(snr_db: float) -> float:
 
 def _sweep_noise(cfg, noise_t, value) -> _scen.NoiseModel:
     """The noise of one sweep value: an SNR [dB], or a source frequency [Hz]
-    heard at cfg.snr_db; NoiseModel and _sigma2_of check the value."""
+    heard at cfg.snr_db; _as_real, NoiseModel and _sigma2_of check the value."""
     if cfg.freq_grid:
-        return replace(noise_t, sigma2=_sigma2_of(cfg.snr_db), f0=float(value))
-    return replace(noise_t, sigma2=_sigma2_of(float(value)))
+        return replace(noise_t, sigma2=_sigma2_of(cfg.snr_db), f0=_as_real(value))
+    return replace(noise_t, sigma2=_sigma2_of(value))
 
 
 # ---------------------------------------------------------------------------
@@ -217,20 +227,24 @@ def _measurement(solver: str, ranges):
     return _scen.rangediffs_from_ranges(ranges) if solver == "solvit" else ranges
 
 
-def solve_one(solver: str, init: str, array, meas, seed, solver_cfg, fixed=None):
+def solve_one(solver: str, init: str, array, meas, seed, solver_cfg, fixed=None, *,
+              trace=False):
     """Pick the starting point `init` (seeded by `seed`; `fixed` is the
     init="fixed" point) and run `solver` on `meas` from it.
 
     meas is a RangeDiffSet for solvit and the ranges for sfp.  Every solve
     of the CLI and the traces goes through here; it calls the solvers and
     the initializer through their modules, so a wrapper put on a module
-    attribute sees every call.  Returns (estimate, SolveTrace).
+    attribute sees every call.  Returns (estimate, SolveOutcome); the
+    outcome carries the SolveTrace only when trace is set.
     """
-    return _solve_fn(solver)(_pick_x0(init, array, meas, seed, fixed), array, meas, solver_cfg)
+    return _solve_fn(solver)(_pick_x0(init, array, meas, seed, fixed), array, meas, solver_cfg,
+                             trace=trace)
 
 
 def run_trace(cfg: ExperimentConfig, out_dir=None) -> dict:
-    """One solve per requested initialization, with full iterate traces.
+    """One solve per requested initialization, each asked for its full
+    iterate trace.
 
     Noise level comes from cfg.snr_db.  Returns {init_name: (estimate,
     SolveTrace)}; with out_dir set, each trace is also written to
@@ -249,11 +263,11 @@ def run_trace(cfg: ExperimentConfig, out_dir=None) -> dict:
     meas = _measurement(cfg.solver, ranges)
     results = {}
     for name, init_seed in zip(init_names, init_seeds):
-        est, trace = solve_one(cfg.solver, name, array, meas, init_seed, solver_cfg,
-                               cfg.init_point)
-        results[name] = (est, trace)
+        est, outcome = solve_one(cfg.solver, name, array, meas, init_seed, solver_cfg,
+                                 cfg.init_point, trace=True)
+        results[name] = (est, outcome.trace)
         if out_dir is not None:
-            _solvit.write_trace_csv(os.path.join(out_dir, f"trace_{name}.csv"), trace)
+            _solvit.write_trace_csv(os.path.join(out_dir, f"trace_{name}.csv"), outcome.trace)
     return results
 
 
@@ -297,16 +311,15 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[RmseRow]:
     else:
         x0s = [_pick_x0(cfg.init, array, None, None, cfg.init_point)] * len(meas)
 
-    # the solve stage: every (start, measurement set) pair, value-major
+    # the solve stage: every (start, measurement set) pair, value-major, untraced
     solve = _solve_fn(cfg.solver)
-    outcomes = [(est, trace.status) for est, trace in
-                (solve(x0, array, mk, solver_cfg) for x0, mk in zip(x0s, meas))]
+    outcomes = [solve(x0, array, mk, solver_cfg) for x0, mk in zip(x0s, meas)]
     # the row stage: each value's slice of trials; a singular solve is a failed trial
     rows = []
     for value, bound, first in zip(sweep, bounds, range(0, len(outcomes), cfg.trials)):
         sqerrs = [_sum(v * v for v in (est - source).tolist())
-                  for est, status in outcomes[first:first + cfg.trials]
-                  if status != _solvit.SINGULAR_SYSTEM]
+                  for est, outcome in outcomes[first:first + cfg.trials]
+                  if outcome.status != _solvit.SINGULAR_SYSTEM]
         rmse = math.sqrt(_sum(sqerrs) / len(sqerrs)) if sqerrs else math.inf
         rows.append(RmseRow(sweep=float(value), rmse=rmse, crlb=bound,
                             trials_failed=cfg.trials - len(sqerrs)))

@@ -10,7 +10,8 @@ from itself through the current iterate, and the iterate moves to the
 mean of the votes.  Descent is monotone for nonnegative r_i.
 
 Both solvers run the one loop solvit._mm_loop over a sweep that returns
-(f(x), x_next); see the solvit module docstring for the contract.  An
+(f(x), x_next), and return its SolveOutcome, with the iterate history only
+when trace is set; see the solvit module docstring for the contract.  An
 update is about ten flops per sensor, less than the Python calls that
 would wrap it, so for n == 2 the sweep is _sfp_sweep_2d:
 _sfp_step_core_nd and objective._f_ranges unrolled into one pass over the
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import SensorSingularityError
 from .objective import _check_ranges, _f_ranges
 from .scenario import _unit_vectors, as_position, sensor_coords
-from .solvit import _SENSOR_GUARD, SolverConfig, SolveTrace, _mm_loop, _reference_sweep
+from .solvit import _SENSOR_GUARD, SolveOutcome, SolverConfig, _mm_loop, _reference_sweep
 
 
 def sfp_surrogate_many(X, x_k, array, ranges) -> np.ndarray:
@@ -113,12 +114,12 @@ def _sfp_sweep_2d(ys, r: list[float]):
     return sweep
 
 
-def sfp_solve(x0, array, ranges,
-              cfg: SolverConfig | None = None) -> tuple[np.ndarray, SolveTrace]:
+def sfp_solve(x0, array, ranges, cfg: SolverConfig | None = None, *,
+              trace: bool = False) -> tuple[np.ndarray, SolveOutcome]:
     """Iterate sfp_step until the shared stopping rule fires.
 
     x0 defaults to the sensor centroid.  Same sensor-coincidence guard,
-    stopping rule, and trace format as the range-difference solver.
+    stopping rule, outcome and trace format as the range-difference solver.
     """
     cfg = cfg or SolverConfig()
     coords = sensor_coords(array)
@@ -129,4 +130,4 @@ def sfp_solve(x0, array, ranges,
     rl = r.tolist()
     sweep = (_sfp_sweep_2d(ys, rl) if n == 2
              else _reference_sweep(ys, n, _f_ranges, _sfp_step_core_nd, rl))
-    return _mm_loop(xs.tolist(), ys, n, cfg, sweep, _sfp_step_core_nd, rl)
+    return _mm_loop(xs.tolist(), ys, n, cfg, sweep, _sfp_step_core_nd, rl, trace)

@@ -31,7 +31,10 @@ returns (f(x), x_next), the cost and the MM update, or None for x_next
 where it cannot form the update (x within _SENSOR_GUARD of a sensor, or a
 singular system); the loop then nudges x and calls the reference step.
 The start nudge, the stop rule, the max_iter exit, the singular exit and
-the trace are each written once there.  n == 3 sweeps with
+the SolveOutcome every solve returns are each written once there.  The
+loop records no history: a caller that passes trace=True gets a
+SolveTrace, built there from a wrapper around the sweep that keeps each
+swept point and its cost.  n == 3 sweeps with
 _reference_sweep around _f_pairs and _step_core_nd; n == 2 with
 _solvit_sweep_2d, those two unrolled into one sensor pass, one pair pass
 and an inline 2x2 solve.  It must stay bit-identical to them:
@@ -104,6 +107,17 @@ class SolveTrace:
         for name, arr in (("iterates", it), ("objectives", ob)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+
+@dataclass(frozen=True, slots=True)
+class SolveOutcome:
+    """How one solve ended: its status, the MM iterations it took, f at the
+    last swept iterate, and its SolveTrace if the caller asked for one."""
+
+    status: str             # converged | max_iter | singular_system
+    iterations: int
+    objective: float
+    trace: SolveTrace | None
 
 
 @dataclass(frozen=True)
@@ -321,24 +335,32 @@ def _nudge_off_sensors(x: list[float], ys, n: int) -> list[float]:
     return [x[t] + _NUDGE_STEP * direction[t] / nrm for t in range(n)]
 
 
-def _mm_loop(x0, ys, n, cfg, sweep, step, data):
+def _mm_loop(x0, ys, n, cfg, sweep, step, data, trace=False):
     """The MM loop of both solvers: monotone descent with the three-way stop rule.
 
     x0 is the start as a list of floats; sweep(x) returns (f(x), x_next).
     Where x_next is None, x is nudged off the sensor and step(x, ys, data, n)
     forms the update; an error from it ends the run as singular_system at
     the nudged iterate.  x_next is used only when the stop rule lets the
-    loop go on.
+    loop go on.  Returns (estimate, SolveOutcome); with trace set, the
+    outcome holds a SolveTrace of the swept points and their costs: the
+    nudged start, then each update taken.
     """
     x = _nudge_off_sensors(x0, ys, n)
-    flat = list(x)  # iterates, row after row
-    objectives = []
+    if trace:
+        points, objectives = [], []
+        plain = sweep
+
+        def sweep(x):
+            f, x_next = plain(x)
+            points.append(x)
+            objectives.append(f)
+            return f, x_next
     status = MAX_ITER
     max_iter, tol = cfg.max_iter, cfg.tol
     f_cur = math.inf  # no relative change to test at the start
     for it in range(max_iter + 1):
         f_next, x_next = sweep(x)
-        objectives.append(f_next)
         if f_next <= _ZERO_OBJECTIVE or abs(f_next - f_cur) / f_cur < tol:
             status = CONVERGED
             break
@@ -353,10 +375,8 @@ def _mm_loop(x0, ys, n, cfg, sweep, step, data):
                 status = SINGULAR_SYSTEM
                 break
         x = x_next
-        flat += x
-    trace = SolveTrace(np.array(flat, dtype=float).reshape(-1, n), objectives, status,
-                       len(objectives) - 1)
-    return np.array(x), trace
+    history = SolveTrace(points, objectives, status, it) if trace else None
+    return np.array(x), SolveOutcome(status, it, f_next, history)
 
 
 def _reference_sweep(ys, n, objective, step, data):
@@ -383,6 +403,16 @@ def _solvit_sweep_2d(ys, pairs):
     adds up the cost and the bound system in stored order, and the 2x2
     system is solved inline.  At a sensor within the guard the cost comes
     from _f_pairs and x_next is None, as for a singular system.
+
+    The inline solve needs no zero-pivot test, unlike _solve_small (which
+    keeps one for n == 3).  A system that passes the eigenvalue test has
+    0 < lam_min and lam_max <= _COND_LIMIT * lam_min.  Its pivot p0 =
+    max(|a00|, |a01|) is at least a00 >= lam_min > 0 and at most lam_max,
+    and the eliminated pivot is q1 = det / p0 up to sign, with
+    det = lam_min * lam_max, so |q1| >= lam_min >= 1e-12 * lam_max.  The
+    rounding of the two-term update q1 - k * p1 (|k| <= 1, |p1|, |q1| <=
+    lam_max) and of lam_min itself is a few ulps of lam_max, under 1e-15
+    * lam_max, so the computed q1 is never 0.
     """
     # per pair: y_i + y_j, the first sum of each b term, and y_j
     prs = [(ii, jj, r, ys[ii][0] + ys[jj][0], ys[ii][1] + ys[jj][1], *ys[jj])
@@ -425,21 +455,19 @@ def _solvit_sweep_2d(ys, pairs):
             p0, p1, p2, q0, q1, q2 = a01, a11, b1, a00, a01, b0
         else:
             p0, p1, p2, q0, q1, q2 = a00, a01, b0, a01, a11, b1
-        if lam_min <= 0.0 or (half_tr + disc) / lam_min > _COND_LIMIT or p0 == 0.0:
+        if lam_min <= 0.0 or (half_tr + disc) / lam_min > _COND_LIMIT:
             return f, None
         k = q0 * (1.0 / p0)
         if k != 0.0:
             q1 -= k * p1
             q2 -= k * p2
-        if q1 == 0.0:
-            return f, None
         x1 = q2 / q1
         return f, ((p2 - p1 * x1) / p0, x1)
     return sweep
 
 
-def solvit_solve(x0, array, rd: RangeDiffSet,
-                 cfg: SolverConfig | None = None) -> tuple[np.ndarray, SolveTrace]:
+def solvit_solve(x0, array, rd: RangeDiffSet, cfg: SolverConfig | None = None, *,
+                 trace: bool = False) -> tuple[np.ndarray, SolveOutcome]:
     """Iterate the bound-minimization step from x0 until convergence.
 
     Stops when the relative objective change drops below cfg.tol, when the
@@ -449,11 +477,13 @@ def solvit_solve(x0, array, rd: RangeDiffSet,
     "singular_system" and the last good iterate.
 
     Returns:
-        (final iterate, SolveTrace)
+        (final iterate, SolveOutcome); the outcome's trace is the
+        iterate/objective history when trace is set, else None.
     """
     cfg = cfg or SolverConfig()
     coords, ys, pairs = _prepare(array, rd)
     n = coords.shape[1]
     sweep = (_solvit_sweep_2d(ys, pairs) if n == 2
              else _reference_sweep(ys, n, _f_pairs, _step_core_nd, pairs))
-    return _mm_loop(as_position(x0, n).tolist(), ys, n, cfg, sweep, _step_core_nd, pairs)
+    return _mm_loop(as_position(x0, n).tolist(), ys, n, cfg, sweep, _step_core_nd, pairs,
+                    trace)

@@ -98,8 +98,15 @@ def reference_iterate(x0, ys, n, cfg, stepper, objective):
 
 
 def assert_same_solve(got, ref):
-    """Bit-identical estimate, iterates, objectives, status and count."""
-    (est, trace), (est_ref, trace_ref) = got, ref
+    """Bit-identical estimate, iterates, objectives, status and count.
+
+    got is a traced solve's (estimate, SolveOutcome), whose status, count and
+    objective must agree with its own trace; ref is (estimate, SolveTrace).
+    """
+    (est, outcome), (est_ref, trace_ref) = got, ref
+    trace = outcome.trace
+    assert (outcome.status, outcome.iterations) == (trace.status, trace.iterations)
+    assert outcome.objective == trace.objectives[-1]
     assert est.tobytes() == est_ref.tobytes()
     assert np.array_equal(trace.iterates, trace_ref.iterates)
     assert trace.iterates.tobytes() == trace_ref.iterates.tobytes()

@@ -141,12 +141,12 @@ def test_criterion_04_monotone_descent():
         x_prop = init_point(array, rd, InitConfig(seed=seed))
         x_rand = np.random.default_rng(seed).uniform(0.0, 1.0, 2)
         for x0 in (x_prop, x_rand):
-            _, trace = solvit_solve(x0, array, rd, cfg)
+            trace = solvit_solve(x0, array, rd, cfg, trace=True)[1].trace
             if trace.objectives.size > 1:
                 worst = max(worst, float(np.max(np.diff(trace.objectives))))
         arr_r, _, r = make_range_instance(seed, m=4, noise_std=1.0)
         for x0 in (None, np.random.default_rng(seed).uniform(0.0, 1.0, 2)):
-            _, trace = sfp_solve(x0, arr_r, r, cfg)
+            trace = sfp_solve(x0, arr_r, r, cfg, trace=True)[1].trace
             if trace.objectives.size > 1:
                 worst = max(worst, float(np.max(np.diff(trace.objectives))))
     ok = worst <= 1e-9

@@ -136,7 +136,17 @@ class TestConfig:
         "NaN SNR in the grid": ("config", lambda d: d.update(snr_grid=[math.nan]),
                                 "snr_db must be finite"),
         "non-numeric grid entry": ("config", lambda d: d.update(snr_grid=[0.0, "ten"]),
-                                   "could not convert string to float: 'ten'"),
+                                   "must be real number, not str"),
+        "numeric string in the SNR grid": ("config", lambda d: d.update(snr_grid=["10"]),
+                                           "must be real number, not str"),
+        "bool in the SNR grid": ("config", lambda d: d.update(snr_grid=[10.0, True]),
+                                 "must be real number, not bool"),
+        "bool snr_db": ("config", lambda d: d.update(snr_db=True),
+                        "must be real number, not bool"),
+        "numeric string in the frequency grid": ("config", lambda d: d.update(
+            snr_grid=None, freq_grid=["500"]), "must be real number, not str"),
+        "bool in the frequency grid": ("config", lambda d: d.update(
+            snr_grid=None, freq_grid=[500.0, True]), "must be real number, not bool"),
         "zero frequency": ("config", lambda d: d.update(snr_grid=None, freq_grid=[500.0, 0.0]),
                            "f0 must be finite and > 0"),
         "negative frequency": ("config", lambda d: d.update(snr_grid=None, freq_grid=[-500.0]),

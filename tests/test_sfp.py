@@ -127,7 +127,7 @@ class TestSolve:
             array, _, r = make_range_instance(rng.integers(2**32), m=4,
                                               noise_std=1.0)
             x0 = rng.uniform(0.0, 1.0, 2)
-            _, trace = sfp_solve(x0, array, r, cfg)
+            trace = sfp_solve(x0, array, r, cfg, trace=True)[1].trace
             assert np.all(np.diff(trace.objectives) <= 1e-9)
 
     def test_translation_invariance(self):
@@ -191,7 +191,7 @@ class TestPlanarKernel:
                 on_sensor += 1
             cfg = SolverConfig(tol=float(10.0 ** -rng.integers(3, 13)),
                                max_iter=int(rng.integers(1, 40)))
-            assert_same_solve(sfp_solve(x0, ys, r, cfg),
+            assert_same_solve(sfp_solve(x0, ys, r, cfg, trace=True),
                               reference_sfp_solve(x0, ys, r, cfg))
         assert on_sensor > 100
 
@@ -206,7 +206,7 @@ class TestPlanarKernel:
                   else rng.uniform(-12.0, 12.0, n))
             cfg = SolverConfig(tol=float(10.0 ** -rng.integers(4, 13)),
                                max_iter=int(rng.integers(1, 400)))
-            assert_same_solve(sfp_solve(x0, array, r, cfg),
+            assert_same_solve(sfp_solve(x0, array, r, cfg, trace=True),
                               reference_sfp_solve(x0, array, r, cfg))
 
     @pytest.mark.parametrize("sensors, ranges, x0, cfg, status, iterations", [
@@ -232,9 +232,9 @@ class TestPlanarKernel:
     def test_stop_branches_match_reference_loop(self, sensors, ranges, x0, cfg,
                                                 status, iterations):
         ys, r, start = np.array(sensors), np.array(ranges), np.array(x0)
-        got = sfp_solve(start, ys, r, cfg)
+        got = sfp_solve(start, ys, r, cfg, trace=True)
         assert_same_solve(got, reference_sfp_solve(start, ys, r, cfg))
-        trace = got[1]
+        trace = got[1].trace
         if status is not None:
             assert trace.status == status
         if iterations is not None:
@@ -247,9 +247,9 @@ class TestPlanarKernel:
         # from there would divide by zero, so the loop nudges first
         ys, r = np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([1.0, 1.0])
         x0, cfg = np.array([5.0, 0.0]), SolverConfig(max_iter=5)
-        got = sfp_solve(x0, ys, r, cfg)
+        got = sfp_solve(x0, ys, r, cfg, trace=True)
         assert_same_solve(got, reference_sfp_solve(x0, ys, r, cfg))
-        trace = got[1]
+        trace = got[1].trace
         assert trace.iterates.tolist() == [[5.0, 0.0], [2.0, 0.0], [1.0, 0.0]]
         assert trace.status == CONVERGED and trace.objectives[-1] == 0.0
         with pytest.raises(SensorSingularityError):
@@ -261,8 +261,8 @@ class TestPlanarKernel:
         # no direction toward the other sensors' centroid (sensor 3 again)
         ys = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         r, x0, cfg = np.zeros(3), np.array([0.3, 0.4, 0.5]), SolverConfig()
-        got = sfp_solve(x0, ys, r, cfg)
+        got = sfp_solve(x0, ys, r, cfg, trace=True)
         assert_same_solve(got, reference_sfp_solve(x0, ys, r, cfg))
-        trace = got[1]
+        trace = got[1].trace
         assert trace.iterates.tolist()[:2] == [[0.3, 0.4, 0.5], [0.0, 0.0, 0.0]]
         assert trace.status == CONVERGED

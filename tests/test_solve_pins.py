@@ -15,36 +15,51 @@ solvit solve from (1.0, 1.4) with tol 1e-12 and max_iter 20000: about
 10,000 planar MM iterations per solve, seven of them stopping at max_iter.
 Those estimates are pinned bit for bit.
 
-Regenerate both files (only on purpose, saying in the change why the pins
-moved):
+tests/data/cli_solve_pins.json records what `mmloc solve` prints on the
+inputs of some of those pins (stdout, the stderr status line and the
+--trace CSV), as bytes: solvit and sfp, n = 2 and 3, each ending, from a
+fixed start and from each solver's default start.
+
+Regenerate the three files (only on purpose, saying in the change why the
+pins moved):
 
     PYTHONPATH=src python tests/test_solve_pins.py
 """
 
+import contextlib
+import io
 import itertools
 import json
 import math
 import pathlib
+import tempfile
 
 import numpy as np
 from mmloc import (
     NoiseModel,
     RangeDiffSet,
+    Scenario,
+    SensorArray,
     SolverConfig,
     linear_array,
     random_array,
     rangediffs_from_ranges,
+    save_scenario,
     sfp_solve,
     snr_to_sigma2,
     solvit_solve,
     true_ranges,
+    write_rangediffs_csv,
+    write_ranges_csv,
 )
+from mmloc.cli import main
 from mmloc.scenario import range_noise_std
 from mmloc.tdoa import (ANECHOIC_MICROPHONES, BAND_HI, BAND_LO, SOUND_SPEED, bandpass,
                         estimate_rangediffs, tone_burst_signals)
 
 PINS = pathlib.Path(__file__).with_name("data") / "solve_pins.json"
 TDOA_PINS = PINS.with_name("tdoa_solve_pins.json")
+CLI_PINS = PINS.with_name("cli_solve_pins.json")
 TDOA_X0, TDOA_TOL, TDOA_MAX_ITER = (1.0, 1.4), 1e-12, 20000
 
 # the criterion-7 array: random m=5 in +-50 m drawn from that config's seed
@@ -135,6 +150,56 @@ def load_pins():
     return json.loads(PINS.read_text())
 
 
+# (solve pin, start from the pin's x0 or the solver's default, extra arguments);
+# each solve runs at its pin's tol and max_iter unless the extra arguments override them
+CLI_CASES = (
+    (0, True, []),                      # solvit, n = 2, converged
+    (0, False, []),                     # ... from the proposed start
+    (2, True, []),                      # sfp, n = 2, converged
+    (2, False, []),                     # ... from the centroid
+    (24, True, ["--max-iter", "25"]),   # solvit, n = 2, max_iter
+    (40, True, []),                     # solvit, n = 2, singular_system
+    (32, True, ["--max-iter", "30"]),   # solvit, n = 3, max_iter
+    (34, True, ["--tol", "1e-4"]),      # sfp, n = 3, converged
+    (34, True, ["--max-iter", "20"]),   # sfp, n = 3, max_iter
+)
+
+
+def cli_solve(case, work, trace):
+    """stdout, stderr and, with trace, the --trace CSV of `mmloc solve` on a CLI case."""
+    k, from_x0, extra = case
+    pin = load_pins()[k]
+    work = pathlib.Path(work)
+    noise = NoiseModel(sigma2=0.0, f0=1000.0, c=340.0)
+    save_scenario(work / "scen.json", Scenario(SensorArray(np.array(pin["sensors"])),
+                                               np.zeros(len(pin["x0"])), noise))
+    ranges = np.array(pin["ranges"])
+    if pin["solver"] == "solvit":
+        write_rangediffs_csv(work / "meas.csv", rangediffs_from_ranges(ranges))
+    else:
+        write_ranges_csv(work / "meas.csv", ranges)
+    argv = ["solve", "--scenario", str(work / "scen.json"), "--measurements",
+            str(work / "meas.csv"), "--solver", pin["solver"], "--tol", repr(pin["tol"]),
+            "--max-iter", str(pin["max_iter"]), *extra]
+    if from_x0:
+        argv += ["--x0", *map(repr, pin["x0"])]
+    if trace:
+        argv += ["--trace", str(work / "trace.csv")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 0
+    got = {"stdout": out.getvalue(), "stderr": err.getvalue()}
+    if trace:
+        got["trace"] = (work / "trace.csv").read_text()
+    return got
+
+
+def make_cli_pins():
+    """What `mmloc solve` prints on each CLI case, traced (run at the pinning commit)."""
+    with tempfile.TemporaryDirectory() as work:
+        return [cli_solve(case, work, trace=True) for case in CLI_CASES]
+
+
 def test_pins_cover_both_solvers_dimensions_and_statuses():
     pins = load_pins()
     assert len(pins) >= 40
@@ -168,6 +233,17 @@ def test_tdoa_fixture_solves_match_pins():
     assert not wrong
 
 
+def test_cli_solve_output_matches_pins(tmp_path):
+    pins = json.loads(CLI_PINS.read_text())
+    assert len(pins) == len(CLI_CASES)
+    for case, pin in zip(CLI_CASES, pins):
+        assert cli_solve(case, tmp_path, trace=True) == pin
+        # without --trace the printed bytes are the same
+        assert cli_solve(case, tmp_path, trace=False) == {"stdout": pin["stdout"],
+                                                          "stderr": pin["stderr"]}
+
+
 if __name__ == "__main__":
     PINS.write_text(json.dumps(make_pins(), indent=1) + "\n")
     TDOA_PINS.write_text(json.dumps(make_tdoa_pins(), indent=1) + "\n")
+    CLI_PINS.write_text(json.dumps(make_cli_pins(), indent=1) + "\n")

@@ -175,7 +175,7 @@ class TestSolve:
             array, source, rd = make_instance(rng.integers(2**32), m=4,
                                               sigma2=1.0)
             x0 = rng.uniform(0.0, 1.0, 2)
-            _, trace = solvit_solve(x0, array, rd, cfg)
+            trace = solvit_solve(x0, array, rd, cfg, trace=True)[1].trace
             diffs = np.diff(trace.objectives)
             assert np.all(diffs <= 1e-9)
 
@@ -203,7 +203,7 @@ class TestSolve:
 
     def test_trace_bookkeeping(self):
         array, _, rd = make_instance(17, m=4, sigma2=0.5)
-        _, trace = solvit_solve(np.zeros(2), array, rd)
+        trace = solvit_solve(np.zeros(2), array, rd, trace=True)[1].trace
         assert trace.iterates.shape[0] == trace.objectives.size
         assert trace.iterations == trace.objectives.size - 1
 
@@ -222,9 +222,11 @@ class TestSolve:
             return 1.0 + x[0], [math.dist(x, y) for y in ys]
 
         ys = [(0.0, 0.0), (5.0, 0.0)]
-        x, trace = _mm_loop([1.0, 1.0], ys, 2,
-                            SolverConfig(tol=1e-12, max_iter=50),
-                            lambda x: (objective(x, ys, None)[0], None), stepper, None)
+        x, outcome = _mm_loop([1.0, 1.0], ys, 2,
+                              SolverConfig(tol=1e-12, max_iter=50),
+                              lambda x: (objective(x, ys, None)[0], None), stepper, None,
+                              trace=True)
+        trace = outcome.trace
         assert trace.status == SINGULAR_SYSTEM
         np.testing.assert_allclose(x, [2.0, 1.0])
         assert trace.iterates.shape[0] == 2
@@ -246,9 +248,10 @@ class TestSolve:
         def stepper(*_):
             raise AssertionError("the step was called")
 
-        x, trace = _mm_loop([1.0, 1.0], [(0.0, 0.0), (5.0, 0.0)], 2,
-                            SolverConfig(tol=1e-12, max_iter=max_iter),
-                            sweep, stepper, None)
+        x, outcome = _mm_loop([1.0, 1.0], [(0.0, 0.0), (5.0, 0.0)], 2,
+                              SolverConfig(tol=1e-12, max_iter=max_iter),
+                              sweep, stepper, None, trace=True)
+        trace = outcome.trace
         assert trace.status == status
         assert trace.objectives.tolist() == values
         assert trace.iterates.tolist() == seen
@@ -291,9 +294,10 @@ def one_step_solve(x, ys, pairs):
     """One MM step of the planar loop, checked bit for bit against
     reference_loop; returns the loop's trace."""
     cfg = SolverConfig(tol=1e-12, max_iter=1)
-    got = _mm_loop(x, ys, 2, cfg, _solvit_sweep_2d(ys, pairs), _step_core_nd, pairs)
+    got = _mm_loop(x, ys, 2, cfg, _solvit_sweep_2d(ys, pairs), _step_core_nd, pairs,
+                   trace=True)
     assert_same_solve(got, reference_loop(x, ys, pairs, cfg))
-    return got[1]
+    return got[1].trace
 
 
 def step_matrix(x, ys, pairs):
@@ -378,7 +382,7 @@ class TestPlanarKernel:
             ref = reference_iterate(x0, ys, n, cfg,
                                     lambda x: _step_core_nd(x, ys, pairs, n),
                                     lambda x: _f_pairs(x, ys, pairs))
-            assert_same_solve(solvit_solve(x0, array, rd, cfg), ref)
+            assert_same_solve(solvit_solve(x0, array, rd, cfg, trace=True), ref)
 
     def test_loop_nudges_mid_run_like_reference(self):
         # a step that lands exactly on a sensor is nudged before the next step
@@ -398,7 +402,7 @@ class TestPlanarKernel:
 
         stepper, seen = make_stepper()
         got = _mm_loop([2.0, 1.0], ys, 2, cfg, lambda x: (_f_ranges(x, ys, r)[0], None),
-                       stepper, r)
+                       stepper, r, trace=True)
         stepper, seen_ref = make_stepper()
         ref = reference_iterate([2.0, 1.0], ys, 2, cfg, stepper,
                                 lambda x: _f_ranges(x, ys, r))
@@ -431,7 +435,7 @@ class TestPlanarKernel:
                 on_sensor += 1
             cfg = SolverConfig(tol=float(10.0 ** -rng.integers(3, 13)),
                                max_iter=int(rng.integers(1, 60)))
-            got = solvit_solve(x0, ys, rd, cfg)
+            got = solvit_solve(x0, ys, rd, cfg, trace=True)
             assert_same_solve(got, reference_solvit_solve(x0, ys, rd, cfg))
             statuses.add(got[1].status)
         assert len(runs) == 1500
@@ -463,9 +467,9 @@ class TestPlanarKernel:
                                                 status, iterations):
         ys, start = np.array(sensors), np.array(x0)
         rd = rangediffs_from_ranges(np.array(ranges))
-        got = solvit_solve(start, ys, rd, cfg)
+        got = solvit_solve(start, ys, rd, cfg, trace=True)
         assert_same_solve(got, reference_solvit_solve(start, ys, rd, cfg))
-        trace = got[1]
+        trace = got[1].trace
         assert trace.status == status
         if iterations is not None:
             assert trace.iterations == iterations
@@ -490,9 +494,9 @@ class TestPlanarKernel:
         ys = np.array(self.LANDING_SENSORS)
         rd = RangeDiffSet(np.array(i), np.array(j), np.array(v), 4)
         x0, cfg = np.array([4.0, 4.0]), SolverConfig(tol=1e-10, max_iter=50)
-        got = solvit_solve(x0, ys, rd, cfg)
+        got = solvit_solve(x0, ys, rd, cfg, trace=True)
         assert_same_solve(got, reference_solvit_solve(x0, ys, rd, cfg))
-        trace = got[1]
+        trace = got[1].trace
         assert math.dist(trace.iterates[1], ys[3]) == distance
         # the next step is taken from 1e-6 m off the sensor and leaves it
         assert math.dist(trace.iterates[2], ys[3]) > 1e-6
@@ -508,15 +512,36 @@ class TestPlanarKernel:
         lam = np.linalg.eigvalsh(step_matrix([5.0, 0.0], ys, pairs))
         assert 0.0 < lam[0] and 1e12 < lam[1] / lam[0] < 1e30
         cfg = SolverConfig()
-        got = solvit_solve([5.0, 0.0], sensors, rd, cfg)
+        got = solvit_solve([5.0, 0.0], sensors, rd, cfg, trace=True)
         assert_same_solve(got, reference_solvit_solve([5.0, 0.0], sensors, rd, cfg))
         assert got[1].status == SINGULAR_SYSTEM and got[1].iterations == 0
+
+    @pytest.mark.parametrize("angle, swap", [(0.3, True), (1.2, False)])
+    def test_near_the_condition_limit_matches_generic_loop(self, angle, swap):
+        # two sensors on a line at `angle`, the iterate on it beyond both and
+        # one tiny value: the bound matrix has eigenvalues s = r / ||x - y_2||
+        # along the line and 2 + s across it.  |a01| > |a00| (a row swap)
+        # below 45 degrees.  On either side of _COND_LIMIT the planar step
+        # stays bit-identical, and below it the eliminated pivot is never 0
+        u = (math.cos(angle), math.sin(angle))
+        ys, x = [(0.0, 0.0), u], [5.0 * u[0], 5.0 * u[1]]
+        steps = []
+        for cond in (1e11, 5e11, 0.99e12, 1.01e12, 2e12):
+            pairs = [(0, 1, 2.0 / cond * math.dist(x, ys[1]))]
+            A = step_matrix(x, ys, pairs)
+            assert (abs(A[0, 1]) > abs(A[0, 0])) == swap
+            lam = np.linalg.eigvalsh(A)
+            assert lam[1] / lam[0] == pytest.approx(cond, rel=1e-3)
+            trace = one_step_solve(x, ys, pairs)
+            assert np.all(np.isfinite(trace.iterates))
+            steps.append((trace.status == SINGULAR_SYSTEM, trace.iterations))
+        assert steps == [(False, 1)] * 3 + [(True, 0)] * 2
 
     def test_singular_solve_matches_reference_loop(self):
         sensors = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         rd = rangediffs_from_ranges(np.zeros(3))
         cfg = SolverConfig()
-        got = solvit_solve([5.0, 0.0], sensors, rd, cfg)
+        got = solvit_solve([5.0, 0.0], sensors, rd, cfg, trace=True)
         assert_same_solve(got, reference_solvit_solve([5.0, 0.0], sensors, rd, cfg))
         assert got[1].status == SINGULAR_SYSTEM
 
@@ -527,7 +552,7 @@ class TestPlanarKernel:
         sensors = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         rd = rangediffs_from_ranges(np.zeros(3))
         cfg = SolverConfig()
-        got = solvit_solve([5.0, 0.0, 0.0], sensors, rd, cfg)
+        got = solvit_solve([5.0, 0.0, 0.0], sensors, rd, cfg, trace=True)
         _, ys, pairs = _prepare(sensors, rd)
         ref = reference_iterate([5.0, 0.0, 0.0], ys, 3, cfg,
                                 lambda x: _step_core_nd(x, ys, pairs, 3),
@@ -593,7 +618,8 @@ class TestConfigAndTrace:
             else:
                 array, _, meas = make_range_instance(70 + case, m=5, n=n, noise_std=0.2)
                 solve = sfp_solve
-            est, trace = solve(np.full(n, 1.5), array, meas, cfg)
+            est, outcome = solve(np.full(n, 1.5), array, meas, cfg, trace=True)
+            trace = outcome.trace
             assert not np.shares_memory(est, trace.iterates)
             np.testing.assert_array_equal(est, trace.iterates[-1])
             est[0] += 1.0  # the caller owns the estimate
@@ -601,7 +627,7 @@ class TestConfigAndTrace:
 
     def test_trace_csv_format(self, tmp_path):
         array, _, rd = make_instance(18, m=4, sigma2=0.2)
-        _, trace = solvit_solve(np.zeros(2), array, rd)
+        trace = solvit_solve(np.zeros(2), array, rd, trace=True)[1].trace
         path = tmp_path / "trace.csv"
         write_trace_csv(path, trace)
         lines = path.read_text().strip().splitlines()
