@@ -178,16 +178,8 @@ def _resolve_scenario(spec: dict, rng):
     return array, source, noise
 
 
-def _as_real(value) -> float:
-    """A config number as a float.  float() would also read a string ("10")
-    or a bool (true as 1), which a JSON config does not mean as a number."""
-    if isinstance(value, (str, bool)):
-        raise TypeError(f"must be real number, not {type(value).__name__}")
-    return float(value)
-
-
 def _sigma2_of(snr_db) -> float:
-    snr_db = _as_real(snr_db)
+    snr_db = float(_scen._as_real("snr_db", snr_db))
     if math.isinf(snr_db) and snr_db > 0:
         return 0.0
     return _scen.snr_to_sigma2(snr_db)
@@ -195,9 +187,10 @@ def _sigma2_of(snr_db) -> float:
 
 def _sweep_noise(cfg, noise_t, value) -> _scen.NoiseModel:
     """The noise of one sweep value: an SNR [dB], or a source frequency [Hz]
-    heard at cfg.snr_db; _as_real, NoiseModel and _sigma2_of check the value."""
+    heard at cfg.snr_db; NoiseModel and _sigma2_of check the value."""
     if cfg.freq_grid:
-        return replace(noise_t, sigma2=_sigma2_of(cfg.snr_db), f0=_as_real(value))
+        return replace(noise_t, sigma2=_sigma2_of(cfg.snr_db),
+                       f0=float(_scen._as_real("f0", value)))
     return replace(noise_t, sigma2=_sigma2_of(value))
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateMeasurementError, RayMeasurementError
 from .objective import _check_rd, _rd_costs, f_rdls_many
-from .scenario import RangeDiffSet, _as_count, as_position, sensor_coords
+from .scenario import RangeDiffSet, _as_count, _as_real, as_position, sensor_coords
 
 # float64s in the largest temporary of one init_points chunk (16 MB)
 _CHUNK_FLOATS = 1 << 21
@@ -29,7 +29,7 @@ _TOO_LARGE = "coord_bound={!r} is too large: the cost at the best sample is not 
 
 
 def _check_bound(bound) -> None:
-    if not 0 < bound < math.inf:
+    if not 0 < _as_real("coord_bound", bound) < math.inf:
         raise ValueError("coord_bound must be finite and > 0")
 
 

@@ -55,6 +55,15 @@ def _as_count(name: str, value, minimum: int) -> int:
     return value
 
 
+def _as_real(name: str, value):
+    """A real-number field, returned as given once it is neither a string nor a
+    bool: float() would read "10" as 10 and true as 1, and a comparison would
+    fail on a string with a message that names no field."""
+    if isinstance(value, (str, bool)):
+        raise TypeError(f"{name} must be real number, not {type(value).__name__}")
+    return value
+
+
 def _check_keys(what: str, doc: dict, known) -> None:
     """Raise ValueError naming every key of doc that is not in known."""
     extra = set(doc) - set(known)
@@ -194,6 +203,8 @@ class NoiseModel:
     fs_factor: float = 4.0   # sampling rate as a multiple of f0
 
     def __post_init__(self):
+        for name in ("sigma2", "f0", "c", "fs_factor"):
+            _as_real(name, getattr(self, name))
         if not (self.sigma2 >= 0 and math.isfinite(self.sigma2)):
             raise ValueError("sigma2 must be finite and >= 0")
         if not (self.f0 > 0 and math.isfinite(self.f0)):
@@ -436,7 +447,7 @@ def load_scenario(path) -> Scenario:
     if array.n != _as_count("n", doc["n"], 2):
         raise ValueError("scenario dimension field disagrees with sensor coordinates")
     # NoiseModel owns the fields and their defaults; an unknown key is a TypeError
-    noise = NoiseModel(**{k: float(v) for k, v in doc["noise"].items()})
+    noise = NoiseModel(**{k: float(_as_real(k, v)) for k, v in doc["noise"].items()})
     seed = doc.get("seed")
     return Scenario(array, np.asarray(doc["source"], dtype=float), noise,
                     None if seed is None else _as_count("seed", seed, 0))

@@ -19,7 +19,7 @@ collinear configurations; the step solves the n x n system (n <= 3)
 directly instead of via low-rank inverse updates, which is both simpler
 and exact at this size.
 
-The per-pair accumulation is written as plain scalar loops on purpose:
+The per-pair accumulation is written as plain scalar code on purpose:
 the per-iteration cost is then proportional to the number of pairs
 (O(n^2 * m_hat)), which keeps the cost model measurable at small m
 instead of being buried under vectorization overhead.  Accumulation runs
@@ -37,7 +37,11 @@ SolveTrace, built there from a wrapper around the sweep that keeps each
 swept point and its cost.  n == 3 sweeps with
 _reference_sweep around _f_pairs and _step_core_nd; n == 2 with
 _solvit_sweep_2d, those two unrolled into one sensor pass, one pair pass
-and an inline 2x2 solve.  It must stay bit-identical to them:
+and an inline 2x2 solve.  That sweep is generated as straight-line Python
+source and compiled on the first solve of each layout, keyed on m and the
+stored sequence of unordered pairs (_planar_kernel, a bounded cache); each
+solve binds its coordinates, values and pair orientations as arguments,
+so the source holds only indices.  It must stay bit-identical to them:
 TestPlanarKernel in tests/test_solvit.py compares its traces with
 conftest.reference_iterate around _step_core_nd and _f_pairs, one step at
 a time (test_step_matches_generic_loop and the four tests after it) and
@@ -48,6 +52,7 @@ solve runs _mm_loop.  Acceptance criterion 11 times the planar loop.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,8 +60,8 @@ import numpy as np
 
 from .errors import SensorSingularityError, SingularSystemError
 from .objective import _check_rd, _dists, _f_pairs, _sum
-from .scenario import (RangeDiffSet, _as_count, _unit_vectors, _write_table, as_position,
-                       sensor_coords)
+from .scenario import (RangeDiffSet, _as_count, _as_real, _unit_vectors, _write_table,
+                       as_position, sensor_coords)
 
 # termination labels shared by all iterative solvers
 CONVERGED = "converged"
@@ -80,7 +85,7 @@ class SolverConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if not (self.tol > 0 and math.isfinite(self.tol)):
+        if not (_as_real("tol", self.tol) > 0 and math.isfinite(self.tol)):
             raise ValueError("tol must be finite and > 0")
         object.__setattr__(self, "max_iter", _as_count("max_iter", self.max_iter, 1))
 
@@ -394,60 +399,36 @@ def _reference_sweep(ys, n, objective, step, data):
     return sweep
 
 
-def _solvit_sweep_2d(ys, pairs):
-    """_reference_sweep(ys, 2, _f_pairs, _step_core_nd, pairs), unrolled.
-
-    The same floating-point operations in the same order, so every trace is
-    bit-identical.  One pass over the sensors gives the norms that are both
-    the cost's distances and the step's divisors, one pass over the pairs
-    adds up the cost and the bound system in stored order, and the 2x2
-    system is solved inline.  At a sensor within the guard the cost comes
-    from _f_pairs and x_next is None, as for a singular system.
-
-    The inline solve needs no zero-pivot test, unlike _solve_small (which
-    keeps one for n == 3).  A system that passes the eigenvalue test has
-    0 < lam_min and lam_max <= _COND_LIMIT * lam_min.  Its pivot p0 =
-    max(|a00|, |a01|) is at least a00 >= lam_min > 0 and at most lam_max,
-    and the eliminated pivot is q1 = det / p0 up to sign, with
-    det = lam_min * lam_max, so |q1| >= lam_min >= 1e-12 * lam_max.  The
-    rounding of the two-term update q1 - k * p1 (|k| <= 1, |p1|, |q1| <=
-    lam_max) and of lam_min itself is a few ulps of lam_max, under 1e-15
-    * lam_max, so the computed q1 is never 0.
-    """
-    # per pair: y_i + y_j, the first sum of each b term, and y_j
-    prs = [(ii, jj, r, ys[ii][0] + ys[jj][0], ys[ii][1] + ys[jj][1], *ys[jj])
-           for ii, jj, r in pairs]
-
-    def sweep(x, ys=ys, prs=prs, sqrt=math.sqrt, guard=_SENSOR_GUARD):
-        x0, x1 = x
-        # one sensor pass: the distance, and the step's terms
-        sens = []
-        for y0, y1 in ys:
-            d0 = x0 - y0
-            d1 = x1 - y1
-            nrm = sqrt(d0 * d0 + d1 * d1)
-            if nrm < guard:
-                return _f_pairs(x, ys, pairs)[0], None
-            w0 = d0 / nrm
-            w1 = d1 / nrm
-            sens.append((nrm, w0, w1, 2.0 * w0, 2.0 * w1, 0.0 + w0 * y0 + w1 * y1))
-        # one pair pass: the cost, and the bound system for the step
-        f = a00 = a01 = a11 = b0 = b1 = 0.0
-        for ii, jj, r, c0, c1, yj0, yj1 in prs:
-            di, wi0, wi1, _, _, wi_yi = sens[ii]
-            dj, wj0, wj1, tj0, tj1, wj_yj = sens[jj]
-            e = r - (di - dj)
+# Source templates of the generated planar sweep (see _planar_kernel): the
+# terms of sensor k, and the cost and bound-system terms of the stored pair p
+# oriented as (i, j).  Only integers are filled in.
+_SENSOR_TERMS = """\
+        d0 = x0 - y0_{k}
+        d1 = x1 - y1_{k}
+        n_{k} = sqrt(d0 * d0 + d1 * d1)
+        if n_{k} < guard:
+            return _f_pairs(x, ys, pairs)[0], None
+        w0_{k} = d0 / n_{k}
+        w1_{k} = d1 / n_{k}
+        t0_{k} = 2.0 * w0_{k}
+        t1_{k} = 2.0 * w1_{k}
+        v_{k} = 0.0 + w0_{k} * y0_{k} + w1_{k} * y1_{k}
+"""
+_PAIR_TERMS = """\
+            e = r_{p} - (n_{i} - n_{j})
             f += e * e
-            s = r / dj
+            s = r_{p} / n_{j}
             diag = 2.0 + s
-            a00 += diag - tj0 * wi0
-            a01 -= wj0 * wi1 + wi0 * wj1
-            b0 += c0 + r * wi0 + s * yj0 - wj0 * wi_yi - wi0 * wj_yj
-            a11 += diag - tj1 * wi1
-            b1 += c1 + r * wi1 + s * yj1 - wj1 * wi_yi - wi1 * wj_yj
-        # _sym_eig_range and _solve_small for n == 2, without the clamp of
-        # the discriminant at 0 (a sum of squares is never negative); partial
-        # pivoting swaps the rows only on a strictly larger pivot
+            a00 += diag - t0_{j} * w0_{i}
+            a01 -= w0_{j} * w1_{i} + w0_{i} * w1_{j}
+            b0 += c0_{p} + r_{p} * w0_{i} + s * y0_{j} - w0_{j} * v_{i} - w0_{i} * v_{j}
+            a11 += diag - t1_{j} * w1_{i}
+            b1 += c1_{p} + r_{p} * w1_{i} + s * y1_{j} - w1_{j} * v_{i} - w1_{i} * v_{j}
+"""
+# _sym_eig_range and _solve_small for n == 2, without the clamp of the
+# discriminant at 0 (a sum of squares is never negative); partial pivoting
+# swaps the rows only on a strictly larger pivot
+_SOLVE_2X2 = """\
         half_tr = 0.5 * (a00 + a11)
         disc = sqrt(0.25 * (a00 - a11) ** 2 + a01 * a01)
         lam_min = half_tr - disc
@@ -463,7 +444,72 @@ def _solvit_sweep_2d(ys, pairs):
             q2 -= k * p2
         x1 = q2 / q1
         return f, ((p2 - p1 * x1) / p0, x1)
-    return sweep
+"""
+
+
+@functools.lru_cache(maxsize=64)
+def _planar_kernel(m: int, layout: tuple[tuple[int, int], ...]):
+    """make(ys, pairs) -> sweep, compiled for m sensors and the stored
+    unordered pairs `layout` ((a, b), a < b, 0-based, in stored order).
+
+    make binds the sensor coordinates, each r_ij, each y_i + y_j (the same
+    bits for either orientation, since a float sum commutes) and each pair's
+    orientation flag (stored as (a, b) or as (b, a)) as defaults of sweep,
+    so one kernel serves every orientation of one pair order.  sweep names
+    each sensor's distance, w0, w1, 2 * w0, 2 * w1 and w . y, and holds each
+    pair's terms twice, one block per orientation, picked by its flag.
+    """
+    sensors, prs = range(m), range(len(layout))
+    bound = ([f"y{t}_{k}" for k in sensors for t in (0, 1)]
+             + [f"{v}_{p}" for p in prs for v in ("o", "r", "c0", "c1")] + ["ys", "pairs"])
+    lines = ["def make(ys, pairs):",
+             f"    [{', '.join(f'(y0_{k}, y1_{k})' for k in sensors)}] = ys",
+             f"    [{', '.join(f'(i_{p}, _, r_{p})' for p in prs)}] = pairs"]
+    for p, (a, b) in enumerate(layout):
+        lines += [f"    o_{p} = i_{p} == {a}",
+                  f"    c0_{p} = y0_{a} + y0_{b}",
+                  f"    c1_{p} = y1_{a} + y1_{b}"]
+    lines += [f"    def sweep(x, {', '.join(f'{v}={v}' for v in bound)},"
+              " sqrt=sqrt, guard=_SENSOR_GUARD):",
+              "        x0, x1 = x"]
+    lines += [_SENSOR_TERMS.format(k=k) for k in sensors]
+    lines.append("        f = a00 = a01 = a11 = b0 = b1 = 0.0")
+    for p, (a, b) in enumerate(layout):
+        lines += [f"        if o_{p}:", _PAIR_TERMS.format(p=p, i=a, j=b),
+                  "        else:", _PAIR_TERMS.format(p=p, i=b, j=a)]
+    lines += [_SOLVE_2X2, "    return sweep"]
+    namespace = {"sqrt": math.sqrt, "_f_pairs": _f_pairs, "_SENSOR_GUARD": _SENSOR_GUARD,
+                 "_COND_LIMIT": _COND_LIMIT}
+    exec(compile("\n".join(lines), f"<planar sweep, m={m}>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _solvit_sweep_2d(ys, pairs):
+    """_reference_sweep(ys, 2, _f_pairs, _step_core_nd, pairs), unrolled.
+
+    The same floating-point operations in the same order, so every trace is
+    bit-identical.  One pass over the sensors gives the norms that are both
+    the cost's distances and the step's divisors, one pass over the pairs
+    adds up the cost and the bound system in stored order, and the 2x2
+    system is solved inline.  At a sensor within the guard the cost comes
+    from _f_pairs and x_next is None, as for a singular system.  Both passes
+    are generated straight-line, with a named local per sensor quantity and
+    no loop, tuple or index, and compiled once per (m, stored unordered
+    pairs) by _planar_kernel; the first solve of a layout in a process pays
+    the compile (about 3 ms at m = 4 and 8-16 ms at m = 9 on a 2-vCPU VM).
+
+    The inline solve needs no zero-pivot test, unlike _solve_small (which
+    keeps one for n == 3).  A system that passes the eigenvalue test has
+    0 < lam_min and lam_max <= _COND_LIMIT * lam_min.  Its pivot p0 =
+    max(|a00|, |a01|) is at least a00 >= lam_min > 0 and at most lam_max,
+    and the eliminated pivot is q1 = det / p0 up to sign, with
+    det = lam_min * lam_max, so |q1| >= lam_min >= 1e-12 * lam_max.  The
+    rounding of the two-term update q1 - k * p1 (|k| <= 1, |p1|, |q1| <=
+    lam_max) and of lam_min itself is a few ulps of lam_max, under 1e-15
+    * lam_max, so the computed q1 is never 0.
+    """
+    layout = tuple((i, j) if i < j else (j, i) for i, j, _ in pairs)
+    return _planar_kernel(len(ys), layout)(ys, pairs)
 
 
 def solvit_solve(x0, array, rd: RangeDiffSet, cfg: SolverConfig | None = None, *,

@@ -83,6 +83,15 @@ class TestConfig:
         cfg.to_json(path)
         back = ExperimentConfig.from_json(path)
         assert back == cfg
+        # numbers are checked, not converted: an int stays an int in every file
+        scenario = copy.deepcopy(SIM1_SCENARIO)
+        scenario["noise"]["c"] = 340
+        cfg_int = small_config(tol=1, scenario=scenario)
+        cfg_int.to_json(tmp_path / "int.json")
+        write_metadata(tmp_path / "int.meta.json", cfg_int)
+        doc = json.loads((tmp_path / "int.json").read_text())
+        assert type(doc["tol"]) is int and type(doc["scenario"]["noise"]["c"]) is int
+        assert type(json.loads((tmp_path / "int.meta.json").read_text())["solver"]["tol"]) is int
         doc = json.loads(path.read_text())
         doc["typo_field"] = 1
         path.write_text(json.dumps(doc))
@@ -119,6 +128,13 @@ class TestConfig:
         "extra source key": ("config", lambda d: d["scenario"].update(
             source={"uniform": [-5.0, 5.0], "seed": 3}), "unknown source fields: ['seed']"),
         "zero tol": ("config", lambda d: d.update(tol=0), "tol must be finite and > 0"),
+        "bool tol": ("config", lambda d: d.update(tol=True), "tol must be real number, not bool"),
+        "numeric string tol": ("config", lambda d: d.update(tol="1e-4"),
+                               "tol must be real number, not str"),
+        "bool f0 in the noise": ("config", lambda d: d["scenario"]["noise"].update(f0=True),
+                                 "f0 must be real number, not bool"),
+        "numeric string c in the noise": ("config", lambda d: d["scenario"]["noise"].update(
+            c="340"), "c must be real number, not str"),
         "fractional seed": ("config", lambda d: d.update(seed=5.7),
                             "seed must be an integer, got 5.7"),
         "two sweep grids": ("config", lambda d: d.update(freq_grid=[500.0, 1000.0]),
@@ -130,6 +146,11 @@ class TestConfig:
             "unexpected keyword argument 'fs_factr'"),
         "unknown key in the scenario file": ("scenario file", lambda d: d.update(sede=4),
                                              "unknown scenario fields: ['sede']"),
+        "bool sigma2 in the scenario file": ("scenario file", lambda d: d["noise"].update(
+            sigma2=True), "sigma2 must be real number, not bool"),
+        "numeric string fs_factor in the scenario file": (
+            "scenario file", lambda d: d["noise"].update(fs_factor="8"),
+            "fs_factor must be real number, not str"),
         "NaN snr_db": ("config", lambda d: d.update(snr_db=math.nan), "snr_db must be finite"),
         "-inf SNR in the grid": ("config", lambda d: d.update(snr_grid=[0.0, -math.inf]),
                                  "snr_db must be finite"),

@@ -16,8 +16,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 _REPORT = """
 import json
+from mmloc.solvit import _planar_kernel
 print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules,
-                  "scipy.signal": "scipy.signal" in sys.modules}))
+                  "scipy.signal": "scipy.signal" in sys.modules,
+                  "kernels compiled": _planar_kernel.cache_info().misses}))
 """
 
 
@@ -32,8 +34,10 @@ def run_child(code, *args):
 
 
 def test_import_loads_no_scipy():
+    # and compiles no planar kernel: that waits for the first planar solve
     report = run_child("import sys\nimport mmloc, mmloc.cli\ncodes = []\n" + _REPORT)
-    assert report == {"codes": [], "scipy": False, "scipy.signal": False}
+    assert report == {"codes": [], "scipy": False, "scipy.signal": False,
+                      "kernels compiled": 0}
 
 
 def test_bench_and_solve_load_no_scipy(tmp_path):
@@ -71,7 +75,9 @@ codes = [
 ]
 """ + _REPORT
     report = run_child(code, tmp_path)
-    assert report == {"codes": [0] * 5, "scipy": False, "scipy.signal": False}
+    # one planar kernel for the m = 4 sweep, one for the m = 5 solve
+    assert report == {"codes": [0] * 5, "scipy": False, "scipy.signal": False,
+                      "kernels compiled": 2}
 
 
 def test_tdoa_loads_scipy_signal_on_first_use(tmp_path):
@@ -89,7 +95,8 @@ codes.append(main(["tdoa", "--signals", sig, "--band", "150", "350",
                    "--out", f"{sys.argv[1]}/rd.csv"]))
 """ + _REPORT
     report = run_child(code, tmp_path)
-    assert report == {"codes": [False, 0], "scipy": True, "scipy.signal": True}
+    assert report == {"codes": [False, 0], "scipy": True, "scipy.signal": True,
+                      "kernels compiled": 0}
 
 
 def test_no_relative_import_inside_a_function():

@@ -186,6 +186,9 @@ class TestInitPoint:
         for bad in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="coord_bound must be finite and > 0"):
                 InitConfig(coord_bound=bad)
+        for bad, kind in ((True, "bool"), ("5", "str")):
+            with pytest.raises(TypeError, match=f"coord_bound must be real number, not {kind}"):
+                InitConfig(coord_bound=bad)
 
     # the hyperbola arc (n = 2) or the grid costs (n = 3) overflow; the error
     # comes without a RuntimeWarning first (pytest turns one into an error)

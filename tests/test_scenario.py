@@ -154,6 +154,13 @@ class TestNoiseModel:
             NoiseModel(sigma2=1.0, f0=0.0, c=340.0)
         with pytest.raises(ValueError):
             NoiseModel(sigma2=1.0, f0=1000.0, c=-5.0)
+        # a bool or a numeric string is refused by name; other values are kept as given
+        good = {"sigma2": 1.0, "f0": 1000.0, "c": 340.0, "fs_factor": 4.0}
+        for name in good:
+            for bad, kind in ((True, "bool"), ("1", "str")):
+                with pytest.raises(TypeError, match=f"{name} must be real number, not {kind}"):
+                    NoiseModel(**dict(good, **{name: bad}))
+        assert type(NoiseModel(sigma2=0, f0=1000, c=340).c) is int
 
     def test_range_noise_std_grows_with_distance(self):
         arr = SensorArray(np.array([[0.0, 0.0], [100.0, 0.0]]))

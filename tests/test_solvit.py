@@ -9,6 +9,7 @@ from mmloc import (
     CONVERGED,
     MAX_ITER,
     SINGULAR_SYSTEM,
+    ExperimentConfig,
     RangeDiffSet,
     SensorArray,
     SolveTrace,
@@ -18,6 +19,7 @@ from mmloc import (
     grad_fd,
     init_point,
     rangediffs_from_ranges,
+    run_rmse_sweep,
     sfp_solve,
     solvit_solve,
     solvit_step,
@@ -411,7 +413,9 @@ class TestPlanarKernel:
         assert math.dist(seen[1], ys[0]) == pytest.approx(1e-6)
 
     def test_random_solves_match_reference_loop(self, monkeypatch):
-        # m = 2..9 on raw coordinate arrays; one start in five exactly on a sensor
+        # m = 2..9 on raw coordinate arrays; one start in five exactly on a
+        # sensor; one measurement set in ten stores its pairs in a random
+        # order (drawn from its own stream, so the other cases stay as they were)
         runs = []
         loop = solvit._mm_loop
 
@@ -421,7 +425,8 @@ class TestPlanarKernel:
 
         monkeypatch.setattr(solvit, "_mm_loop", counted)
         rng = np.random.default_rng(2026)
-        on_sensor = 0
+        order_rng = np.random.default_rng(17)
+        on_sensor = permuted = 0
         statuses = set()
         for _ in range(1500):
             m = int(rng.integers(2, 10))
@@ -429,6 +434,10 @@ class TestPlanarKernel:
             diffs = rng.normal(0.0, 20.0, m * (m - 1) // 2)
             diffs[rng.uniform(size=diffs.size) < 0.1] = 0.0
             rd = oriented_rangediffs(diffs.tolist(), m)
+            if m > 2 and order_rng.uniform() < 0.1:
+                order = order_rng.permutation(rd.n_pairs)
+                rd = RangeDiffSet(rd.i[order], rd.j[order], rd.values[order], m)
+                permuted += 1
             x0 = rng.uniform(-60.0, 60.0, 2)
             if rng.uniform() < 0.2:
                 x0 = ys[int(rng.integers(m))].copy()
@@ -439,8 +448,30 @@ class TestPlanarKernel:
             assert_same_solve(got, reference_solvit_solve(x0, ys, rd, cfg))
             statuses.add(got[1].status)
         assert len(runs) == 1500
-        assert on_sensor > 250
+        assert on_sensor > 250 and permuted > 100
         assert statuses == {CONVERGED, MAX_ITER}
+
+    def test_one_kernel_serves_every_orientation(self, monkeypatch):
+        # the criterion-7 config: each trial's noise orients its pairs, and
+        # every orientation of the one stored pair order shares one kernel
+        cfg = ExperimentConfig(
+            scenario={"sensors": {"kind": "random", "m": 5, "lo": -50.0, "hi": 50.0},
+                      "source": {"uniform": [-10.0, 10.0]},
+                      "noise": {"f0": 1000.0, "c": 340.0}},
+            snr_grid=[float(v) for v in range(-10, 1)], trials=200, solver="solvit",
+            init="proposed", seed=2026, tol=1e-8, max_iter=2000)
+        orientations = set()
+        build = solvit._solvit_sweep_2d
+
+        def recorded(ys, pairs):
+            orientations.add(tuple(i < j for i, j, _ in pairs))
+            return build(ys, pairs)
+
+        monkeypatch.setattr(solvit, "_solvit_sweep_2d", recorded)
+        solvit._planar_kernel.cache_clear()
+        run_rmse_sweep(cfg)
+        assert len(orientations) > 1
+        assert solvit._planar_kernel.cache_info().misses == 1
 
     # a singular 2x2 system: test_singular_solve_matches_reference_loop
     @pytest.mark.parametrize("sensors, ranges, x0, cfg, status, iterations", [
@@ -579,6 +610,9 @@ class TestConfigAndTrace:
             SolverConfig(tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
+        for bad, kind in ((True, "bool"), ("1e-4", "str")):
+            with pytest.raises(TypeError, match=f"tol must be real number, not {kind}"):
+                SolverConfig(tol=bad)
 
     def test_max_iter_must_be_an_integer(self):
         for bad in (2.5, 1e3, True, "500", None):
