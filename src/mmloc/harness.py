@@ -169,7 +169,7 @@ def _resolve_scenario(spec: dict, rng):
     src_spec = spec["source"]
     if isinstance(src_spec, dict):
         _scen._check_keys("source", src_spec, ("uniform",))
-        lo, hi = src_spec["uniform"]
+        lo, hi = (_scen._as_real("uniform", v, -math.inf) for v in src_spec["uniform"])
         source = rng.uniform(lo, hi, size=array.n)
     else:
         source = _scen.as_position(src_spec, array.n)

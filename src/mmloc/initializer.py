@@ -28,11 +28,6 @@ _CHUNK_FLOATS = 1 << 21
 _TOO_LARGE = "coord_bound={!r} is too large: the cost at the best sample is not finite"
 
 
-def _check_bound(bound) -> None:
-    if not 0 < _as_real("coord_bound", bound) < math.inf:
-        raise ValueError("coord_bound must be finite and > 0")
-
-
 @dataclass(frozen=True)
 class InitConfig:
     grid_size: int = 128       # points evaluated along the chosen hyperbola
@@ -42,7 +37,7 @@ class InitConfig:
     def __post_init__(self):
         object.__setattr__(self, "grid_size", _as_count("grid_size", self.grid_size, 2))
         if self.coord_bound is not None:
-            _check_bound(self.coord_bound)
+            _as_real("coord_bound", self.coord_bound, 0)
 
 
 def _exit_angle(center, along, across, bound: float) -> float:
@@ -135,8 +130,8 @@ def hyperbola_points(y_i, y_j, r_ij: float, l: int, coord_bound: float) -> np.nd
     if yi.size != 2 or yj.size != 2:
         raise ValueError("hyperbola sampling is 2-D only")
     l = _as_count("l", l, 2)
-    _check_bound(coord_bound)
-    if not r_ij >= 0:  # NaN too
+    _as_real("coord_bound", coord_bound, 0)
+    if not _as_real("r_ij", r_ij) >= 0:  # NaN too
         raise ValueError("r_ij must be >= 0")
     arc = _arc(yi.tolist(), yj.tolist(), float(np.linalg.norm(yj - yi)), r_ij, coord_bound)
     return _arc_samples([arc], l, coord_bound)[0]

@@ -18,7 +18,7 @@ import operator
 
 import numpy as np
 
-from .scenario import RangeDiffSet, as_position, sensor_coords
+from .scenario import RangeDiffSet, _as_real, as_position, sensor_coords
 
 
 def _check_ranges(ranges, m: int) -> np.ndarray:
@@ -146,8 +146,7 @@ def grad_fd(f, x, h: float | None = None, sensors=None) -> np.ndarray:
     p = as_position(x)
     if h is None:
         h = 1e-6 * (1.0 + float(np.linalg.norm(p)))
-    if not h > 0:
-        raise ValueError("step h must be > 0")
+    _as_real("h", h, 0)
     if sensors is not None:
         coords = sensor_coords(sensors)
         dmin = float(np.min(np.linalg.norm(p - coords, axis=1)))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -55,12 +56,20 @@ def _as_count(name: str, value, minimum: int) -> int:
     return value
 
 
-def _as_real(name: str, value):
-    """A real-number field, returned as given once it is neither a string nor a
-    bool: float() would read "10" as 10 and true as 1, and a comparison would
-    fail on a string with a message that names no field."""
-    if isinstance(value, (str, bool)):
+def _as_real(name: str, value, low=None, *, closed=False):
+    """A real-number field, returned as given (an int stays an int).
+
+    The one check of every scalar real input.  A bool, or anything that is
+    not a numbers.Real (None, a str, a list, np.bool_), is a TypeError that
+    names the field: float() would read "10" as 10 and true as 1, and a
+    comparison would fail with a message that names no field.  With low
+    given, the value must also be finite and > low (>= low when closed),
+    else it is a ValueError.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be real number, not {type(value).__name__}")
+    if low is not None and not (math.isfinite(value) and (value >= low if closed else value > low)):
+        raise ValueError(f"{name} must be finite and {'>=' if closed else '>'} {low}")
     return value
 
 
@@ -203,16 +212,10 @@ class NoiseModel:
     fs_factor: float = 4.0   # sampling rate as a multiple of f0
 
     def __post_init__(self):
-        for name in ("sigma2", "f0", "c", "fs_factor"):
-            _as_real(name, getattr(self, name))
-        if not (self.sigma2 >= 0 and math.isfinite(self.sigma2)):
-            raise ValueError("sigma2 must be finite and >= 0")
-        if not (self.f0 > 0 and math.isfinite(self.f0)):
-            raise ValueError("f0 must be finite and > 0")
-        if not (self.c > 0 and math.isfinite(self.c)):
-            raise ValueError("c must be finite and > 0")
-        if not (self.fs_factor > 0 and math.isfinite(self.fs_factor)):
-            raise ValueError("fs_factor must be finite and > 0")
+        _as_real("sigma2", self.sigma2, 0, closed=True)
+        _as_real("f0", self.f0, 0)
+        _as_real("c", self.c, 0)
+        _as_real("fs_factor", self.fs_factor, 0)
 
 
 def range_variance(D: float, noise: NoiseModel) -> float:
@@ -225,8 +228,7 @@ def range_variance(D: float, noise: NoiseModel) -> float:
 
     which grows ~D^2 at long range and ~D^4 when the phase term is small.
     """
-    if not D > 0:
-        raise ValueError("distance D must be > 0")
+    _as_real("D", D, 0)
     num = noise.sigma2 * noise.c ** 2 * D ** 4
     den = (noise.fs_factor / 2.0) * (noise.c ** 2 + 4.0 * math.pi ** 2 * noise.f0 ** 2 * D ** 2)
     return num / den
@@ -239,8 +241,7 @@ def range_variance(D: float, noise: NoiseModel) -> float:
 def circular_array(m: int, radius: float) -> SensorArray:
     """m sensors on a circle: sensor i at radius*[cos(2*pi*i/m), sin(2*pi*i/m)]."""
     m = _as_count("m", m, 2)
-    if not radius > 0:
-        raise ValueError("radius must be > 0")
+    _as_real("radius", radius, 0)
     idx = np.arange(1, m + 1)
     ang = 2.0 * np.pi * idx / m
     return SensorArray(radius * np.column_stack([np.cos(ang), np.sin(ang)]))
@@ -257,22 +258,14 @@ def linear_array() -> SensorArray:
 
 
 def random_array(m: int, lo: float, hi: float, n: int = 2, seed=None) -> SensorArray:
-    """Sensors with i.i.d. uniform coordinates in [lo, hi]^n, deterministic given seed."""
+    """Sensors with i.i.d. uniform coordinates in [lo, hi]^n, deterministic given
+    seed; SensorArray refuses a draw with coincident sensors."""
     m = _as_count("m", m, 2)
-    if not lo < hi:
+    if not _as_real("lo", lo, -math.inf) < _as_real("hi", hi, -math.inf):
         raise ValueError(f"degenerate bounds: lo={lo} must be < hi={hi}")
     if n not in (2, 3):
         raise ValueError("n must be 2 or 3")
-    rng = np.random.default_rng(seed)
-    for _ in range(100):
-        coords = rng.uniform(lo, hi, size=(m, n))
-        dmin = min(
-            np.linalg.norm(coords[i] - coords[j])
-            for i in range(m) for j in range(i + 1, m)
-        )
-        if dmin > COINCIDENT_TOL:
-            return SensorArray(coords)
-    raise RuntimeError("could not draw a non-coincident sensor array in 100 attempts")
+    return SensorArray(np.random.default_rng(seed).uniform(lo, hi, size=(m, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +301,7 @@ def snr_to_sigma2(snr_db: float) -> float:
     package; it is recorded here and in benchmark metadata so that RMSE
     curves are comparable run to run.
     """
-    if not math.isfinite(snr_db):
+    if not math.isfinite(_as_real("snr_db", snr_db)):
         raise ValueError("snr_db must be finite")
     return 10.0 ** (-snr_db / 10.0)
 

@@ -85,8 +85,7 @@ class SolverConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if not (_as_real("tol", self.tol) > 0 and math.isfinite(self.tol)):
-            raise ValueError("tol must be finite and > 0")
+        _as_real("tol", self.tol, 0)
         object.__setattr__(self, "max_iter", _as_count("max_iter", self.max_iter, 1))
 
 

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import (RangeDiffSet, _as_count, _write_table, oriented_rangediffs,
-                       sensor_coords, unordered_pairs)
+from .scenario import (RangeDiffSet, _as_count, _as_real, _write_table, as_position,
+                       oriented_rangediffs, sensor_coords, unordered_pairs)
 
 # fixture defaults for the anechoic microphone experiment
 TONE_F0 = 250.0          # [Hz]
@@ -59,8 +58,7 @@ class SignalRecord:
             raise ValueError("signal must have at least 2 samples")
         if not np.all(np.isfinite(s)):
             raise ValueError("signal samples must be finite")
-        if not (self.fs > 0 and math.isfinite(self.fs)):
-            raise ValueError("fs must be finite and > 0")
+        _as_real("fs", self.fs, 0)
         s = s.copy()
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
@@ -73,7 +71,7 @@ def bandpass(sig: SignalRecord, f_lo: float, f_hi: float) -> SignalRecord:
     Implemented as a cascade of two second-order sections, forward pass
     only; output length equals input length.
     """
-    if not (0 < f_lo < f_hi < sig.fs / 2):
+    if not (0 < _as_real("f_lo", f_lo) < _as_real("f_hi", f_hi) < sig.fs / 2):
         raise ValueError(
             f"cutoffs must satisfy 0 < f_lo < f_hi < fs/2, got "
             f"({f_lo}, {f_hi}) at fs={sig.fs}"
@@ -143,8 +141,7 @@ def delays_to_rangediffs(delays, c: float) -> RangeDiffSet:
         RangeDiffSet with values c * tau, re-oriented so stored values
         are >= 0.
     """
-    if not c > 0:
-        raise ValueError("c must be > 0")
+    _as_real("c", c, 0)
     if not delays:
         raise ValueError("empty delay mapping")
     diffs = {}  # (i, j) with i < j -> c * tau_ij
@@ -171,8 +168,7 @@ def estimate_rangediffs(signals, c: float = SOUND_SPEED,
     sigs = list(signals)
     if len(sigs) < 2:
         raise ValueError("need at least 2 channels")
-    if not c > 0:
-        raise ValueError("c must be > 0")
+    _as_real("c", c, 0)
     # c * tau_ij, tau_ij = arrival_i - arrival_j (positive when channel i lags
     # channel j); xcorr_delay goes through the module global, so a wrapper applies
     diffs = [c * xcorr_delay(sigs[j - 1], sigs[i - 1], refine=refine)
@@ -191,11 +187,10 @@ def tone_burst_signals(source, mics, *, f0: float = TONE_F0, fs: float = TONE_FS
     steady tone's periodic correlation would not be.
     """
     coords = sensor_coords(mics)
-    src = np.asarray(source, dtype=float).reshape(-1)
-    if src.size != coords.shape[1]:
-        raise ValueError("source dimension must match microphone dimension")
-    if not (duration > 0 and burst > 0 and onset >= 0):
-        raise ValueError("duration and burst must be > 0, onset >= 0")
+    src = as_position(source, coords.shape[1])
+    for name, value in (("f0", f0), ("fs", fs), ("c", c), ("duration", duration), ("burst", burst)):
+        _as_real(name, value, 0)
+    _as_real("onset", onset, 0, closed=True)
     if onset + burst > duration:
         raise ValueError("burst does not fit in the requested duration")
     dist = np.linalg.norm(src[None, :] - coords, axis=1)
@@ -267,7 +262,7 @@ def read_signals_raw(path, sidecar=None) -> list[SignalRecord]:
     with open(side) as fh:
         meta = json.load(fh)
     channels = _as_count("channels", meta["channels"], 1)
-    fs = float(meta["fs"])
+    fs = meta["fs"]  # SignalRecord checks and converts it
     flat = np.fromfile(path, dtype="<f8")
     if flat.size % channels:
         raise ValueError("raw file length is not a multiple of the channel count")

@@ -2,14 +2,21 @@
 
 Positions and ranges are checked for size and finiteness on Python floats
 (as_position and objective._check_ranges); these tests hold every entry
-point that takes them to those messages, for each non-finite value.
+point that takes them to those messages, for each non-finite value.  Each
+scalar real input goes through scenario._as_real, which names its field.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from mmloc import f_rls, rangediffs_from_ranges, sfp_solve, solvit_solve, true_ranges
+from mmloc import (NoiseModel, SignalRecord, bandpass, delays_to_rangediffs,
+                   estimate_rangediffs, f_rls, grad_fd, hyperbola_points, range_variance,
+                   rangediffs_from_ranges, sfp_solve, snr_to_sigma2, solvit_solve,
+                   tone_burst_signals, true_ranges)
 from mmloc.scenario import as_position
+from mmloc.tdoa import ANECHOIC_MICROPHONES
 from conftest import make_instance, make_range_instance
 
 BAD = [np.nan, np.inf, -np.inf]
@@ -82,3 +89,68 @@ def test_solvers_keep_the_size_errors(x0, message):
     with pytest.raises(ValueError) as exc:
         sfp_solve(None, array, r[:3])
     assert str(exc.value) == "3 ranges for 4 sensors"
+
+
+def burst(source=(1.0, 0.5), **kw):
+    return lambda: tone_burst_signals(source, ANECHOIC_MICROPHONES, **kw)
+
+
+TWO_CHANNELS = [SignalRecord(np.zeros(8), 100.0)] * 2
+NOISE = NoiseModel(sigma2=1.0, f0=1000.0, c=340.0)
+
+# (call, message): each input used to run as a wrong value, to fail with a
+# message that names no field, or to fail only through its effect
+SCALAR_CASES = {
+    "null fs": (lambda: SignalRecord(np.zeros(8), None), "fs must be real number, not NoneType"),
+    "bool fs": (lambda: SignalRecord(np.zeros(8), True), "fs must be real number, not bool"),
+    "string fs": (lambda: SignalRecord(np.zeros(8), "100"), "fs must be real number, not str"),
+    "null c of the delays": (lambda: delays_to_rangediffs({(1, 2): 1e-3}, c=None),
+                             "c must be real number, not NoneType"),
+    "bool c of the delays": (lambda: delays_to_rangediffs({(1, 2): 1e-3}, c=True),
+                             "c must be real number, not bool"),
+    "zero c of the delays": (lambda: delays_to_rangediffs({(1, 2): 1e-3}, c=0.0),
+                             "c must be finite and > 0"),
+    "infinite c of the delays": (lambda: delays_to_rangediffs({(1, 2): 1e-3}, c=math.inf),
+                                 "c must be finite and > 0"),
+    "null c of the estimate": (lambda: estimate_rangediffs(TWO_CHANNELS, c=None),
+                               "c must be real number, not NoneType"),
+    "bool c of the estimate": (lambda: estimate_rangediffs(TWO_CHANNELS, c=True),
+                               "c must be real number, not bool"),
+    "zero c of the estimate": (lambda: estimate_rangediffs(TWO_CHANNELS, c=0.0),
+                               "c must be finite and > 0"),
+    "infinite c of the estimate": (lambda: estimate_rangediffs(TWO_CHANNELS, c=math.inf),
+                                   "c must be finite and > 0"),
+    "bool h": (lambda: grad_fd(lambda x: 0.0, [1.0, 2.0], h=True),
+               "h must be real number, not bool"),
+    "zero h": (lambda: grad_fd(lambda x: 0.0, [1.0, 2.0], h=0.0), "h must be finite and > 0"),
+    "infinite h": (lambda: grad_fd(lambda x: 0.0, [1.0, 2.0], h=math.inf),
+                   "h must be finite and > 0"),
+    "null D": (lambda: range_variance(None, NOISE), "D must be real number, not NoneType"),
+    "bool D": (lambda: range_variance(True, NOISE), "D must be real number, not bool"),
+    "zero D": (lambda: range_variance(0.0, NOISE), "D must be finite and > 0"),
+    "infinite D": (lambda: range_variance(math.inf, NOISE), "D must be finite and > 0"),
+    "bool f0 of the burst": (burst(f0=True), "f0 must be real number, not bool"),
+    "null fs of the burst": (burst(fs=None), "fs must be real number, not NoneType"),
+    "zero c of the burst": (burst(c=0.0), "c must be finite and > 0"),
+    "infinite duration of the burst": (burst(duration=math.inf),
+                                       "duration must be finite and > 0"),
+    "zero burst length": (burst(burst=0.0), "burst must be finite and > 0"),
+    "negative onset of the burst": (burst(onset=-1e-3), "onset must be finite and >= 0"),
+    "NaN source of the burst": (burst(source=(math.nan, 0.5)),
+                                "position coordinates must be finite"),
+    "bool r_ij": (lambda: hyperbola_points([0.0, 0.0], [4.0, 0.0], True, 8, 10.0),
+                  "r_ij must be real number, not bool"),
+    "bool snr_db": (lambda: snr_to_sigma2(True), "snr_db must be real number, not bool"),
+    "bool band edge": (lambda: bandpass(TWO_CHANNELS[0], True, 30.0),
+                       "f_lo must be real number, not bool"),
+    "null band edge": (lambda: bandpass(TWO_CHANNELS[0], 10.0, None),
+                       "f_hi must be real number, not NoneType"),
+}
+
+
+@pytest.mark.parametrize("case", SCALAR_CASES)
+def test_bad_scalar_is_refused_by_name(case):
+    call, message = SCALAR_CASES[case]
+    with pytest.raises(TypeError if "real number" in message else ValueError) as exc:
+        call()
+    assert str(exc.value) == message

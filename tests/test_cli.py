@@ -228,6 +228,17 @@ class TestTdoa:
         assert err.splitlines() == ["error: signal samples must be finite"]
         assert not out_path.exists()
 
+    def test_infinite_c_fails_by_name(self, tmp_path, capsys):
+        sig_path = tmp_path / "sig.csv"
+        write_signals_csv(sig_path, tone_burst_signals(np.array([1.0, 0.5]),
+                                                       ANECHOIC_MICROPHONES))
+        out_path = tmp_path / "rd.csv"
+        code, out, err = run_cli(capsys, "tdoa", "--signals", sig_path, "--c", "inf",
+                                 "--out", out_path)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: c must be finite and > 0"]
+        assert not out_path.exists()
+
 
 class TestBenchAndPlot:
     def test_bench_identical_seeds_byte_identical(self, tmp_path, capsys):

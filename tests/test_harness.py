@@ -131,6 +131,31 @@ class TestConfig:
         "bool tol": ("config", lambda d: d.update(tol=True), "tol must be real number, not bool"),
         "numeric string tol": ("config", lambda d: d.update(tol="1e-4"),
                                "tol must be real number, not str"),
+        "null tol": ("config", lambda d: d.update(tol=None),
+                     "tol must be real number, not NoneType"),
+        "null snr_db": ("config", lambda d: d.update(snr_db=None),
+                        "snr_db must be real number, not NoneType"),
+        "null in the SNR grid": ("config", lambda d: d.update(snr_grid=[0.0, None]),
+                                 "snr_db must be real number, not NoneType"),
+        "numeric string radius": ("config", lambda d: d["scenario"].update(
+            sensors={"kind": "circular", "m": 5, "radius": "5"}),
+            "radius must be real number, not str"),
+        "bool radius": ("config", lambda d: d["scenario"].update(
+            sensors={"kind": "circular", "m": 5, "radius": True}),
+            "radius must be real number, not bool"),
+        "null radius": ("config", lambda d: d["scenario"].update(
+            sensors={"kind": "circular", "m": 5, "radius": None}),
+            "radius must be real number, not NoneType"),
+        "numeric string lo": ("config", lambda d: d["scenario"]["sensors"].update(lo="0"),
+                              "lo must be real number, not str"),
+        "bool lo": ("config", lambda d: d["scenario"]["sensors"].update(lo=True),
+                    "lo must be real number, not bool"),
+        "numeric string hi": ("config", lambda d: d["scenario"]["sensors"].update(hi="10"),
+                              "hi must be real number, not str"),
+        "bool hi": ("config", lambda d: d["scenario"]["sensors"].update(hi=True),
+                    "hi must be real number, not bool"),
+        "bool in the uniform source box": ("config", lambda d: d["scenario"].update(
+            source={"uniform": [True, 5.0]}), "uniform must be real number, not bool"),
         "bool f0 in the noise": ("config", lambda d: d["scenario"]["noise"].update(f0=True),
                                  "f0 must be real number, not bool"),
         "numeric string c in the noise": ("config", lambda d: d["scenario"]["noise"].update(

@@ -115,6 +115,9 @@ class TestFixtureArrays:
     def test_random_array_degenerate_bounds(self):
         with pytest.raises(ValueError):
             random_array(2, 0.0, 0.0)
+        for lo, hi, name in ((-math.inf, 1.0, "lo"), (0.0, math.inf, "hi"), (math.nan, 1.0, "lo")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and > -inf$"):
+                random_array(2, lo, hi)
 
 
 class TestPairsAndRanges:
@@ -154,10 +157,10 @@ class TestNoiseModel:
             NoiseModel(sigma2=1.0, f0=0.0, c=340.0)
         with pytest.raises(ValueError):
             NoiseModel(sigma2=1.0, f0=1000.0, c=-5.0)
-        # a bool or a numeric string is refused by name; other values are kept as given
+        # a bool or a non-number is refused by name; a number is kept as given
         good = {"sigma2": 1.0, "f0": 1000.0, "c": 340.0, "fs_factor": 4.0}
         for name in good:
-            for bad, kind in ((True, "bool"), ("1", "str")):
+            for bad, kind in ((True, "bool"), ("1", "str"), (None, "NoneType")):
                 with pytest.raises(TypeError, match=f"{name} must be real number, not {kind}"):
                     NoiseModel(**dict(good, **{name: bad}))
         assert type(NoiseModel(sigma2=0, f0=1000, c=340).c) is int

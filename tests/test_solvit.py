@@ -1,5 +1,6 @@
 """Range-difference solver: bound construction, closed-form step, iteration."""
 
+import itertools
 import math
 
 import numpy as np
@@ -260,16 +261,20 @@ class TestSolve:
         assert x.tolist() == seen[-1]
 
 
-def random_step_instance(rng):
-    """Random planar sensors, iterate and oriented pairs (m = 2..9)."""
-    m = int(rng.integers(2, 10))
+def random_step_instance(rng, layout=None):
+    """Random planar sensors, iterate and oriented pairs (m = 2..9).
+
+    The pairs are a random subset of all pairs, or with layout, an (m,
+    unordered pairs) entry of pair_layout_pool, those pairs in that order;
+    values and orientations are random either way.
+    """
+    m, keep = (int(rng.integers(2, 10)), None) if layout is None else layout
     ys = [tuple(map(float, rng.uniform(-50.0, 50.0, 2))) for _ in range(m)]
     pairs = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            if rng.uniform() < 0.8:
-                r = 0.0 if rng.uniform() < 0.1 else float(rng.normal(0.0, 20.0))
-                pairs.append((i, j, r) if rng.uniform() < 0.5 else (j, i, r))
+    for i, j in keep or itertools.combinations(range(m), 2):
+        if keep is not None or rng.uniform() < 0.8:
+            r = 0.0 if rng.uniform() < 0.1 else float(rng.normal(0.0, 20.0))
+            pairs.append((i, j, r) if rng.uniform() < 0.5 else (j, i, r))
     if not pairs:
         pairs.append((0, 1, float(rng.normal(0.0, 20.0))))
     x = [float(v) for v in rng.uniform(-60.0, 60.0, 2)]
@@ -277,6 +282,19 @@ def random_step_instance(rng):
         y = ys[int(rng.integers(m))]
         x = [y[0] + 1e-7, y[1] - 1e-7]
     return x, ys, pairs
+
+
+def pair_layout_pool(rng):
+    """(m, unordered pairs) for every m = 2..9: all pairs and a random half of
+    them (at m = 2 the one pair), each in canonical order and shuffled."""
+    pool = []
+    for m in range(2, 10):
+        full = list(itertools.combinations(range(m), 2))
+        half = rng.choice(len(full), (len(full) + 1) // 2, replace=False)
+        part = sorted(full[q] for q in half)
+        for keep in (full, part):
+            pool += [(m, keep), (m, [keep[q] for q in rng.permutation(len(keep))])]
+    return pool
 
 
 def reference_loop(x0, ys, pairs, cfg):
@@ -316,10 +334,15 @@ class TestPlanarKernel:
     """The planar loop reproduces the generic loop bit for bit."""
 
     def test_step_matches_generic_loop(self):
+        # the planar sweep compiles one kernel per layout, so the layouts come
+        # from a pool of 32 on their own stream, and each instance draws its
+        # sensors, iterate, values and orientations
+        layouts = np.random.default_rng(2025)
+        pool = pair_layout_pool(layouts)
         rng = np.random.default_rng(2024)
         solved = 0
         for _ in range(1500):
-            x, ys, pairs = random_step_instance(rng)
+            x, ys, pairs = random_step_instance(rng, pool[int(layouts.integers(len(pool)))])
             solved += one_step_solve(x, ys, pairs).iterations
         assert solved > 1000
 
@@ -610,7 +633,8 @@ class TestConfigAndTrace:
             SolverConfig(tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
-        for bad, kind in ((True, "bool"), ("1e-4", "str")):
+        for bad, kind in ((True, "bool"), ("1e-4", "str"), (None, "NoneType"), ([1e-4], "list"),
+                          (np.True_, "bool")):
             with pytest.raises(TypeError, match=f"tol must be real number, not {kind}"):
                 SolverConfig(tol=bad)
 

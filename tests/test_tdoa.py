@@ -268,6 +268,14 @@ class TestSignalIO:
             with pytest.raises(ValueError, match="channels must be"):
                 read_signals_raw(raw)
 
+    def test_raw_sidecar_fs_must_be_a_real_number(self, tmp_path):
+        raw = tmp_path / "sig.f64"
+        write_signals_raw(raw, [SignalRecord(np.zeros(8), 8000.0)] * 2)
+        for bad, kind in (("8000", "str"), (True, "bool"), (None, "NoneType")):
+            (tmp_path / "sig.f64.json").write_text(json.dumps({"channels": 2, "fs": bad}))
+            with pytest.raises(TypeError, match=f"^fs must be real number, not {kind}$"):
+                read_signals_raw(raw)
+
     def test_raw_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
         sigs = [SignalRecord(rng.normal(size=128), TONE_FS) for _ in range(4)]
