@@ -22,6 +22,7 @@ metadata sidecar.  A solver exception is not a failed trial: it propagates.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -281,26 +282,25 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[RmseRow]:
     solver_cfg = cfg.solver_config()
     d_true = _scen.true_ranges(source, array)
 
-    # one unit-noise draw and one init seed per trial, shared across the sweep
-    trial_states = []
-    for ss in trial_ss.spawn(cfg.trials):
-        rng_t = np.random.default_rng(ss)
-        trial_states.append((rng_t.standard_normal(array.m),
-                             int(rng_t.integers(2 ** 63))))
+    # one unit-noise draw (a row of eps), then one init seed, per trial,
+    # shared across the sweep
+    rngs = [np.random.default_rng(ss) for ss in trial_ss.spawn(cfg.trials)]
+    eps = np.array([rng.standard_normal(array.m) for rng in rngs])
+    seeds = [int(rng.integers(2 ** 63)) for rng in rngs]
 
-    # every (sweep value, trial) measurement set, value-major, then every start
+    # every (sweep value, trial) measurement set, value-major, each value's
+    # ranges one (trials, m) array, then every start
     bounds, meas = [], []
     for value in sweep:
         noise = _sweep_noise(cfg, noise_t, value)
         std = _scen.range_noise_std(source, array, noise)
         bounds.append(_crlb.fisher(source, array, noise).rmse_bound
                       if cfg.solver == "solvit" else math.nan)
-        meas += [_measurement(cfg.solver, d_true + eps_unit * std)
-                 for eps_unit, _ in trial_states]
+        meas += [_measurement(cfg.solver, ranges) for ranges in d_true + eps * std]
     if cfg.init == "proposed":
-        x0s = _init.init_points(array, meas, [seed for _ in sweep for _, seed in trial_states])
+        x0s = _init.init_points(array, meas, seeds * len(sweep))
     elif cfg.init == "random":  # a trial's start is shared by every sweep value
-        x0s = [_pick_x0("random", array, None, seed) for _, seed in trial_states] * len(sweep)
+        x0s = [_pick_x0("random", array, None, seed) for seed in seeds] * len(sweep)
     else:
         x0s = [_pick_x0(cfg.init, array, None, None, cfg.init_point)] * len(meas)
 
@@ -333,6 +333,7 @@ def read_rmse_csv(path) -> list[RmseRow]:
             for s, r, c, f in _scen._read_table(path, "sweep,rmse,crlb,failed")]
 
 
+@functools.cache
 def _pkg_version() -> str:
     import importlib.metadata  # here, not at module level: it costs ~16 ms at start-up
 

@@ -23,7 +23,8 @@ from .errors import DegenerateMeasurementError, RayMeasurementError
 from .objective import _check_rd, _rd_costs, f_rdls_many
 from .scenario import RangeDiffSet, _as_count, _as_real, as_position, sensor_coords
 
-# float64s in the largest temporary of one init_points chunk (16 MB)
+# bound on the float64s in the largest temporary of one init_points chunk
+# (16 MB): a row counts l * max(m, pairs), at least the l * m of its distances
 _CHUNK_FLOATS = 1 << 21
 _TOO_LARGE = "coord_bound={!r} is too large: the cost at the best sample is not finite"
 

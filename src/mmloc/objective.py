@@ -111,12 +111,11 @@ def _rd_costs(pts, coords, i0, j0, values) -> np.ndarray:
     point's squared residuals are added in the set's stored pair order, as
     _f_pairs adds them."""
     B, L, n = pts.shape
-    m = coords.shape[0]
     diffs = (pts[:, None, :, t] - coords[None, :, t, None] for t in range(n))
-    D = np.sqrt(_sum(d * d for d in diffs)).reshape(B * m, L)
-    first = np.arange(0, B * m, m)[:, None]  # row of each set's first sensor in D
-    res = values[:, :, None] - (D[first + i0] - D[first + j0])
-    return _sum(np.moveaxis(res * res, 1, 0))
+    D = np.sqrt(_sum(d * d for d in diffs))  # (B, m, L)
+    b = np.arange(B)
+    res = (values[:, p, None] - (D[b, i0[:, p]] - D[b, j0[:, p]]) for p in range(i0.shape[1]))
+    return _sum(e * e for e in res)
 
 
 def f_rdls_many(X, array, rd: RangeDiffSet) -> np.ndarray:

@@ -62,13 +62,18 @@ def _as_real(name: str, value, low=None, *, closed=False):
     The one check of every scalar real input.  A bool, or anything that is
     not a numbers.Real (None, a str, a list, np.bool_), is a TypeError that
     names the field: float() would read "10" as 10 and true as 1, and a
-    comparison would fail with a message that names no field.  With low
-    given, the value must also be finite and > low (>= low when closed),
-    else it is a ValueError.
+    comparison would fail with a message that names no field.  A value
+    beyond the float range (an int such as 10**400) is a ValueError, where
+    float() would raise OverflowError.  With low given, the value must also
+    be finite and > low (>= low when closed), else it is a ValueError.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be real number, not {type(value).__name__}")
-    if low is not None and not (math.isfinite(value) and (value >= low if closed else value > low)):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{name} is beyond the float range") from None
+    if low is not None and not (finite and (value >= low if closed else value > low)):
         raise ValueError(f"{name} must be finite and {'>=' if closed else '>'} {low}")
     return value
 

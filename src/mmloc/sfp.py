@@ -16,15 +16,20 @@ update is about ten flops per sensor, less than the Python calls that
 would wrap it, so for n == 2 the sweep is _sfp_sweep_2d:
 _sfp_step_core_nd and objective._f_ranges unrolled into one pass over the
 sensors, whose norms give both the cost at x and the update from x, with
-the same floating-point operations in the same order.  It must stay
-bit-identical to them: TestPlanarKernel in tests/test_sfp.py compares its
-traces with conftest.reference_iterate around those two kernels, and
-tests/test_solve_pins.py pins fixed solves.  n == 3 sweeps with
-solvit._reference_sweep around the same two kernels.
+the same floating-point operations in the same order.  That pass is
+generated as straight-line Python source, one block per sensor, and
+compiled on the first solve with m sensors (_sfp_kernel, a bounded cache,
+on the helpers of solvit's generated sweep); each solve binds its
+coordinates and ranges as arguments, so the source holds only indices
+and m.  It must stay bit-identical to them: TestPlanarKernel in
+tests/test_sfp.py compares its traces with conftest.reference_iterate
+around those two kernels, and tests/test_solve_pins.py pins fixed solves.
+n == 3 sweeps with solvit._reference_sweep around the same two kernels.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -32,7 +37,8 @@ import numpy as np
 from .errors import SensorSingularityError
 from .objective import _check_ranges, _f_ranges
 from .scenario import _unit_vectors, as_position, sensor_coords
-from .solvit import _SENSOR_GUARD, SolveOutcome, SolverConfig, _mm_loop, _reference_sweep
+from .solvit import (SolveOutcome, SolverConfig, _compile_make, _mm_loop, _reference_sweep,
+                     _unpack_sensors)
 
 
 def sfp_surrogate_many(X, x_k, array, ranges) -> np.ndarray:
@@ -85,33 +91,49 @@ def sfp_step(x_k, array, ranges) -> np.ndarray:
     return np.array(_sfp_step_core_nd(xk.tolist(), ys, r.tolist(), coords.shape[1]))
 
 
+# Source template of the generated planar sweep (see _sfp_kernel): the cost
+# and update terms of sensor k.  Only integers are filled in.
+_SENSOR_TERMS = """\
+        d0 = x0 - y0_{k}
+        d1 = x1 - y1_{k}
+        nrm = sqrt(d0 * d0 + d1 * d1)
+        if nrm < guard:
+            return _f_ranges(x, ys, r)[0], None
+        e = r_{k} - nrm
+        f += e * e
+        scale = r_{k} / nrm
+        acc0 += y0_{k} + scale * d0
+        acc1 += y1_{k} + scale * d1
+"""
+
+
+@functools.lru_cache(maxsize=16)
+def _sfp_kernel(m: int):
+    """make(ys, r) -> sweep, compiled for m sensors; make binds each
+    sensor's coordinates and range as defaults of sweep."""
+    bound = [f"{v}_{k}" for k in range(m) for v in ("y0", "y1", "r")] + ["ys", "r"]
+    lines = ["def make(ys, r):", _unpack_sensors(m),
+             f"    [{', '.join(f'r_{k}' for k in range(m))}] = r",
+             f"    def sweep(x, {', '.join(f'{v}={v}' for v in bound)},"
+             " sqrt=sqrt, guard=_SENSOR_GUARD):",
+             "        x0, x1 = x",
+             "        f = acc0 = acc1 = 0.0"]
+    lines += [_SENSOR_TERMS.format(k=k) for k in range(m)]
+    lines += [f"        return f, (acc0 / {m}, acc1 / {m})", "    return sweep"]
+    return _compile_make(lines, f"<planar sfp sweep, m={m}>", _f_ranges=_f_ranges)
+
+
 def _sfp_sweep_2d(ys, r: list[float]):
     """_reference_sweep(ys, 2, _f_ranges, _sfp_step_core_nd, r), unrolled.
 
     The same floating-point operations in the same order, so every trace
     is bit-identical; one pass over the sensors gives the cost at x and the
-    update from x.  At a sensor within the guard x_next is None.
+    update from x.  At a sensor within the guard the cost comes from
+    _f_ranges and x_next is None.  The pass is generated straight-line,
+    with no loop, tuple or index, and compiled once per sensor count by
+    _sfp_kernel.
     """
-    sens = [(y0, y1, rk) for (y0, y1), rk in zip(ys, r)]
-
-    def sweep(x, sens=sens, m=len(sens), sqrt=math.sqrt, guard=_SENSOR_GUARD):
-        x0, x1 = x
-        f = acc0 = acc1 = 0.0
-        near = False
-        for y0, y1, rk in sens:
-            d0 = x0 - y0
-            d1 = x1 - y1
-            nrm = sqrt(d0 * d0 + d1 * d1)
-            e = rk - nrm
-            f += e * e
-            if nrm < guard:  # nudged before the update, which needs no terms
-                near = True
-                continue
-            scale = rk / nrm
-            acc0 += y0 + scale * d0
-            acc1 += y1 + scale * d1
-        return f, (None if near else (acc0 / m, acc1 / m))
-    return sweep
+    return _sfp_kernel(len(ys))(ys, r)
 
 
 def sfp_solve(x0, array, ranges, cfg: SolverConfig | None = None, *,

@@ -446,6 +446,20 @@ _SOLVE_2X2 = """\
 """
 
 
+def _unpack_sensors(m: int) -> str:
+    """The line of a generated make(ys, ...) that names the coordinates of
+    each of the m sensors in ys y0_k and y1_k."""
+    return f"    [{', '.join(f'(y0_{k}, y1_{k})' for k in range(m))}] = ys"
+
+
+def _compile_make(lines, label: str, **names):
+    """The function make defined by the generated source lines, compiled
+    under label with sqrt, _SENSOR_GUARD and names as its globals."""
+    namespace = {"sqrt": math.sqrt, "_SENSOR_GUARD": _SENSOR_GUARD, **names}
+    exec(compile("\n".join(lines), label, "exec"), namespace)
+    return namespace["make"]
+
+
 @functools.lru_cache(maxsize=64)
 def _planar_kernel(m: int, layout: tuple[tuple[int, int], ...]):
     """make(ys, pairs) -> sweep, compiled for m sensors and the stored
@@ -461,8 +475,7 @@ def _planar_kernel(m: int, layout: tuple[tuple[int, int], ...]):
     sensors, prs = range(m), range(len(layout))
     bound = ([f"y{t}_{k}" for k in sensors for t in (0, 1)]
              + [f"{v}_{p}" for p in prs for v in ("o", "r", "c0", "c1")] + ["ys", "pairs"])
-    lines = ["def make(ys, pairs):",
-             f"    [{', '.join(f'(y0_{k}, y1_{k})' for k in sensors)}] = ys",
+    lines = ["def make(ys, pairs):", _unpack_sensors(m),
              f"    [{', '.join(f'(i_{p}, _, r_{p})' for p in prs)}] = pairs"]
     for p, (a, b) in enumerate(layout):
         lines += [f"    o_{p} = i_{p} == {a}",
@@ -477,10 +490,8 @@ def _planar_kernel(m: int, layout: tuple[tuple[int, int], ...]):
         lines += [f"        if o_{p}:", _PAIR_TERMS.format(p=p, i=a, j=b),
                   "        else:", _PAIR_TERMS.format(p=p, i=b, j=a)]
     lines += [_SOLVE_2X2, "    return sweep"]
-    namespace = {"sqrt": math.sqrt, "_f_pairs": _f_pairs, "_SENSOR_GUARD": _SENSOR_GUARD,
-                 "_COND_LIMIT": _COND_LIMIT}
-    exec(compile("\n".join(lines), f"<planar sweep, m={m}>", "exec"), namespace)
-    return namespace["make"]
+    return _compile_make(lines, f"<planar sweep, m={m}>", _f_pairs=_f_pairs,
+                         _COND_LIMIT=_COND_LIMIT)
 
 
 def _solvit_sweep_2d(ys, pairs):

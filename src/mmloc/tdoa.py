@@ -223,8 +223,7 @@ def _channels(signals):
 def write_signals_csv(path, signals) -> None:
     """One column per channel; first line is the comment '# fs=<Hz>'."""
     sigs, fs = _channels(signals)
-    columns = [s.samples.tolist() for s in sigs]
-    _write_table(path, f"# fs={fs!r}", ([repr(v) for v in row] for row in zip(*columns)))
+    _write_table(path, f"# fs={fs!r}", zip(*(map(repr, s.samples.tolist()) for s in sigs)))
 
 
 def read_signals_csv(path) -> list[SignalRecord]:

@@ -112,6 +112,8 @@ SCALAR_CASES = {
                              "c must be finite and > 0"),
     "infinite c of the delays": (lambda: delays_to_rangediffs({(1, 2): 1e-3}, c=math.inf),
                                  "c must be finite and > 0"),
+    "huge int c of the delays": (lambda: delays_to_rangediffs({(1, 2): 1e-3}, c=10**400),
+                                 "c is beyond the float range"),
     "null c of the estimate": (lambda: estimate_rangediffs(TWO_CHANNELS, c=None),
                                "c must be real number, not NoneType"),
     "bool c of the estimate": (lambda: estimate_rangediffs(TWO_CHANNELS, c=True),
@@ -129,6 +131,7 @@ SCALAR_CASES = {
     "bool D": (lambda: range_variance(True, NOISE), "D must be real number, not bool"),
     "zero D": (lambda: range_variance(0.0, NOISE), "D must be finite and > 0"),
     "infinite D": (lambda: range_variance(math.inf, NOISE), "D must be finite and > 0"),
+    "huge int D": (lambda: range_variance(-10**400, NOISE), "D is beyond the float range"),
     "bool f0 of the burst": (burst(f0=True), "f0 must be real number, not bool"),
     "null fs of the burst": (burst(fs=None), "fs must be real number, not NoneType"),
     "zero c of the burst": (burst(c=0.0), "c must be finite and > 0"),
@@ -141,6 +144,7 @@ SCALAR_CASES = {
     "bool r_ij": (lambda: hyperbola_points([0.0, 0.0], [4.0, 0.0], True, 8, 10.0),
                   "r_ij must be real number, not bool"),
     "bool snr_db": (lambda: snr_to_sigma2(True), "snr_db must be real number, not bool"),
+    "huge int snr_db": (lambda: snr_to_sigma2(10**400), "snr_db is beyond the float range"),
     "bool band edge": (lambda: bandpass(TWO_CHANNELS[0], True, 30.0),
                        "f_lo must be real number, not bool"),
     "null band edge": (lambda: bandpass(TWO_CHANNELS[0], 10.0, None),

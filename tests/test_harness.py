@@ -133,6 +133,8 @@ class TestConfig:
                                "tol must be real number, not str"),
         "null tol": ("config", lambda d: d.update(tol=None),
                      "tol must be real number, not NoneType"),
+        "huge int tol": ("config", lambda d: d.update(tol=10**400),
+                         "tol is beyond the float range"),
         "null snr_db": ("config", lambda d: d.update(snr_db=None),
                         "snr_db must be real number, not NoneType"),
         "null in the SNR grid": ("config", lambda d: d.update(snr_grid=[0.0, None]),
@@ -189,6 +191,12 @@ class TestConfig:
                                  "must be real number, not bool"),
         "bool snr_db": ("config", lambda d: d.update(snr_db=True),
                         "must be real number, not bool"),
+        "huge int snr_db": ("config", lambda d: d.update(snr_db=10**400),
+                            "snr_db is beyond the float range"),
+        "huge int in the SNR grid": ("config", lambda d: d.update(snr_grid=[0.0, -10**400]),
+                                     "snr_db is beyond the float range"),
+        "huge int in the frequency grid": ("config", lambda d: d.update(
+            snr_grid=None, freq_grid=[500.0, 10**400]), "f0 is beyond the float range"),
         "numeric string in the frequency grid": ("config", lambda d: d.update(
             snr_grid=None, freq_grid=["500"]), "must be real number, not str"),
         "bool in the frequency grid": ("config", lambda d: d.update(

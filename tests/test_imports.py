@@ -16,10 +16,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 _REPORT = """
 import json
+from mmloc.sfp import _sfp_kernel
 from mmloc.solvit import _planar_kernel
 print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules,
                   "scipy.signal": "scipy.signal" in sys.modules,
-                  "kernels compiled": _planar_kernel.cache_info().misses}))
+                  "kernels compiled": _planar_kernel.cache_info().misses,
+                  "sfp kernels compiled": _sfp_kernel.cache_info().misses}))
 """
 
 
@@ -37,7 +39,7 @@ def test_import_loads_no_scipy():
     # and compiles no planar kernel: that waits for the first planar solve
     report = run_child("import sys\nimport mmloc, mmloc.cli\ncodes = []\n" + _REPORT)
     assert report == {"codes": [], "scipy": False, "scipy.signal": False,
-                      "kernels compiled": 0}
+                      "kernels compiled": 0, "sfp kernels compiled": 0}
 
 
 def test_bench_and_solve_load_no_scipy(tmp_path):
@@ -75,9 +77,10 @@ codes = [
 ]
 """ + _REPORT
     report = run_child(code, tmp_path)
-    # one planar kernel for the m = 4 sweep, one for the m = 5 solve
+    # one planar kernel for the m = 4 sweep, one for the m = 5 solve, and
+    # one sfp kernel for the m = 5 sfp solve
     assert report == {"codes": [0] * 5, "scipy": False, "scipy.signal": False,
-                      "kernels compiled": 2}
+                      "kernels compiled": 2, "sfp kernels compiled": 1}
 
 
 def test_tdoa_loads_scipy_signal_on_first_use(tmp_path):
@@ -96,7 +99,7 @@ codes.append(main(["tdoa", "--signals", sig, "--band", "150", "350",
 """ + _REPORT
     report = run_child(code, tmp_path)
     assert report == {"codes": [False, 0], "scipy": True, "scipy.signal": True,
-                      "kernels compiled": 0}
+                      "kernels compiled": 0, "sfp kernels compiled": 0}
 
 
 def test_no_relative_import_inside_a_function():

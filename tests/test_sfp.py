@@ -1,5 +1,7 @@
 """Range least-squares fixed-point solver."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,14 @@ from mmloc import (
     SINGULAR_SYSTEM,
     SolverConfig,
     f_rls,
+    sfp,
     sfp_solve,
     sfp_step,
     sfp_surrogate,
     true_ranges,
 )
 from mmloc.errors import SensorSingularityError
+from mmloc.harness import ExperimentConfig, run_rmse_sweep
 from mmloc.objective import _f_ranges
 from mmloc.scenario import sensor_coords
 from mmloc.sfp import _sfp_step_core_nd, sfp_surrogate_many
@@ -254,6 +258,42 @@ class TestPlanarKernel:
         assert trace.status == CONVERGED and trace.objectives[-1] == 0.0
         with pytest.raises(SensorSingularityError):
             sfp_step(trace.iterates[1], ys, r)
+
+    # the first update from (4, 4) is the mean of the votes (1.75, 1),
+    # (-10, 14.5), (4, -3.5) and (0.25, 4), sensor 4 at (-1, 4) exactly;
+    # one ulp more on the third range lands it 4.4e-16 m away, inside the
+    # sensor guard but not on the sensor
+    LANDING_SENSORS = [[1.0, 0.0], [8.0, 1.0], [4.0, 9.0], [-1.0, 4.0]]
+    LANDING_RANGES = [1.25, 22.5, 12.5, 1.25]
+
+    @pytest.mark.parametrize("ulps, distance", [(0, 0.0), (1, 4.440892098500626e-16)])
+    def test_update_landing_by_a_sensor_is_nudged(self, ulps, distance):
+        r = list(self.LANDING_RANGES)
+        for _ in range(ulps):
+            r[2] = math.nextafter(r[2], math.inf)
+        ys, r = np.array(self.LANDING_SENSORS), np.array(r)
+        x0, cfg = np.array([4.0, 4.0]), SolverConfig(tol=1e-10, max_iter=50)
+        got = sfp_solve(x0, ys, r, cfg, trace=True)
+        assert_same_solve(got, reference_sfp_solve(x0, ys, r, cfg))
+        trace = got[1].trace
+        assert math.dist(trace.iterates[1], ys[3]) == distance
+        # the next update is taken from 1e-6 m off the sensor and leaves it
+        assert math.dist(trace.iterates[2], ys[3]) > 1e-6
+        assert trace.status == CONVERGED and trace.iterations > 10
+
+    def test_one_kernel_serves_a_range_sweep(self):
+        # the criterion-7 config on ranges: every solve has m = 5, so the
+        # sweep compiles one kernel and each later solve reuses it
+        cfg = ExperimentConfig(
+            scenario={"sensors": {"kind": "random", "m": 5, "lo": -50.0, "hi": 50.0},
+                      "source": {"uniform": [-10.0, 10.0]},
+                      "noise": {"f0": 1000.0, "c": 340.0}},
+            snr_grid=[float(v) for v in range(-10, 1)], trials=200, solver="sfp",
+            init="centroid", seed=2026, tol=1e-8, max_iter=2000)
+        sfp._sfp_kernel.cache_clear()
+        run_rmse_sweep(cfg)
+        info = sfp._sfp_kernel.cache_info()
+        assert (info.misses, info.hits) == (1, 11 * 200 - 1)
 
     def test_three_dimensional_update_landing_on_a_sensor(self):
         # zero ranges make the first update the sensors' mean, sensor 3 itself;

@@ -437,8 +437,9 @@ class TestPlanarKernel:
 
     def test_random_solves_match_reference_loop(self, monkeypatch):
         # m = 2..9 on raw coordinate arrays; one start in five exactly on a
-        # sensor; one measurement set in ten stores its pairs in a random
-        # order (drawn from its own stream, so the other cases stay as they were)
+        # sensor; one measurement set in ten stores its pairs in one of two
+        # random orders per m, drawn on their own stream so the other cases
+        # stay as they were (each pair order compiles its own kernel)
         runs = []
         loop = solvit._mm_loop
 
@@ -449,6 +450,8 @@ class TestPlanarKernel:
         monkeypatch.setattr(solvit, "_mm_loop", counted)
         rng = np.random.default_rng(2026)
         order_rng = np.random.default_rng(17)
+        orders = {m: [order_rng.permutation(m * (m - 1) // 2) for _ in range(2)]
+                  for m in range(3, 10)}
         on_sensor = permuted = 0
         statuses = set()
         for _ in range(1500):
@@ -458,7 +461,7 @@ class TestPlanarKernel:
             diffs[rng.uniform(size=diffs.size) < 0.1] = 0.0
             rd = oriented_rangediffs(diffs.tolist(), m)
             if m > 2 and order_rng.uniform() < 0.1:
-                order = order_rng.permutation(rd.n_pairs)
+                order = orders[m][int(order_rng.integers(2))]
                 rd = RangeDiffSet(rd.i[order], rd.j[order], rd.values[order], m)
                 permuted += 1
             x0 = rng.uniform(-60.0, 60.0, 2)
