@@ -22,7 +22,6 @@ metadata sidecar.  A solver exception is not a failed trial: it propagates.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -30,6 +29,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import __version__
 from . import crlb as _crlb
 from . import initializer as _init
 from . import scenario as _scen
@@ -74,7 +74,9 @@ class ExperimentConfig:
         mean zero noise.  Every grid value, snr_db and init_point are
         checked on construction by the rules the runs apply.
     init: proposed | random | fixed | centroid | both ("both" only for
-        traces; "fixed" requires init_point; see start_rule for sfp).
+        traces; "fixed" requires init_point).  None, the default, becomes
+        the solver's default start on construction (start_rule: proposed
+        for solvit, centroid for sfp), and the config keeps that name.
     tol / max_iter: default to and are checked by SolverConfig.
     """
 
@@ -84,7 +86,7 @@ class ExperimentConfig:
     snr_db: float = 0.0
     trials: int = 500
     solver: str = "solvit"
-    init: str = "proposed"
+    init: str | None = None
     init_point: list[float] | None = None
     seed: int = 0
     tol: float = _solvit.SolverConfig.tol
@@ -98,7 +100,7 @@ class ExperimentConfig:
             raise ValueError("give at most one of snr_grid / freq_grid")
         if self.solver not in ("solvit", "sfp"):
             raise ValueError(f"unknown solver {self.solver!r}")
-        start_rule(self.solver, self.init)
+        self.init = start_rule(self.solver, self.init)
         if self.init == "fixed" and self.init_point is None:
             raise ValueError("init=fixed requires init_point")
         if not isinstance(self.scenario, dict) or not self.scenario:
@@ -333,16 +335,6 @@ def read_rmse_csv(path) -> list[RmseRow]:
             for s, r, c, f in _scen._read_table(path, "sweep,rmse,crlb,failed")]
 
 
-@functools.cache
-def _pkg_version() -> str:
-    import importlib.metadata  # here, not at module level: it costs ~16 ms at start-up
-
-    try:
-        return importlib.metadata.version("mmloc")
-    except importlib.metadata.PackageNotFoundError:  # pragma: no cover
-        return "unknown"
-
-
 def write_metadata(path, cfg: ExperimentConfig) -> None:
     """JSON sidecar recording everything needed to reproduce a result file."""
     _scen._write_json(path, {
@@ -360,5 +352,5 @@ def write_metadata(path, cfg: ExperimentConfig) -> None:
         "snr_to_sigma2": "10**(-snr_db/10), unit signal power",
         "failed_policy": "failed trials excluded from RMSE, counted in the failed column",
         "crlb_column": "range-difference bound at the true source; NaN for the range-only solver",
-        "version": _pkg_version(),
+        "version": __version__,
     })

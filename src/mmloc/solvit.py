@@ -37,17 +37,17 @@ SolveTrace, built there from a wrapper around the sweep that keeps each
 swept point and its cost.  n == 3 sweeps with
 _reference_sweep around _f_pairs and _step_core_nd; n == 2 with
 _solvit_sweep_2d, those two unrolled into one sensor pass, one pair pass
-and an inline 2x2 solve.  That sweep is generated as straight-line Python
-source and compiled on the first solve of each layout, keyed on m and the
-stored sequence of unordered pairs (_planar_kernel, a bounded cache); each
-solve binds its coordinates, values and pair orientations as arguments,
-so the source holds only indices.  It must stay bit-identical to them:
-TestPlanarKernel in tests/test_solvit.py compares its traces with
-conftest.reference_iterate around _step_core_nd and _f_pairs, one step at
-a time (test_step_matches_generic_loop and the four tests after it) and
-over whole solves, and tests/test_solve_pins.py pins fixed solves, the 25
-TDOA fixture solves among them.  tests/test_one_loop.py checks that every
-solve runs _mm_loop.  Acceptance criterion 11 times the planar loop.
+and an inline 2x2 solve.  _planar_make writes that sweep and SFP's
+planar sweep as straight-line source and describes both; this one is
+compiled once per layout, keyed on m and the stored sequence of unordered
+pairs (_planar_kernel, a bounded cache).  It must stay bit-identical to the
+reference kernels: TestPlanarKernel in tests/test_solvit.py compares its
+traces with conftest.reference_iterate around _step_core_nd and _f_pairs,
+one step at a time (test_step_matches_generic_loop and the four tests
+after it) and over whole solves, and tests/test_solve_pins.py pins fixed
+solves, the 25 TDOA fixture solves among them.  tests/test_one_loop.py
+checks that every solve runs _mm_loop.  Acceptance criterion 11 times the
+planar loop.
 """
 
 from __future__ import annotations
@@ -398,15 +398,55 @@ def _reference_sweep(ys, n, objective, step, data):
     return sweep
 
 
-# Source templates of the generated planar sweep (see _planar_kernel): the
-# terms of sensor k, and the cost and bound-system terms of the stored pair p
-# oriented as (i, j).  Only integers are filled in.
-_SENSOR_TERMS = """\
+# The distance of sensor k in a generated planar sweep (see _planar_make),
+# and its exit within _SENSOR_GUARD: the reference cost and no update.
+_SENSOR_DISTANCE = """\
         d0 = x0 - y0_{k}
         d1 = x1 - y1_{k}
         n_{k} = sqrt(d0 * d0 + d1 * d1)
         if n_{k} < guard:
-            return _f_pairs(x, ys, pairs)[0], None
+            return cost(x, ys, data)[0], None
+"""
+
+
+def _planar_make(m, label, cost, *, setup, sums, terms, tail, per_sensor=(), bound=(), **names):
+    """make(ys, data) -> sweep, the planar sweep of one solver for m sensors,
+    written as straight-line Python source and compiled under label.
+
+    A sweep does what _reference_sweep(ys, 2, cost, step, data) does with the
+    solver's reference step, with the same floating-point operations in the
+    same order, so every trace is bit-identical; the solver's tests compare
+    the two (TestPlanarKernel in tests/test_solvit.py and tests/test_sfp.py).
+    It has no loop, tuple or index: each quantity is a named local.  make
+    unpacks the coordinates of sensor k in ys as y0_k, y1_k, runs the setup
+    lines (which name what the solver reads from data), and binds the
+    coordinates, each sensor's per_sensor names, the bound names, ys, data,
+    sqrt, _SENSOR_GUARD and cost as defaults of sweep, so the source holds
+    only indices and m.  sweep(x) sets the sums to zero, then for each sensor
+    forms d0, d1 and the distance n_k, returns (cost(x, ys, data)[0], None)
+    if n_k is within _SENSOR_GUARD, and adds the solver's terms for k; the
+    tail lines return (f(x), x_next).  names are further globals of the
+    source.  Each solver caches make per layout (_planar_kernel, _sfp_kernel),
+    so a process pays one compile per layout, on its first solve of it.
+    """
+    sensors = range(m)
+    defaults = ([f"{v}_{k}" for k in sensors for v in ("y0", "y1", *per_sensor)]
+                + [*bound, "ys", "data"])
+    lines = ["def make(ys, data):",
+             f"    [{', '.join(f'(y0_{k}, y1_{k})' for k in sensors)}] = ys", *setup,
+             f"    def sweep(x, {', '.join(f'{v}={v}' for v in defaults)},"
+             " sqrt=sqrt, guard=_SENSOR_GUARD, cost=cost):",
+             "        x0, x1 = x", f"        {' = '.join(sums)} = 0.0",
+             *[(_SENSOR_DISTANCE + terms).format(k=k) for k in sensors], *tail, "    return sweep"]
+    namespace = {"sqrt": math.sqrt, "_SENSOR_GUARD": _SENSOR_GUARD, "cost": cost, **names}
+    exec(compile("\n".join(lines), label, "exec"), namespace)
+    return namespace["make"]
+
+
+# Source templates of the generated planar SOLVIT sweep (see _planar_kernel):
+# the terms of sensor k after its distance, and the cost and bound-system
+# terms of the stored pair p oriented as (i, j).  Only integers are filled in.
+_SENSOR_TERMS = """\
         w0_{k} = d0 / n_{k}
         w1_{k} = d1 / n_{k}
         t0_{k} = 2.0 * w0_{k}
@@ -446,67 +486,41 @@ _SOLVE_2X2 = """\
 """
 
 
-def _unpack_sensors(m: int) -> str:
-    """The line of a generated make(ys, ...) that names the coordinates of
-    each of the m sensors in ys y0_k and y1_k."""
-    return f"    [{', '.join(f'(y0_{k}, y1_{k})' for k in range(m))}] = ys"
-
-
-def _compile_make(lines, label: str, **names):
-    """The function make defined by the generated source lines, compiled
-    under label with sqrt, _SENSOR_GUARD and names as its globals."""
-    namespace = {"sqrt": math.sqrt, "_SENSOR_GUARD": _SENSOR_GUARD, **names}
-    exec(compile("\n".join(lines), label, "exec"), namespace)
-    return namespace["make"]
-
-
 @functools.lru_cache(maxsize=64)
 def _planar_kernel(m: int, layout: tuple[tuple[int, int], ...]):
-    """make(ys, pairs) -> sweep, compiled for m sensors and the stored
-    unordered pairs `layout` ((a, b), a < b, 0-based, in stored order).
+    """make(ys, pairs) -> sweep (see _planar_make) for m sensors and the
+    stored unordered pairs `layout` ((a, b), a < b, 0-based, in stored order).
 
-    make binds the sensor coordinates, each r_ij, each y_i + y_j (the same
-    bits for either orientation, since a float sum commutes) and each pair's
-    orientation flag (stored as (a, b) or as (b, a)) as defaults of sweep,
-    so one kernel serves every orientation of one pair order.  sweep names
-    each sensor's distance, w0, w1, 2 * w0, 2 * w1 and w . y, and holds each
-    pair's terms twice, one block per orientation, picked by its flag.
+    make also binds each r_ij, each y_i + y_j (the same bits for either
+    orientation, since a float sum commutes) and each pair's orientation
+    flag (stored as (a, b) or as (b, a)), so one kernel serves every
+    orientation of one pair order.  sweep names each sensor's w0, w1,
+    2 * w0, 2 * w1 and w . y, and holds each pair's terms twice, one block
+    per orientation, picked by its flag; its 2x2 solve is _SOLVE_2X2.
     """
-    sensors, prs = range(m), range(len(layout))
-    bound = ([f"y{t}_{k}" for k in sensors for t in (0, 1)]
-             + [f"{v}_{p}" for p in prs for v in ("o", "r", "c0", "c1")] + ["ys", "pairs"])
-    lines = ["def make(ys, pairs):", _unpack_sensors(m),
-             f"    [{', '.join(f'(i_{p}, _, r_{p})' for p in prs)}] = pairs"]
+    prs = range(len(layout))
+    setup = [f"    [{', '.join(f'(i_{p}, _, r_{p})' for p in prs)}] = data"]
+    pair_blocks = []
     for p, (a, b) in enumerate(layout):
-        lines += [f"    o_{p} = i_{p} == {a}",
+        setup += [f"    o_{p} = i_{p} == {a}",
                   f"    c0_{p} = y0_{a} + y0_{b}",
                   f"    c1_{p} = y1_{a} + y1_{b}"]
-    lines += [f"    def sweep(x, {', '.join(f'{v}={v}' for v in bound)},"
-              " sqrt=sqrt, guard=_SENSOR_GUARD):",
-              "        x0, x1 = x"]
-    lines += [_SENSOR_TERMS.format(k=k) for k in sensors]
-    lines.append("        f = a00 = a01 = a11 = b0 = b1 = 0.0")
-    for p, (a, b) in enumerate(layout):
-        lines += [f"        if o_{p}:", _PAIR_TERMS.format(p=p, i=a, j=b),
-                  "        else:", _PAIR_TERMS.format(p=p, i=b, j=a)]
-    lines += [_SOLVE_2X2, "    return sweep"]
-    return _compile_make(lines, f"<planar sweep, m={m}>", _f_pairs=_f_pairs,
-                         _COND_LIMIT=_COND_LIMIT)
+        pair_blocks += [f"        if o_{p}:", _PAIR_TERMS.format(p=p, i=a, j=b),
+                        "        else:", _PAIR_TERMS.format(p=p, i=b, j=a)]
+    return _planar_make(m, f"<planar sweep, m={m}>", _f_pairs, setup=setup,
+                        bound=[f"{v}_{p}" for p in prs for v in ("o", "r", "c0", "c1")],
+                        sums=("f", "a00", "a01", "a11", "b0", "b1"), terms=_SENSOR_TERMS,
+                        tail=[*pair_blocks, _SOLVE_2X2], _COND_LIMIT=_COND_LIMIT)
 
 
 def _solvit_sweep_2d(ys, pairs):
-    """_reference_sweep(ys, 2, _f_pairs, _step_core_nd, pairs), unrolled.
+    """_reference_sweep(ys, 2, _f_pairs, _step_core_nd, pairs), generated.
 
-    The same floating-point operations in the same order, so every trace is
-    bit-identical.  One pass over the sensors gives the norms that are both
-    the cost's distances and the step's divisors, one pass over the pairs
-    adds up the cost and the bound system in stored order, and the 2x2
-    system is solved inline.  At a sensor within the guard the cost comes
-    from _f_pairs and x_next is None, as for a singular system.  Both passes
-    are generated straight-line, with a named local per sensor quantity and
-    no loop, tuple or index, and compiled once per (m, stored unordered
-    pairs) by _planar_kernel; the first solve of a layout in a process pays
-    the compile (about 3 ms at m = 4 and 8-16 ms at m = 9 on a 2-vCPU VM).
+    One pass over the sensors gives the norms that are both the cost's
+    distances and the step's divisors, one pass over the pairs adds up the
+    cost and the bound system in stored order, and the 2x2 system is solved
+    inline.  The kernel is compiled once per (m, stored unordered pairs) by
+    _planar_kernel (about 3 ms at m = 4 and 8-16 ms at m = 9 on a 2-vCPU VM).
 
     The inline solve needs no zero-pivot test, unlike _solve_small (which
     keeps one for n == 3).  A system that passes the eigenvalue test has

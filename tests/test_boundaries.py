@@ -6,15 +6,19 @@ point that takes them to those messages, for each non-finite value.  Each
 scalar real input goes through scenario._as_real, which names its field.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from mmloc import (NoiseModel, SignalRecord, bandpass, delays_to_rangediffs,
-                   estimate_rangediffs, f_rls, grad_fd, hyperbola_points, range_variance,
-                   rangediffs_from_ranges, sfp_solve, snr_to_sigma2, solvit_solve,
-                   tone_burst_signals, true_ranges)
+from mmloc import (ExperimentConfig, NoiseModel, SensorArray, SignalRecord, bandpass,
+                   delays_to_rangediffs, estimate_rangediffs, f_rls, grad_fd, hyperbola_points,
+                   load_scenario, random_array, range_variance, rangediffs_from_ranges,
+                   read_rangediffs_csv, read_rmse_csv, read_signals_raw, sfp_solve,
+                   snr_to_sigma2, solvit_solve, tone_burst_signals, true_ranges,
+                   write_signals_csv)
+from mmloc.cli import main
 from mmloc.scenario import as_position
 from mmloc.tdoa import ANECHOIC_MICROPHONES
 from conftest import make_instance, make_range_instance
@@ -158,3 +162,82 @@ def test_bad_scalar_is_refused_by_name(case):
     with pytest.raises(TypeError if "real number" in message else ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def written(path, text):
+    path.write_text(text)
+    return path
+
+
+def raw_of_three_samples(tmp):
+    np.zeros(3).astype("<f8").tofile(tmp / "sig.f64")
+    written(tmp / "sig.f64.json", json.dumps({"channels": 2, "fs": 100.0}))
+    return read_signals_raw(tmp / "sig.f64")
+
+
+CIRCLE = {"sensors": {"kind": "circular", "m": 5, "radius": 10.0}, "source": [3.0, -2.0]}
+SCENARIO_DOC = {"n": 3, "sensors": [[0.0, 0.0], [1.0, 0.0]], "source": [0.5, 0.5],
+                "noise": {"sigma2": 0.0, "f0": 1000.0, "c": 340.0}, "seed": None}
+RMSE_HEADER = "sweep,rmse,crlb,failed\n"
+
+# (call on a scratch directory, message): a check of outside input that a
+# public call reaches and no other test does
+INPUT_CASES = {
+    "no channels to write": (lambda tmp: write_signals_csv(tmp / "s.csv", []), "no channels"),
+    "channels at two rates": (
+        lambda tmp: write_signals_csv(tmp / "s.csv", [SignalRecord(np.zeros(8), 100.0),
+                                                      SignalRecord(np.zeros(8), 200.0)]),
+        "channels have differing sampling rates"),
+    "channels of two lengths": (
+        lambda tmp: write_signals_csv(tmp / "s.csv", [SignalRecord(np.zeros(8), 100.0),
+                                                      SignalRecord(np.zeros(9), 100.0)]),
+        "channels have differing lengths"),
+    "raw file of a partial frame": (raw_of_three_samples,
+                                    "raw file length is not a multiple of the channel count"),
+    "no delays": (lambda tmp: delays_to_rangediffs({}, 340.0), "empty delay mapping"),
+    "a delay of a sensor to itself": (lambda tmp: delays_to_rangediffs({(1, 1): 0.0}, 340.0),
+                                      "bad pair indices (1, 1)"),
+    "one channel to correlate": (lambda tmp: estimate_rangediffs(TWO_CHANNELS[:1]),
+                                 "need at least 2 channels"),
+    "1-D sensor array": (lambda tmp: SensorArray([0.0, 1.0, 2.0]),
+                         "sensors must be a 2-D array of shape (m, n)"),
+    "4-D random array": (lambda tmp: random_array(4, -1.0, 1.0, n=4), "n must be 2 or 3"),
+    "one range": (lambda tmp: rangediffs_from_ranges([1.0]), "need at least 2 ranges"),
+    "scenario file n against its sensors": (
+        lambda tmp: load_scenario(written(tmp / "scen.json", json.dumps(SCENARIO_DOC))),
+        "scenario dimension field disagrees with sensor coordinates"),
+    "range-difference CSV of its header": (
+        lambda tmp: read_rangediffs_csv(written(tmp / "rd.csv", "i,j,r_ij\n")),
+        "empty range-difference CSV"),
+    "negative rmse in an RMSE CSV": (
+        lambda tmp: read_rmse_csv(written(tmp / "r.csv", RMSE_HEADER + "0.0,-0.5,0.25,0\n")),
+        "rmse must be >= 0"),
+    "negative failed count in an RMSE CSV": (
+        lambda tmp: read_rmse_csv(written(tmp / "r.csv", RMSE_HEADER + "0.0,0.5,0.25,-1\n")),
+        "trials_failed must be >= 0"),
+    "empty scenario spec": (lambda tmp: ExperimentConfig(scenario={}, snr_grid=[0.0]),
+                            "scenario spec must be a non-empty object"),
+    "unknown sensor kind": (
+        lambda tmp: ExperimentConfig(scenario=dict(CIRCLE, sensors={"kind": "hexagon"}),
+                                     snr_grid=[0.0]),
+        "unknown sensor kind 'hexagon'"),
+    "3-D hyperbola foci": (lambda tmp: hyperbola_points([0.0, 0.0, 0.0], [4.0, 0.0, 0.0],
+                                                        1.0, 8, 10.0),
+                           "hyperbola sampling is 2-D only"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CASES)
+def test_bad_input_is_refused_with_its_message(case, tmp_path):
+    call, message = INPUT_CASES[case]
+    with pytest.raises(ValueError) as exc:
+        call(tmp_path)
+    assert str(exc.value) == message
+
+
+def test_bench_refuses_a_trace_only_init_and_writes_nothing(tmp_path, capsys):
+    cfg = written(tmp_path / "cfg.json", json.dumps(
+        {"scenario": CIRCLE, "snr_grid": [0.0], "trials": 2, "init": "both"}))
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "rmse.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: init 'both' not valid here"]
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]

@@ -264,6 +264,27 @@ class TestBenchAndPlot:
         meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
         assert meta["seed"] == 9
 
+    @pytest.mark.parametrize("solver, init", [("solvit", "proposed"), ("sfp", "centroid")])
+    def test_bench_reads_a_scenario_file_as_its_inline_form(self, tmp_path, capsys, solver,
+                                                            init):
+        source = [3.0, -2.0]
+        noise = {"sigma2": 0.0, "f0": 1000.0, "c": 340.0}
+        save_scenario(tmp_path / "scen.json", Scenario(circular_array(5, radius=10.0),
+                                                       np.array(source), NoiseModel(**noise)))
+        inline = {"sensors": {"kind": "circular", "m": 5, "radius": 10.0},
+                  "source": source, "noise": noise}
+        outs = []
+        by_file = {"file": str(tmp_path / "scen.json")}
+        for name, scenario in (("inline", inline), ("file", by_file)):
+            cfg_path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            cfg_path.write_text(json.dumps({"scenario": scenario, "snr_grid": [-10.0, 0.0, 10.0],
+                                            "trials": 12, "solver": solver, "init": init,
+                                            "seed": 3}))
+            assert run_cli(capsys, "bench", "--config", cfg_path, "--out", out)[0] == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == 4
+
     @pytest.fixture
     def rmse_csv(self, tmp_path):
         csv = tmp_path / "rmse.csv"

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import mmloc
 import mmloc.initializer
 import mmloc.scenario
 import mmloc.sfp
@@ -64,6 +65,26 @@ class TestConfig:
                 start_rule("sfp", init)
         with pytest.raises(ValueError, match="init must be one of"):
             start_rule("solvit", "warmstart")
+
+    @pytest.mark.parametrize("solver, start", [("solvit", "proposed"), ("sfp", "centroid")])
+    def test_a_config_without_init_keeps_the_solvers_start(self, tmp_path, capsys, solver,
+                                                           start):
+        doc = {"scenario": SIM1_SCENARIO, "snr_grid": [0.0, 10.0], "trials": 4,
+               "solver": solver, "seed": 5}
+        outs = []
+        for name, extra in (("default", {}), ("named", {"init": start})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(dict(doc, **extra)))
+            assert ExperimentConfig.from_json(path).init == start
+            out = tmp_path / f"{name}.csv"
+            assert main(["bench", "--config", str(path), "--out", str(out)]) == 0
+            meta = json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
+            assert meta["solver"]["init"] == start
+            outs.append(out.read_bytes())
+        capsys.readouterr()
+        assert outs[0] == outs[1]
+        small_config(solver=solver, init=None).to_json(tmp_path / "cfg.json")
+        assert json.loads((tmp_path / "cfg.json").read_text())["init"] == start
 
     def test_fixed_requires_point(self):
         with pytest.raises(ValueError):
@@ -469,6 +490,11 @@ class TestOutputs:
         assert "PCG64" in meta["generator"]
         assert "unit signal power" in meta["snr_to_sigma2"]
         assert "excluded" in meta["failed_policy"]
+
+
+    def test_metadata_records_the_package_version(self, tmp_path):
+        write_metadata(tmp_path / "meta.json", small_config())
+        assert json.loads((tmp_path / "meta.json").read_text())["version"] == mmloc.__version__
 
 
 class TestSolvePath:

@@ -65,6 +65,48 @@ def test_only_mm_loop_builds_a_trace():
     assert found == ["solvit.py:_mm_loop"]
 
 
+def source_compiles(source, name="<source>"):
+    """file:function:builtin of each call to exec, eval or compile by name,
+    named by the innermost enclosing function (None at module level)."""
+    sites = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in ("exec", "eval", "compile")):
+                sites.append(f"{name}:{func}:{child.func.id}")
+            visit(child, func)
+
+    visit(ast.parse(source, name), None)
+    return sites
+
+
+def test_compile_checker_sees_every_site():
+    source = """
+exec(code)
+
+def outer():
+    def inner():
+        return eval("1")
+    return compile(src, "<x>", "exec"), re.compile("a"), inner
+"""
+    assert source_compiles(source) == ["<source>:None:exec", "<source>:inner:eval",
+                                       "<source>:outer:compile"]
+
+
+def test_only_the_planar_builder_compiles_source():
+    """Both generated planar sweeps come from solvit._planar_make, which
+    writes their skeleton and sensor-guard exit once; a generator that
+    copied it would need a compile of its own."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += source_compiles(path.read_text(), path.name)
+    assert found == ["solvit.py:_planar_make:exec", "solvit.py:_planar_make:compile"]
+
+
 @pytest.mark.parametrize("solver", ["solvit", "sfp"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_every_solve_runs_the_loop_once(monkeypatch, solver, n):
