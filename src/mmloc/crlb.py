@@ -1,16 +1,25 @@
 """Cramér-Rao lower bound for range-difference localization.
 
-Builds the Fisher information J = H cov^+ H^T where the columns of H are
-the gradients of the range differences,
+Each sensor k contributes one range r_k = ||x - y_k|| + eps_k with
+variance var_k = range_variance(d_k) and unit vector u_k = (x - y_k)/d_k.
+The range differences keep everything but one common unknown offset of
+the ranges, so their Fisher information is the Schur complement that
+eliminates it:
 
-    h_ij = (x - y_i)/||x - y_i|| - (x - y_j)/||x - y_j||,
+    J = sum_k w_k u_k u_k^T - g g^T / W,   w_k = 1/var_k,  g = sum_k w_k u_k,
+                                           W = sum_k w_k,
 
-and cov is the covariance of the range-difference noise.  Because the
-differences are formed from one noise term per sensor, cov is singular
-for m >= 3 (rank m-1); the Moore-Penrose pseudoinverse gives the Fisher
-information of the underlying (m-1)-dimensional statistic and is
-invariant to sensor relabeling.  The scalar bound is
-sqrt(trace(J^{-1})), reported as +inf when J is singular.
+the information of the full (rank m-1) range-difference covariance,
+whichever pair orientations the measurement set stores.  It is evaluated
+as the weighted scatter sum_k w_k (u_k - g/W)(u_k - g/W)^T, the same
+matrix without the cancellation between the two terms.  The scalar bound
+is sqrt(trace(J^{-1})), from the cofactors of the 2x2 or 3x3 matrix, and
++inf when J fails the eigenvalue test (smallest eigenvalue of J, from
+solvit._sym_eig_range, not above 1e-12 times the largest) or its
+determinant does not come out positive.  The arithmetic
+is Python floats in entry order, with no LAPACK call.  At zero noise
+(sigma2 = 0, so a zero variance) J is reported as 0 with rank 0 and an
+infinite bound.
 """
 
 from __future__ import annotations
@@ -20,8 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .objective import _sum
 from .scenario import (NoiseModel, _unit_vectors, _write_json, as_position,
                        range_variance, rangediffs_from_ranges, sensor_coords)
+from .solvit import _sym_eig_range
 
 
 @dataclass(frozen=True)
@@ -43,21 +54,9 @@ class CrlbReport:
 
 
 def _geometry(x, array):
-    """Sensor distances at x, their unit vectors and the zero-noise
-    measurement set there; errors when x sits on a sensor."""
+    """Sensor distances at x and their unit vectors; errors when x sits on a sensor."""
     coords = sensor_coords(array)
-    d, units = _unit_vectors(as_position(x, coords.shape[1]), coords)
-    return d, units, rangediffs_from_ranges(d)
-
-
-def _covariance(d, rd, noise: NoiseModel) -> np.ndarray:
-    """E diag(var) E^T for sensor distances d and measurement set rd."""
-    var = np.array([range_variance(dk, noise) for dk in d])
-    rows = np.arange(rd.n_pairs)
-    E = np.zeros((rd.n_pairs, d.size))
-    E[rows, rd.i - 1] = 1.0
-    E[rows, rd.j - 1] = -1.0
-    return (E * var[None, :]) @ E.T
+    return _unit_vectors(as_position(x, coords.shape[1]), coords)
 
 
 def rd_covariance(x, array, noise: NoiseModel) -> np.ndarray:
@@ -74,26 +73,56 @@ def rd_covariance(x, array, noise: NoiseModel) -> np.ndarray:
     non-zero terms, delta_ac var_a - delta_ad var_a - delta_bc var_b +
     delta_bd var_b for pairs (a, b) and (c, d).
     """
-    d, _, rd = _geometry(x, array)
-    return _covariance(d, rd, noise)
+    d, _ = _geometry(x, array)
+    rd = rangediffs_from_ranges(d)
+    var = np.array([range_variance(dk, noise) for dk in d])
+    rows = np.arange(rd.n_pairs)
+    E = np.zeros((rd.n_pairs, d.size))
+    E[rows, rd.i - 1] = 1.0
+    E[rows, rd.j - 1] = -1.0
+    return (E * var[None, :]) @ E.T
+
+
+def _trace_inv(J, n: int) -> float:
+    """trace(J^{-1}) of a symmetric 2x2 or 3x3 matrix (lists), from its
+    cofactors; +inf when the determinant does not come out positive."""
+    if n == 2:
+        cofactors = J[0][0] + J[1][1]
+        det = J[0][0] * J[1][1] - J[0][1] * J[0][1]
+    else:
+        c0 = J[1][1] * J[2][2] - J[1][2] * J[1][2]
+        c1 = J[0][0] * J[2][2] - J[0][2] * J[0][2]
+        c2 = J[0][0] * J[1][1] - J[0][1] * J[0][1]
+        cofactors = c0 + c1 + c2
+        det = (J[0][0] * c0 - J[0][1] * (J[0][1] * J[2][2] - J[1][2] * J[0][2])
+               + J[0][2] * (J[0][1] * J[1][2] - J[1][1] * J[0][2]))
+    return cofactors / det if det > 0.0 else math.inf
 
 
 def fisher(x, array, noise: NoiseModel) -> CrlbReport:
     """Fisher information and RMSE lower bound at the true source x.
 
-    J is invariant to flipping the orientation of any pair (both the h
-    column and the corresponding covariance row/column change sign), so
-    the report does not depend on measurement noise realizations.
+    The closed form of the module docstring: J from the per-sensor weights
+    and unit vectors, cov_rank m - 1, and the bound from the cofactors of J
+    when J passes the eigenvalue test; zero noise gives J = 0, rank 0 and
+    an infinite bound.  The report does not depend on measurement noise
+    realizations or pair orientations.
     """
-    d, units, rd = _geometry(x, array)
-    H = np.ascontiguousarray((units[rd.i - 1] - units[rd.j - 1]).T)
-    cov = _covariance(d, rd, noise)
-    J = H @ np.linalg.pinv(cov) @ H.T
-    J = 0.5 * (J + J.T)
-    cov_rank = int(np.linalg.matrix_rank(cov))
-    eigs = np.linalg.eigvalsh(J)
-    if eigs[-1] > 0 and eigs[0] > 1e-12 * eigs[-1]:
-        rmse = math.sqrt(float(np.sum(1.0 / eigs)))
-    else:
-        rmse = math.inf
-    return CrlbReport(fisher=J, cov_rank=cov_rank, rmse_bound=rmse)
+    d, units = _geometry(x, array)
+    m, n = units.shape
+    var = [range_variance(dk, noise) for dk in d.tolist()]
+    if min(var) == 0.0:
+        return CrlbReport(fisher=np.zeros((n, n)), cov_rank=0, rmse_bound=math.inf)
+    w = [1.0 / v for v in var]
+    total = _sum(w)
+    U = units.tolist()
+    mean = [_sum(wk * uk[a] for wk, uk in zip(w, U)) / total for a in range(n)]
+    centred = [[uk[a] - mean[a] for a in range(n)] for uk in U]
+    J = [[0.0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            J[a][b] = J[b][a] = _sum(wk * ck[a] * ck[b] for wk, ck in zip(w, centred))
+    lam_min, lam_max = _sym_eig_range(J, n)
+    rmse = (math.sqrt(_trace_inv(J, n)) if lam_max > 0 and lam_min > 1e-12 * lam_max
+            else math.inf)
+    return CrlbReport(fisher=np.array(J), cov_rank=m - 1, rmse_bound=rmse)

@@ -9,11 +9,14 @@ trial's noise is drawn once as unit normals and rescaled per sweep value
 through the noise level, not the realization.  Per-trial seeding also
 makes results independent of any execution order or worker count.
 
-A sweep builds every (value, trial) measurement set, picks every start
-(proposed ones in one initializer.init_points call, a random one per trial,
-the centroid or fixed point once), solves them in value, trial order keeping
-each trial's estimate and SolveOutcome (no trace), then forms one row per
-sweep value.
+A sweep runs in stages, each over the whole sweep: the ranges of every
+(value, trial) as one array; for solvit, one CRLB per value (crlb.fisher's
+closed form) and every measurement set from one scenario._rangediff_rows
+pass, each row then wrapped as the RangeDiffSet its solve takes; every start
+(proposed ones in one initializer.init_points call, whose feasibility filter,
+pair pick and arcs are array passes, a random one per trial, the centroid or
+fixed point once); the solves in value, trial order, keeping each trial's
+estimate and SolveOutcome (no trace); then one row per sweep value.
 
 Failed trials (singular step systems) are excluded from the RMSE average
 and counted in the "failed" column; this policy is recorded in the
@@ -74,7 +77,8 @@ class ExperimentConfig:
         mean zero noise.  Every grid value, snr_db and init_point are
         checked on construction by the rules the runs apply.
     init: proposed | random | fixed | centroid | both ("both" only for
-        traces; "fixed" requires init_point).  None, the default, becomes
+        traces, so not with a grid; "fixed" requires init_point, and
+        init_point is refused with any other init).  None, the default, becomes
         the solver's default start on construction (start_rule: proposed
         for solvit, centroid for sfp), and the config keeps that name.
     tol / max_iter: default to and are checked by SolverConfig.
@@ -113,6 +117,11 @@ class ExperimentConfig:
         _sigma2_of(self.snr_db)
         if self.init_point is not None:
             _scen.as_position(self.init_point, array.n)
+            if self.init != "fixed":
+                raise ValueError(f"init_point is used only with init 'fixed', "
+                                 f"not with init {self.init!r}")
+        if self.init == "both" and (self.snr_grid or self.freq_grid):
+            raise ValueError("init 'both' not valid here")
 
     def solver_config(self) -> _solvit.SolverConfig:
         return _solvit.SolverConfig(tol=self.tol, max_iter=self.max_iter)
@@ -290,15 +299,19 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[RmseRow]:
     eps = np.array([rng.standard_normal(array.m) for rng in rngs])
     seeds = [int(rng.integers(2 ** 63)) for rng in rngs]
 
-    # every (sweep value, trial) measurement set, value-major, each value's
-    # ranges one (trials, m) array, then every start
-    bounds, meas = [], []
-    for value in sweep:
-        noise = _sweep_noise(cfg, noise_t, value)
-        std = _scen.range_noise_std(source, array, noise)
-        bounds.append(_crlb.fisher(source, array, noise).rmse_bound
-                      if cfg.solver == "solvit" else math.nan)
-        meas += [_measurement(cfg.solver, ranges) for ranges in d_true + eps * std]
+    # every (sweep value, trial) range row, value-major, in one array; solvit
+    # orients all of their measurement sets in one pass and wraps each row as
+    # the RangeDiffSet its solve takes
+    noises = [_sweep_noise(cfg, noise_t, value) for value in sweep]
+    stds = np.array([_scen.range_noise_std(source, array, noise) for noise in noises])
+    ranges = (d_true + eps * stds[:, None, :]).reshape(-1, array.m)
+    if cfg.solver == "solvit":
+        bounds = [_crlb.fisher(source, array, noise).rmse_bound for noise in noises]
+        meas = [_scen.RangeDiffSet(i, j, v, array.m)
+                for i, j, v in zip(*_scen._rangediff_rows(ranges))]
+    else:
+        bounds = [math.nan] * len(sweep)
+        meas = list(ranges)
     if cfg.init == "proposed":
         x0s = _init.init_points(array, meas, seeds * len(sweep))
     elif cfg.init == "random":  # a trial's start is shared by every sweep value

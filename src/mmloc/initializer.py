@@ -9,7 +9,8 @@ point with the smallest range-difference cost is returned.
 
 init_points does this for many measurement sets at once (an RMSE sweep's
 trials), bit for bit as init_point on each; init_point is init_points on
-one row, and hyperbola_points and f_rdls_many share its sample and cost code.
+one row, and hyperbola_points and f_rdls_many share its arc, sample and cost
+code.
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ class InitConfig:
             _as_real("coord_bound", self.coord_bound, 0)
 
 
-def _exit_angle(center, along, across, bound: float) -> float:
-    """Smallest t >= 0 at which center + along*cosh(t) + across*sinh(t)
-    leaves the box |x_k| <= bound, for a start (t = 0) inside the box.
+def _exit_z(center, along, across, bound) -> np.ndarray:
+    """Per row of the (B, 2) arrays center and along, e^t at the smallest
+    t >= 0 at which center + along*cosh(t) + across*sinh(t) leaves the box
+    |x_k| <= bound, for a start (t = 0) inside the box.
 
     With z = e^t, coordinate k meets the edge e = +-bound where
 
@@ -55,58 +57,59 @@ def _exit_angle(center, along, across, bound: float) -> float:
     z >= 1 is an exit when the coordinate moves outward there, i.e. when
     (A+S) z^2 - (A-S) has the sign of e.  The branch is unbounded (along
     and across are orthogonal and not both zero), so an exit always exists.
+    across stacks K such directions, (K, B, 2), and the result is (K, B).
+    Every (root, edge, direction, row, coordinate) is one lane; the lanes of
+    a negative discriminant or a zero divisor are masked out, so their NaNs
+    and infinities raise no warning.
     """
-    z_exit = math.inf
-    for c, A, S in zip(center, along, across):
-        lead, const = A + S, A - S
-        for edge in (bound, -bound):
-            h = c - edge
-            disc = h * h - lead * const
-            if disc < 0.0:
-                continue
-            q = -(h + math.copysign(math.sqrt(disc), h))
-            roots = (q / lead if lead != 0.0 else math.inf,
-                     const / q if q != 0.0 else math.inf)
-            for z in roots:
-                if 1.0 <= z < z_exit and (lead * z * z > const) == (edge > 0.0):
-                    z_exit = z
-    return math.log(z_exit)
+    edge = np.array([bound, -bound], dtype=float)[:, None, None, None]
+    lead, const = along + across, along - across
+    with np.errstate(all="ignore"):
+        h = center - edge
+        disc = h * h - lead * const
+        q = -(h + np.copysign(np.sqrt(disc), h))
+        z = np.stack([np.where(lead != 0.0, q / lead, math.inf),
+                      np.where(q != 0.0, const / q, math.inf)])
+        exit_ = ~(disc < 0.0) & (1.0 <= z) & ((lead * z * z > const) == (edge > 0.0))
+    return np.where(exit_, z, math.inf).min(axis=(0, 1, 4))
 
 
-def _arc(yi, yj, foc: float, r_ij: float, bound: float):
-    """(center, u, a, b, t_lo, t_hi) of the branch ||x - y_i|| - ||x - y_j|| =
-    r_ij, on Python floats (yi, yj: float pairs; foc: ||y_j - y_i||).
+def _arcs(yi, yj, foc, r, bound):
+    """The branches ||x - y_i|| - ||x - y_j|| = r, one per row (yi, yj:
+    (B, 2); foc = ||y_j - y_i|| and r: (B,)), as (arcs, kept): arcs holds
+    (center, u, a, b, t_lo, t_hi) in 8 columns for the rows kept, whose
+    indices kept lists in order.
 
-    Canonical form: center + a*cosh(t)*u + b*sinh(t)*p with a = r_ij/2,
+    Canonical form: center + a*cosh(t)*u + b*sinh(t)*p with a = r/2,
     b^2 = (foc/2)^2 - a^2, u the unit vector from y_i to y_j, p = (-u_1, u_0).
     [-t_lo, t_hi] is the largest interval around the vertex (t = 0) inside
-    ||x||_inf <= bound (_exit_angle; infinite if the box overflows floats).
+    ||x||_inf <= bound (_exit_z; infinite if the box overflows floats).  A
+    row has no arc when r >= foc (r == foc is a ray) or when its vertex lies
+    outside the box.  The arithmetic is the scalar formulas' per element;
+    the angles take math.log per row.
     """
-    if r_ij == foc:
-        raise RayMeasurementError(
-            f"range difference {r_ij} equals the focal distance; the locus is a ray"
-        )
-    if r_ij > foc:
-        raise DegenerateMeasurementError(
-            f"range difference {r_ij} exceeds the focal distance {foc}"
-        )
-    a = r_ij / 2.0
+    kept = np.flatnonzero(r < foc)
+    yi, yj, foc, r = yi[kept], yj[kept], foc[kept], r[kept]
+    a = r / 2.0
     c = foc / 2.0
-    b = math.sqrt(c * c - a * a)
-    center = [(yi[0] + yj[0]) / 2.0, (yi[1] + yj[1]) / 2.0]
-    u = [(yj[0] - yi[0]) / foc, (yj[1] - yi[1]) / foc]
-    along, across = [a * u[0], a * u[1]], [b * -u[1], b * u[0]]
-    if max(abs(center[0] + along[0]), abs(center[1] + along[1])) > bound:
-        raise ValueError("hyperbola vertex lies outside the search box; "
-                         "increase coord_bound")
-    t_lo = _exit_angle(center, along, [-v for v in across], bound)
-    t_hi = _exit_angle(center, along, across, bound)
-    return center, u, a, b, t_lo, t_hi
+    b = np.sqrt(c * c - a * a)
+    center = (yi + yj) / 2.0
+    u = (yj - yi) / foc[:, None]
+    along = a[:, None] * u
+    across = b[:, None] * np.stack([-u[:, 1], u[:, 0]], axis=1)
+    vertex = center + along
+    inside = ~(np.maximum(np.abs(vertex[:, 0]), np.abs(vertex[:, 1])) > bound)
+    kept, center, u, a, b, along, across = (
+        v[inside] for v in (kept, center, u, a, b, along, across))
+    t_lo, t_hi = ([math.log(z) for z in zs]
+                  for zs in _exit_z(center, along, np.stack([-across, across]), bound).tolist())
+    return np.column_stack([center, u, a, b, t_lo, t_hi]), kept
 
 
 def _arc_samples(arcs, l: int, bound: float) -> np.ndarray:
-    """l points on each _arc, uniform in the angle: (B, l, 2), all finite."""
-    center, u, a, b, t_lo, t_hi = map(np.array, zip(*arcs))
+    """l points on each row of _arcs, uniform in the angle: (B, l, 2), all finite."""
+    center, u = arcs[:, 0:2], arcs[:, 2:4]
+    a, b, t_lo, t_hi = arcs[:, 4:].T
     p = np.stack([-u[:, 1], u[:, 0]], axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         ts = np.arange(l, dtype=float) * ((t_hi + t_lo) / (l - 1))[:, None]
@@ -124,7 +127,7 @@ def hyperbola_points(y_i, y_j, r_ij: float, l: int, coord_bound: float) -> np.nd
     """l points on the branch where ||x - y_i|| - ||x - y_j|| = r_ij (n=2 only).
 
     Uniform in the hyperbolic angle over the largest arc around the vertex
-    inside ||x||_inf <= coord_bound (_arc); r_ij = 0 gives the bisector.
+    inside ||x||_inf <= coord_bound (_arcs); r_ij = 0 gives the bisector.
     """
     yi = as_position(y_i)
     yj = as_position(y_j)
@@ -134,8 +137,19 @@ def hyperbola_points(y_i, y_j, r_ij: float, l: int, coord_bound: float) -> np.nd
     _as_real("coord_bound", coord_bound, 0)
     if not _as_real("r_ij", r_ij) >= 0:  # NaN too
         raise ValueError("r_ij must be >= 0")
-    arc = _arc(yi.tolist(), yj.tolist(), float(np.linalg.norm(yj - yi)), r_ij, coord_bound)
-    return _arc_samples([arc], l, coord_bound)[0]
+    foc = float(np.linalg.norm(yj - yi))
+    if r_ij == foc:
+        raise RayMeasurementError(
+            f"range difference {r_ij} equals the focal distance; the locus is a ray"
+        )
+    if r_ij > foc:
+        raise DegenerateMeasurementError(
+            f"range difference {r_ij} exceeds the focal distance {foc}"
+        )
+    arcs, _ = _arcs(yi[None], yj[None], np.array([foc]), np.array([float(r_ij)]), coord_bound)
+    if not len(arcs):
+        raise ValueError("hyperbola vertex lies outside the search box; increase coord_bound")
+    return _arc_samples(arcs, l, coord_bound)[0]
 
 
 def _best_rows(pts: np.ndarray, vals: np.ndarray, bound: float) -> np.ndarray:
@@ -175,8 +189,9 @@ def init_points(array, rds, seeds, cfg: InitConfig | None = None) -> np.ndarray:
     """Starting points for many range-difference sets on one array, (B, n).
 
     Row b is init_point(array, rds[b], InitConfig(seed=seeds[b], grid_size=
-    cfg.grid_size, coord_bound=cfg.coord_bound)) bit for bit.  The checks,
-    the pair draw and the arc run per row; rows with no usable arc (or
+    cfg.grid_size, coord_bound=cfg.coord_bound)) bit for bit.  The
+    feasibility filter, the pair pick and the arcs are array passes over
+    the rows, with one seeded draw per row; rows with no usable arc (or
     n = 3) take the grid fallback, and the others' samples, costs and argmin
     run as one numpy pass, _CHUNK_FLOATS at a time.
     """
@@ -191,41 +206,45 @@ def init_points(array, rds, seeds, cfg: InitConfig | None = None) -> np.ndarray:
         bound = 2.0 * float(np.max(np.abs(coords)))
         if bound <= 0:
             bound = 1.0
-    out = np.empty((len(rds), n))
-    # separations as the feasibility filter takes them (row-wise norms) and
-    # focal distances as hyperbola_points takes them (vector norms)
-    sep = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2).tolist()
-    ys = coords.tolist()
-    foc, memo = {}, {}
-    rows, arcs = [], []
-    for b, (rd, seed) in enumerate(zip(rds, seeds)):
+    for rd in rds:
         _check_rd(rd, m)
-        il, jl, vl = rd.i.tolist(), rd.j.tolist(), rd.values.tolist()
-        feasible = [k for k, v in enumerate(vl) if v < sep[il[k] - 1][jl[k] - 1]] if n == 2 else []
-        if feasible:
-            k = feasible[_draw(seed, len(feasible), memo)]
-            i, j = il[k] - 1, jl[k] - 1
-            if (i, j) not in foc:
-                foc[i, j] = float(np.linalg.norm(coords[j] - coords[i]))
-            try:
-                arcs.append(_arc(ys[i], ys[j], foc[i, j], vl[k], bound))
-                rows.append(b)
-                continue
-            except (ValueError, DegenerateMeasurementError):
-                # a tight user-supplied box can exclude the branch vertex; a
-                # value within rounding of the separation can pass the
-                # row-wise-norm filter yet be a ray for the vector norm
-                pass
-        out[b] = _grid_fallback(coords, rd, l, bound)
+    out = np.empty((len(rds), n))
+    rows = np.zeros(0, dtype=int)
+    if n == 2 and rds:
+        I = np.stack([rd.i for rd in rds]) - 1
+        J = np.stack([rd.j for rd in rds]) - 1
+        V = np.stack([rd.values for rd in rds])
+        # separations as the feasibility filter takes them (row-wise norms)
+        sep = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
+        feasible = V < sep[I, J]
+        counts = feasible.sum(axis=1).tolist()
+        memo = {}
+        cand = np.array([b for b, count in enumerate(counts) if count], dtype=int)
+        draw = [_draw(seeds[b], counts[b], memo) for b in cand.tolist()]
+        # each candidate row's pick is its draw-th feasible pair
+        k = np.argmax(np.cumsum(feasible[cand], axis=1) > np.array(draw)[:, None], axis=1)
+        i, j = I[cand, k], J[cand, k]
+        # focal distances as hyperbola_points takes them (vector norms); a
+        # value within rounding of the separation can pass the row-wise-norm
+        # filter yet be a ray here, and a tight user-supplied box can exclude
+        # the branch vertex: both rows take the grid
+        pairs = list(zip(i.tolist(), j.tolist()))
+        foc = {pair: float(np.linalg.norm(coords[pair[1]] - coords[pair[0]]))
+               for pair in set(pairs)}
+        arcs, kept = _arcs(coords[i], coords[j], np.array([foc[p] for p in pairs]),
+                           V[cand, k], bound)
+        rows = cand[kept]
+    fallback = np.ones(len(rds), dtype=bool)
+    fallback[rows] = False
+    for b in np.flatnonzero(fallback).tolist():
+        out[b] = _grid_fallback(coords, rds[b], l, bound)
     chunk = max(1, _CHUNK_FLOATS // (l * max(m, m * (m - 1) // 2)))  # n == 2 here
     for s in range(0, len(rows), chunk):
-        part = [rds[b] for b in rows[s:s + chunk]]
+        part = rows[s:s + chunk]
         pts = _arc_samples(arcs[s:s + chunk], l, bound)
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = _rd_costs(pts, coords, np.stack([rd.i for rd in part]) - 1,
-                             np.stack([rd.j for rd in part]) - 1,
-                             np.stack([rd.values for rd in part]))
-        out[rows[s:s + chunk]] = _best_rows(pts, vals, bound)
+            vals = _rd_costs(pts, coords, I[part], J[part], V[part])
+        out[part] = _best_rows(pts, vals, bound)
     return out
 
 

@@ -14,7 +14,6 @@ generator, which is what output metadata records.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
@@ -340,30 +339,46 @@ def noisy_ranges(x, array, noise: NoiseModel, seed=None) -> np.ndarray:
     return r
 
 
+def _orient_rows(D, a, b):
+    """Signed differences D (B, P), column k for the 1-based pair (a[k], b[k])
+    with a[k] < b[k], as the (i, j, values) arrays of B measurement sets, each
+    (B, P): each entry is stored farther sensor first, so its value is >= 0;
+    ties (difference exactly 0) keep the order (a[k], b[k])."""
+    if not np.isfinite(D).all():
+        raise ValueError("range differences must be finite")
+    neg = D < 0
+    return np.where(neg, b, a), np.where(neg, a, b), np.where(neg, -D, D)
+
+
+def _rangediff_rows(R):
+    """The measurement sets of ranges R (B, m), one per row, as the (i, j,
+    values) arrays of _orient_rows: R[:, a] - R[:, b] over unordered_pairs."""
+    R = np.asarray(R, dtype=float)
+    if R.ndim != 2 or R.shape[1] < 2:
+        raise ValueError("need at least 2 ranges")
+    a, b = np.array(unordered_pairs(R.shape[1])).T
+    with np.errstate(invalid="ignore"):  # inf - inf is refused as non-finite
+        D = R[:, a - 1] - R[:, b - 1]
+    return _orient_rows(D, a, b)
+
+
 def oriented_rangediffs(diffs, m: int) -> RangeDiffSet:
     """Measurement set from signed differences r_i - r_j, one per pair in
-    unordered_pairs(m) order.
-
-    Each entry is stored farther sensor first, so its value is >= 0; ties
-    (difference exactly 0) keep the (i, j) order with i < j.
-    """
-    ii, jj, vv = [], [], []
-    for (i, j), v in zip(unordered_pairs(m), diffs, strict=True):
-        if v >= 0:
-            ii.append(i); jj.append(j); vv.append(v)
-        else:
-            ii.append(j); jj.append(i); vv.append(-v)
-    return RangeDiffSet(ii, jj, vv, m)
+    unordered_pairs(m) order, oriented by _orient_rows."""
+    a, b = np.array(unordered_pairs(m)).reshape(-1, 2).T
+    D = np.array(diffs, dtype=float).reshape(1, -1)
+    if D.shape[1] != a.size:
+        raise ValueError(f"expected {a.size} differences for m={m}, got {D.shape[1]}")
+    ii, jj, vv = _orient_rows(D, a, b)
+    return RangeDiffSet(ii[0], jj[0], vv[0], m)
 
 
 def rangediffs_from_ranges(ranges) -> RangeDiffSet:
-    """Pairwise differences r_i - r_j for i < j, in unordered_pairs order (which
-    itertools.combinations follows), oriented as oriented_rangediffs stores them."""
-    r = np.asarray(ranges, dtype=float).reshape(-1).tolist()
-    m = len(r)
-    if m < 2:
-        raise ValueError("need at least 2 ranges")
-    return oriented_rangediffs([a - b for a, b in itertools.combinations(r, 2)], m)
+    """Pairwise differences r_i - r_j for i < j, in unordered_pairs order,
+    oriented as oriented_rangediffs stores them (_rangediff_rows on one row)."""
+    r = np.asarray(ranges, dtype=float).reshape(1, -1)
+    ii, jj, vv = _rangediff_rows(r)
+    return RangeDiffSet(ii[0], jj[0], vv[0], r.shape[1])
 
 
 def noisy_rangediffs(x, array, noise: NoiseModel, seed=None) -> RangeDiffSet:

@@ -12,8 +12,11 @@ from mmloc import (
     circular_array,
     fisher,
     range_variance,
+    rangediffs_from_ranges,
     rd_covariance,
+    snr_to_sigma2,
 )
+from mmloc.crlb import _trace_inv
 
 
 def range_variance_oracle(D, sigma2, f0, c, fs_factor):
@@ -102,7 +105,73 @@ class TestRdCovariance:
                                    A @ np.diag(var) @ A.T, rtol=1e-12)
 
 
+def pinv_fisher(x, array, noise):
+    """The reference: J = H cov^+ H^T over the zero-noise measurement set, with
+    LAPACK's pseudoinverse, rank and eigenvalues; returns (J, rank, bound)."""
+    d = np.linalg.norm(x - array.sensors, axis=1)
+    units = (x - array.sensors) / d[:, None]
+    rd = rangediffs_from_ranges(d)
+    H = (units[rd.i - 1] - units[rd.j - 1]).T
+    cov = rd_covariance(x, array, noise)
+    J = H @ np.linalg.pinv(cov) @ H.T
+    J = 0.5 * (J + J.T)
+    eigs = np.linalg.eigvalsh(J)
+    finite = eigs[-1] > 0 and eigs[0] > 1e-12 * eigs[-1]
+    bound = math.sqrt(np.sum(1.0 / eigs)) if finite else math.inf
+    return J, int(np.linalg.matrix_rank(cov)), bound
+
+
 class TestFisher:
+    def test_closed_form_matches_pinv_reference(self):
+        # random 2-D and 3-D geometries, m = 3..9, SNR -10..10 dB; 3-D with
+        # m = 3 has rank-2 information, so both bounds are infinite there
+        rng = np.random.default_rng(44)
+        finite = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 4))
+            m = int(rng.integers(3, 10))
+            array = SensorArray(rng.uniform(-50.0, 50.0, (m, n)))
+            x = rng.uniform(-20.0, 20.0, n)
+            noise = NoiseModel(sigma2=snr_to_sigma2(rng.uniform(-10.0, 10.0)), f0=1000.0, c=340.0)
+            rep = fisher(x, array, noise)
+            J, rank, bound = pinv_fisher(x, array, noise)
+            assert rep.cov_rank == rank == m - 1
+            np.testing.assert_allclose(rep.fisher, J, rtol=0, atol=1e-10 * np.abs(J).max())
+            assert np.array_equal(rep.fisher, rep.fisher.T)
+            if m - 1 < n:
+                assert rep.rmse_bound == bound == math.inf
+            else:
+                assert rep.rmse_bound == pytest.approx(bound, rel=1e-10)
+                finite += 1
+        assert finite > 300
+
+    def test_zero_noise_gives_zero_information_and_no_bound(self):
+        for n in (2, 3):
+            array = SensorArray(np.random.default_rng(n).uniform(-10.0, 10.0, (5, n)))
+            rep = fisher(np.full(n, 0.5), array, NoiseModel(sigma2=0.0, f0=1000.0, c=340.0))
+            assert rep.rmse_bound == math.inf and rep.cov_rank == 0
+            assert rep.fisher.shape == (n, n) and not rep.fisher.any()
+
+    def test_trace_of_a_singular_matrix_is_infinite(self):
+        # a determinant that rounds to zero or below gives no finite bound
+        assert _trace_inv([[1.0, 1.0], [1.0, 1.0]], 2) == math.inf
+        assert _trace_inv([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [3.0, 6.0, 9.0]], 3) == math.inf
+        assert _trace_inv([[2.0, 0.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 8.0]], 3) == 0.875
+
+    def test_no_lapack_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+
+        for name in ("pinv", "matrix_rank", "eigvalsh", "eigh", "eig", "inv", "solve", "svd",
+                     "det"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        noise = NoiseModel(sigma2=1.0, f0=1000.0, c=340.0)
+        for n in (2, 3):
+            array = SensorArray(np.random.default_rng(n).uniform(-10.0, 10.0, (5, n)))
+            assert math.isfinite(fisher(np.full(n, 0.5), array, noise).rmse_bound)
+        assert fisher(np.array([5.0, 7.0]), SensorArray(np.array([[0.0, 0.0], [10.0, 0.0]])),
+                      noise).rmse_bound == math.inf
+
     def test_square_center_isotropic(self):
         """Fully symmetric geometry: J must be a multiple of the identity."""
         arr = SensorArray(np.array([[10.0, 10.0], [-10.0, 10.0],
@@ -120,6 +189,9 @@ class TestFisher:
         noise = NoiseModel(sigma2=1.0, f0=1000.0, c=340.0)
         rep = fisher(np.array([5.0, 7.0]), arr, noise)
         assert rep.rmse_bound == math.inf
+        J, rank, bound = pinv_fisher(np.array([5.0, 7.0]), arr, noise)
+        assert rep.cov_rank == rank == 1 and bound == math.inf
+        np.testing.assert_allclose(rep.fisher, J, rtol=0, atol=1e-10 * np.abs(J).max())
 
     def test_bound_scales_with_noise(self):
         arr = circular_array(5, radius=30.0)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mmloc
+import mmloc.crlb
 import mmloc.initializer
 import mmloc.scenario
 import mmloc.sfp
@@ -91,6 +92,40 @@ class TestConfig:
             small_config(init="fixed")
         cfg = small_config(init="fixed", init_point=[1.0, 2.0])
         assert cfg.init_point == [1.0, 2.0]
+
+    def test_trace_only_init_is_refused_with_a_grid(self, tmp_path, capsys, monkeypatch):
+        # refused when the config is built: a sweep has no "both", and
+        # `mmloc bench` then builds no measurement set and no CRLB
+        for grids in ({}, {"snr_grid": None, "freq_grid": [500.0, 1000.0]}):
+            with pytest.raises(ValueError, match="^init 'both' not valid here$"):
+                small_config(init="both", **grids)
+        assert small_config(init="both", snr_grid=None).init == "both"
+        calls = []
+        for module, name in ((mmloc.scenario, "_rangediff_rows"),
+                             (mmloc.scenario, "rangediffs_from_ranges"), (mmloc.crlb, "fisher")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": SIM1_SCENARIO, "snr_grid": [0.0, 10.0],
+                                        "trials": 2, "init": "both"}))
+        assert main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err == "error: init 'both' not valid here\n"
+        assert calls == []
+
+    def test_init_point_only_with_a_fixed_start(self, tmp_path):
+        # the sidecar names init_point only for the run that starts there
+        for init in ("proposed", "random", "centroid", "both"):
+            with pytest.raises(ValueError, match=f"^init_point is used only with init 'fixed', "
+                                                 f"not with init '{init}'$"):
+                small_config(init=init, init_point=[1.0, 2.0], snr_grid=None)
+        with pytest.raises(ValueError, match="^init_point is used only with init 'fixed', "
+                                             "not with init 'proposed'$"):
+            small_config(init=None, init_point=[1.0, 2.0])
+        for init, point in (("fixed", [1.0, 2.0]), ("random", None)):
+            write_metadata(tmp_path / "meta.json", small_config(init=init, init_point=point))
+            solver = json.loads((tmp_path / "meta.json").read_text())["solver"]
+            assert (solver["init"], solver["init_point"]) == (init, point)
 
     def test_unknown_solver_and_init(self):
         with pytest.raises(ValueError):
@@ -235,6 +270,10 @@ class TestConfig:
         "non-numeric init_point": ("config", lambda d: d.update(init="fixed",
                                                                 init_point=["one", 2.0]),
                                    "could not convert string to float: 'one'"),
+        "init_point with another init": ("config", lambda d: d.update(init_point=[1.0, 2.0]),
+                                         "init_point is used only with init 'fixed'"),
+        "init both with a grid": ("config", lambda d: d.update(init="both"),
+                                  "init 'both' not valid here"),
     }
 
     @pytest.mark.parametrize("case", LOUD_CASES)
@@ -500,11 +539,12 @@ class TestOutputs:
 class TestSolvePath:
     def test_solves_reach_the_module_attributes(self, tmp_path, capsys, monkeypatch):
         """Sweeps, traces and `mmloc solve` call the solvers, the initializer
-        and the measurement builder through their modules, so a wrapper put
+        and the measurement builders through their modules, so a wrapper put
         on the module attribute (as the benchmark's spans do) sees every call."""
         targets = ((mmloc.solvit, "solvit_solve"), (mmloc.sfp, "sfp_solve"),
                    (mmloc.initializer, "init_point"), (mmloc.initializer, "init_points"),
-                   (mmloc.scenario, "rangediffs_from_ranges"))
+                   (mmloc.scenario, "rangediffs_from_ranges"),
+                   (mmloc.scenario, "_rangediff_rows"))
         counts = {}
 
         def counting(name, fn):
@@ -521,20 +561,22 @@ class TestSolvePath:
             run()
             return tuple(counts[name] for _, name in targets)
 
-        # a sweep solves trials x sweep values; solvit builds one set per solve
-        # and picks every proposed start in one batch
+        # a sweep solves trials x sweep values; solvit builds every set in one
+        # pass and picks every proposed start in one batch
         assert calls(lambda: run_rmse_sweep(small_config(init="proposed", trials=3))) == \
-            (6, 0, 0, 1, 6)
+            (6, 0, 0, 1, 0, 1)
         assert calls(lambda: run_rmse_sweep(small_config(solver="sfp", init="random",
-                                                         trials=3))) == (0, 6, 0, 0, 0)
+                                                         trials=3))) == (0, 6, 0, 0, 0, 0)
         # a trace solves once per initialization, on one measurement draw;
-        # init_point is init_points on one row
+        # init_point is init_points on one row, and rangediffs_from_ranges the
+        # one-pass builder on one row
         trace_cfg = dict(snr_grid=None, freq_grid=None)
-        assert calls(lambda: run_trace(small_config(init="both", **trace_cfg))) == (2, 0, 1, 1, 1)
+        assert calls(lambda: run_trace(small_config(init="both", **trace_cfg))) == \
+            (2, 0, 1, 1, 1, 1)
         assert calls(lambda: run_trace(small_config(init="fixed", init_point=[1.0, 2.0],
-                                                    **trace_cfg))) == (1, 0, 0, 0, 1)
+                                                    **trace_cfg))) == (1, 0, 0, 0, 1, 1)
         assert calls(lambda: run_trace(small_config(solver="sfp", init="centroid",
-                                                    **trace_cfg))) == (0, 1, 0, 0, 0)
+                                                    **trace_cfg))) == (0, 1, 0, 0, 0, 0)
 
         scen_path = tmp_path / "scen.json"
         save_scenario(scen_path, Scenario(circular_array(5, radius=10.0), np.array([1.0, 5.0]),
@@ -545,7 +587,8 @@ class TestSolvePath:
         assert main(["simulate", "--scenario", str(scen_path), "--kind", "ranges",
                      "--out", str(r_path)]) == 0
         solve = ["solve", "--scenario", str(scen_path), "--measurements"]
-        assert calls(lambda: main(solve + [str(rd_path)])) == (1, 0, 1, 1, 0)
-        assert calls(lambda: main(solve + [str(rd_path), "--x0", "2", "3"])) == (1, 0, 0, 0, 0)
-        assert calls(lambda: main(solve + [str(r_path), "--solver", "sfp"])) == (0, 1, 0, 0, 0)
+        assert calls(lambda: main(solve + [str(rd_path)])) == (1, 0, 1, 1, 0, 0)
+        assert calls(lambda: main(solve + [str(rd_path), "--x0", "2", "3"])) == \
+            (1, 0, 0, 0, 0, 0)
+        assert calls(lambda: main(solve + [str(r_path), "--solver", "sfp"])) == (0, 1, 0, 0, 0, 0)
         capsys.readouterr()

@@ -5,17 +5,21 @@ import math
 import numpy as np
 import pytest
 
+import mmloc.harness
 import mmloc.initializer
 from mmloc import (
     DegenerateMeasurementError,
     InitConfig,
+    NoiseModel,
     RangeDiffSet,
     RayMeasurementError,
     SensorArray,
     f_rdls,
+    f_rdls_many,
     hyperbola_points,
     init_point,
     init_points,
+    noisy_rangediffs,
     rangediffs_from_ranges,
     true_ranges,
 )
@@ -340,3 +344,156 @@ class TestInitPoints:
         with pytest.raises(ValueError, match="2 measurement sets for 1 seeds"):
             init_points(array, [rd, rd], [0])
         assert init_points(array, [], []).shape == (0, 2)
+
+
+def reference_exit_angle(center, along, across, bound):
+    """The exit angle written per coordinate, edge and root on Python floats."""
+    z_exit = math.inf
+    for c, A, S in zip(center, along, across):
+        lead, const = A + S, A - S
+        for edge in (bound, -bound):
+            h = c - edge
+            disc = h * h - lead * const
+            if disc < 0.0:
+                continue
+            q = -(h + math.copysign(math.sqrt(disc), h))
+            roots = (q / lead if lead != 0.0 else math.inf,
+                     const / q if q != 0.0 else math.inf)
+            for z in roots:
+                if 1.0 <= z < z_exit and (lead * z * z > const) == (edge > 0.0):
+                    z_exit = z
+    return math.log(z_exit)
+
+
+def reference_arc(yi, yj, foc, r, bound):
+    """One branch's (center, u, a, b, t_lo, t_hi) on Python floats, or None
+    where it has no arc in the box (a ray, r above foc, the vertex outside)."""
+    if r >= foc:
+        return None
+    a, c = r / 2.0, foc / 2.0
+    b = math.sqrt(c * c - a * a)
+    center = [(yi[0] + yj[0]) / 2.0, (yi[1] + yj[1]) / 2.0]
+    u = [(yj[0] - yi[0]) / foc, (yj[1] - yi[1]) / foc]
+    along, across = [a * u[0], a * u[1]], [b * -u[1], b * u[0]]
+    if max(abs(center[0] + along[0]), abs(center[1] + along[1])) > bound:
+        return None
+    return [*center, *u, a, b, reference_exit_angle(center, along, [-v for v in across], bound),
+            reference_exit_angle(center, along, across, bound)]
+
+
+def reference_start(coords, rd, seed, l, bound):
+    """One row's start the scalar way: the filter on row-wise norms, one
+    seeded pick, the arc on Python floats (focal distance as a vector norm),
+    its samples and their f_rdls, else the grid."""
+    sep = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2).tolist()
+    il, jl, vl = rd.i.tolist(), rd.j.tolist(), rd.values.tolist()
+    feasible = [k for k, v in enumerate(vl) if v < sep[il[k] - 1][jl[k] - 1]]
+    if coords.shape[1] == 2 and feasible:
+        k = feasible[int(np.random.default_rng(seed).integers(len(feasible)))]
+        yi, yj = coords[il[k] - 1], coords[jl[k] - 1]
+        arc = reference_arc(yi.tolist(), yj.tolist(), float(np.linalg.norm(yj - yi)), vl[k], bound)
+        if arc is not None:
+            pts = mmloc.initializer._arc_samples(np.array([arc]), l, bound)[0]
+            vals = f_rdls_many(pts, coords, rd)
+            best = int(np.argmin(vals))
+            if not math.isfinite(vals[best]):
+                raise ValueError(f"coord_bound={bound!r} is too large")
+            return pts[best]
+    return mmloc.initializer._grid_fallback(coords, rd, l, bound)
+
+
+class TestArcPass:
+    """The array pass over rows keeps the scalar arc and start bit for bit."""
+
+    def test_arcs_match_scalar_formulas(self):
+        # random foci and differences, rays, differences above the focal
+        # distance, tight boxes that exclude the vertex, and boxes too large
+        # for float arithmetic (infinite angles)
+        rng = np.random.default_rng(31)
+        for bound in (10.0, 30.0, 1e155, 1e300):
+            yi, yj = rng.uniform(-20.0, 20.0, (2, 400, 2))
+            foc = np.array([float(np.linalg.norm(b - a)) for a, b in zip(yi, yj)])
+            r = foc * rng.uniform(0.0, 1.0, 400)
+            r[::7] = foc[::7]
+            r[1::7] = 1.01 * foc[1::7]
+            r[2::7] = 0.0
+            arcs, kept = mmloc.initializer._arcs(yi, yj, foc, r, bound)
+            want = [reference_arc(a.tolist(), b.tolist(), f, v, bound)
+                    for a, b, f, v in zip(yi, yj, foc.tolist(), r.tolist())]
+            assert kept.tolist() == [k for k, w in enumerate(want) if w is not None]
+            assert 0 < len(kept) < 400
+            assert hexes(arcs) == hexes([w for w in want if w is not None])
+
+    @staticmethod
+    def assert_reference_rows(array, rds, seeds, **kw):
+        cfg = InitConfig(**kw)
+        coords = array.sensors
+        bound = cfg.coord_bound or 2.0 * float(np.max(np.abs(coords)))
+        try:
+            got = init_points(array, rds, seeds, cfg)
+        except ValueError as exc:
+            assert "is too large" in str(exc)
+            with pytest.raises(ValueError, match="is too large"):
+                for rd, seed in zip(rds, seeds):
+                    reference_start(coords, rd, seed, cfg.grid_size, bound)
+            return
+        for rd, seed, row in zip(rds, seeds, got):
+            assert hexes(row) == hexes(reference_start(coords, rd, seed, cfg.grid_size, bound))
+
+    @pytest.mark.parametrize("criterion", [7, 9])
+    def test_rows_match_scalar_reference_on_criterion_configs(self, criterion):
+        # the criterion-7 array (random m = 5, its source drawn from seed 2026)
+        # and the criterion-9 linear array, 20 trials at -10, -5 and 0 dB
+        if criterion == 7:
+            spec = {"sensors": {"kind": "random", "m": 5, "lo": -50.0, "hi": 50.0},
+                    "source": {"uniform": [-10.0, 10.0]}, "noise": {"f0": 1000.0, "c": 340.0}}
+            seed = 2026
+        else:
+            spec = {"sensors": {"kind": "linear"}, "source": [-5.0, 5.0],
+                    "noise": {"f0": 1000.0, "c": 340.0}}
+            seed = 909
+        scen_ss = np.random.SeedSequence(seed).spawn(3)[0]
+        array, source, noise = mmloc.harness._resolve_scenario(spec,
+                                                               np.random.default_rng(scen_ss))
+        rng = np.random.default_rng(seed)
+        rds, seeds = [], []
+        for snr in (-10.0, -5.0, 0.0):
+            noisy = NoiseModel(sigma2=10.0 ** (-snr / 10.0), f0=noise.f0, c=noise.c)
+            for trial in range(20):
+                rds.append(noisy_rangediffs(source, array, noisy, seed=rng.integers(2 ** 32)))
+                seeds.append(trial)
+        TestInitPoints.assert_rows(array, rds, seeds)
+        self.assert_reference_rows(array, rds, seeds)
+
+    def test_rows_match_scalar_reference_on_random_arrays(self, monkeypatch):
+        # grid-fallback rows (no feasible pair, a ray, a vertex outside the
+        # box) among arc rows, on random and linear arrays
+        calls = []
+        fallback = mmloc.initializer._grid_fallback
+        monkeypatch.setattr(mmloc.initializer, "_grid_fallback",
+                            lambda *a: calls.append(1) or fallback(*a))
+        rng = np.random.default_rng(32)
+        for m in range(2, 10):
+            for coords in (rng.uniform(-50.0, 50.0, (m, 2)),
+                           np.column_stack([np.full(m, 5.0), 10.0 * np.arange(m)])):
+                array = SensorArray(coords)
+                source = rng.uniform(-30.0, 30.0, 2)
+                rds = TestInitPoints.batch(rng, array, source, 4, 0.0)
+                for noise_std in (0.3, 3.0, 30.0):
+                    rds += TestInitPoints.batch(rng, array, source, 4, noise_std, shuffle=True)
+                if m == 2:
+                    foc = float(np.linalg.norm(coords[1] - coords[0]))
+                    rds += [RangeDiffSet([1], [2], [foc], 2), RangeDiffSet([2], [1], [foc], 2)]
+                # four seeds, each shared by several rows as in a sweep
+                seeds = ([int(rng.integers(2 ** 63)) for _ in range(4)] * len(rds))[:len(rds)]
+                self.assert_reference_rows(array, rds, seeds)
+                self.assert_reference_rows(array, rds, seeds,
+                                           coord_bound=float(rng.uniform(1.0, 20.0)),
+                                           grid_size=int(rng.integers(2, 200)))
+                self.assert_reference_rows(array, rds, seeds, coord_bound=0.05, grid_size=16)
+        assert len(calls) > 100
+
+    @pytest.mark.parametrize("bound", [1e155, 1e300])
+    def test_box_too_large_raises_like_the_scalar_rows(self, bound):
+        array, _, rd = make_instance(1, m=5)
+        self.assert_reference_rows(array, [rd, rd], [0, 1], coord_bound=bound)

@@ -29,7 +29,7 @@ from mmloc import (
     write_rangediffs_csv,
     write_ranges_csv,
 )
-from mmloc.scenario import oriented_rangediffs
+from mmloc.scenario import _rangediff_rows, oriented_rangediffs
 
 
 class TestSensorArray:
@@ -236,6 +236,46 @@ class TestMeasurements:
         ref = oriented_rangediffs([r[i - 1] - r[j - 1] for i, j in unordered_pairs(m)], m)
         for name in ("i", "j", "values"):
             assert getattr(rd, name).tobytes() == getattr(ref, name).tobytes()
+
+    @staticmethod
+    def oriented_by_hand(r):
+        """The orientation rule written out per pair on Python floats."""
+        entries = []
+        for i, j in unordered_pairs(len(r)):
+            v = r[i - 1] - r[j - 1]
+            entries.append((i, j, v) if v >= 0 else (j, i, -v))
+        return entries
+
+    def test_one_pass_builder_matches_every_row(self):
+        # random rows, rows with exact-zero differences (repeated and integer
+        # ranges, -0.0 beside 0.0) and every m = 2..9, against the rule per
+        # pair and against rangediffs_from_ranges on the row, bit for bit
+        rng = np.random.default_rng(21)
+        for m in range(2, 10):
+            R = rng.uniform(0.0, 40.0, (30, m))
+            R[::3, m // 2] = R[::3, 0]
+            R[1::5] = np.round(R[1::5])
+            R[2, :2] = [-0.0, 0.0]
+            ii, jj, vv = _rangediff_rows(R)
+            assert ii.shape == jj.shape == vv.shape == (30, m * (m - 1) // 2)
+            for row, i, j, v in zip(R, ii, jj, vv):
+                want = self.oriented_by_hand(row.tolist())
+                assert list(zip(i.tolist(), j.tolist())) == [e[:2] for e in want]
+                assert [x.hex() for x in v.tolist()] == [e[2].hex() for e in want]
+                rd = rangediffs_from_ranges(row)
+                for got, ref in ((rd.i, i), (rd.j, j), (rd.values, v)):
+                    assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_one_pass_builder_refuses_a_nonfinite_range(self, bad):
+        R = np.full((3, 4), 5.0)
+        R[1, 2] = bad
+        for call in (lambda: _rangediff_rows(R), lambda: rangediffs_from_ranges(R[1])):
+            with pytest.raises(ValueError, match="^range differences must be finite$"):
+                call()
+        R[1, 0] = bad  # inf - inf is NaN, refused without a RuntimeWarning
+        with pytest.raises(ValueError, match="^range differences must be finite$"):
+            _rangediff_rows(R)
 
     def test_noisy_rangediffs_noiseless_matches_truth(self):
         arr = circular_array(4, radius=10.0)
