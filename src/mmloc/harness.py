@@ -240,8 +240,8 @@ def solve_one(solver: str, init: str, array, meas, seed, solver_cfg, fixed=None,
     meas is a RangeDiffSet for solvit and the ranges for sfp.  Every solve
     of the CLI and the traces goes through here; it calls the solvers and
     the initializer through their modules, so a wrapper put on a module
-    attribute sees every call.  Returns (estimate, SolveOutcome); the
-    outcome carries the SolveTrace only when trace is set.
+    attribute sees every call.  Returns (estimate, SolveOutcome), how the
+    solve ended; its trace is the swept history only when trace is set.
     """
     return _solve_fn(solver)(_pick_x0(init, array, meas, seed, fixed), array, meas, solver_cfg,
                              trace=trace)
@@ -252,8 +252,8 @@ def run_trace(cfg: ExperimentConfig, out_dir=None) -> dict:
     iterate trace.
 
     Noise level comes from cfg.snr_db.  Returns {init_name: (estimate,
-    SolveTrace)}; with out_dir set, each trace is also written to
-    trace_<init_name>.csv.
+    SolveOutcome)}, each outcome's trace set; with out_dir set, each trace
+    is also written to trace_<init_name>.csv.
     """
     master = np.random.SeedSequence(cfg.seed)
     scen_ss, meas_ss, init_ss = master.spawn(3)
@@ -270,7 +270,7 @@ def run_trace(cfg: ExperimentConfig, out_dir=None) -> dict:
     for name, init_seed in zip(init_names, init_seeds):
         est, outcome = solve_one(cfg.solver, name, array, meas, init_seed, solver_cfg,
                                  cfg.init_point, trace=True)
-        results[name] = (est, outcome.trace)
+        results[name] = (est, outcome)
         if out_dir is not None:
             _solvit.write_trace_csv(os.path.join(out_dir, f"trace_{name}.csv"), outcome.trace)
     return results

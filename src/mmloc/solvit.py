@@ -31,10 +31,10 @@ returns (f(x), x_next), the cost and the MM update, or None for x_next
 where it cannot form the update (x within _SENSOR_GUARD of a sensor, or a
 singular system); the loop then nudges x and calls the reference step.
 The start nudge, the stop rule, the max_iter exit, the singular exit and
-the SolveOutcome every solve returns are each written once there.  The
-loop records no history: a caller that passes trace=True gets a
-SolveTrace, built there from a wrapper around the sweep that keeps each
-swept point and its cost.  n == 3 sweeps with
+the SolveOutcome every solve returns (how it ended) are each written once
+there.  The loop records no history: a caller that passes trace=True gets
+a SolveTrace, only the swept points and their costs, kept by a wrapper
+around the sweep.  n == 3 sweeps with
 _reference_sweep around _f_pairs and _step_core_nd; n == 2 with
 _solvit_sweep_2d, those two unrolled into one sensor pass, one pair pass
 and an inline 2x2 solve.  _planar_make writes that sweep and SFP's
@@ -91,23 +91,17 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveTrace:
-    """Iterate/objective history of one solver run.  Checks one objective per iterate,
-    a known status and iterations == len(objectives) - 1; stores read-only copies."""
+    """Points one solve swept and their costs, in sweep order (how it ended is its
+    SolveOutcome's); checks one objective per iterate and stores read-only copies."""
 
-    iterates: np.ndarray    # (k+1, n)
-    objectives: np.ndarray  # (k+1,)
-    status: str             # converged | max_iter | singular_system
-    iterations: int
+    iterates: np.ndarray    # (k, n)
+    objectives: np.ndarray  # (k,)
 
     def __post_init__(self):
         it = np.array(self.iterates, dtype=float)
         ob = np.array(self.objectives, dtype=float)
         if it.ndim != 2 or ob.ndim != 1 or it.shape[0] != ob.size:
             raise ValueError("iterates and objectives lengths disagree")
-        if self.status not in (CONVERGED, MAX_ITER, SINGULAR_SYSTEM):
-            raise ValueError(f"unknown status {self.status!r}")
-        if self.iterations != ob.size - 1:
-            raise ValueError("iterations must equal len(objectives) - 1")
         for name, arr in (("iterates", it), ("objectives", ob)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -115,8 +109,8 @@ class SolveTrace:
 
 @dataclass(frozen=True, slots=True)
 class SolveOutcome:
-    """How one solve ended: its status, the MM iterations it took, f at the
-    last swept iterate, and its SolveTrace if the caller asked for one."""
+    """How one solve ended, the one record of it: status, MM iterations, f at the last
+    swept iterate, and the swept history (a SolveTrace) if the caller asked for it."""
 
     status: str             # converged | max_iter | singular_system
     iterations: int
@@ -346,9 +340,9 @@ def _mm_loop(x0, ys, n, cfg, sweep, step, data, trace=False):
     Where x_next is None, x is nudged off the sensor and step(x, ys, data, n)
     forms the update; an error from it ends the run as singular_system at
     the nudged iterate.  x_next is used only when the stop rule lets the
-    loop go on.  Returns (estimate, SolveOutcome); with trace set, the
-    outcome holds a SolveTrace of the swept points and their costs: the
-    nudged start, then each update taken.
+    loop go on.  Returns (estimate, SolveOutcome), which alone says how the
+    run ended; with trace set, the outcome holds a SolveTrace of the swept
+    points and their costs: the nudged start, then each update taken.
     """
     x = _nudge_off_sensors(x0, ys, n)
     if trace:
@@ -379,7 +373,7 @@ def _mm_loop(x0, ys, n, cfg, sweep, step, data, trace=False):
                 status = SINGULAR_SYSTEM
                 break
         x = x_next
-    history = SolveTrace(points, objectives, status, it) if trace else None
+    history = SolveTrace(points, objectives) if trace else None
     return np.array(x), SolveOutcome(status, it, f_next, history)
 
 

@@ -11,13 +11,14 @@ from mmloc import (
     SINGULAR_SYSTEM,
     NoiseModel,
     SensorArray,
+    SolverConfig,
     noisy_rangediffs,
     rangediffs_from_ranges,
     random_array,
     true_ranges,
 )
 from mmloc.errors import SensorSingularityError, SingularSystemError
-from mmloc.solvit import _ZERO_OBJECTIVE, SolveTrace, _nudge_off_sensors
+from mmloc.solvit import _ZERO_OBJECTIVE, SolveOutcome, SolveTrace, _nudge_off_sensors
 
 
 def make_instance(seed, m=4, n=2, box=10.0, sigma2=0.0):
@@ -58,12 +59,31 @@ def make_range_instance(seed, m=4, n=2, box=10.0, noise_std=0.0):
     return array, source, r
 
 
+def ending_cases(solver, n):
+    """(x0, array, measurement, cfg) of solves ending converged, at max_iter and singular."""
+    def on_axis(*xs):
+        return np.array([[x] + [0.0] * (n - 1) for x in xs])
+
+    if solver == "solvit":
+        array, _, meas = make_instance(600 + n, m=5, n=n, sigma2=0.3)
+        # collinear sensors, zero differences and a start on their line
+        singular = (on_axis(5.0)[0], on_axis(0.0, 1.0, 2.0), rangediffs_from_ranges(np.zeros(3)))
+    else:
+        array, _, meas = make_range_instance(600 + n, m=5, n=n, noise_std=0.3)
+        # the start nudge lands on the second sensor, whose nudge lands on the first
+        singular = (on_axis(0.0)[0], on_axis(0.0, 1e-6), np.ones(2))
+    start = np.full(n, 2.0)
+    return [(start, array, meas, SolverConfig()), (start, array, meas, SolverConfig(max_iter=3)),
+            (*singular, SolverConfig())]
+
+
 def reference_iterate(x0, ys, n, cfg, stepper, objective):
     """The MM loop as it was before it reused the objective's distances.
 
     It nudges (one distance pass), steps and evaluates the objective on
     every iteration; objective returns (value, distances) and only the
     value is used.  The solvers' fast paths must reproduce its traces.
+    Returns (estimate, SolveOutcome) with the trace set, as a traced solve does.
     """
     x = list(map(float, x0))
     x = _nudge_off_sensors(x, ys, n)
@@ -92,28 +112,26 @@ def reference_iterate(x0, ys, n, cfg, stepper, objective):
                 status = CONVERGED
                 break
             f_cur = f_next
-    trace = SolveTrace(np.array(iterates), np.array(objectives), status,
-                       len(objectives) - 1)
-    return np.array(x), trace
+    trace = SolveTrace(np.array(iterates), np.array(objectives))
+    return np.array(x), SolveOutcome(status, len(objectives) - 1, objectives[-1], trace)
 
 
 def assert_same_solve(got, ref):
-    """Bit-identical estimate, iterates, objectives, status and count.
+    """Bit-identical estimate, status, count, objective, iterates and objectives.
 
-    got is a traced solve's (estimate, SolveOutcome), whose status, count and
-    objective must agree with its own trace; ref is (estimate, SolveTrace).
+    got is a traced solve's (estimate, SolveOutcome) and ref the same solve
+    run by reference_iterate.
     """
-    (est, outcome), (est_ref, trace_ref) = got, ref
-    trace = outcome.trace
-    assert (outcome.status, outcome.iterations) == (trace.status, trace.iterations)
-    assert outcome.objective == trace.objectives[-1]
+    (est, outcome), (est_ref, outcome_ref) = got, ref
+    trace, trace_ref = outcome.trace, outcome_ref.trace
     assert est.tobytes() == est_ref.tobytes()
+    assert outcome.status == outcome_ref.status
+    assert outcome.iterations == outcome_ref.iterations
+    assert outcome.objective.hex() == outcome_ref.objective.hex()
     assert np.array_equal(trace.iterates, trace_ref.iterates)
     assert trace.iterates.tobytes() == trace_ref.iterates.tobytes()
     assert np.array_equal(trace.objectives, trace_ref.objectives)
     assert trace.objectives.tobytes() == trace_ref.objectives.tobytes()
-    assert trace.status == trace_ref.status
-    assert trace.iterations == trace_ref.iterations
 
 
 @pytest.fixture

@@ -190,8 +190,8 @@ def test_criterion_06_stationarity_at_convergence():
     converged = 0
     for seed in range(50):
         array, _, rd = make_instance(seed + 500, m=4 + seed % 2, sigma2=0.5)
-        est, trace = solvit_solve(array.centroid(), array, rd, cfg)
-        if trace.status != CONVERGED:
+        est, outcome = solvit_solve(array.centroid(), array, rd, cfg)
+        if outcome.status != CONVERGED:
             continue
         f = f_rdls(est, array, rd)
         if f <= 1e-18 or np.min(true_ranges(est, array)) < 1e-4:
@@ -288,12 +288,12 @@ def test_criterion_10_tdoa_pipeline():
     # the collinear array cannot separate a source from its mirror image,
     # so the start must sit on the known (source) side of the line x=2.1
     x0 = np.array([1.0, 1.4])
-    est, trace = solvit_solve(x0, mics, rd,
-                              SolverConfig(tol=1e-12, max_iter=20000))
+    est, outcome = solvit_solve(x0, mics, rd,
+                                SolverConfig(tol=1e-12, max_iter=20000))
     err = float(np.linalg.norm(est - source))
     ok = err < 0.1
     assert _report(10, "TDOA pipeline recovers the fixture source (<0.1 m)",
-                   ok, f"err={err:.3f} m status={trace.status}")
+                   ok, f"err={err:.3f} m status={outcome.status}")
 
 
 def test_criterion_11_per_iteration_cost_scales_with_pairs():
@@ -311,9 +311,9 @@ def test_criterion_11_per_iteration_cost_scales_with_pairs():
     def iter_time(array, rd, reps=10):
         t0 = time.perf_counter()
         for _ in range(reps):
-            _, trace = solvit_solve(x0, array, rd, cfg)
-        assert trace.iterations == cfg.max_iter
-        return (time.perf_counter() - t0) / (reps * trace.iterations)
+            _, outcome = solvit_solve(x0, array, rd, cfg)
+        assert outcome.iterations == cfg.max_iter
+        return (time.perf_counter() - t0) / (reps * outcome.iterations)
 
     cases = {4: prepare(4), 8: prepare(8)}
     for array, rd in cases.values():

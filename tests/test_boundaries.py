@@ -12,14 +12,15 @@ import math
 import numpy as np
 import pytest
 
-from mmloc import (ExperimentConfig, NoiseModel, SensorArray, SignalRecord, bandpass,
-                   delays_to_rangediffs, estimate_rangediffs, f_rls, grad_fd, hyperbola_points,
-                   load_scenario, random_array, range_variance, rangediffs_from_ranges,
-                   read_rangediffs_csv, read_rmse_csv, read_signals_raw, sfp_solve,
-                   snr_to_sigma2, solvit_solve, tone_burst_signals, true_ranges,
+from mmloc import (ExperimentConfig, NoiseModel, SensorArray, SignalRecord, SolverConfig,
+                   bandpass, delays_to_rangediffs, estimate_rangediffs, f_rls, grad_fd,
+                   hyperbola_points, load_scenario, random_array, range_variance,
+                   rangediffs_from_ranges, read_rangediffs_csv, read_rmse_csv, read_signals_raw,
+                   sfp_solve, snr_to_sigma2, solvit_solve, tone_burst_signals, true_ranges,
                    write_signals_csv)
 from mmloc.cli import main
-from mmloc.scenario import as_position
+from mmloc.harness import solve_one
+from mmloc.scenario import as_position, oriented_rangediffs
 from mmloc.tdoa import ANECHOIC_MICROPHONES
 from conftest import make_instance, make_range_instance
 
@@ -175,6 +176,11 @@ def raw_of_three_samples(tmp):
     return read_signals_raw(tmp / "sig.f64")
 
 
+def solve_from_both_starts(tmp):
+    array, _, rd = make_instance(3)
+    return solve_one("solvit", "both", array, rd, 0, SolverConfig())
+
+
 CIRCLE = {"sensors": {"kind": "circular", "m": 5, "radius": 10.0}, "source": [3.0, -2.0]}
 SCENARIO_DOC = {"n": 3, "sensors": [[0.0, 0.0], [1.0, 0.0]], "source": [0.5, 0.5],
                 "noise": {"sigma2": 0.0, "f0": 1000.0, "c": 340.0}, "seed": None}
@@ -203,6 +209,8 @@ INPUT_CASES = {
                          "sensors must be a 2-D array of shape (m, n)"),
     "4-D random array": (lambda tmp: random_array(4, -1.0, 1.0, n=4), "n must be 2 or 3"),
     "one range": (lambda tmp: rangediffs_from_ranges([1.0]), "need at least 2 ranges"),
+    "five differences for four sensors": (lambda tmp: oriented_rangediffs([1.0] * 5, 4),
+                                          "expected 6 differences for m=4, got 5"),
     "scenario file n against its sensors": (
         lambda tmp: load_scenario(written(tmp / "scen.json", json.dumps(SCENARIO_DOC))),
         "scenario dimension field disagrees with sensor coordinates"),
@@ -224,6 +232,10 @@ INPUT_CASES = {
     "3-D hyperbola foci": (lambda tmp: hyperbola_points([0.0, 0.0, 0.0], [4.0, 0.0, 0.0],
                                                         1.0, 8, 10.0),
                            "hyperbola sampling is 2-D only"),
+    "hyperbola vertex outside the box": (
+        lambda tmp: hyperbola_points([0, 0], [10, 0], 2.0, 8, 5.0),
+        "hyperbola vertex lies outside the search box; increase coord_bound"),
+    "a trace-only init for one solve": (solve_from_both_starts, "init 'both' not valid here"),
 }
 
 

@@ -1,6 +1,7 @@
 """Command-line interface, exercised in-process through main(argv)."""
 
 import json
+import runpy
 import sys
 import types
 
@@ -351,6 +352,30 @@ class TestBenchAndPlot:
         assert code == 0 and out == "wrote rmse.png\n"
         assert [c[1][0] for c in stub_matplotlib if c[0] == "savefig"] == ["rmse.png"]
         assert [c[2]["label"] for c in stub_matplotlib if c[0] == "semilogy"] == ["rmse"]
+
+
+class TestModuleEntry:
+    """`python -m mmloc` runs main() and exits with its status."""
+
+    @staticmethod
+    def run_module(monkeypatch, capsys, *argv):
+        monkeypatch.setattr(sys, "argv", ["mmloc", *map(str, argv)])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("mmloc", run_name="__main__")
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    def test_crlb_exits_0(self, monkeypatch, capsys, zero_noise_scenario):
+        scen_path, _ = zero_noise_scenario
+        code, out, err = self.run_module(monkeypatch, capsys, "crlb", "--scenario", scen_path)
+        assert (code, err) == (0, "")
+        assert out.startswith("rmse_bound=")
+
+    def test_missing_scenario_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
+        code, out, err = self.run_module(monkeypatch, capsys, "crlb", "--scenario",
+                                         tmp_path / "missing.json")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 class TestErrorReporting:

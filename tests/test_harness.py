@@ -321,9 +321,9 @@ class TestRunTrace:
         assert set(results) == {"proposed", "random"}
         # both runs solve the same instance: equal final objectives would be
         # a coincidence, but both must be finite and traces monotone
-        for est, trace in results.values():
+        for est, outcome in results.values():
             assert np.all(np.isfinite(est))
-            assert np.all(np.diff(trace.objectives) <= 1e-9)
+            assert np.all(np.diff(outcome.trace.objectives) <= 1e-9)
 
     def test_trace_files_written(self, tmp_path):
         cfg = small_config(init="both", snr_grid=None, freq_grid=None)
@@ -333,10 +333,10 @@ class TestRunTrace:
 
     def test_deterministic(self):
         cfg = small_config(init="proposed", snr_grid=None, freq_grid=None)
-        est1, tr1 = run_trace(cfg)["proposed"]
-        est2, tr2 = run_trace(cfg)["proposed"]
+        est1, out1 = run_trace(cfg)["proposed"]
+        est2, out2 = run_trace(cfg)["proposed"]
         np.testing.assert_array_equal(est1, est2)
-        np.testing.assert_array_equal(tr1.objectives, tr2.objectives)
+        np.testing.assert_array_equal(out1.trace.objectives, out2.trace.objectives)
 
     def test_proposed_usually_needs_fewer_iterations(self):
         """Starting from the hyperbola sample beats a random unit-box start
@@ -356,8 +356,8 @@ class TestRunTrace:
         cfg = small_config(solver="sfp", init="centroid", snr_grid=None,
                            freq_grid=None)
         results = run_trace(cfg)
-        est, trace = results["centroid"]
-        assert np.all(np.diff(trace.objectives) <= 1e-9)
+        est, outcome = results["centroid"]
+        assert np.all(np.diff(outcome.trace.objectives) <= 1e-9)
 
 
 class TestRmseSweep:
@@ -420,13 +420,13 @@ def per_trial_sweep(cfg):
         sqerrs, failed = [], 0
         for eps, seed in states:
             try:
-                est, trace = solve_one(cfg.solver, cfg.init, array,
-                                       _measurement(cfg.solver, d_true + eps * std), seed,
-                                       cfg.solver_config(), cfg.init_point)
+                est, outcome = solve_one(cfg.solver, cfg.init, array,
+                                         _measurement(cfg.solver, d_true + eps * std), seed,
+                                         cfg.solver_config(), cfg.init_point)
             except LocalizationError:
                 failed += 1
                 continue
-            if trace.status == SINGULAR_SYSTEM:
+            if outcome.status == SINGULAR_SYSTEM:
                 failed += 1
                 continue
             sqerrs.append(sum(v * v for v in (est - source).tolist()))
@@ -471,12 +471,12 @@ class TestFailedTrials:
 
         def failing(*args):
             # sweeps solve value-major, trial-minor
-            est, trace = solve(*args)
+            est, outcome = solve(*args)
             value, trial = divmod(len(estimates), self.TRIALS)
             estimates.append(est)
             if trial in self.FAILED[value]:
-                trace = replace(trace, status=SINGULAR_SYSTEM)
-            return est, trace
+                outcome = replace(outcome, status=SINGULAR_SYSTEM)
+            return est, outcome
 
         monkeypatch.setattr(module, name, failing)
         cfg = small_config(solver=solver, init=init, snr_grid=[0.0, 10.0, 20.0],

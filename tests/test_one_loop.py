@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 from mmloc import (CONVERGED, MAX_ITER, SINGULAR_SYSTEM, ExperimentConfig, NoiseModel,
-                   Scenario, SolverConfig, rangediffs_from_ranges, run_rmse_sweep,
-                   save_scenario, sfp_solve, solvit_solve, write_rangediffs_csv,
-                   write_ranges_csv)
+                   Scenario, SolverConfig, run_rmse_sweep, save_scenario, sfp_solve,
+                   solvit_solve, write_rangediffs_csv, write_ranges_csv)
 from mmloc import sfp, solvit
 from mmloc.cli import main
-from conftest import make_instance, make_range_instance
+from conftest import ending_cases, make_instance, make_range_instance
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mmloc"
 
@@ -48,12 +47,12 @@ def trace_builders(source, name="<source>"):
 
 def test_checker_sees_every_site():
     source = """
-trace = SolveTrace(a, b, c, 0)
+trace = SolveTrace(a, b)
 
 def outer():
     def inner():
-        return solvit.SolveTrace(a, b, c, 0)
-    return SolveTrace(a, b, c, 0), inner
+        return solvit.SolveTrace(a, b)
+    return SolveTrace(a, b), inner
 """
     assert trace_builders(source) == ["<source>:None", "<source>:inner", "<source>:outer"]
 
@@ -130,28 +129,10 @@ def test_every_solve_runs_the_loop_once(monkeypatch, solver, n):
             array, _, meas = make_range_instance(500 + case, m=5, n=n, noise_std=0.3)
             solve = sfp_solve
         x0 = array.sensors[case % 5] if case % 3 == 0 else np.full(n, 2.0)
-        _, trace = solve(x0, array, meas, cfg)
-        statuses.add(trace.status)
+        _, outcome = solve(x0, array, meas, cfg)
+        statuses.add(outcome.status)
         assert runs == [n] * (case + 1)
     assert len(statuses) == 2
-
-
-def ending_cases(solver, n):
-    """(x0, array, measurement, cfg) of solves ending converged, at max_iter and singular."""
-    def on_axis(*xs):
-        return np.array([[x] + [0.0] * (n - 1) for x in xs])
-
-    if solver == "solvit":
-        array, _, meas = make_instance(600 + n, m=5, n=n, sigma2=0.3)
-        # collinear sensors, zero differences and a start on their line
-        singular = (on_axis(5.0)[0], on_axis(0.0, 1.0, 2.0), rangediffs_from_ranges(np.zeros(3)))
-    else:
-        array, _, meas = make_range_instance(600 + n, m=5, n=n, noise_std=0.3)
-        # the start nudge lands on the second sensor, whose nudge lands on the first
-        singular = (on_axis(0.0)[0], on_axis(0.0, 1e-6), np.ones(2))
-    start = np.full(n, 2.0)
-    return [(start, array, meas, SolverConfig()), (start, array, meas, SolverConfig(max_iter=3)),
-            (*singular, SolverConfig())]
 
 
 @pytest.mark.parametrize("solver", ["solvit", "sfp"])
@@ -167,8 +148,6 @@ def test_asking_for_the_trace_changes_no_outcome(solver, n):
         assert (outcome.status, outcome.iterations) == (traced.status, traced.iterations)
         assert outcome.objective.hex() == traced.objective.hex()
         assert outcome.objective == traced.trace.objectives[-1]
-        assert (traced.trace.status, traced.trace.iterations) == (traced.status,
-                                                                  traced.iterations)
         statuses.append(outcome.status)
     assert statuses == [CONVERGED, MAX_ITER, SINGULAR_SYSTEM]
 

@@ -114,13 +114,13 @@ class TestSolve:
         cfg = SolverConfig(tol=1e-14, max_iter=30000)
         for seed in range(5):
             coords, source, r = triangle_instance(seed)
-            est, trace = sfp_solve(None, coords, r, cfg)
+            est, _ = sfp_solve(None, coords, r, cfg)
             assert np.linalg.norm(est - source) < 1e-5
 
     def test_fixed_point_residual_at_convergence(self):
         coords, source, r = triangle_instance(3)
-        est, trace = sfp_solve(None, coords, r,
-                               SolverConfig(tol=1e-15, max_iter=50000))
+        est, _ = sfp_solve(None, coords, r,
+                           SolverConfig(tol=1e-15, max_iter=50000))
         residual = np.linalg.norm(sfp_step(est, coords, r) - est)
         assert residual < 1e-7 * (1.0 + np.linalg.norm(est))
 
@@ -159,11 +159,11 @@ class TestSolve:
 
     def test_trace_statuses(self):
         coords, source, r = triangle_instance(5)
-        _, trace = sfp_solve(None, coords, r, SolverConfig(max_iter=1))
-        assert trace.iterations <= 1
-        _, trace = sfp_solve(None, coords, r,
-                             SolverConfig(tol=1e-14, max_iter=30000))
-        assert trace.status == CONVERGED
+        _, outcome = sfp_solve(None, coords, r, SolverConfig(max_iter=1))
+        assert outcome.iterations <= 1
+        _, outcome = sfp_solve(None, coords, r,
+                               SolverConfig(tol=1e-14, max_iter=30000))
+        assert outcome.status == CONVERGED
 
 
 def reference_sfp_solve(x0, array, ranges, cfg):
@@ -238,13 +238,13 @@ class TestPlanarKernel:
         ys, r, start = np.array(sensors), np.array(ranges), np.array(x0)
         got = sfp_solve(start, ys, r, cfg, trace=True)
         assert_same_solve(got, reference_sfp_solve(start, ys, r, cfg))
-        trace = got[1].trace
+        outcome = got[1]
         if status is not None:
-            assert trace.status == status
+            assert outcome.status == status
         if iterations is not None:
-            assert trace.iterations == iterations
+            assert outcome.iterations == iterations
         if status == CONVERGED and iterations is None:
-            assert trace.objectives[-1] > 1e-18  # stopped by tol, not zero objective
+            assert outcome.trace.objectives[-1] > 1e-18  # stopped by tol, not zero objective
 
     def test_update_landing_on_sensor_is_nudged(self):
         # the mean of the votes from (5, 0) is sensor 2 itself; the update
@@ -255,7 +255,7 @@ class TestPlanarKernel:
         assert_same_solve(got, reference_sfp_solve(x0, ys, r, cfg))
         trace = got[1].trace
         assert trace.iterates.tolist() == [[5.0, 0.0], [2.0, 0.0], [1.0, 0.0]]
-        assert trace.status == CONVERGED and trace.objectives[-1] == 0.0
+        assert got[1].status == CONVERGED and trace.objectives[-1] == 0.0
         with pytest.raises(SensorSingularityError):
             sfp_step(trace.iterates[1], ys, r)
 
@@ -279,7 +279,7 @@ class TestPlanarKernel:
         assert math.dist(trace.iterates[1], ys[3]) == distance
         # the next update is taken from 1e-6 m off the sensor and leaves it
         assert math.dist(trace.iterates[2], ys[3]) > 1e-6
-        assert trace.status == CONVERGED and trace.iterations > 10
+        assert got[1].status == CONVERGED and got[1].iterations > 10
 
     def test_one_kernel_serves_a_range_sweep(self):
         # the criterion-7 config on ranges: every solve has m = 5, so the
@@ -305,4 +305,4 @@ class TestPlanarKernel:
         assert_same_solve(got, reference_sfp_solve(x0, ys, r, cfg))
         trace = got[1].trace
         assert trace.iterates.tolist()[:2] == [[0.3, 0.4, 0.5], [0.0, 0.0, 0.0]]
-        assert trace.status == CONVERGED
+        assert got[1].status == CONVERGED

@@ -114,8 +114,8 @@ def make_pins():
             for x0 in starts:
                 pin = {"solver": solver, "sensors": sensors, "ranges": ranges,
                        "x0": list(x0), "tol": tol, "max_iter": max_iter}
-                est, trace = solve(pin)
-                pin.update(status=trace.status, iterations=trace.iterations,
+                est, outcome = solve(pin)
+                pin.update(status=outcome.status, iterations=outcome.iterations,
                            estimate=[repr(v) for v in est.tolist()])
                 pins.append(pin)
     return pins
@@ -139,8 +139,8 @@ def make_tdoa_pins():
         rd = estimate_rangediffs(sigs, c=SOUND_SPEED)
         pin = {"source": [x, y], "i": rd.i.tolist(), "j": rd.j.tolist(),
                "values": [v.hex() for v in rd.values.tolist()]}
-        est, trace = tdoa_solve(pin)
-        pin.update(status=trace.status, iterations=trace.iterations,
+        est, outcome = tdoa_solve(pin)
+        pin.update(status=outcome.status, iterations=outcome.iterations,
                    estimate=[v.hex() for v in est.tolist()])
         pins.append(pin)
     return pins
@@ -211,8 +211,8 @@ def test_pins_cover_both_solvers_dimensions_and_statuses():
 def test_solves_match_pins():
     wrong = []
     for k, pin in enumerate(load_pins()):
-        est, trace = solve(pin)
-        got = (trace.status, trace.iterations)
+        est, outcome = solve(pin)
+        got = (outcome.status, outcome.iterations)
         if got != (pin["status"], pin["iterations"]) or not all(
                 math.isclose(a, float(b), rel_tol=1e-12, abs_tol=1e-12)
                 for a, b in zip(est.tolist(), pin["estimate"], strict=True)):
@@ -226,8 +226,8 @@ def test_tdoa_fixture_solves_match_pins():
     assert {p["status"] for p in pins} == {"converged", "max_iter"}
     wrong = []
     for pin in pins:
-        est, trace = tdoa_solve(pin)
-        got = (trace.status, trace.iterations, [v.hex() for v in est.tolist()])
+        est, outcome = tdoa_solve(pin)
+        got = (outcome.status, outcome.iterations, [v.hex() for v in est.tolist()])
         if got != (pin["status"], pin["iterations"], pin["estimate"]):
             wrong.append((pin["source"], got))
     assert not wrong

@@ -167,8 +167,8 @@ class TestSolve:
         for seed in range(5):
             array, source, rd = make_instance(seed, m=5)
             x0 = init_point(array, rd)
-            est, trace = solvit_solve(x0, array, rd, cfg)
-            assert trace.status in (CONVERGED, MAX_ITER)
+            est, outcome = solvit_solve(x0, array, rd, cfg)
+            assert outcome.status in (CONVERGED, MAX_ITER)
             assert np.linalg.norm(est - source) < 1e-5
 
     def test_monotone_descent_noisy(self):
@@ -188,8 +188,8 @@ class TestSolve:
         for _ in range(5):
             array, source, rd = make_instance(rng.integers(2**32), m=5,
                                               sigma2=0.5)
-            est, trace = solvit_solve(array.centroid(), array, rd, cfg)
-            if trace.status != CONVERGED:
+            est, outcome = solvit_solve(array.centroid(), array, rd, cfg)
+            if outcome.status != CONVERGED:
                 continue
             f = f_rdls(est, array, rd)
             if f <= 1e-18:  # zero-residual exits before stationarity applies
@@ -199,16 +199,17 @@ class TestSolve:
 
     def test_start_on_sensor_is_nudged(self):
         array, source, rd = make_instance(16, m=4)
-        est, trace = solvit_solve(array.sensors[0], array, rd,
-                                  SolverConfig(tol=1e-12, max_iter=10000))
+        est, outcome = solvit_solve(array.sensors[0], array, rd,
+                                    SolverConfig(tol=1e-12, max_iter=10000))
         assert np.all(np.isfinite(est))
-        assert trace.status != SINGULAR_SYSTEM
+        assert outcome.status != SINGULAR_SYSTEM
 
     def test_trace_bookkeeping(self):
         array, _, rd = make_instance(17, m=4, sigma2=0.5)
-        trace = solvit_solve(np.zeros(2), array, rd, trace=True)[1].trace
+        outcome = solvit_solve(np.zeros(2), array, rd, trace=True)[1]
+        trace = outcome.trace
         assert trace.iterates.shape[0] == trace.objectives.size
-        assert trace.iterations == trace.objectives.size - 1
+        assert outcome.iterations == trace.objectives.size - 1
 
     def test_singular_step_reports_last_good_iterate(self):
         # drive the loop with a sweep that never forms the update and a
@@ -229,10 +230,9 @@ class TestSolve:
                               SolverConfig(tol=1e-12, max_iter=50),
                               lambda x: (objective(x, ys, None)[0], None), stepper, None,
                               trace=True)
-        trace = outcome.trace
-        assert trace.status == SINGULAR_SYSTEM
+        assert outcome.status == SINGULAR_SYSTEM
         np.testing.assert_allclose(x, [2.0, 1.0])
-        assert trace.iterates.shape[0] == 2
+        assert outcome.trace.iterates.shape[0] == 2
 
     @pytest.mark.parametrize("values, max_iter, status", [
         ([4.0, 3.0, 2.0, 1.0], 3, MAX_ITER),  # the last allowed iteration
@@ -255,7 +255,7 @@ class TestSolve:
                               SolverConfig(tol=1e-12, max_iter=max_iter),
                               sweep, stepper, None, trace=True)
         trace = outcome.trace
-        assert trace.status == status
+        assert outcome.status == status
         assert trace.objectives.tolist() == values
         assert trace.iterates.tolist() == seen
         assert x.tolist() == seen[-1]
@@ -312,12 +312,12 @@ def reference_solvit_solve(x0, array, rd, cfg):
 
 def one_step_solve(x, ys, pairs):
     """One MM step of the planar loop, checked bit for bit against
-    reference_loop; returns the loop's trace."""
+    reference_loop; returns the loop's outcome."""
     cfg = SolverConfig(tol=1e-12, max_iter=1)
     got = _mm_loop(x, ys, 2, cfg, _solvit_sweep_2d(ys, pairs), _step_core_nd, pairs,
                    trace=True)
     assert_same_solve(got, reference_loop(x, ys, pairs, cfg))
-    return got[1].trace
+    return got[1]
 
 
 def step_matrix(x, ys, pairs):
@@ -390,7 +390,7 @@ class TestPlanarKernel:
             rd = rangediffs_from_ranges(np.arange(1.0, len(ys) + 1.0))
             with pytest.raises(SensorSingularityError):
                 solvit_step(on, np.array(ys), rd)
-            assert one_step_solve(on, ys, pairs).iterates[0].tolist() != on
+            assert one_step_solve(on, ys, pairs).trace.iterates[0].tolist() != on
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_solve_matches_reference_loop(self, n):
@@ -526,13 +526,13 @@ class TestPlanarKernel:
         rd = rangediffs_from_ranges(np.array(ranges))
         got = solvit_solve(start, ys, rd, cfg, trace=True)
         assert_same_solve(got, reference_solvit_solve(start, ys, rd, cfg))
-        trace = got[1].trace
-        assert trace.status == status
+        outcome = got[1]
+        assert outcome.status == status
         if iterations is not None:
-            assert trace.iterations == iterations
+            assert outcome.iterations == iterations
         if status == CONVERGED and iterations is None:
-            assert trace.objectives[-1] > 1e-18  # stopped by tol, not zero objective
-            assert trace.iterations > 5
+            assert outcome.trace.objectives[-1] > 1e-18  # stopped by tol, not zero objective
+            assert outcome.iterations > 5
 
     # the first step from (4, 4) lands exactly on sensor 4 at (2, 1.5); one
     # ulp more on the first measurement lands it 4.4e-16 m away, inside
@@ -557,7 +557,7 @@ class TestPlanarKernel:
         assert math.dist(trace.iterates[1], ys[3]) == distance
         # the next step is taken from 1e-6 m off the sensor and leaves it
         assert math.dist(trace.iterates[2], ys[3]) > 1e-6
-        assert trace.status == CONVERGED and trace.iterations > 10
+        assert got[1].status == CONVERGED and got[1].iterations > 10
 
     def test_condition_limit_stops_like_generic_loop(self):
         # the iterate on the sensors' line and a tiny value: the bound matrix
@@ -589,9 +589,9 @@ class TestPlanarKernel:
             assert (abs(A[0, 1]) > abs(A[0, 0])) == swap
             lam = np.linalg.eigvalsh(A)
             assert lam[1] / lam[0] == pytest.approx(cond, rel=1e-3)
-            trace = one_step_solve(x, ys, pairs)
-            assert np.all(np.isfinite(trace.iterates))
-            steps.append((trace.status == SINGULAR_SYSTEM, trace.iterations))
+            outcome = one_step_solve(x, ys, pairs)
+            assert np.all(np.isfinite(outcome.trace.iterates))
+            steps.append((outcome.status == SINGULAR_SYSTEM, outcome.iterations))
         assert steps == [(False, 1)] * 3 + [(True, 0)] * 2
 
     def test_singular_solve_matches_reference_loop(self):
@@ -650,17 +650,12 @@ class TestConfigAndTrace:
 
     def test_trace_validation(self):
         with pytest.raises(ValueError):
-            SolveTrace(np.zeros((3, 2)), np.zeros(2), CONVERGED, 1)
-        with pytest.raises(ValueError):
-            SolveTrace(np.zeros((2, 2)), np.zeros(2), "bogus", 1)
-        with pytest.raises(ValueError):
-            SolveTrace(np.zeros((2, 2)), np.zeros(2), MAX_ITER, 5)
+            SolveTrace(np.zeros((3, 2)), np.zeros(2))
 
     def test_trace_keeps_read_only_copies(self):
         it, ob = np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([5.0, 4.0])
         lists = ([[0.0, 1.0], [2.0, 3.0]], [5.0, 4.0])
-        for trace, given in ((SolveTrace(it, ob, CONVERGED, 1), (it, ob)),
-                             (SolveTrace(*lists, CONVERGED, 1), lists)):
+        for trace, given in ((SolveTrace(it, ob), (it, ob)), (SolveTrace(*lists), lists)):
             given[0][0][0], given[1][0] = -7.0, -7.0
             np.testing.assert_array_equal(trace.iterates, [[0.0, 1.0], [2.0, 3.0]])
             np.testing.assert_array_equal(trace.objectives, [5.0, 4.0])
