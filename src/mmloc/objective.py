@@ -37,6 +37,24 @@ def _check_rd(rd: RangeDiffSet, m: int) -> None:
         raise ValueError(f"measurement set indexes {rd.m} sensors, array has {m}")
 
 
+def _range_inputs(array, ranges):
+    """(coords, sensor tuples, ranges as floats): the one boundary of every scalar
+    range entry, which checks the sensors, then the ranges against them.  The
+    entry checks its position after, so each reports its errors in that order."""
+    coords = sensor_coords(array)
+    r = _check_ranges(ranges, coords.shape[0])
+    return coords, list(map(tuple, coords.tolist())), r.tolist()
+
+
+def _rd_inputs(array, rd: RangeDiffSet):
+    """(coords, sensor tuples, 0-based (i, j, r_ij) in stored order): the one
+    boundary of every scalar range-difference entry, as _range_inputs."""
+    coords = sensor_coords(array)
+    _check_rd(rd, coords.shape[0])
+    pairs = [(i - 1, j - 1, v) for i, j, v in rd.entries()]
+    return coords, list(map(tuple, coords.tolist())), pairs
+
+
 def _sum(terms):
     """The terms added one after another from 0.0 (rows of an array elementwise);
     the builtin sum() of floats is compensated on Python >= 3.12."""
@@ -83,17 +101,14 @@ def _f_pairs(x, ys, pairs):
 
 def f_rls(x, array, ranges) -> float:
     """Range least-squares cost at x [m^2]."""
-    coords = sensor_coords(array)
-    p = as_position(x, coords.shape[1])
-    return _f_ranges(p, coords, _check_ranges(ranges, coords.shape[0]))[0]
+    coords, ys, r = _range_inputs(array, ranges)
+    return _f_ranges(as_position(x, coords.shape[1]).tolist(), ys, r)[0]
 
 
 def f_rdls(x, array, rd: RangeDiffSet) -> float:
     """Range-difference least-squares cost at x [m^2], each unordered pair once."""
-    coords = sensor_coords(array)
-    p = as_position(x, coords.shape[1])
-    _check_rd(rd, coords.shape[0])
-    return _f_pairs(p, coords, [(i - 1, j - 1, v) for i, j, v in rd.entries()])[0]
+    coords, ys, pairs = _rd_inputs(array, rd)
+    return _f_pairs(as_position(x, coords.shape[1]).tolist(), ys, pairs)[0]
 
 
 def f_rls_many(X, array, ranges) -> np.ndarray:

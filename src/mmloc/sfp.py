@@ -31,22 +31,20 @@ import math
 import numpy as np
 
 from .errors import SensorSingularityError
-from .objective import _check_ranges, _f_ranges
-from .scenario import _unit_vectors, as_position, sensor_coords
+from .objective import _f_ranges, _range_inputs
+from .scenario import _unit_vectors, as_position
 from .solvit import SolveOutcome, SolverConfig, _mm_loop, _planar_make, _reference_sweep
 
 
 def sfp_surrogate_many(X, x_k, array, ranges) -> np.ndarray:
     """Quadratic bound of f_rls around x_k at each row of X -> (B,)."""
-    coords = sensor_coords(array)
-    xk = as_position(x_k, coords.shape[1])
-    r = _check_ranges(ranges, coords.shape[0])
+    coords, _, r = _range_inputs(array, ranges)
+    _, w = _unit_vectors(as_position(x_k, coords.shape[1]), coords)
     pts = np.atleast_2d(np.asarray(X, dtype=float))
-    _, w = _unit_vectors(xk, coords)
     out = np.zeros(pts.shape[0])
-    for k in range(r.size):
+    for k, rk in enumerate(r):
         d = pts - coords[k][None, :]
-        out += r[k] * r[k] - 2.0 * r[k] * (d @ w[k]) + np.sum(d * d, axis=1)
+        out += rk * rk - 2.0 * rk * (d @ w[k]) + np.sum(d * d, axis=1)
     return out
 
 
@@ -79,11 +77,9 @@ def _sfp_step_core_nd(x: list[float], ys, r: list[float], n: int) -> list[float]
 
 def sfp_step(x_k, array, ranges) -> np.ndarray:
     """One fixed-point update: the mean of per-sensor range projections."""
-    coords = sensor_coords(array)
-    xk = as_position(x_k, coords.shape[1])
-    r = _check_ranges(ranges, coords.shape[0])
-    ys = list(map(tuple, coords.tolist()))
-    return np.array(_sfp_step_core_nd(xk.tolist(), ys, r.tolist(), coords.shape[1]))
+    coords, ys, r = _range_inputs(array, ranges)
+    xk = as_position(x_k, coords.shape[1]).tolist()
+    return np.array(_sfp_step_core_nd(xk, ys, r, coords.shape[1]))
 
 
 # Source template of the generated planar SFP sweep (see _sfp_kernel): the
@@ -104,8 +100,9 @@ def _sfp_kernel(m: int):
     of _reference_sweep(ys, 2, _f_ranges, _sfp_step_core_nd, r), one pass over
     the sensors that gives the cost at x and the update from x.  make also
     binds each sensor's range r_k."""
-    return _planar_make(m, f"<planar sfp sweep, m={m}>", _f_ranges, per_sensor=("r",),
-                        setup=[f"    [{', '.join(f'r_{k}' for k in range(m))}] = data"],
+    r_names = [f"r_{k}" for k in range(m)]
+    return _planar_make(m, f"<planar sfp sweep, m={m}>", _f_ranges, bound=r_names,
+                        setup=[f"    [{', '.join(r_names)}] = data"],
                         sums=("f", "acc0", "acc1"), terms=_SENSOR_TERMS,
                         tail=[f"        return f, (acc0 / {m}, acc1 / {m})"])
 
@@ -118,12 +115,9 @@ def sfp_solve(x0, array, ranges, cfg: SolverConfig | None = None, *,
     stopping rule, outcome and trace format as the range-difference solver.
     """
     cfg = cfg or SolverConfig()
-    coords = sensor_coords(array)
+    coords, ys, r = _range_inputs(array, ranges)
     n = coords.shape[1]
-    r = _check_ranges(ranges, coords.shape[0])
     xs = coords.mean(axis=0) if x0 is None else as_position(x0, n)
-    ys = list(map(tuple, coords.tolist()))
-    rl = r.tolist()
-    sweep = (_sfp_kernel(len(ys))(ys, rl) if n == 2
-             else _reference_sweep(ys, n, _f_ranges, _sfp_step_core_nd, rl))
-    return _mm_loop(xs.tolist(), ys, n, cfg, sweep, _sfp_step_core_nd, rl, trace)
+    sweep = (_sfp_kernel(len(ys))(ys, r) if n == 2
+             else _reference_sweep(ys, n, _f_ranges, _sfp_step_core_nd, r))
+    return _mm_loop(xs.tolist(), ys, n, cfg, sweep, _sfp_step_core_nd, r, trace)

@@ -59,9 +59,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SensorSingularityError, SingularSystemError
-from .objective import _check_rd, _dists, _f_pairs, _sum
+from .objective import _dists, _f_pairs, _rd_inputs, _sum
 from .scenario import (RangeDiffSet, _as_count, _as_real, _unit_vectors, _write_table,
-                       as_position, sensor_coords)
+                       as_position)
 
 # termination labels shared by all iterative solvers
 CONVERGED = "converged"
@@ -143,13 +143,10 @@ def write_trace_csv(path, trace: SolveTrace) -> None:
 
 def bound_quantities(x_k, array, rd: RangeDiffSet) -> BoundQuantities:
     """Evaluate w_i, s_ij, Q_ij at the iterate x_k (pair order = stored order)."""
-    coords = sensor_coords(array)
-    xk = as_position(x_k, coords.shape[1])
-    _check_rd(rd, coords.shape[0])
-    rho, w = _unit_vectors(xk, coords)
-    ent = list(rd.entries())
-    s = np.array([v / rho[j - 1] for (_, j, v) in ent])
-    Q = np.stack([np.outer(w[j - 1], w[i - 1]) for (i, j, _) in ent])
+    coords, _, pairs = _rd_inputs(array, rd)
+    rho, w = _unit_vectors(as_position(x_k, coords.shape[1]), coords)
+    s = np.array([v / rho[j] for (_, j, v) in pairs])
+    Q = np.stack([np.outer(w[j], w[i]) for (i, j, _) in pairs])
     return BoundQuantities(w=w, s=s, Q=Q)
 
 
@@ -161,23 +158,21 @@ def surrogate_g_many(X, x_k, array, rd: RangeDiffSet) -> np.ndarray:
     below the objective at x_k instead of touching it.  The constant does
     not move the minimizer.
     """
-    coords = sensor_coords(array)
-    xk = as_position(x_k, coords.shape[1])
-    _check_rd(rd, coords.shape[0])
+    coords, _, pairs = _rd_inputs(array, rd)
+    rho, w = _unit_vectors(as_position(x_k, coords.shape[1]), coords)
     pts = np.atleast_2d(np.asarray(X, dtype=float))
-    rho, w = _unit_vectors(xk, coords)
     out = np.zeros(pts.shape[0])
-    for i, j, r in rd.entries():
-        yi = coords[i - 1]; yj = coords[j - 1]
-        wi = w[i - 1]; wj = w[j - 1]
-        s = r / rho[j - 1]
+    for i, j, r in pairs:
+        yi = coords[i]; yj = coords[j]
+        wi = w[i]; wj = w[j]
+        s = r / rho[j]
         di = pts - yi[None, :]
         dj = pts - yj[None, :]
         ni2 = np.sum(di * di, axis=1)
         nj2 = np.sum(dj * dj, axis=1)
         cross = (dj @ wj) * (di @ wi)  # (x-y_j)^T Q_ij (x-y_i)
         out += (r * r + ni2 + nj2 - 2.0 * r * (di @ wi)
-                + r * rho[j - 1] + s * nj2 - 2.0 * cross)
+                + r * rho[j] + s * nj2 - 2.0 * cross)
     return out
 
 
@@ -293,19 +288,11 @@ def _step_core_nd(x: list[float], ys: list[tuple[float, ...]],
     return _solve_small(A, b, n)
 
 
-def _prepare(array, rd: RangeDiffSet):
-    coords = sensor_coords(array)
-    _check_rd(rd, coords.shape[0])
-    ys = list(map(tuple, coords.tolist()))
-    pairs = [(i - 1, j - 1, v) for i, j, v in rd.entries()]
-    return coords, ys, pairs
-
-
 def solvit_step(x_k, array, rd: RangeDiffSet) -> np.ndarray:
     """Minimizer of the quadratic bound formed at x_k (one solver iteration)."""
-    coords, ys, pairs = _prepare(array, rd)
-    xk = as_position(x_k, coords.shape[1])
-    return np.array(_step_core_nd(xk.tolist(), ys, pairs, coords.shape[1]))
+    coords, ys, pairs = _rd_inputs(array, rd)
+    xk = as_position(x_k, coords.shape[1]).tolist()
+    return np.array(_step_core_nd(xk, ys, pairs, coords.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +390,7 @@ _SENSOR_DISTANCE = """\
 """
 
 
-def _planar_make(m, label, cost, *, setup, sums, terms, tail, per_sensor=(), bound=(), **names):
+def _planar_make(m, label, cost, *, setup, sums, terms, tail, bound=()):
     """make(ys, data) -> sweep, the planar sweep of one solver for m sensors,
     written as straight-line Python source and compiled under label.
 
@@ -414,25 +401,25 @@ def _planar_make(m, label, cost, *, setup, sums, terms, tail, per_sensor=(), bou
     It has no loop, tuple or index: each quantity is a named local.  make
     unpacks the coordinates of sensor k in ys as y0_k, y1_k, runs the setup
     lines (which name what the solver reads from data), and binds the
-    coordinates, each sensor's per_sensor names, the bound names, ys, data,
-    sqrt, _SENSOR_GUARD and cost as defaults of sweep, so the source holds
-    only indices and m.  sweep(x) sets the sums to zero, then for each sensor
-    forms d0, d1 and the distance n_k, returns (cost(x, ys, data)[0], None)
-    if n_k is within _SENSOR_GUARD, and adds the solver's terms for k; the
-    tail lines return (f(x), x_next).  names are further globals of the
-    source.  Each solver caches make per layout (_planar_kernel, _sfp_kernel),
-    so a process pays one compile per layout, on its first solve of it.
+    coordinates, the bound names, ys, data, sqrt, _SENSOR_GUARD and cost as
+    defaults of sweep, so the source holds only indices and m.  sweep(x)
+    sets the sums to zero, then for each sensor forms d0, d1 and the
+    distance n_k, returns (cost(x, ys, data)[0], None) if n_k is within
+    _SENSOR_GUARD, and adds the solver's terms for k; the tail lines, which
+    may read the global _COND_LIMIT, return (f(x), x_next).  Each solver
+    caches make per layout (_planar_kernel, _sfp_kernel), so a process pays
+    one compile per layout, on its first solve of it.
     """
     sensors = range(m)
-    defaults = ([f"{v}_{k}" for k in sensors for v in ("y0", "y1", *per_sensor)]
-                + [*bound, "ys", "data"])
+    defaults = [f"{v}_{k}" for k in sensors for v in ("y0", "y1")] + [*bound, "ys", "data"]
     lines = ["def make(ys, data):",
              f"    [{', '.join(f'(y0_{k}, y1_{k})' for k in sensors)}] = ys", *setup,
              f"    def sweep(x, {', '.join(f'{v}={v}' for v in defaults)},"
              " sqrt=sqrt, guard=_SENSOR_GUARD, cost=cost):",
              "        x0, x1 = x", f"        {' = '.join(sums)} = 0.0",
              *[(_SENSOR_DISTANCE + terms).format(k=k) for k in sensors], *tail, "    return sweep"]
-    namespace = {"sqrt": math.sqrt, "_SENSOR_GUARD": _SENSOR_GUARD, "cost": cost, **names}
+    namespace = {"sqrt": math.sqrt, "_SENSOR_GUARD": _SENSOR_GUARD, "_COND_LIMIT": _COND_LIMIT,
+                 "cost": cost}
     exec(compile("\n".join(lines), label, "exec"), namespace)
     return namespace["make"]
 
@@ -504,7 +491,7 @@ def _planar_kernel(m: int, layout: tuple[tuple[int, int], ...]):
     return _planar_make(m, f"<planar sweep, m={m}>", _f_pairs, setup=setup,
                         bound=[f"{v}_{p}" for p in prs for v in ("o", "r", "c0", "c1")],
                         sums=("f", "a00", "a01", "a11", "b0", "b1"), terms=_SENSOR_TERMS,
-                        tail=[*pair_blocks, _SOLVE_2X2], _COND_LIMIT=_COND_LIMIT)
+                        tail=[*pair_blocks, _SOLVE_2X2])
 
 
 def _solvit_sweep_2d(ys, pairs):
@@ -514,7 +501,8 @@ def _solvit_sweep_2d(ys, pairs):
     distances and the step's divisors, one pass over the pairs adds up the
     cost and the bound system in stored order, and the 2x2 system is solved
     inline.  The kernel is compiled once per (m, stored unordered pairs) by
-    _planar_kernel (about 3 ms at m = 4 and 8-16 ms at m = 9 on a 2-vCPU VM).
+    _planar_kernel (about 2-3 ms at m = 4 and 7-13 ms at m = 9 on a 2-vCPU
+    Xeon VM).
 
     The inline solve needs no zero-pivot test, unlike _solve_small (which
     keeps one for n == 3).  A system that passes the eigenvalue test has
@@ -545,7 +533,7 @@ def solvit_solve(x0, array, rd: RangeDiffSet, cfg: SolverConfig | None = None, *
         iterate/objective history when trace is set, else None.
     """
     cfg = cfg or SolverConfig()
-    coords, ys, pairs = _prepare(array, rd)
+    coords, ys, pairs = _rd_inputs(array, rd)
     n = coords.shape[1]
     sweep = (_solvit_sweep_2d(ys, pairs) if n == 2
              else _reference_sweep(ys, n, _f_pairs, _step_core_nd, pairs))

@@ -3,7 +3,10 @@
 Positions and ranges are checked for size and finiteness on Python floats
 (as_position and objective._check_ranges); these tests hold every entry
 point that takes them to those messages, for each non-finite value.  Each
-scalar real input goes through scenario._as_real, which names its field.
+scalar cost, surrogate, step and solve reaches its measurement check through
+one helper per measurement kind (objective._range_inputs, _rd_inputs), so
+all of them check the sensors, then the measurements, then the position.
+Each scalar real input goes through scenario._as_real, which names its field.
 """
 
 import json
@@ -13,14 +16,18 @@ import numpy as np
 import pytest
 
 from mmloc import (ExperimentConfig, NoiseModel, SensorArray, SignalRecord, SolverConfig,
-                   bandpass, delays_to_rangediffs, estimate_rangediffs, f_rls, grad_fd,
+                   bandpass, bound_quantities, circular_array, delays_to_rangediffs,
+                   estimate_rangediffs, f_rdls, f_rdls_many, f_rls, f_rls_many, grad_fd,
                    hyperbola_points, load_scenario, random_array, range_variance,
                    rangediffs_from_ranges, read_rangediffs_csv, read_rmse_csv, read_signals_raw,
-                   sfp_solve, snr_to_sigma2, solvit_solve, tone_burst_signals, true_ranges,
-                   write_signals_csv)
+                   sfp_solve, sfp_step, sfp_surrogate, snr_to_sigma2, solvit_solve, solvit_step,
+                   surrogate_g, tone_burst_signals, true_ranges, write_signals_csv)
 from mmloc.cli import main
 from mmloc.harness import solve_one
+from mmloc.objective import _f_pairs, _f_ranges
 from mmloc.scenario import as_position, oriented_rangediffs
+from mmloc.sfp import sfp_surrogate_many
+from mmloc.solvit import surrogate_g_many
 from mmloc.tdoa import ANECHOIC_MICROPHONES
 from conftest import make_instance, make_range_instance
 
@@ -94,6 +101,56 @@ def test_solvers_keep_the_size_errors(x0, message):
     with pytest.raises(ValueError) as exc:
         sfp_solve(None, array, r[:3])
     assert str(exc.value) == "3 ranges for 4 sensors"
+
+
+FOUR = circular_array(4, 10.0)
+FIVE_RANGES = [3.0, 4.0, 5.0, 6.0, 7.0]
+FIVE_SENSOR_SET = rangediffs_from_ranges(FIVE_RANGES)
+RANGE_SIZE = "5 ranges for 4 sensors"
+SET_SIZE = "measurement set indexes 5 sensors, array has 4"
+
+
+# entry -> (its call with a 5-sensor measurement on a 4-sensor array and a 3-D
+# position, the message it must give): every scalar cost, surrogate, step and
+# solve checks the sensors, then the measurements against them, then the position
+ORDER_CASES = {
+    "f_rls": (lambda x: f_rls(x, FOUR, FIVE_RANGES), RANGE_SIZE),
+    "sfp_surrogate": (lambda x: sfp_surrogate(x, x, FOUR, FIVE_RANGES), RANGE_SIZE),
+    "sfp_surrogate_many": (lambda x: sfp_surrogate_many([x], x, FOUR, FIVE_RANGES), RANGE_SIZE),
+    "sfp_step": (lambda x: sfp_step(x, FOUR, FIVE_RANGES), RANGE_SIZE),
+    "sfp_solve": (lambda x: sfp_solve(x, FOUR, FIVE_RANGES), RANGE_SIZE),
+    "f_rdls": (lambda x: f_rdls(x, FOUR, FIVE_SENSOR_SET), SET_SIZE),
+    "bound_quantities": (lambda x: bound_quantities(x, FOUR, FIVE_SENSOR_SET), SET_SIZE),
+    "surrogate_g": (lambda x: surrogate_g(x, x, FOUR, FIVE_SENSOR_SET), SET_SIZE),
+    "surrogate_g_many": (lambda x: surrogate_g_many([x], x, FOUR, FIVE_SENSOR_SET), SET_SIZE),
+    "solvit_step": (lambda x: solvit_step(x, FOUR, FIVE_SENSOR_SET), SET_SIZE),
+    "solvit_solve": (lambda x: solvit_solve(x, FOUR, FIVE_SENSOR_SET), SET_SIZE),
+}
+
+
+@pytest.mark.parametrize("entry", ORDER_CASES)
+def test_measurements_are_checked_before_the_position(entry):
+    call, message = ORDER_CASES[entry]
+    with pytest.raises(ValueError) as exc:
+        call([1.0, 2.0, 3.0])
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_scalar_costs_are_floats_of_the_kernel_bits(n):
+    """f_rls and f_rdls return a float, bit-equal to their scalar kernel run on
+    numpy inputs (as f_rls used to run it) and to their numpy batch form."""
+    for seed in range(20):
+        array, source, r = make_range_instance(seed, m=5, n=n, noise_std=0.3)
+        rd_array, _, rd = make_instance(seed, m=5, n=n, sigma2=1e-3)
+        x = source + np.random.default_rng(seed).standard_normal(n)
+        pairs = [(i - 1, j - 1, v) for i, j, v in rd.entries()]
+        for value, kernel, many in (
+                (f_rls(x, array, r), _f_ranges(x, array.sensors, r)[0], f_rls_many(x, array, r)),
+                (f_rdls(x, rd_array, rd), _f_pairs(x, rd_array.sensors, pairs)[0],
+                 f_rdls_many(x, rd_array, rd))):
+            assert type(value) is float
+            assert value.hex() == float(kernel).hex() == float(many[0]).hex()
 
 
 def burst(source=(1.0, 0.5), **kw):

@@ -30,7 +30,6 @@ from mmloc import (
     write_rmse_csv,
 )
 from mmloc.cli import main
-from mmloc.errors import LocalizationError
 from mmloc.harness import (_measurement, _resolve_scenario, _sigma2_of, solve_one,
                            start_rule)
 from mmloc.scenario import range_noise_std, true_ranges
@@ -419,13 +418,9 @@ def per_trial_sweep(cfg):
         std = range_noise_std(source, array, replace(noise, sigma2=_sigma2_of(value)))
         sqerrs, failed = [], 0
         for eps, seed in states:
-            try:
-                est, outcome = solve_one(cfg.solver, cfg.init, array,
-                                         _measurement(cfg.solver, d_true + eps * std), seed,
-                                         cfg.solver_config(), cfg.init_point)
-            except LocalizationError:
-                failed += 1
-                continue
+            est, outcome = solve_one(cfg.solver, cfg.init, array,
+                                     _measurement(cfg.solver, d_true + eps * std), seed,
+                                     cfg.solver_config(), cfg.init_point)
             if outcome.status == SINGULAR_SYSTEM:
                 failed += 1
                 continue

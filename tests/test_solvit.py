@@ -30,9 +30,9 @@ from mmloc import (
 )
 from mmloc import solvit
 from mmloc.errors import SensorSingularityError, SingularSystemError
-from mmloc.objective import _f_pairs, _f_ranges
+from mmloc.objective import _f_pairs, _f_ranges, _rd_inputs
 from mmloc.scenario import oriented_rangediffs
-from mmloc.solvit import _mm_loop, _prepare, _solvit_sweep_2d, _step_core_nd
+from mmloc.solvit import _mm_loop, _solvit_sweep_2d, _step_core_nd
 from conftest import assert_same_solve, make_instance, make_range_instance, reference_iterate
 
 
@@ -306,7 +306,7 @@ def reference_loop(x0, ys, pairs, cfg):
 
 def reference_solvit_solve(x0, array, rd, cfg):
     """Planar solvit_solve's reference (see reference_loop)."""
-    _, ys, pairs = _prepare(array, rd)
+    _, ys, pairs = _rd_inputs(array, rd)
     return reference_loop(x0, ys, pairs, cfg)
 
 
@@ -403,7 +403,7 @@ class TestPlanarKernel:
                   else rng.uniform(-12.0, 12.0, n))
             cfg = SolverConfig(tol=float(10.0 ** -rng.integers(4, 13)),
                                max_iter=int(rng.integers(1, 400)))
-            _, ys, pairs = _prepare(array, rd)
+            _, ys, pairs = _rd_inputs(array, rd)
             ref = reference_iterate(x0, ys, n, cfg,
                                     lambda x: _step_core_nd(x, ys, pairs, n),
                                     lambda x: _f_pairs(x, ys, pairs))
@@ -565,7 +565,7 @@ class TestPlanarKernel:
         # condition number near 8e14, so only _COND_LIMIT stops the loop
         sensors = np.array([[0.0, 0.0], [1.0, 0.0]])
         rd = RangeDiffSet(np.array([1]), np.array([2]), np.array([1e-14]), 2)
-        _, ys, pairs = _prepare(sensors, rd)
+        _, ys, pairs = _rd_inputs(sensors, rd)
         lam = np.linalg.eigvalsh(step_matrix([5.0, 0.0], ys, pairs))
         assert 0.0 < lam[0] and 1e12 < lam[1] / lam[0] < 1e30
         cfg = SolverConfig()
@@ -610,7 +610,7 @@ class TestPlanarKernel:
         rd = rangediffs_from_ranges(np.zeros(3))
         cfg = SolverConfig()
         got = solvit_solve([5.0, 0.0, 0.0], sensors, rd, cfg, trace=True)
-        _, ys, pairs = _prepare(sensors, rd)
+        _, ys, pairs = _rd_inputs(sensors, rd)
         ref = reference_iterate([5.0, 0.0, 0.0], ys, 3, cfg,
                                 lambda x: _step_core_nd(x, ys, pairs, 3),
                                 lambda x: _f_pairs(x, ys, pairs))
