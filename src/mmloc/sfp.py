@@ -9,18 +9,20 @@ i.e. each sensor votes for the point at measured range r_i along the ray
 from itself through the current iterate, and the iterate moves to the
 mean of the votes.  Descent is monotone for nonnegative r_i.
 
-Both solvers run the one loop solvit._mm_loop over a sweep that returns
-(f(x), x_next), and return its SolveOutcome, with the iterate history only
-when trace is set; see the solvit module docstring for the contract.  An
-update is about ten flops per sensor, less than the Python calls that
-would wrap it, so for n == 2 the sweep is generated by _sfp_kernel on
-solvit._planar_make (which describes it): _sfp_step_core_nd and
-objective._f_ranges unrolled into one pass over the sensors, whose norms
-give both the cost at x and the update from x, compiled on the first
-solve with m sensors.  It must stay bit-identical to them: TestPlanarKernel
-in tests/test_sfp.py compares its traces with conftest.reference_iterate
+Both solvers run the one loop solvit._mm_loop and return its
+SolveOutcome, with the iterate history only when trace is set; see the
+solvit module docstring for the contract.  An update is about ten flops
+per sensor, less than the Python call, tuples and loop bookkeeping of one
+iteration of _mm_loop, so for n == 2 the iterations run in a loop generated
+by _sfp_kernel on solvit._planar_make (which describes it):
+_sfp_step_core_nd and objective._f_ranges unrolled into one pass over the
+sensors per iteration, whose norms give both the cost at x and the update
+from x, with the stop rule inline, compiled on the first solve with m
+sensors.  It must stay bit-identical to them: TestPlanarKernel in
+tests/test_sfp.py compares its traces with conftest.reference_iterate
 around those two kernels, and tests/test_solve_pins.py pins fixed solves.
-n == 3 sweeps with solvit._reference_sweep around the same two kernels.
+n == 3 takes every iteration in _mm_loop over solvit._reference_sweep
+around the same two kernels.
 """
 
 from __future__ import annotations
@@ -82,29 +84,29 @@ def sfp_step(x_k, array, ranges) -> np.ndarray:
     return np.array(_sfp_step_core_nd(xk, ys, r, coords.shape[1]))
 
 
-# Source template of the generated planar SFP sweep (see _sfp_kernel): the
+# Source template of the generated planar SFP loop (see _sfp_kernel): the
 # cost and update terms of sensor k after its distance.  Only integers are
 # filled in.
 _SENSOR_TERMS = """\
-        e = r_{k} - n_{k}
-        f += e * e
-        scale = r_{k} / n_{k}
-        acc0 += y0_{k} + scale * d0
-        acc1 += y1_{k} + scale * d1
+            e = r_{k} - n_{k}
+            f += e * e
+            scale = r_{k} / n_{k}
+            acc0 += y0_{k} + scale * d0
+            acc1 += y1_{k} + scale * d1
 """
 
 
 @functools.lru_cache(maxsize=16)
 def _sfp_kernel(m: int):
-    """make(ys, r) -> sweep (see solvit._planar_make) for m sensors: the sweep
-    of _reference_sweep(ys, 2, _f_ranges, _sfp_step_core_nd, r), one pass over
-    the sensors that gives the cost at x and the update from x.  make also
-    binds each sensor's range r_k."""
+    """make(ys, r) -> run (see solvit._planar_make) for m sensors: the run of
+    _reference_sweep(ys, 2, _f_ranges, _sfp_step_core_nd, r) in _mm_loop, one
+    pass over the sensors per iteration that gives the cost at x and the
+    update from x.  make also binds each sensor's range r_k."""
     r_names = [f"r_{k}" for k in range(m)]
-    return _planar_make(m, f"<planar sfp sweep, m={m}>", _f_ranges, bound=r_names,
+    return _planar_make(m, f"<planar sfp loop, m={m}>", bound=r_names,
                         setup=[f"    [{', '.join(r_names)}] = data"],
                         sums=("f", "acc0", "acc1"), terms=_SENSOR_TERMS,
-                        tail=[f"        return f, (acc0 / {m}, acc1 / {m})"])
+                        tail=[f"            nx0 = acc0 / {m}", f"            nx1 = acc1 / {m}"])
 
 
 def sfp_solve(x0, array, ranges, cfg: SolverConfig | None = None, *,
@@ -118,6 +120,6 @@ def sfp_solve(x0, array, ranges, cfg: SolverConfig | None = None, *,
     coords, ys, r = _range_inputs(array, ranges)
     n = coords.shape[1]
     xs = coords.mean(axis=0) if x0 is None else as_position(x0, n)
-    sweep = (_sfp_kernel(len(ys))(ys, r) if n == 2
-             else _reference_sweep(ys, n, _f_ranges, _sfp_step_core_nd, r))
-    return _mm_loop(xs.tolist(), ys, n, cfg, sweep, _sfp_step_core_nd, r, trace)
+    sweep = _reference_sweep(ys, n, _f_ranges, _sfp_step_core_nd, r)
+    return _mm_loop(xs.tolist(), ys, n, cfg, sweep, _sfp_step_core_nd, r, trace,
+                    _sfp_kernel(len(ys))(ys, r) if n == 2 else None)

@@ -26,19 +26,21 @@ instead of being buried under vectorization overhead.  Accumulation runs
 in entry order, so traces are bit-reproducible.  _step_core_nd is the one
 step kernel.
 
-Both solvers run one loop, _mm_loop, over a sweep: one pass at x that
+Both solvers run one loop, _mm_loop.  Its sweep is one pass at x that
 returns (f(x), x_next), the cost and the MM update, or None for x_next
 where it cannot form the update (x within _SENSOR_GUARD of a sensor, or a
 singular system); the loop then nudges x and calls the reference step.
-The start nudge, the stop rule, the max_iter exit, the singular exit and
-the SolveOutcome every solve returns (how it ended) are each written once
-there.  The loop records no history: a caller that passes trace=True gets
-a SolveTrace, only the swept points and their costs, kept by a wrapper
-around the sweep.  n == 3 sweeps with
-_reference_sweep around _f_pairs and _step_core_nd; n == 2 with
-_solvit_sweep_2d, those two unrolled into one sensor pass, one pair pass
-and an inline 2x2 solve.  _planar_make writes that sweep and SFP's
-planar sweep as straight-line source and describes both; this one is
+The start nudge, the singular exit, the SolveOutcome every solve returns
+(how it ended) and the SolveTrace of a caller that passes trace=True (only
+the swept points and their costs) are each written once there.  n == 3
+takes every iteration in _mm_loop over _reference_sweep around _f_pairs
+and _step_core_nd.  n == 2 takes them in _solvit_sweep_2d, a loop with
+those two unrolled into one sensor pass, one pair pass and an inline 2x2
+solve, and with _mm_loop's stop rule and max_iter exit (_STOP_RULE) at the
+end of each iteration; an iteration it cannot finish goes back to
+_mm_loop, which takes it over _reference_sweep and enters the generated
+loop again.  _planar_make writes that loop and SFP's planar loop, each a
+while loop around straight-line source, and describes both; this one is
 compiled once per layout, keyed on m and the stored sequence of unordered
 pairs (_planar_kernel, a bounded cache).  It must stay bit-identical to the
 reference kernels: TestPlanarKernel in tests/test_solvit.py compares its
@@ -320,38 +322,41 @@ def _nudge_off_sensors(x: list[float], ys, n: int) -> list[float]:
     return [x[t] + _NUDGE_STEP * direction[t] / nrm for t in range(n)]
 
 
-def _mm_loop(x0, ys, n, cfg, sweep, step, data, trace=False):
+def _mm_loop(x0, ys, n, cfg, sweep, step, data, trace=False, run=None):
     """The MM loop of both solvers: monotone descent with the three-way stop rule.
 
     x0 is the start as a list of floats; sweep(x) returns (f(x), x_next).
     Where x_next is None, x is nudged off the sensor and step(x, ys, data, n)
     forms the update; an error from it ends the run as singular_system at
     the nudged iterate.  x_next is used only when the stop rule lets the
-    loop go on.  Returns (estimate, SolveOutcome), which alone says how the
+    loop go on.  A planar solve also passes run, its generated kernel (see
+    _planar_make), which takes the iterations from the state (x, f, it) and
+    returns the state it stops in with its status; with no status, it could
+    not finish that iteration, and the loop takes it over sweep and enters
+    run again.  Returns (estimate, SolveOutcome), which alone says how the
     run ended; with trace set, the outcome holds a SolveTrace of the swept
     points and their costs: the nudged start, then each update taken.
     """
     x = _nudge_off_sensors(x0, ys, n)
-    if trace:
-        points, objectives = [], []
-        plain = sweep
-
-        def sweep(x):
-            f, x_next = plain(x)
+    points, objectives = ([], []) if trace else (None, None)
+    max_iter, tol = cfg.max_iter, cfg.tol
+    f, it = math.inf, 0  # no relative change to test at the start
+    while True:
+        if run is not None:
+            x, f, it, status = run(*x, f, it, max_iter, tol, points, objectives)
+            if status is not None:
+                break
+        f_cur = f
+        f, x_next = sweep(x)
+        if trace:
             points.append(x)
             objectives.append(f)
-            return f, x_next
-    status = MAX_ITER
-    max_iter, tol = cfg.max_iter, cfg.tol
-    f_cur = math.inf  # no relative change to test at the start
-    for it in range(max_iter + 1):
-        f_next, x_next = sweep(x)
-        if f_next <= _ZERO_OBJECTIVE or abs(f_next - f_cur) / f_cur < tol:
+        if f <= _ZERO_OBJECTIVE or abs(f - f_cur) / f_cur < tol:
             status = CONVERGED
             break
         if it == max_iter:
+            status = MAX_ITER
             break
-        f_cur = f_next
         if x_next is None:
             x = _nudge_off_sensors(x, ys, n)
             try:
@@ -360,8 +365,9 @@ def _mm_loop(x0, ys, n, cfg, sweep, step, data, trace=False):
                 status = SINGULAR_SYSTEM
                 break
         x = x_next
+        it += 1
     history = SolveTrace(points, objectives) if trace else None
-    return np.array(x), SolveOutcome(status, it, f_next, history)
+    return np.array(x), SolveOutcome(status, it, f, history)
 
 
 def _reference_sweep(ys, n, objective, step, data):
@@ -379,103 +385,131 @@ def _reference_sweep(ys, n, objective, step, data):
     return sweep
 
 
-# The distance of sensor k in a generated planar sweep (see _planar_make),
-# and its exit within _SENSOR_GUARD: the reference cost and no update.
+# The distance of sensor k in a generated planar loop (see _planar_make),
+# and its exit within _SENSOR_GUARD: the state the iteration started from,
+# with no status, so that _mm_loop takes that iteration.
 _SENSOR_DISTANCE = """\
-        d0 = x0 - y0_{k}
-        d1 = x1 - y1_{k}
-        n_{k} = sqrt(d0 * d0 + d1 * d1)
-        if n_{k} < guard:
-            return cost(x, ys, data)[0], None
+            d0 = x0 - y0_{k}
+            d1 = x1 - y1_{k}
+            n_{k} = sqrt(d0 * d0 + d1 * d1)
+            if n_{k} < guard:
+                return (x0, x1), f_cur, it, None
+"""
+# The end of an iteration of a generated planar loop, once the solver's tail
+# has set the update (nx0, nx1): _mm_loop's trace, stop rule and max_iter
+# exit on the cost f at (x0, x1), then the step to the update.
+_STOP_RULE = """\
+            if points is not None:
+                points.append((x0, x1))
+                objectives.append(f)
+            if f <= _ZERO_OBJECTIVE or abs(f - f_cur) / f_cur < tol:
+                return (x0, x1), f, it, CONVERGED
+            if it == max_iter:
+                return (x0, x1), f, it, MAX_ITER
+            f_cur = f
+            x0 = nx0
+            x1 = nx1
+            it += 1
 """
 
 
-def _planar_make(m, label, cost, *, setup, sums, terms, tail, bound=()):
-    """make(ys, data) -> sweep, the planar sweep of one solver for m sensors,
-    written as straight-line Python source and compiled under label.
+def _planar_make(m, label, *, setup, sums, terms, tail, bound=()):
+    """make(ys, data) -> run, the planar MM loop of one solver for m sensors:
+    a while loop around straight-line Python source, compiled under label.
 
-    A sweep does what _reference_sweep(ys, 2, cost, step, data) does with the
-    solver's reference step, with the same floating-point operations in the
-    same order, so every trace is bit-identical; the solver's tests compare
-    the two (TestPlanarKernel in tests/test_solvit.py and tests/test_sfp.py).
-    It has no loop, tuple or index: each quantity is a named local.  make
-    unpacks the coordinates of sensor k in ys as y0_k, y1_k, runs the setup
-    lines (which name what the solver reads from data), and binds the
-    coordinates, the bound names, ys, data, sqrt, _SENSOR_GUARD and cost as
-    defaults of sweep, so the source holds only indices and m.  sweep(x)
-    sets the sums to zero, then for each sensor forms d0, d1 and the
-    distance n_k, returns (cost(x, ys, data)[0], None) if n_k is within
+    run(x0, x1, f_cur, it, max_iter, tol, points, objectives) takes the
+    iterations _mm_loop would take over _reference_sweep(ys, 2, cost, step,
+    data) with the solver's reference cost and step, from the iterate
+    (x0, x1) at iteration it, f_cur the cost before it (inf at the start),
+    with the same floating-point operations in the same order, so every
+    trace is bit-identical; the solver's tests compare the two
+    (TestPlanarKernel in tests/test_solvit.py and tests/test_sfp.py).  It
+    appends each swept point and its cost to points and objectives unless
+    they are None.  It returns ((x0, x1), f, it, status) where the stop
+    rule or max_iter ends the run, and the state an iteration started from
+    with status None where that iteration cannot finish (the iterate within
+    _SENSOR_GUARD of a sensor, or the tail finding no update).  make unpacks
+    sensor k of ys as y0_k, y1_k, runs the setup lines (which name what the
+    solver reads from data), and binds the coordinates, the bound names,
+    sqrt and _SENSOR_GUARD as defaults of run, so the source holds only
+    indices and m, and an iteration makes no call, tuple or index but for
+    the trace's appends.  Each iteration sets the sums to zero, then for
+    each sensor forms d0, d1 and the distance n_k, exits if n_k is within
     _SENSOR_GUARD, and adds the solver's terms for k; the tail lines, which
-    may read the global _COND_LIMIT, return (f(x), x_next).  Each solver
-    caches make per layout (_planar_kernel, _sfp_kernel), so a process pays
-    one compile per layout, on its first solve of it.
+    may read the global _COND_LIMIT, finish f and set the update (nx0, nx1),
+    and _STOP_RULE ends the iteration.  Each solver caches make per layout
+    (_planar_kernel, _sfp_kernel), so a process pays one compile per
+    layout, on its first solve of it.
     """
     sensors = range(m)
-    defaults = [f"{v}_{k}" for k in sensors for v in ("y0", "y1")] + [*bound, "ys", "data"]
+    defaults = [f"{v}_{k}" for k in sensors for v in ("y0", "y1")] + list(bound)
     lines = ["def make(ys, data):",
              f"    [{', '.join(f'(y0_{k}, y1_{k})' for k in sensors)}] = ys", *setup,
-             f"    def sweep(x, {', '.join(f'{v}={v}' for v in defaults)},"
-             " sqrt=sqrt, guard=_SENSOR_GUARD, cost=cost):",
-             "        x0, x1 = x", f"        {' = '.join(sums)} = 0.0",
-             *[(_SENSOR_DISTANCE + terms).format(k=k) for k in sensors], *tail, "    return sweep"]
+             "    def run(x0, x1, f_cur, it, max_iter, tol, points, objectives,"
+             f" {', '.join(f'{v}={v}' for v in defaults)}, sqrt=sqrt, guard=_SENSOR_GUARD):",
+             "        while True:", f"            {' = '.join(sums)} = 0.0",
+             *[(_SENSOR_DISTANCE + terms).format(k=k) for k in sensors], *tail, _STOP_RULE,
+             "    return run"]
     namespace = {"sqrt": math.sqrt, "_SENSOR_GUARD": _SENSOR_GUARD, "_COND_LIMIT": _COND_LIMIT,
-                 "cost": cost}
+                 "_ZERO_OBJECTIVE": _ZERO_OBJECTIVE, "CONVERGED": CONVERGED,
+                 "MAX_ITER": MAX_ITER}
     exec(compile("\n".join(lines), label, "exec"), namespace)
     return namespace["make"]
 
 
-# Source templates of the generated planar SOLVIT sweep (see _planar_kernel):
+# Source templates of the generated planar SOLVIT loop (see _planar_kernel):
 # the terms of sensor k after its distance, and the cost and bound-system
 # terms of the stored pair p oriented as (i, j).  Only integers are filled in.
 _SENSOR_TERMS = """\
-        w0_{k} = d0 / n_{k}
-        w1_{k} = d1 / n_{k}
-        t0_{k} = 2.0 * w0_{k}
-        t1_{k} = 2.0 * w1_{k}
-        v_{k} = 0.0 + w0_{k} * y0_{k} + w1_{k} * y1_{k}
+            w0_{k} = d0 / n_{k}
+            w1_{k} = d1 / n_{k}
+            t0_{k} = 2.0 * w0_{k}
+            t1_{k} = 2.0 * w1_{k}
+            v_{k} = 0.0 + w0_{k} * y0_{k} + w1_{k} * y1_{k}
 """
 _PAIR_TERMS = """\
-            e = r_{p} - (n_{i} - n_{j})
-            f += e * e
-            s = r_{p} / n_{j}
-            diag = 2.0 + s
-            a00 += diag - t0_{j} * w0_{i}
-            a01 -= w0_{j} * w1_{i} + w0_{i} * w1_{j}
-            b0 += c0_{p} + r_{p} * w0_{i} + s * y0_{j} - w0_{j} * v_{i} - w0_{i} * v_{j}
-            a11 += diag - t1_{j} * w1_{i}
-            b1 += c1_{p} + r_{p} * w1_{i} + s * y1_{j} - w1_{j} * v_{i} - w1_{i} * v_{j}
+                e = r_{p} - (n_{i} - n_{j})
+                f += e * e
+                s = r_{p} / n_{j}
+                diag = 2.0 + s
+                a00 += diag - t0_{j} * w0_{i}
+                a01 -= w0_{j} * w1_{i} + w0_{i} * w1_{j}
+                b0 += c0_{p} + r_{p} * w0_{i} + s * y0_{j} - w0_{j} * v_{i} - w0_{i} * v_{j}
+                a11 += diag - t1_{j} * w1_{i}
+                b1 += c1_{p} + r_{p} * w1_{i} + s * y1_{j} - w1_{j} * v_{i} - w1_{i} * v_{j}
 """
 # _sym_eig_range and _solve_small for n == 2, without the clamp of the
 # discriminant at 0 (a sum of squares is never negative); partial pivoting
-# swaps the rows only on a strictly larger pivot
+# swaps the rows only on a strictly larger pivot.  A system past the
+# condition limit hands the iteration back to _mm_loop, as the guard does
 _SOLVE_2X2 = """\
-        half_tr = 0.5 * (a00 + a11)
-        disc = sqrt(0.25 * (a00 - a11) ** 2 + a01 * a01)
-        lam_min = half_tr - disc
-        if abs(a01) > abs(a00):
-            p0, p1, p2, q0, q1, q2 = a01, a11, b1, a00, a01, b0
-        else:
-            p0, p1, p2, q0, q1, q2 = a00, a01, b0, a01, a11, b1
-        if lam_min <= 0.0 or (half_tr + disc) / lam_min > _COND_LIMIT:
-            return f, None
-        k = q0 * (1.0 / p0)
-        if k != 0.0:
-            q1 -= k * p1
-            q2 -= k * p2
-        x1 = q2 / q1
-        return f, ((p2 - p1 * x1) / p0, x1)
+            half_tr = 0.5 * (a00 + a11)
+            disc = sqrt(0.25 * (a00 - a11) ** 2 + a01 * a01)
+            lam_min = half_tr - disc
+            if abs(a01) > abs(a00):
+                p0, p1, p2, q0, q1, q2 = a01, a11, b1, a00, a01, b0
+            else:
+                p0, p1, p2, q0, q1, q2 = a00, a01, b0, a01, a11, b1
+            if lam_min <= 0.0 or (half_tr + disc) / lam_min > _COND_LIMIT:
+                return (x0, x1), f_cur, it, None
+            k = q0 * (1.0 / p0)
+            if k != 0.0:
+                q1 -= k * p1
+                q2 -= k * p2
+            nx1 = q2 / q1
+            nx0 = (p2 - p1 * nx1) / p0
 """
 
 
 @functools.lru_cache(maxsize=64)
 def _planar_kernel(m: int, layout: tuple[tuple[int, int], ...]):
-    """make(ys, pairs) -> sweep (see _planar_make) for m sensors and the
+    """make(ys, pairs) -> run (see _planar_make) for m sensors and the
     stored unordered pairs `layout` ((a, b), a < b, 0-based, in stored order).
 
     make also binds each r_ij, each y_i + y_j (the same bits for either
     orientation, since a float sum commutes) and each pair's orientation
     flag (stored as (a, b) or as (b, a)), so one kernel serves every
-    orientation of one pair order.  sweep names each sensor's w0, w1,
+    orientation of one pair order.  An iteration names each sensor's w0, w1,
     2 * w0, 2 * w1 and w . y, and holds each pair's terms twice, one block
     per orientation, picked by its flag; its 2x2 solve is _SOLVE_2X2.
     """
@@ -486,23 +520,24 @@ def _planar_kernel(m: int, layout: tuple[tuple[int, int], ...]):
         setup += [f"    o_{p} = i_{p} == {a}",
                   f"    c0_{p} = y0_{a} + y0_{b}",
                   f"    c1_{p} = y1_{a} + y1_{b}"]
-        pair_blocks += [f"        if o_{p}:", _PAIR_TERMS.format(p=p, i=a, j=b),
-                        "        else:", _PAIR_TERMS.format(p=p, i=b, j=a)]
-    return _planar_make(m, f"<planar sweep, m={m}>", _f_pairs, setup=setup,
+        pair_blocks += [f"            if o_{p}:", _PAIR_TERMS.format(p=p, i=a, j=b),
+                        "            else:", _PAIR_TERMS.format(p=p, i=b, j=a)]
+    return _planar_make(m, f"<planar loop, m={m}>", setup=setup,
                         bound=[f"{v}_{p}" for p in prs for v in ("o", "r", "c0", "c1")],
                         sums=("f", "a00", "a01", "a11", "b0", "b1"), terms=_SENSOR_TERMS,
                         tail=[*pair_blocks, _SOLVE_2X2])
 
 
 def _solvit_sweep_2d(ys, pairs):
-    """_reference_sweep(ys, 2, _f_pairs, _step_core_nd, pairs), generated.
+    """The run of _reference_sweep(ys, 2, _f_pairs, _step_core_nd, pairs) in
+    _mm_loop, generated (see _planar_make).
 
     One pass over the sensors gives the norms that are both the cost's
     distances and the step's divisors, one pass over the pairs adds up the
     cost and the bound system in stored order, and the 2x2 system is solved
-    inline.  The kernel is compiled once per (m, stored unordered pairs) by
-    _planar_kernel (about 2-3 ms at m = 4 and 7-13 ms at m = 9 on a 2-vCPU
-    Xeon VM).
+    inline, once per iteration of the one loop.  The kernel is compiled once
+    per (m, stored unordered pairs) by _planar_kernel (about 2-3 ms at m = 4,
+    2.4-4.6 ms at m = 5 and 7-14 ms at m = 9 on a 2-vCPU Xeon VM).
 
     The inline solve needs no zero-pivot test, unlike _solve_small (which
     keeps one for n == 3).  A system that passes the eigenvalue test has
@@ -535,7 +570,6 @@ def solvit_solve(x0, array, rd: RangeDiffSet, cfg: SolverConfig | None = None, *
     cfg = cfg or SolverConfig()
     coords, ys, pairs = _rd_inputs(array, rd)
     n = coords.shape[1]
-    sweep = (_solvit_sweep_2d(ys, pairs) if n == 2
-             else _reference_sweep(ys, n, _f_pairs, _step_core_nd, pairs))
+    sweep = _reference_sweep(ys, n, _f_pairs, _step_core_nd, pairs)
     return _mm_loop(as_position(x0, n).tolist(), ys, n, cfg, sweep, _step_core_nd, pairs,
-                    trace)
+                    trace, _solvit_sweep_2d(ys, pairs) if n == 2 else None)

@@ -1,12 +1,14 @@
 """Shared fixtures: seeded random problem instances."""
 
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from mmloc import (
     CONVERGED,
+    ExperimentConfig,
     MAX_ITER,
     SINGULAR_SYSTEM,
     NoiseModel,
@@ -17,6 +19,7 @@ from mmloc import (
     random_array,
     true_ranges,
 )
+from mmloc import sfp, solvit
 from mmloc.errors import SensorSingularityError, SingularSystemError
 from mmloc.solvit import _ZERO_OBJECTIVE, SolveOutcome, SolveTrace, _nudge_off_sensors
 
@@ -57,6 +60,16 @@ def make_range_instance(seed, m=4, n=2, box=10.0, noise_std=0.0):
             source = rng.uniform(-box, box, n)
             r = true_ranges(source, array) + noise_std * rng.standard_normal(m)
     return array, source, r
+
+
+def criterion_7_config(solver, init):
+    """The criterion-7 sweep: the random m = 5 array in +-50 m, 11 SNRs x 200 trials."""
+    return ExperimentConfig(
+        scenario={"sensors": {"kind": "random", "m": 5, "lo": -50.0, "hi": 50.0},
+                  "source": {"uniform": [-10.0, 10.0]},
+                  "noise": {"f0": 1000.0, "c": 340.0}},
+        snr_grid=[float(v) for v in range(-10, 1)], trials=200, solver=solver,
+        init=init, seed=2026, tol=1e-8, max_iter=2000)
 
 
 def ending_cases(solver, n):
@@ -132,6 +145,40 @@ def assert_same_solve(got, ref):
     assert trace.iterates.tobytes() == trace_ref.iterates.tobytes()
     assert np.array_equal(trace.objectives, trace_ref.objectives)
     assert trace.objectives.tobytes() == trace_ref.objectives.tobytes()
+
+
+@pytest.fixture
+def loop_record(monkeypatch):
+    """Where the solves' iterations run.  runs gets (iteration on entry,
+    iteration on return, status) for each call of a generated planar loop,
+    and fallbacks the dimension for each iteration _mm_loop takes over
+    _reference_sweep."""
+    record = SimpleNamespace(runs=[], fallbacks=[])
+    reference_sweep, sweep_2d, sfp_kernel = (solvit._reference_sweep, solvit._solvit_sweep_2d,
+                                             sfp._sfp_kernel)
+
+    def recorded_run(run):
+        def recorded(x0, x1, f, it, *rest):
+            out = run(x0, x1, f, it, *rest)
+            record.runs.append((it, out[2], out[3]))
+            return out
+        return recorded
+
+    def recorded_sweep(ys, n, cost, step, data):
+        sweep = reference_sweep(ys, n, cost, step, data)
+
+        def counted(x):
+            record.fallbacks.append(n)
+            return sweep(x)
+        return counted
+
+    monkeypatch.setattr(solvit, "_solvit_sweep_2d",
+                        lambda ys, pairs: recorded_run(sweep_2d(ys, pairs)))
+    monkeypatch.setattr(sfp, "_sfp_kernel",
+                        lambda m: lambda ys, r: recorded_run(sfp_kernel(m)(ys, r)))
+    for module in (solvit, sfp):
+        monkeypatch.setattr(module, "_reference_sweep", recorded_sweep)
+    return record
 
 
 @pytest.fixture

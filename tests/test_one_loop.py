@@ -1,10 +1,16 @@
 """Both solvers run one MM loop, solvit._mm_loop, at every dimension.
 
-The start nudge, the stop rule, the max_iter exit, the singular exit, the
-outcome and the trace live in that loop alone; a solver supplies only its
-sweep.  A second loop (an accelerated one, say) would have to build its
-own SolveTrace, so the source is checked for where a trace is built.  The
-loop builds one only when the caller asks, and asking changes nothing else.
+The start nudge, the singular exit, the outcome and the SolveTrace live in
+that loop alone; a solver supplies only its sweep, and a planar solver also
+its generated loop (solvit._planar_make), which runs the iterations and
+hands back to _mm_loop only an iteration it cannot finish.  The stop rule
+and the max_iter exit are written twice, in _mm_loop and in the one
+template of the generated loops (solvit._STOP_RULE); the source is checked
+for where the zero-objective stop is tested, where source is compiled and
+where a trace is built, since a second loop (an accelerated one, say) would
+need each of its own.  The loop builds a trace only when the caller asks,
+and asking changes nothing else.  The planar sweeps of the criterion-7
+config take every iteration in the generated loops.
 """
 
 import ast
@@ -18,7 +24,7 @@ from mmloc import (CONVERGED, MAX_ITER, SINGULAR_SYSTEM, ExperimentConfig, Noise
                    solvit_solve, write_rangediffs_csv, write_ranges_csv)
 from mmloc import sfp, solvit
 from mmloc.cli import main
-from conftest import ending_cases, make_instance, make_range_instance
+from conftest import criterion_7_config, ending_cases, make_instance, make_range_instance
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mmloc"
 
@@ -104,6 +110,72 @@ def test_only_the_planar_builder_compiles_source():
     for path in sorted(SRC.glob("*.py")):
         found += source_compiles(path.read_text(), path.name)
     assert found == ["solvit.py:_planar_make:exec", "solvit.py:_planar_make:compile"]
+
+
+def zero_objective_tests(source, name="<source>"):
+    """file:place of each comparison with _ZERO_OBJECTIVE, named by the
+    innermost enclosing function, and of each string other than a docstring
+    or the bare name that names it (source a template compiles), named by
+    the module-level name it is assigned to."""
+    sites = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant):
+                continue  # a docstring
+            place = func
+            if func is None and isinstance(child, ast.Assign):
+                place = getattr(child.targets[0], "id", None)
+            if isinstance(child, ast.Compare) and any(
+                    isinstance(op, ast.Name) and op.id == "_ZERO_OBJECTIVE"
+                    for op in (child.left, *child.comparators)):
+                sites.append(f"{name}:{func}")
+            if (isinstance(child, ast.Constant) and isinstance(child.value, str)
+                    and child.value != "_ZERO_OBJECTIVE" and "_ZERO_OBJECTIVE" in child.value):
+                sites.append(f"{name}:{place}")
+            visit(child, place)
+
+    visit(ast.parse(source, name), None)
+    return sites
+
+
+def test_zero_objective_checker_sees_every_site():
+    source = """
+_RULE = "if f <= _ZERO_OBJECTIVE:"
+names = {"_ZERO_OBJECTIVE": _ZERO_OBJECTIVE}
+
+def outer():
+    \"""Stops below _ZERO_OBJECTIVE.\"""
+    def inner():
+        return _ZERO_OBJECTIVE > f
+    return f <= _ZERO_OBJECTIVE or f < tol, inner
+"""
+    assert zero_objective_tests(source) == ["<source>:_RULE", "<source>:inner",
+                                            "<source>:outer"]
+
+
+def test_only_the_loop_and_its_template_test_the_zero_objective():
+    """The zero-objective stop is written once in _mm_loop and once in the
+    template every generated planar loop ends its iterations with."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += zero_objective_tests(path.read_text(), path.name)
+    assert sorted(found) == ["solvit.py:_STOP_RULE", "solvit.py:_mm_loop"]
+
+
+@pytest.mark.parametrize("solver, init", [("solvit", "proposed"), ("sfp", "centroid")])
+def test_planar_sweeps_iterate_in_the_generated_loop(loop_record, solver, init):
+    """On the criterion-7 sweep (rd with solvit, ranges with sfp) no iteration
+    goes back to _mm_loop: each solve is one call of the generated loop that
+    ends with a status, and no iteration runs _reference_sweep."""
+    run_rmse_sweep(criterion_7_config(solver, init))
+    assert loop_record.fallbacks == []
+    assert len(loop_record.runs) == 11 * 200
+    assert {status for *_, status in loop_record.runs} <= {CONVERGED, MAX_ITER}
+    assert all(entry == 0 for entry, _, _ in loop_record.runs)
 
 
 @pytest.mark.parametrize("solver", ["solvit", "sfp"])

@@ -18,11 +18,11 @@ from mmloc import (
     true_ranges,
 )
 from mmloc.errors import SensorSingularityError
-from mmloc.harness import ExperimentConfig, run_rmse_sweep
+from mmloc.harness import run_rmse_sweep
 from mmloc.objective import _f_ranges
 from mmloc.scenario import sensor_coords
 from mmloc.sfp import _sfp_step_core_nd, sfp_surrogate_many
-from conftest import assert_same_solve, make_range_instance, reference_iterate
+from conftest import assert_same_solve, criterion_7_config, make_range_instance, reference_iterate
 
 
 def triangle_instance(seed):
@@ -246,7 +246,7 @@ class TestPlanarKernel:
         if status == CONVERGED and iterations is None:
             assert outcome.trace.objectives[-1] > 1e-18  # stopped by tol, not zero objective
 
-    def test_update_landing_on_sensor_is_nudged(self):
+    def test_update_landing_on_sensor_is_nudged(self, loop_record):
         # the mean of the votes from (5, 0) is sensor 2 itself; the update
         # from there would divide by zero, so the loop nudges first
         ys, r = np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([1.0, 1.0])
@@ -258,6 +258,10 @@ class TestPlanarKernel:
         assert got[1].status == CONVERGED and trace.objectives[-1] == 0.0
         with pytest.raises(SensorSingularityError):
             sfp_step(trace.iterates[1], ys, r)
+        # the generated loop hands iteration 1 back on the sensor, the shared
+        # loop takes it, and the generated loop takes the last
+        assert loop_record.runs == [(0, 1, None), (2, 2, CONVERGED)]
+        assert loop_record.fallbacks == [2]
 
     # the first update from (4, 4) is the mean of the votes (1.75, 1),
     # (-10, 14.5), (4, -3.5) and (0.25, 4), sensor 4 at (-1, 4) exactly;
@@ -267,7 +271,7 @@ class TestPlanarKernel:
     LANDING_RANGES = [1.25, 22.5, 12.5, 1.25]
 
     @pytest.mark.parametrize("ulps, distance", [(0, 0.0), (1, 4.440892098500626e-16)])
-    def test_update_landing_by_a_sensor_is_nudged(self, ulps, distance):
+    def test_update_landing_by_a_sensor_is_nudged(self, ulps, distance, loop_record):
         r = list(self.LANDING_RANGES)
         for _ in range(ulps):
             r[2] = math.nextafter(r[2], math.inf)
@@ -280,16 +284,13 @@ class TestPlanarKernel:
         # the next update is taken from 1e-6 m off the sensor and leaves it
         assert math.dist(trace.iterates[2], ys[3]) > 1e-6
         assert got[1].status == CONVERGED and got[1].iterations > 10
+        assert loop_record.runs == [(0, 1, None), (2, got[1].iterations, CONVERGED)]
+        assert loop_record.fallbacks == [2]
 
     def test_one_kernel_serves_a_range_sweep(self):
         # the criterion-7 config on ranges: every solve has m = 5, so the
         # sweep compiles one kernel and each later solve reuses it
-        cfg = ExperimentConfig(
-            scenario={"sensors": {"kind": "random", "m": 5, "lo": -50.0, "hi": 50.0},
-                      "source": {"uniform": [-10.0, 10.0]},
-                      "noise": {"f0": 1000.0, "c": 340.0}},
-            snr_grid=[float(v) for v in range(-10, 1)], trials=200, solver="sfp",
-            init="centroid", seed=2026, tol=1e-8, max_iter=2000)
+        cfg = criterion_7_config("sfp", "centroid")
         sfp._sfp_kernel.cache_clear()
         run_rmse_sweep(cfg)
         info = sfp._sfp_kernel.cache_info()

@@ -10,7 +10,6 @@ from mmloc import (
     CONVERGED,
     MAX_ITER,
     SINGULAR_SYSTEM,
-    ExperimentConfig,
     RangeDiffSet,
     SensorArray,
     SolveTrace,
@@ -32,8 +31,9 @@ from mmloc import solvit
 from mmloc.errors import SensorSingularityError, SingularSystemError
 from mmloc.objective import _f_pairs, _f_ranges, _rd_inputs
 from mmloc.scenario import oriented_rangediffs
-from mmloc.solvit import _mm_loop, _solvit_sweep_2d, _step_core_nd
-from conftest import assert_same_solve, make_instance, make_range_instance, reference_iterate
+from mmloc.solvit import _mm_loop, _step_core_nd
+from conftest import (assert_same_solve, criterion_7_config, make_instance, make_range_instance,
+                      reference_iterate)
 
 
 def quad_min_from_evals(g, n):
@@ -310,14 +310,20 @@ def reference_solvit_solve(x0, array, rd, cfg):
     return reference_loop(x0, ys, pairs, cfg)
 
 
-def one_step_solve(x, ys, pairs):
-    """One MM step of the planar loop, checked bit for bit against
-    reference_loop; returns the loop's outcome."""
-    cfg = SolverConfig(tol=1e-12, max_iter=1)
-    got = _mm_loop(x, ys, 2, cfg, _solvit_sweep_2d(ys, pairs), _step_core_nd, pairs,
-                   trace=True)
+def planar_loop(x, ys, pairs, cfg):
+    """The planar loop as solvit_solve runs it, on pairs whose values may take
+    either sign, checked bit for bit against reference_loop; returns the
+    loop's outcome."""
+    sweep = solvit._reference_sweep(ys, 2, _f_pairs, _step_core_nd, pairs)
+    got = solvit._mm_loop(x, ys, 2, cfg, sweep, _step_core_nd, pairs, True,
+                          solvit._solvit_sweep_2d(ys, pairs))
     assert_same_solve(got, reference_loop(x, ys, pairs, cfg))
     return got[1]
+
+
+def one_step_solve(x, ys, pairs):
+    """One MM step of the planar loop (see planar_loop)."""
+    return planar_loop(x, ys, pairs, SolverConfig(tol=1e-12, max_iter=1))
 
 
 def step_matrix(x, ys, pairs):
@@ -480,12 +486,7 @@ class TestPlanarKernel:
     def test_one_kernel_serves_every_orientation(self, monkeypatch):
         # the criterion-7 config: each trial's noise orients its pairs, and
         # every orientation of the one stored pair order shares one kernel
-        cfg = ExperimentConfig(
-            scenario={"sensors": {"kind": "random", "m": 5, "lo": -50.0, "hi": 50.0},
-                      "source": {"uniform": [-10.0, 10.0]},
-                      "noise": {"f0": 1000.0, "c": 340.0}},
-            snr_grid=[float(v) for v in range(-10, 1)], trials=200, solver="solvit",
-            init="proposed", seed=2026, tol=1e-8, max_iter=2000)
+        cfg = criterion_7_config("solvit", "proposed")
         orientations = set()
         build = solvit._solvit_sweep_2d
 
@@ -543,7 +544,7 @@ class TestPlanarKernel:
                      (2, 4, 1.2920020967206232), (4, 3, 0.5464865819461924)]
 
     @pytest.mark.parametrize("ulps, distance", [(0, 0.0), (1, 4.440892098500626e-16)])
-    def test_step_landing_by_a_sensor_is_nudged(self, ulps, distance):
+    def test_step_landing_by_a_sensor_is_nudged(self, ulps, distance, loop_record):
         i, j, v = zip(*self.LANDING_PAIRS)
         v = list(v)
         for _ in range(ulps):
@@ -558,6 +559,27 @@ class TestPlanarKernel:
         # the next step is taken from 1e-6 m off the sensor and leaves it
         assert math.dist(trace.iterates[2], ys[3]) > 1e-6
         assert got[1].status == CONVERGED and got[1].iterations > 10
+        # the generated loop hands iteration 1 back at the sensor guard, the
+        # shared loop takes it, and the generated loop runs the rest
+        assert loop_record.runs == [(0, 1, None), (2, got[1].iterations, CONVERGED)]
+        assert loop_record.fallbacks == [2]
+
+    def test_condition_limit_after_a_step_like_generic_loop(self, loop_record):
+        # collinear sensors, the iterate on their line and one negative value:
+        # the first system is well conditioned, and the second has
+        # lam_min = 1.2e-12 > 0 and lam_max = 4, past _COND_LIMIT
+        ys = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+        pairs = [(0, 1, -1.5), (0, 2, 0.916961825356)]
+        x1 = _step_core_nd([0.3, 0.0], ys, pairs, 2)
+        lam_min, lam_max = solvit._sym_eig_range(step_matrix(x1, ys, pairs).tolist(), 2)
+        assert 0.0 < lam_min and lam_max / lam_min > 1e12
+        outcome = planar_loop([0.3, 0.0], ys, pairs, SolverConfig())
+        assert (outcome.status, outcome.iterations) == (SINGULAR_SYSTEM, 1)
+        assert outcome.trace.iterates.tolist() == [[0.3, 0.0], x1]
+        # the generated loop hands iteration 1 back, and the shared loop's
+        # own step ends the run
+        assert loop_record.runs == [(0, 1, None)]
+        assert loop_record.fallbacks == [2]
 
     def test_condition_limit_stops_like_generic_loop(self):
         # the iterate on the sensors' line and a tiny value: the bound matrix
