@@ -130,7 +130,7 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             doc = json.load(fh)
-        _scen._check_keys("config", doc, cls.__dataclass_fields__)
+        _scen._check_keys("config", doc, (), cls.__dataclass_fields__)
         return cls(**doc)
 
     def to_json(self, path) -> None:
@@ -172,11 +172,11 @@ def _build_array(spec: dict, rng) -> _scen.SensorArray:
 
 def _resolve_scenario(spec: dict, rng):
     """Return (array, source, noise model); each run replaces its sigma2."""
-    known = ("file",) if "file" in spec else ("sensors", "source", "noise")
-    _scen._check_keys("scenario", spec, known)
     if "file" in spec:
+        _scen._check_keys("scenario", spec, ("file",))
         scen = _scen.load_scenario(spec["file"])
         return scen.array, scen.source, scen.noise
+    _scen._check_keys("scenario", spec, ("sensors", "source"), ("noise",))
     array = _build_array(spec["sensors"], rng)
     src_spec = spec["source"]
     if isinstance(src_spec, dict):

@@ -77,11 +77,15 @@ def _as_real(name: str, value, low=None, *, closed=False):
     return value
 
 
-def _check_keys(what: str, doc: dict, known) -> None:
-    """Raise ValueError naming every key of doc that is not in known."""
-    extra = set(doc) - set(known)
+def _check_keys(what: str, doc: dict, required, optional=()) -> None:
+    """Raise ValueError naming every key of doc that is in neither required
+    nor optional, or else every key of required that doc lacks."""
+    extra = set(doc) - set(required) - set(optional)
     if extra:
         raise ValueError(f"unknown {what} fields: {sorted(extra)}")
+    missing = set(required) - set(doc)
+    if missing:
+        raise ValueError(f"missing {what} fields: {sorted(missing)}")
 
 
 @dataclass(frozen=True)
@@ -455,7 +459,7 @@ def save_scenario(path, scen: Scenario) -> None:
 def load_scenario(path) -> Scenario:
     with open(path) as fh:
         doc = json.load(fh)
-    _check_keys("scenario", doc, ("n", "sensors", "source", "noise", "seed"))
+    _check_keys("scenario", doc, ("n", "sensors", "source", "noise"), ("seed",))
     array = SensorArray(np.asarray(doc["sensors"], dtype=float))
     if array.n != _as_count("n", doc["n"], 2):
         raise ValueError("scenario dimension field disagrees with sensor coordinates")

@@ -21,8 +21,8 @@ from x, with the stop rule inline, compiled on the first solve with m
 sensors.  It must stay bit-identical to them: TestPlanarKernel in
 tests/test_sfp.py compares its traces with conftest.reference_iterate
 around those two kernels, and tests/test_solve_pins.py pins fixed solves.
-n == 3 takes every iteration in _mm_loop over solvit._reference_sweep
-around the same two kernels.
+n == 3 takes every iteration in _mm_loop, which calls those two kernels
+itself.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import SensorSingularityError
 from .objective import _f_ranges, _range_inputs
 from .scenario import _unit_vectors, as_position
-from .solvit import SolveOutcome, SolverConfig, _mm_loop, _planar_make, _reference_sweep
+from .solvit import SolveOutcome, SolverConfig, _mm_loop, _planar_make
 
 
 def sfp_surrogate_many(X, x_k, array, ranges) -> np.ndarray:
@@ -98,10 +98,10 @@ _SENSOR_TERMS = """\
 
 @functools.lru_cache(maxsize=16)
 def _sfp_kernel(m: int):
-    """make(ys, r) -> run (see solvit._planar_make) for m sensors: the run of
-    _reference_sweep(ys, 2, _f_ranges, _sfp_step_core_nd, r) in _mm_loop, one
-    pass over the sensors per iteration that gives the cost at x and the
-    update from x.  make also binds each sensor's range r_k."""
+    """make(ys, r) -> run (see solvit._planar_make) for m sensors: the
+    iterations _mm_loop takes with _f_ranges and _sfp_step_core_nd on
+    (ys, r), one pass over the sensors per iteration that gives the cost at
+    x and the update from x.  make also binds each sensor's range r_k."""
     r_names = [f"r_{k}" for k in range(m)]
     return _planar_make(m, f"<planar sfp loop, m={m}>", bound=r_names,
                         setup=[f"    [{', '.join(r_names)}] = data"],
@@ -120,6 +120,5 @@ def sfp_solve(x0, array, ranges, cfg: SolverConfig | None = None, *,
     coords, ys, r = _range_inputs(array, ranges)
     n = coords.shape[1]
     xs = coords.mean(axis=0) if x0 is None else as_position(x0, n)
-    sweep = _reference_sweep(ys, n, _f_ranges, _sfp_step_core_nd, r)
-    return _mm_loop(xs.tolist(), ys, n, cfg, sweep, _sfp_step_core_nd, r, trace,
+    return _mm_loop(xs.tolist(), ys, cfg, _f_ranges, _sfp_step_core_nd, r, trace,
                     _sfp_kernel(len(ys))(ys, r) if n == 2 else None)

@@ -26,30 +26,28 @@ instead of being buried under vectorization overhead.  Accumulation runs
 in entry order, so traces are bit-reproducible.  _step_core_nd is the one
 step kernel.
 
-Both solvers run one loop, _mm_loop.  Its sweep is one pass at x that
-returns (f(x), x_next), the cost and the MM update, or None for x_next
-where it cannot form the update (x within _SENSOR_GUARD of a sensor, or a
-singular system); the loop then nudges x and calls the reference step.
-The start nudge, the singular exit, the SolveOutcome every solve returns
-(how it ended) and the SolveTrace of a caller that passes trace=True (only
-the swept points and their costs) are each written once there.  n == 3
-takes every iteration in _mm_loop over _reference_sweep around _f_pairs
+Both solvers run one loop, _mm_loop, which takes an iteration itself with
+the solver's cost and step: the cost at x (and the sensor distances), the
+stop rule, a nudge of an x within _SENSOR_GUARD of a sensor, then the step,
+whose error ends the run as singular.  The start nudge, the singular exit,
+the SolveOutcome every solve returns (how it ended) and the SolveTrace of a
+caller that passes trace=True (only the swept points and their costs) are
+each written once there.  n == 3 takes every iteration there, with _f_pairs
 and _step_core_nd.  n == 2 takes them in _solvit_sweep_2d, a loop with
 those two unrolled into one sensor pass, one pair pass and an inline 2x2
 solve, and with _mm_loop's stop rule and max_iter exit (_STOP_RULE) at the
-end of each iteration; an iteration it cannot finish goes back to
-_mm_loop, which takes it over _reference_sweep and enters the generated
+end of each iteration; an iteration it cannot finish goes back to _mm_loop,
+which takes it with _f_pairs and _step_core_nd and enters the generated
 loop again.  _planar_make writes that loop and SFP's planar loop, each a
 while loop around straight-line source, and describes both; this one is
 compiled once per layout, keyed on m and the stored sequence of unordered
 pairs (_planar_kernel, a bounded cache).  It must stay bit-identical to the
 reference kernels: TestPlanarKernel in tests/test_solvit.py compares its
 traces with conftest.reference_iterate around _step_core_nd and _f_pairs,
-one step at a time (test_step_matches_generic_loop and the four tests
-after it) and over whole solves, and tests/test_solve_pins.py pins fixed
-solves, the 25 TDOA fixture solves among them.  tests/test_one_loop.py
-checks that every solve runs _mm_loop.  Acceptance criterion 11 times the
-planar loop.
+one step at a time (test_step_matches_generic_loop and the four tests after
+it) and over whole solves, and tests/test_solve_pins.py pins fixed solves,
+the 25 TDOA fixture solves among them.  tests/test_one_loop.py checks that
+every solve runs _mm_loop.  Acceptance criterion 11 times the planar loop.
 """
 
 from __future__ import annotations
@@ -322,21 +320,23 @@ def _nudge_off_sensors(x: list[float], ys, n: int) -> list[float]:
     return [x[t] + _NUDGE_STEP * direction[t] / nrm for t in range(n)]
 
 
-def _mm_loop(x0, ys, n, cfg, sweep, step, data, trace=False, run=None):
+def _mm_loop(x0, ys, cfg, cost, step, data, trace=False, run=None):
     """The MM loop of both solvers: monotone descent with the three-way stop rule.
 
-    x0 is the start as a list of floats; sweep(x) returns (f(x), x_next).
-    Where x_next is None, x is nudged off the sensor and step(x, ys, data, n)
-    forms the update; an error from it ends the run as singular_system at
-    the nudged iterate.  x_next is used only when the stop rule lets the
-    loop go on.  A planar solve also passes run, its generated kernel (see
-    _planar_make), which takes the iterations from the state (x, f, it) and
-    returns the state it stops in with its status; with no status, it could
-    not finish that iteration, and the loop takes it over sweep and enters
-    run again.  Returns (estimate, SolveOutcome), which alone says how the
-    run ended; with trace set, the outcome holds a SolveTrace of the swept
-    points and their costs: the nudged start, then each update taken.
+    x0 is the start as a list of n floats.  An iteration takes
+    cost(x, ys, data), which returns f(x) and the sensor distances, applies
+    the stop rule and the max_iter exit, nudges x off a sensor within
+    _SENSOR_GUARD, and then step(x, ys, data, n) forms the update; an error
+    from it ends the run as singular_system at the nudged iterate.  A planar
+    solve also passes run, its generated kernel (see _planar_make), which
+    takes the iterations from the state (x, f, it) and returns the state it
+    stops in with its status; with no status, it could not finish that
+    iteration, and the loop takes it and enters run again.  Returns
+    (estimate, SolveOutcome), which alone says how the run ended; with
+    trace set, the outcome holds a SolveTrace of the swept points and their
+    costs: the nudged start, then each update taken.
     """
+    n = len(x0)
     x = _nudge_off_sensors(x0, ys, n)
     points, objectives = ([], []) if trace else (None, None)
     max_iter, tol = cfg.max_iter, cfg.tol
@@ -347,7 +347,7 @@ def _mm_loop(x0, ys, n, cfg, sweep, step, data, trace=False, run=None):
             if status is not None:
                 break
         f_cur = f
-        f, x_next = sweep(x)
+        f, d = cost(x, ys, data)
         if trace:
             points.append(x)
             objectives.append(f)
@@ -357,32 +357,16 @@ def _mm_loop(x0, ys, n, cfg, sweep, step, data, trace=False, run=None):
         if it == max_iter:
             status = MAX_ITER
             break
-        if x_next is None:
+        if min(d) < _SENSOR_GUARD:
             x = _nudge_off_sensors(x, ys, n)
-            try:
-                x_next = step(x, ys, data, n)
-            except (SensorSingularityError, SingularSystemError):
-                status = SINGULAR_SYSTEM
-                break
-        x = x_next
+        try:
+            x = step(x, ys, data, n)
+        except (SensorSingularityError, SingularSystemError):
+            status = SINGULAR_SYSTEM
+            break
         it += 1
     history = SolveTrace(points, objectives) if trace else None
     return np.array(x), SolveOutcome(status, it, f, history)
-
-
-def _reference_sweep(ys, n, objective, step, data):
-    """The sweep of the reference kernels: objective(x, ys, data) gives f(x)
-    and the sensor distances, and step(x, ys, data, n) the update unless a
-    distance is within _SENSOR_GUARD or the system is singular."""
-    def sweep(x):
-        f, d = objective(x, ys, data)
-        if min(d) < _SENSOR_GUARD:
-            return f, None
-        try:
-            return f, step(x, ys, data, n)
-        except SingularSystemError:
-            return f, None
-    return sweep
 
 
 # The distance of sensor k in a generated planar loop (see _planar_make),
@@ -418,28 +402,27 @@ def _planar_make(m, label, *, setup, sums, terms, tail, bound=()):
     a while loop around straight-line Python source, compiled under label.
 
     run(x0, x1, f_cur, it, max_iter, tol, points, objectives) takes the
-    iterations _mm_loop would take over _reference_sweep(ys, 2, cost, step,
-    data) with the solver's reference cost and step, from the iterate
-    (x0, x1) at iteration it, f_cur the cost before it (inf at the start),
-    with the same floating-point operations in the same order, so every
-    trace is bit-identical; the solver's tests compare the two
-    (TestPlanarKernel in tests/test_solvit.py and tests/test_sfp.py).  It
-    appends each swept point and its cost to points and objectives unless
-    they are None.  It returns ((x0, x1), f, it, status) where the stop
-    rule or max_iter ends the run, and the state an iteration started from
-    with status None where that iteration cannot finish (the iterate within
-    _SENSOR_GUARD of a sensor, or the tail finding no update).  make unpacks
-    sensor k of ys as y0_k, y1_k, runs the setup lines (which name what the
-    solver reads from data), and binds the coordinates, the bound names,
-    sqrt and _SENSOR_GUARD as defaults of run, so the source holds only
-    indices and m, and an iteration makes no call, tuple or index but for
-    the trace's appends.  Each iteration sets the sums to zero, then for
-    each sensor forms d0, d1 and the distance n_k, exits if n_k is within
-    _SENSOR_GUARD, and adds the solver's terms for k; the tail lines, which
-    may read the global _COND_LIMIT, finish f and set the update (nx0, nx1),
-    and _STOP_RULE ends the iteration.  Each solver caches make per layout
-    (_planar_kernel, _sfp_kernel), so a process pays one compile per
-    layout, on its first solve of it.
+    iterations _mm_loop would take itself with the solver's reference cost
+    and step on (ys, data), from the iterate (x0, x1) at iteration it, f_cur
+    the cost before it (inf at the start), with the same floating-point
+    operations in the same order, so every trace is bit-identical; the
+    solver's tests compare the two (TestPlanarKernel in tests/test_solvit.py
+    and tests/test_sfp.py).  It appends each swept point and its cost to
+    points and objectives unless they are None.  It returns ((x0, x1), f,
+    it, status) where the stop rule or max_iter ends the run, and the state
+    an iteration started from with status None where that iteration cannot
+    finish (the iterate within _SENSOR_GUARD of a sensor, or the tail
+    finding no update).  make unpacks sensor k of ys as y0_k, y1_k, runs the
+    setup lines (which name what the solver reads from data), and binds the
+    coordinates, the bound names, sqrt and _SENSOR_GUARD as defaults of run,
+    so the source holds only indices and m, and an iteration makes no call,
+    tuple or index but for the trace's appends.  Each iteration sets the
+    sums to zero, then for each sensor forms d0, d1 and the distance n_k,
+    exits if n_k is within _SENSOR_GUARD, and adds the solver's terms for k;
+    the tail lines, which may read the global _COND_LIMIT, finish f and set
+    the update (nx0, nx1), and _STOP_RULE ends the iteration.  Each solver
+    caches make per layout (_planar_kernel, _sfp_kernel), so a process pays
+    one compile per layout, on its first solve of it.
     """
     sensors = range(m)
     defaults = [f"{v}_{k}" for k in sensors for v in ("y0", "y1")] + list(bound)
@@ -529,8 +512,8 @@ def _planar_kernel(m: int, layout: tuple[tuple[int, int], ...]):
 
 
 def _solvit_sweep_2d(ys, pairs):
-    """The run of _reference_sweep(ys, 2, _f_pairs, _step_core_nd, pairs) in
-    _mm_loop, generated (see _planar_make).
+    """The iterations _mm_loop takes with _f_pairs and _step_core_nd on
+    (ys, pairs), generated (see _planar_make).
 
     One pass over the sensors gives the norms that are both the cost's
     distances and the step's divisors, one pass over the pairs adds up the
@@ -570,6 +553,5 @@ def solvit_solve(x0, array, rd: RangeDiffSet, cfg: SolverConfig | None = None, *
     cfg = cfg or SolverConfig()
     coords, ys, pairs = _rd_inputs(array, rd)
     n = coords.shape[1]
-    sweep = _reference_sweep(ys, n, _f_pairs, _step_core_nd, pairs)
-    return _mm_loop(as_position(x0, n).tolist(), ys, n, cfg, sweep, _step_core_nd, pairs,
+    return _mm_loop(as_position(x0, n).tolist(), ys, cfg, _f_pairs, _step_core_nd, pairs,
                     trace, _solvit_sweep_2d(ys, pairs) if n == 2 else None)

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import (RangeDiffSet, _as_count, _as_real, _write_table, as_position,
-                       oriented_rangediffs, sensor_coords, unordered_pairs)
+from .scenario import (RangeDiffSet, _as_count, _as_real, _check_keys, _write_table,
+                       as_position, oriented_rangediffs, sensor_coords, unordered_pairs)
 
 # fixture defaults for the anechoic microphone experiment
 TONE_F0 = 250.0          # [Hz]
@@ -260,6 +260,7 @@ def read_signals_raw(path, sidecar=None) -> list[SignalRecord]:
     side = sidecar if sidecar is not None else f"{path}.json"
     with open(side) as fh:
         meta = json.load(fh)
+    _check_keys("sidecar", meta, ("channels", "fs"))
     channels = _as_count("channels", meta["channels"], 1)
     fs = meta["fs"]  # SignalRecord checks and converts it
     flat = np.fromfile(path, dtype="<f8")

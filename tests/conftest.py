@@ -151,11 +151,10 @@ def assert_same_solve(got, ref):
 def loop_record(monkeypatch):
     """Where the solves' iterations run.  runs gets (iteration on entry,
     iteration on return, status) for each call of a generated planar loop,
-    and fallbacks the dimension for each iteration _mm_loop takes over
-    _reference_sweep."""
+    and fallbacks the dimension for each iteration _mm_loop takes itself,
+    counted on the cost it calls (solvit._f_pairs, sfp._f_ranges)."""
     record = SimpleNamespace(runs=[], fallbacks=[])
-    reference_sweep, sweep_2d, sfp_kernel = (solvit._reference_sweep, solvit._solvit_sweep_2d,
-                                             sfp._sfp_kernel)
+    sweep_2d, sfp_kernel = solvit._solvit_sweep_2d, sfp._sfp_kernel
 
     def recorded_run(run):
         def recorded(x0, x1, f, it, *rest):
@@ -164,21 +163,42 @@ def loop_record(monkeypatch):
             return out
         return recorded
 
-    def recorded_sweep(ys, n, cost, step, data):
-        sweep = reference_sweep(ys, n, cost, step, data)
-
-        def counted(x):
-            record.fallbacks.append(n)
-            return sweep(x)
+    def recorded_cost(cost):
+        def counted(x, ys, data):
+            record.fallbacks.append(len(x))
+            return cost(x, ys, data)
         return counted
 
     monkeypatch.setattr(solvit, "_solvit_sweep_2d",
                         lambda ys, pairs: recorded_run(sweep_2d(ys, pairs)))
     monkeypatch.setattr(sfp, "_sfp_kernel",
                         lambda m: lambda ys, r: recorded_run(sfp_kernel(m)(ys, r)))
-    for module in (solvit, sfp):
-        monkeypatch.setattr(module, "_reference_sweep", recorded_sweep)
+    monkeypatch.setattr(solvit, "_f_pairs", recorded_cost(solvit._f_pairs))
+    monkeypatch.setattr(sfp, "_f_ranges", recorded_cost(sfp._f_ranges))
     return record
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """How each call of the solvers' steps (solvit._step_core_nd,
+    sfp._sfp_step_core_nd) ended: True where it returned an update, False
+    where it raised."""
+    calls = []
+
+    def recorded(step):
+        def counted(*args):
+            try:
+                x = step(*args)
+            except (SensorSingularityError, SingularSystemError):
+                calls.append(False)
+                raise
+            calls.append(True)
+            return x
+        return counted
+
+    monkeypatch.setattr(solvit, "_step_core_nd", recorded(solvit._step_core_nd))
+    monkeypatch.setattr(sfp, "_sfp_step_core_nd", recorded(sfp._sfp_step_core_nd))
+    return calls
 
 
 @pytest.fixture

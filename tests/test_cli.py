@@ -212,6 +212,21 @@ class TestTdoa:
         assert code == 0 and "6 pairs from 4 channels" in out
         assert (tmp_path / "raw.rd").read_bytes() == (tmp_path / "csv.rd").read_bytes()
 
+    @pytest.mark.parametrize("sidecar, reason", [
+        ({"channels": 4}, "missing sidecar fields: ['fs']"),
+        ({"fs": TONE_FS}, "missing sidecar fields: ['channels']"),
+        ({"channels": 4, "fs": TONE_FS, "extra": 1}, "unknown sidecar fields: ['extra']"),
+    ], ids=["no fs", "no channels", "extra key"])
+    def test_raw_sidecar_key_fails_by_name(self, tmp_path, capsys, sidecar, reason):
+        sigs = tone_burst_signals(np.array([1.0, 0.5]), ANECHOIC_MICROPHONES)
+        write_signals_raw(tmp_path / "sig.f64", sigs, sidecar=tmp_path / "side.json")
+        (tmp_path / "side.json").write_text(json.dumps(sidecar))
+        code, out, err = run_cli(capsys, "tdoa", "--signals", tmp_path / "sig.f64", "--raw",
+                                 "--sidecar", tmp_path / "side.json", "--out", tmp_path / "rd.csv")
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: {reason}"]
+        assert not (tmp_path / "rd.csv").exists()
+
     def test_nonfinite_sample_fails_without_output(self, tmp_path, capsys):
         sigs = tone_burst_signals(np.array([1.0, 0.5]), ANECHOIC_MICROPHONES)
         sig_path = tmp_path / "sig.csv"

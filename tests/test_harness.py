@@ -182,6 +182,10 @@ class TestConfig:
                               "unknown scenario fields: ['nosie']"),
         "extra source key": ("config", lambda d: d["scenario"].update(
             source={"uniform": [-5.0, 5.0], "seed": 3}), "unknown source fields: ['seed']"),
+        "no sensors in the scenario": ("config", lambda d: d["scenario"].pop("sensors"),
+                                       "missing scenario fields: ['sensors']"),
+        "no box in the source": ("config", lambda d: d["scenario"].update(source={}),
+                                 "missing source fields: ['uniform']"),
         "zero tol": ("config", lambda d: d.update(tol=0), "tol must be finite and > 0"),
         "bool tol": ("config", lambda d: d.update(tol=True), "tol must be real number, not bool"),
         "numeric string tol": ("config", lambda d: d.update(tol="1e-4"),
@@ -228,6 +232,10 @@ class TestConfig:
             "unexpected keyword argument 'fs_factr'"),
         "unknown key in the scenario file": ("scenario file", lambda d: d.update(sede=4),
                                              "unknown scenario fields: ['sede']"),
+        "no noise in the scenario file": ("scenario file", lambda d: d.pop("noise"),
+                                          "missing scenario fields: ['noise']"),
+        "no sensors in the scenario file": ("scenario file", lambda d: d.pop("sensors"),
+                                            "missing scenario fields: ['sensors']"),
         "bool sigma2 in the scenario file": ("scenario file", lambda d: d["noise"].update(
             sigma2=True), "sigma2 must be real number, not bool"),
         "numeric string fs_factor in the scenario file": (

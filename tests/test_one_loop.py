@@ -1,16 +1,18 @@
 """Both solvers run one MM loop, solvit._mm_loop, at every dimension.
 
 The start nudge, the singular exit, the outcome and the SolveTrace live in
-that loop alone; a solver supplies only its sweep, and a planar solver also
-its generated loop (solvit._planar_make), which runs the iterations and
-hands back to _mm_loop only an iteration it cannot finish.  The stop rule
-and the max_iter exit are written twice, in _mm_loop and in the one
-template of the generated loops (solvit._STOP_RULE); the source is checked
-for where the zero-objective stop is tested, where source is compiled and
-where a trace is built, since a second loop (an accelerated one, say) would
-need each of its own.  The loop builds a trace only when the caller asks,
-and asking changes nothing else.  The planar sweeps of the criterion-7
-config take every iteration in the generated loops.
+that loop alone; a solver supplies only its cost and its step, which the
+loop calls itself, and a planar solver also its generated loop
+(solvit._planar_make), which runs the iterations and hands back to _mm_loop
+only an iteration it cannot finish.  The stop rule and the max_iter exit
+are written twice, in _mm_loop and in the one template of the generated
+loops (solvit._STOP_RULE); the source is checked for where the
+zero-objective stop is tested, where source is compiled, where a trace is
+built and where a singular step is caught, since a second loop (an
+accelerated one, say) would need each of its own.  The loop builds a trace
+only when the caller asks, and asking changes nothing else.  The planar
+sweeps of the criterion-7 config take every iteration in the generated
+loops.
 """
 
 import ast
@@ -67,6 +69,67 @@ def test_only_mm_loop_builds_a_trace():
     found = []
     for path in sorted(SRC.glob("*.py")):
         found += trace_builders(path.read_text(), path.name)
+    assert found == ["solvit.py:_mm_loop"]
+
+
+def singular_catches(source, name="<source>"):
+    """file:function of each except clause that names SingularSystemError or
+    SensorSingularityError (by name or as an attribute, alone or in a
+    tuple), named by the innermost enclosing function (None at module level)."""
+    errors = ("SingularSystemError", "SensorSingularityError")
+    sites = []
+
+    def named(node):
+        if isinstance(node, ast.Tuple):
+            return any(named(e) for e in node.elts)
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        return name in errors
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None and named(
+                    child.type):
+                sites.append(f"{name}:{func}")
+            visit(child, func)
+
+    visit(ast.parse(source, name), None)
+    return sites
+
+
+def test_singular_checker_sees_every_site():
+    source = """
+try:
+    pass
+except SingularSystemError:
+    pass
+
+def outer():
+    def inner():
+        try:
+            pass
+        except (ValueError, errors.SensorSingularityError):
+            pass
+    try:
+        pass
+    except (SensorSingularityError, SingularSystemError) as exc:
+        pass
+    except ValueError:
+        pass
+    except:
+        pass
+    return inner
+"""
+    assert singular_catches(source) == ["<source>:None", "<source>:inner", "<source>:outer"]
+
+
+def test_only_mm_loop_catches_a_singular_step():
+    """A failing step ends the run in one place: the loop that called it."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += singular_catches(path.read_text(), path.name)
     assert found == ["solvit.py:_mm_loop"]
 
 
@@ -170,7 +233,7 @@ def test_only_the_loop_and_its_template_test_the_zero_objective():
 def test_planar_sweeps_iterate_in_the_generated_loop(loop_record, solver, init):
     """On the criterion-7 sweep (rd with solvit, ranges with sfp) no iteration
     goes back to _mm_loop: each solve is one call of the generated loop that
-    ends with a status, and no iteration runs _reference_sweep."""
+    ends with a status, and _mm_loop takes no iteration itself."""
     run_rmse_sweep(criterion_7_config(solver, init))
     assert loop_record.fallbacks == []
     assert len(loop_record.runs) == 11 * 200
@@ -185,7 +248,7 @@ def test_every_solve_runs_the_loop_once(monkeypatch, solver, n):
     loop = solvit._mm_loop
 
     def counted(*args):
-        runs.append(args[2])  # the dimension
+        runs.append(len(args[0]))  # the dimension
         return loop(*args)
 
     monkeypatch.setattr(solvit, "_mm_loop", counted)

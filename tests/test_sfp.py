@@ -22,7 +22,8 @@ from mmloc.harness import run_rmse_sweep
 from mmloc.objective import _f_ranges
 from mmloc.scenario import sensor_coords
 from mmloc.sfp import _sfp_step_core_nd, sfp_surrogate_many
-from conftest import assert_same_solve, criterion_7_config, make_range_instance, reference_iterate
+from conftest import (assert_same_solve, criterion_7_config, ending_cases, make_range_instance,
+                      reference_iterate)
 
 
 def triangle_instance(seed):
@@ -298,7 +299,7 @@ class TestPlanarKernel:
 
     def test_three_dimensional_update_landing_on_a_sensor(self):
         # zero ranges make the first update the sensors' mean, sensor 3 itself;
-        # _reference_sweep then leaves the update to the loop, whose nudge has
+        # the loop finds it within the sensor guard, and its nudge has
         # no direction toward the other sensors' centroid (sensor 3 again)
         ys = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         r, x0, cfg = np.zeros(3), np.array([0.3, 0.4, 0.5]), SolverConfig()
@@ -307,3 +308,14 @@ class TestPlanarKernel:
         trace = got[1].trace
         assert trace.iterates.tolist()[:2] == [[0.3, 0.4, 0.5], [0.0, 0.0, 0.0]]
         assert got[1].status == CONVERGED
+
+    @pytest.mark.parametrize("case, status", [(0, CONVERGED), (1, MAX_ITER),
+                                              (2, SINGULAR_SYSTEM)])
+    def test_three_dimensional_solve_forms_one_step_per_iteration(self, step_calls, case,
+                                                                  status):
+        # no update is formed past the iterate the run stops at, and a
+        # failing one is formed once
+        x0, array, r, cfg = ending_cases("sfp", 3)[case]
+        outcome = sfp_solve(x0, array, r, cfg)[1]
+        assert outcome.status == status
+        assert step_calls == [True] * outcome.iterations + [False] * (status == SINGULAR_SYSTEM)

@@ -32,8 +32,8 @@ from mmloc.errors import SensorSingularityError, SingularSystemError
 from mmloc.objective import _f_pairs, _f_ranges, _rd_inputs
 from mmloc.scenario import oriented_rangediffs
 from mmloc.solvit import _mm_loop, _step_core_nd
-from conftest import (assert_same_solve, criterion_7_config, make_instance, make_range_instance,
-                      reference_iterate)
+from conftest import (assert_same_solve, criterion_7_config, ending_cases, make_instance,
+                      make_range_instance, reference_iterate)
 
 
 def quad_min_from_evals(g, n):
@@ -212,8 +212,8 @@ class TestSolve:
         assert outcome.iterations == trace.objectives.size - 1
 
     def test_singular_step_reports_last_good_iterate(self):
-        # drive the loop with a sweep that never forms the update and a
-        # stepper that dies on iteration 2
+        # drive the loop with a cost of its own and a stepper that dies on
+        # iteration 2
         calls = {"k": 0}
 
         def stepper(x, ys, data, n):
@@ -226,10 +226,8 @@ class TestSolve:
             return 1.0 + x[0], [math.dist(x, y) for y in ys]
 
         ys = [(0.0, 0.0), (5.0, 0.0)]
-        x, outcome = _mm_loop([1.0, 1.0], ys, 2,
-                              SolverConfig(tol=1e-12, max_iter=50),
-                              lambda x: (objective(x, ys, None)[0], None), stepper, None,
-                              trace=True)
+        x, outcome = _mm_loop([1.0, 1.0], ys, SolverConfig(tol=1e-12, max_iter=50),
+                              objective, stepper, None, trace=True)
         assert outcome.status == SINGULAR_SYSTEM
         np.testing.assert_allclose(x, [2.0, 1.0])
         assert outcome.trace.iterates.shape[0] == 2
@@ -239,26 +237,29 @@ class TestSolve:
         ([4.0, 3.0, 3.0], 50, CONVERGED),     # the stop rule fires
     ])
     def test_sweep_without_update_at_the_stop_never_steps(self, values, max_iter, status):
-        # the sweep cannot form the update at the iterate where the run ends:
-        # the loop must stop there without calling the step
-        seen = []
+        # the loop steps from each costed iterate but the one where the run
+        # ends: it must stop there without calling the step
+        seen, stepped = [], []
 
-        def sweep(x):
+        def cost(x, ys, data):
             seen.append(list(x))
-            k = len(seen) - 1
-            return values[k], (None if k == len(values) - 1 else [x[0] + 1.0, x[1]])
+            return values[len(seen) - 1], [math.dist(x, y) for y in ys]
 
-        def stepper(*_):
-            raise AssertionError("the step was called")
+        def stepper(x, ys, data, n):
+            if len(seen) == len(values):
+                raise AssertionError("the step was called")
+            stepped.append(list(x))
+            return [x[0] + 1.0, x[1]]
 
-        x, outcome = _mm_loop([1.0, 1.0], [(0.0, 0.0), (5.0, 0.0)], 2,
+        x, outcome = _mm_loop([1.0, 1.0], [(0.0, 0.0), (5.0, 0.0)],
                               SolverConfig(tol=1e-12, max_iter=max_iter),
-                              sweep, stepper, None, trace=True)
+                              cost, stepper, None, trace=True)
         trace = outcome.trace
         assert outcome.status == status
         assert trace.objectives.tolist() == values
         assert trace.iterates.tolist() == seen
         assert x.tolist() == seen[-1]
+        assert stepped == seen[:-1]
 
 
 def random_step_instance(rng, layout=None):
@@ -313,9 +314,9 @@ def reference_solvit_solve(x0, array, rd, cfg):
 def planar_loop(x, ys, pairs, cfg):
     """The planar loop as solvit_solve runs it, on pairs whose values may take
     either sign, checked bit for bit against reference_loop; returns the
-    loop's outcome."""
-    sweep = solvit._reference_sweep(ys, 2, _f_pairs, _step_core_nd, pairs)
-    got = solvit._mm_loop(x, ys, 2, cfg, sweep, _step_core_nd, pairs, True,
+    loop's outcome.  The loop reads its cost and step from solvit, where the
+    fixtures that count them see them."""
+    got = solvit._mm_loop(x, ys, cfg, solvit._f_pairs, solvit._step_core_nd, pairs, True,
                           solvit._solvit_sweep_2d(ys, pairs))
     assert_same_solve(got, reference_loop(x, ys, pairs, cfg))
     return got[1]
@@ -432,8 +433,7 @@ class TestPlanarKernel:
             return stepper, seen
 
         stepper, seen = make_stepper()
-        got = _mm_loop([2.0, 1.0], ys, 2, cfg, lambda x: (_f_ranges(x, ys, r)[0], None),
-                       stepper, r, trace=True)
+        got = _mm_loop([2.0, 1.0], ys, cfg, _f_ranges, stepper, r, trace=True)
         stepper, seen_ref = make_stepper()
         ref = reference_iterate([2.0, 1.0], ys, 2, cfg, stepper,
                                 lambda x: _f_ranges(x, ys, r))
@@ -564,7 +564,7 @@ class TestPlanarKernel:
         assert loop_record.runs == [(0, 1, None), (2, got[1].iterations, CONVERGED)]
         assert loop_record.fallbacks == [2]
 
-    def test_condition_limit_after_a_step_like_generic_loop(self, loop_record):
+    def test_condition_limit_after_a_step_like_generic_loop(self, loop_record, step_calls):
         # collinear sensors, the iterate on their line and one negative value:
         # the first system is well conditioned, and the second has
         # lam_min = 1.2e-12 > 0 and lam_max = 4, past _COND_LIMIT
@@ -577,9 +577,10 @@ class TestPlanarKernel:
         assert (outcome.status, outcome.iterations) == (SINGULAR_SYSTEM, 1)
         assert outcome.trace.iterates.tolist() == [[0.3, 0.0], x1]
         # the generated loop hands iteration 1 back, and the shared loop's
-        # own step ends the run
+        # own step, formed once, ends the run
         assert loop_record.runs == [(0, 1, None)]
         assert loop_record.fallbacks == [2]
+        assert step_calls == [False]
 
     def test_condition_limit_stops_like_generic_loop(self):
         # the iterate on the sensors' line and a tiny value: the bound matrix
@@ -624,10 +625,10 @@ class TestPlanarKernel:
         assert_same_solve(got, reference_solvit_solve([5.0, 0.0], sensors, rd, cfg))
         assert got[1].status == SINGULAR_SYSTEM
 
-    def test_three_dimensional_singular_solve_matches_reference_loop(self):
+    def test_three_dimensional_singular_solve_matches_reference_loop(self, step_calls):
         # collinear sensors, every difference 0 and a start on their line:
-        # the bound matrix is diag(0, 2m_hat, 2m_hat), so _reference_sweep
-        # finds the system singular and the loop's own step stops the run
+        # the bound matrix is diag(0, 2m_hat, 2m_hat), so the loop's step,
+        # formed once, finds the system singular and stops the run
         sensors = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         rd = rangediffs_from_ranges(np.zeros(3))
         cfg = SolverConfig()
@@ -638,6 +639,16 @@ class TestPlanarKernel:
                                 lambda x: _f_pairs(x, ys, pairs))
         assert_same_solve(got, ref)
         assert got[1].status == SINGULAR_SYSTEM and got[1].iterations == 0
+        assert step_calls == [False]
+
+    @pytest.mark.parametrize("case, status", [(0, CONVERGED), (1, MAX_ITER)])
+    def test_three_dimensional_solve_forms_one_step_per_iteration(self, step_calls, case,
+                                                                  status):
+        # no update is formed past the iterate the run stops at
+        x0, array, rd, cfg = ending_cases("solvit", 3)[case]
+        outcome = solvit_solve(x0, array, rd, cfg)[1]
+        assert outcome.status == status and outcome.iterations > 0
+        assert step_calls == [True] * outcome.iterations
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_nudge_off_a_sensor_at_the_centroid_of_the_others(self, n):
