@@ -25,7 +25,6 @@ metadata sidecar.  A solver exception is not a failed trial: it propagates.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
@@ -63,15 +62,18 @@ class RmseRow:
 class ExperimentConfig:
     """Declarative description of one experiment.
 
-    scenario: either {"file": <scenario json path>} or
-        {"sensors": {...}, "source": [...] | {"uniform": [lo, hi]},
-         "noise": {"f0":.., "c":.., "fs_factor":..}}
-        with sensors one of
-        {"kind": "circular", "m":.., "radius":..} | {"kind": "rhombus"}
-        | {"kind": "linear"}
-        | {"kind": "random", "m":.., "lo":.., "hi":.., "n":..}.
-        The other sensor keys are the array constructor's arguments and
-        the noise keys NoiseModel's; every key is checked on construction.
+    scenario: either {"file": <scenario file path>} alone or the inline
+        form {"sensors": .., "source": .., "noise": {..}}, noise optional.
+        One reader, scenario._read_scenario, reads both this and a scenario
+        file, by one rule per field: sensors are coordinates [[x, y], ..]
+        or {"kind": "circular", "m":.., "radius":..} | {"kind": "rhombus"}
+        | {"kind": "linear"} | {"kind": "random", "m":.., "lo":.., "hi":..,
+        "n":..}, the keys besides kind being the constructor's arguments;
+        source is a point or {"uniform": [lo, hi]}; the noise keys are
+        NoiseModel's, sigma2 = 0, f0 = 1000 and c = 340 when not given.  A
+        random array, then a uniform source, draw from the scenario stream
+        of the seed.  Every key is checked on construction, and a value that
+        should be an object and is not is refused by its field's name.
     snr_grid / freq_grid: exactly one non-empty for RMSE sweeps.  A
         frequency sweep holds the SNR at snr_db.  Infinite SNR entries
         mean zero noise.  Every grid value, snr_db and init_point are
@@ -107,8 +109,6 @@ class ExperimentConfig:
         self.init = start_rule(self.solver, self.init)
         if self.init == "fixed" and self.init_point is None:
             raise ValueError("init=fixed requires init_point")
-        if not isinstance(self.scenario, dict) or not self.scenario:
-            raise ValueError("scenario spec must be a non-empty object")
         # builds the scenario and each run's noise once and discards them, so a
         # bad key or value fails now; +inf SNR is zero noise
         array, _, noise = _resolve_scenario(self.scenario, np.random.default_rng(0))
@@ -128,10 +128,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            doc = json.load(fh)
-        _scen._check_keys("config", doc, (), cls.__dataclass_fields__)
-        return cls(**doc)
+        return cls(**_scen._check_keys("config", _scen._read_json(path), (),
+                                       cls.__dataclass_fields__))
 
     def to_json(self, path) -> None:
         _scen._write_json(path, asdict(self))
@@ -154,40 +152,15 @@ def start_rule(solver: str, init: str | None) -> str:
 # scenario resolution
 # ---------------------------------------------------------------------------
 
-_ARRAY_KINDS = {"circular": _scen.circular_array, "rhombus": _scen.rhombus_array,
-                "linear": _scen.linear_array, "random": _scen.random_array}
-
-
-def _build_array(spec: dict, rng) -> _scen.SensorArray:
-    """The array spec["kind"] names, built from the spec's other keys; the
-    constructor checks them, and a random array draws from rng."""
-    params = dict(spec)
-    kind = params.pop("kind", None)
-    if kind not in _ARRAY_KINDS:
-        raise ValueError(f"unknown sensor kind {kind!r}")
-    if kind == "random":
-        return _scen.random_array(**params, seed=rng)
-    return _ARRAY_KINDS[kind](**params)
-
-
-def _resolve_scenario(spec: dict, rng):
-    """Return (array, source, noise model); each run replaces its sigma2."""
-    if "file" in spec:
-        _scen._check_keys("scenario", spec, ("file",))
-        scen = _scen.load_scenario(spec["file"])
-        return scen.array, scen.source, scen.noise
-    _scen._check_keys("scenario", spec, ("sensors", "source"), ("noise",))
-    array = _build_array(spec["sensors"], rng)
-    src_spec = spec["source"]
-    if isinstance(src_spec, dict):
-        _scen._check_keys("source", src_spec, ("uniform",))
-        lo, hi = (_scen._as_real("uniform", v, -math.inf) for v in src_spec["uniform"])
-        source = rng.uniform(lo, hi, size=array.n)
+def _resolve_scenario(spec, rng):
+    """(array, source, noise model) of a config's scenario, {"file": path} or
+    the inline form, both read by scenario._read_scenario; a random array or
+    a uniform source draws from rng, and each run replaces the sigma2."""
+    if isinstance(spec, dict) and "file" in spec:
+        scen = _scen.load_scenario(_scen._check_keys("scenario", spec, ("file",))["file"], rng)
     else:
-        source = _scen.as_position(src_spec, array.n)
-    noise = _scen.NoiseModel(**{"sigma2": 0.0, "f0": 1000.0, "c": 340.0,
-                                **spec.get("noise", {})})
-    return array, source, noise
+        scen = _scen._read_scenario(spec, rng, *_scen._INLINE_FORM)
+    return scen.array, scen.source, scen.noise
 
 
 def _sigma2_of(snr_db) -> float:
@@ -344,8 +317,8 @@ def write_rmse_csv(path, rows) -> None:
 
 
 def read_rmse_csv(path) -> list[RmseRow]:
-    return [RmseRow(float(s), float(r), float(c), int(f))
-            for s, r, c, f in _scen._read_table(path, "sweep,rmse,crlb,failed")]
+    kinds = (float, float, float, int)
+    return [RmseRow(*row) for row in _scen._read_table(path, "sweep,rmse,crlb,failed", kinds)]
 
 
 def write_metadata(path, cfg: ExperimentConfig) -> None:

@@ -77,15 +77,19 @@ def _as_real(name: str, value, low=None, *, closed=False):
     return value
 
 
-def _check_keys(what: str, doc: dict, required, optional=()) -> None:
-    """Raise ValueError naming every key of doc that is in neither required
-    nor optional, or else every key of required that doc lacks."""
+def _check_keys(what: str, doc, required, optional=()) -> dict:
+    """doc, once checked as the JSON object `what`: a TypeError naming `what`
+    when doc is not a dict, else a ValueError naming every key of doc that is
+    in neither required nor optional, or else every key of required it lacks."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"{what} must be an object, not {type(doc).__name__}")
     extra = set(doc) - set(required) - set(optional)
     if extra:
         raise ValueError(f"unknown {what} fields: {sorted(extra)}")
     missing = set(required) - set(doc)
     if missing:
         raise ValueError(f"missing {what} fields: {sorted(missing)}")
+    return doc
 
 
 @dataclass(frozen=True)
@@ -419,9 +423,11 @@ def _write_table(path, header: str, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _read_table(path, header: str) -> list[list[str]]:
-    """Fields of each non-blank line after the exact header; each has the header's count."""
-    width = header.count(",") + 1
+def _read_table(path, header: str, kinds) -> list[list]:
+    """Each non-blank line after the exact header, as its fields converted by
+    kinds (one callable per column); a line with another field count, or a
+    field its column's callable refuses, is a ValueError naming the line."""
+    names = header.split(",")
     with open(path) as fh:
         got = fh.readline().strip()
         if got != header:
@@ -432,9 +438,14 @@ def _read_table(path, header: str) -> list[list[str]]:
             if not line:
                 continue
             fields = line.split(",")
-            if len(fields) != width:
+            if len(fields) != len(names):
                 raise ValueError(f"line {lineno} has {len(fields)} fields, "
-                                 f"expected {width} ({header!r}): {line!r}")
+                                 f"expected {len(names)} ({header!r}): {line!r}")
+            for k, (name, kind) in enumerate(zip(names, kinds)):
+                try:
+                    fields[k] = kind(fields[k])
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}, column {name!r}: {exc}") from None
             rows.append(fields)
     return rows
 
@@ -444,6 +455,12 @@ def _write_json(path, doc) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _read_json(path):
+    """The JSON document in the file at path; its reader checks it with _check_keys."""
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def save_scenario(path, scen: Scenario) -> None:
@@ -456,18 +473,61 @@ def save_scenario(path, scen: Scenario) -> None:
     })
 
 
-def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        doc = json.load(fh)
-    _check_keys("scenario", doc, ("n", "sensors", "source", "noise"), ("seed",))
-    array = SensorArray(np.asarray(doc["sensors"], dtype=float))
-    if array.n != _as_count("n", doc["n"], 2):
+_ARRAY_KINDS = {"circular": circular_array, "rhombus": rhombus_array,
+                "linear": linear_array, "random": random_array}
+
+# The two forms of a scenario document, as _read_scenario's (keys required,
+# keys optional, noise keys required): a scenario file, and the inline
+# scenario of an experiment config.  A noise key not given is sigma2 = 0,
+# f0 = 1000 Hz, c = 340 m/s, or NoiseModel's fs_factor; a file gives the
+# first three.
+_FILE_FORM = (("n", "sensors", "source", "noise"), ("seed",), ("sigma2", "f0", "c"))
+_INLINE_FORM = (("sensors", "source"), ("noise",), ())
+
+
+def _read_scenario(doc, rng, required, optional, noise_required) -> Scenario:
+    """The Scenario a scenario document describes; the one reader of both forms.
+
+    sensors: coordinates [[x, y], ...], or {"kind": <name>, ...} with the
+        other keys the arguments of that kind's constructor (circular_array,
+        rhombus_array, linear_array, random_array), which checks them.
+    source: a point of the array's dimension, or {"uniform": [lo, hi]}, a
+        point uniform in the box [lo, hi]^n.
+    noise: NoiseModel's fields.
+    n (file form): the array's dimension; seed (file form): null or an int.
+    A random array, then a uniform source, draw from the numpy Generator rng.
+    """
+    _check_keys("scenario", doc, required, optional)
+    spec = doc["sensors"]
+    if isinstance(spec, dict):
+        params = dict(spec)
+        kind = params.pop("kind", None)
+        if not isinstance(kind, str) or kind not in _ARRAY_KINDS:
+            raise ValueError(f"unknown sensor kind {kind!r}")
+        make = _ARRAY_KINDS[kind]
+        array = make(**params, seed=rng) if kind == "random" else make(**params)
+    else:
+        array = SensorArray(spec)
+    if "n" in doc and array.n != _as_count("n", doc["n"], 2):
         raise ValueError("scenario dimension field disagrees with sensor coordinates")
-    # NoiseModel owns the fields and their defaults; an unknown key is a TypeError
-    noise = NoiseModel(**{k: float(_as_real(k, v)) for k, v in doc["noise"].items()})
+    source = doc["source"]
+    if isinstance(source, dict):
+        box = _check_keys("source", source, ("uniform",))["uniform"]
+        if not isinstance(box, (list, tuple)) or len(box) != 2:
+            raise ValueError(f"uniform must be two bounds [lo, hi], got {box!r}")
+        source = rng.uniform(*(_as_real("uniform", v, -math.inf) for v in box), size=array.n)
+    noise = _check_keys("noise", doc.get("noise", {}), noise_required,
+                        NoiseModel.__dataclass_fields__)
+    noise = NoiseModel(**{"sigma2": 0.0, "f0": 1000.0, "c": 340.0, **noise})
     seed = doc.get("seed")
-    return Scenario(array, np.asarray(doc["source"], dtype=float), noise,
-                    None if seed is None else _as_count("seed", seed, 0))
+    return Scenario(array, source, noise, None if seed is None else _as_count("seed", seed, 0))
+
+
+def load_scenario(path, rng=0) -> Scenario:
+    """The scenario file at path, in _read_scenario's file form.  A random
+    array or a uniform source draws from rng, a numpy Generator or a seed for
+    one; the default seed 0 gives one scenario on every read of a file."""
+    return _read_scenario(_read_json(path), np.random.default_rng(rng), *_FILE_FORM)
 
 
 def write_ranges_csv(path, ranges) -> None:
@@ -476,13 +536,13 @@ def write_ranges_csv(path, ranges) -> None:
 
 
 def read_ranges_csv(path) -> np.ndarray:
-    rows = sorted(_read_table(path, "i,r_i"), key=lambda row: int(row[0]))
-    if [int(i_s) for i_s, _ in rows] != list(range(1, len(rows) + 1)):
+    rows = sorted(_read_table(path, "i,r_i", (int, float)), key=lambda row: row[0])
+    if [i for i, _ in rows] != list(range(1, len(rows) + 1)):
         raise ValueError("range CSV must contain sensors 1..m exactly once each")
-    for i_s, v_s in rows:
-        if not math.isfinite(float(v_s)):
-            raise ValueError(f"range of sensor {i_s} is not finite: {v_s!r}")
-    return np.array([float(v_s) for _, v_s in rows])
+    for i, v in rows:
+        if not math.isfinite(v):
+            raise ValueError(f"range of sensor {i} is not finite: {v!r}")
+    return np.array([v for _, v in rows])
 
 
 def write_rangediffs_csv(path, rd: RangeDiffSet) -> None:
@@ -490,10 +550,8 @@ def write_rangediffs_csv(path, rd: RangeDiffSet) -> None:
 
 
 def read_rangediffs_csv(path) -> RangeDiffSet:
-    ii, jj, vv = [], [], []
-    for i_s, j_s, v_s in _read_table(path, "i,j,r_ij"):
-        ii.append(int(i_s)); jj.append(int(j_s)); vv.append(float(v_s))
-    if not ii:
+    rows = _read_table(path, "i,j,r_ij", (int, int, float))
+    if not rows:
         raise ValueError("empty range-difference CSV")
-    m = max(max(ii), max(jj))
-    return RangeDiffSet(ii, jj, vv, m)
+    ii, jj, vv = zip(*rows)
+    return RangeDiffSet(ii, jj, vv, max(max(ii), max(jj)))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import (RangeDiffSet, _as_count, _as_real, _check_keys, _write_table,
+from .scenario import (RangeDiffSet, _as_count, _as_real, _check_keys, _read_json, _write_table,
                        as_position, oriented_rangediffs, sensor_coords, unordered_pairs)
 
 # fixture defaults for the anechoic microphone experiment
@@ -258,13 +258,11 @@ def write_signals_raw(path, signals, sidecar=None) -> None:
 
 def read_signals_raw(path, sidecar=None) -> list[SignalRecord]:
     side = sidecar if sidecar is not None else f"{path}.json"
-    with open(side) as fh:
-        meta = json.load(fh)
-    _check_keys("sidecar", meta, ("channels", "fs"))
+    meta = _check_keys("sidecar", _read_json(side), ("channels", "fs"))
     channels = _as_count("channels", meta["channels"], 1)
-    fs = meta["fs"]  # SignalRecord checks and converts it
     flat = np.fromfile(path, dtype="<f8")
     if flat.size % channels:
         raise ValueError("raw file length is not a multiple of the channel count")
     frames = flat.reshape(-1, channels)
-    return [SignalRecord(frames[:, k], fs) for k in range(channels)]
+    # SignalRecord checks and converts fs
+    return [SignalRecord(frames[:, k], meta["fs"]) for k in range(channels)]

@@ -19,9 +19,10 @@ from mmloc import (ExperimentConfig, NoiseModel, SensorArray, SignalRecord, Solv
                    bandpass, bound_quantities, circular_array, delays_to_rangediffs,
                    estimate_rangediffs, f_rdls, f_rdls_many, f_rls, f_rls_many, grad_fd,
                    hyperbola_points, load_scenario, random_array, range_variance,
-                   rangediffs_from_ranges, read_rangediffs_csv, read_rmse_csv, read_signals_raw,
-                   sfp_solve, sfp_step, sfp_surrogate, snr_to_sigma2, solvit_solve, solvit_step,
-                   surrogate_g, tone_burst_signals, true_ranges, write_signals_csv)
+                   rangediffs_from_ranges, read_rangediffs_csv, read_ranges_csv, read_rmse_csv,
+                   read_signals_raw, sfp_solve, sfp_step, sfp_surrogate, snr_to_sigma2,
+                   solvit_solve, solvit_step, surrogate_g, tone_burst_signals, true_ranges,
+                   write_signals_csv)
 from mmloc.cli import main
 from mmloc.harness import solve_one
 from mmloc.objective import _f_pairs, _f_ranges
@@ -274,6 +275,12 @@ INPUT_CASES = {
     "range-difference CSV of its header": (
         lambda tmp: read_rangediffs_csv(written(tmp / "rd.csv", "i,j,r_ij\n")),
         "empty range-difference CSV"),
+    "fractional sensor index in a range CSV": (
+        lambda tmp: read_ranges_csv(written(tmp / "r.csv", "i,r_i\n1,5.0\n1.5,6.0\n")),
+        "line 3, column 'i': invalid literal for int() with base 10: '1.5'"),
+    "non-numeric sensor index in a range-difference CSV": (
+        lambda tmp: read_rangediffs_csv(written(tmp / "rd.csv", "i,j,r_ij\n1,x,3.0\n")),
+        "line 2, column 'j': invalid literal for int() with base 10: 'x'"),
     "negative rmse in an RMSE CSV": (
         lambda tmp: read_rmse_csv(written(tmp / "r.csv", RMSE_HEADER + "0.0,-0.5,0.25,0\n")),
         "rmse must be >= 0"),
@@ -281,7 +288,7 @@ INPUT_CASES = {
         lambda tmp: read_rmse_csv(written(tmp / "r.csv", RMSE_HEADER + "0.0,0.5,0.25,-1\n")),
         "trials_failed must be >= 0"),
     "empty scenario spec": (lambda tmp: ExperimentConfig(scenario={}, snr_grid=[0.0]),
-                            "scenario spec must be a non-empty object"),
+                            "missing scenario fields: ['sensors', 'source']"),
     "unknown sensor kind": (
         lambda tmp: ExperimentConfig(scenario=dict(CIRCLE, sensors={"kind": "hexagon"}),
                                      snr_grid=[0.0]),

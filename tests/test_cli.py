@@ -216,7 +216,8 @@ class TestTdoa:
         ({"channels": 4}, "missing sidecar fields: ['fs']"),
         ({"fs": TONE_FS}, "missing sidecar fields: ['channels']"),
         ({"channels": 4, "fs": TONE_FS, "extra": 1}, "unknown sidecar fields: ['extra']"),
-    ], ids=["no fs", "no channels", "extra key"])
+        (7, "sidecar must be an object, not int"),
+    ], ids=["no fs", "no channels", "extra key", "a number"])
     def test_raw_sidecar_key_fails_by_name(self, tmp_path, capsys, sidecar, reason):
         sigs = tone_burst_signals(np.array([1.0, 0.5]), ANECHOIC_MICROPHONES)
         write_signals_raw(tmp_path / "sig.f64", sigs, sidecar=tmp_path / "side.json")
@@ -391,6 +392,34 @@ class TestModuleEntry:
                                          tmp_path / "missing.json")
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+    # document -> (its text, the command reading it at {path}, message): a JSON
+    # document, or a config's scenario, that is not an object is refused by name
+    DOCUMENT_CASES = {
+        "scenario file of a number": ("5", ["crlb", "--scenario", "{path}"],
+                                      "scenario must be an object, not int"),
+        "scenario file of a list": ("[1, 2]", ["crlb", "--scenario", "{path}"],
+                                    "scenario must be an object, not list"),
+        "scenario file of a string": ('"x"', ["crlb", "--scenario", "{path}"],
+                                      "scenario must be an object, not str"),
+        "config of a list": ("[]", ["bench", "--config", "{path}", "--out", "{out}"],
+                             "config must be an object, not list"),
+        "config scenario of a list": ('{"scenario": [1], "snr_grid": [0.0]}',
+                                      ["bench", "--config", "{path}", "--out", "{out}"],
+                                      "scenario must be an object, not list"),
+    }
+
+    @pytest.mark.parametrize("case", DOCUMENT_CASES)
+    def test_document_that_is_not_an_object_exits_2_by_name(self, tmp_path, monkeypatch,
+                                                            capsys, case):
+        text, argv, message = self.DOCUMENT_CASES[case]
+        path, out_csv = tmp_path / "doc.json", tmp_path / "out.csv"
+        path.write_text(text)
+        code, out, err = self.run_module(monkeypatch, capsys,
+                                         *(a.format(path=path, out=out_csv) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {message}"]
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
 class TestErrorReporting:

@@ -172,7 +172,7 @@ class TestConfig:
     # or to fail only once the sweep ran
     LOUD_CASES = {
         "noise key typo": ("config", lambda d: d["scenario"]["noise"].update(fs_factr=40),
-                           "unexpected keyword argument 'fs_factr'"),
+                           "unknown noise fields: ['fs_factr']"),
         "n on a circular array": ("config", lambda d: d["scenario"].update(
             sensors={"kind": "circular", "m": 5, "radius": 10.0, "n": 3}),
             "circular_array() got an unexpected keyword argument 'n'"),
@@ -229,7 +229,7 @@ class TestConfig:
                                               "n must be an integer, got 2.5"),
         "noise key typo in the scenario file": (
             "scenario file", lambda d: d["noise"].update(fs_factr=8.0),
-            "unexpected keyword argument 'fs_factr'"),
+            "unknown noise fields: ['fs_factr']"),
         "unknown key in the scenario file": ("scenario file", lambda d: d.update(sede=4),
                                              "unknown scenario fields: ['sede']"),
         "no noise in the scenario file": ("scenario file", lambda d: d.pop("noise"),
@@ -238,6 +238,17 @@ class TestConfig:
                                             "missing scenario fields: ['sensors']"),
         "bool sigma2 in the scenario file": ("scenario file", lambda d: d["noise"].update(
             sigma2=True), "sigma2 must be real number, not bool"),
+        "noise list in the scenario file": ("scenario file", lambda d: d.update(
+            noise=[0.0, 1000.0, 340.0]), "noise must be an object, not list"),
+        "no sigma2 in the scenario file noise": ("scenario file", lambda d: d["noise"].pop(
+            "sigma2"), "missing noise fields: ['sigma2']"),
+        "coordinates of one sensor": ("config", lambda d: d["scenario"].update(
+            sensors=[[0.0, 0.0]]), "need at least 2 sensors, got 1"),
+        "three values in the uniform source box": ("config", lambda d: d["scenario"].update(
+            source={"uniform": [-5.0, 0.0, 5.0]}),
+            "uniform must be two bounds [lo, hi], got [-5.0, 0.0, 5.0]"),
+        "noise list": ("config", lambda d: d["scenario"].update(noise=[1000.0, 340.0]),
+                       "noise must be an object, not list"),
         "numeric string fs_factor in the scenario file": (
             "scenario file", lambda d: d["noise"].update(fs_factor="8"),
             "fs_factor must be real number, not str"),

@@ -1,6 +1,8 @@
 """Geometry containers, noise model, measurement simulation, and file I/O."""
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from mmloc import (
     write_rangediffs_csv,
     write_ranges_csv,
 )
+from mmloc.harness import _resolve_scenario
 from mmloc.scenario import _rangediff_rows, oriented_rangediffs
 
 
@@ -455,3 +458,107 @@ class TestFileIO:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
             read_ranges_csv(path)
+
+
+RHOMBUS = [[0.0, 10.0], [10.0, 0.0], [0.0, -10.0], [-10.0, 0.0]]
+TETRAHEDRON = [[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 4.0]]
+RANDOM_4 = [[-7.428595944616008, -0.014442751197700332], [2.029967152467149, -9.42621983256111],
+            [-7.041478308450881, 8.564220459207391], [-8.591588476916064, -7.40452101201404]]
+NOISE_DEFAULT = NoiseModel(sigma2=0.0, f0=1000.0, c=340.0)
+
+
+class TestScenarioForms:
+    """Every form a scenario file or a config's scenario takes reads to the
+    array, source, noise and seed written here (draws from default_rng(11))."""
+
+    # file document -> (sensors, source, noise, seed)
+    FILES = {
+        "saved 2-D with a seed": (
+            {"n": 2, "sensors": RHOMBUS, "source": [1.0, 5.0], "seed": 123,
+             "noise": {"c": 340.0, "f0": 1000.0, "fs_factor": 4.0, "sigma2": 0.5}},
+            (RHOMBUS, [1.0, 5.0], NoiseModel(0.5, 1000.0, 340.0), 123)),
+        "2-D with a null seed and integer noise": (
+            {"n": 2, "sensors": RHOMBUS, "source": [1, -2], "seed": None,
+             "noise": {"sigma2": 1, "f0": 1000, "c": 340}},
+            (RHOMBUS, [1.0, -2.0], NoiseModel(1.0, 1000.0, 340.0), None)),
+        "2-D without a seed": (
+            {"n": 2, "sensors": RHOMBUS, "source": [0.5, 0.5],
+             "noise": {"sigma2": 0.0, "f0": 250.0, "c": 343.0, "fs_factor": 8.0}},
+            (RHOMBUS, [0.5, 0.5], NoiseModel(0.0, 250.0, 343.0, 8.0), None)),
+        "saved 3-D with a seed": (
+            {"n": 3, "sensors": TETRAHEDRON, "source": [1.0, 1.0, 1.0], "seed": 0,
+             "noise": {"c": 340.0, "f0": 1000.0, "fs_factor": 4.0, "sigma2": 0.1}},
+            (TETRAHEDRON, [1.0, 1.0, 1.0], NoiseModel(0.1, 1000.0, 340.0), 0)),
+        "3-D without a seed and integer noise": (
+            {"n": 3, "sensors": TETRAHEDRON, "source": [2, 1, 0],
+             "noise": {"sigma2": 0, "f0": 500, "c": 340}},
+            (TETRAHEDRON, [2.0, 1.0, 0.0], NoiseModel(0.0, 500.0, 340.0), None)),
+        "a sensor kind and a uniform source": (
+            {"n": 2, "sensors": {"kind": "random", "m": 4, "lo": -10.0, "hi": 10.0},
+             "source": {"uniform": [-5.0, 5.0]}, "noise": {"sigma2": 0.0, "f0": 1000.0,
+                                                           "c": 340.0}},
+            (RANDOM_4, [4.48328453291775, 1.2188359279638288], NOISE_DEFAULT, None)),
+    }
+
+    # inline scenario -> (sensors, source, noise)
+    INLINE = {
+        "coordinates and a point": (
+            {"sensors": TETRAHEDRON, "source": [1, 2, 3], "noise": {"f0": 500.0}},
+            (TETRAHEDRON, [1.0, 2.0, 3.0], NoiseModel(0.0, 500.0, 340.0))),
+        "a random array and a uniform source": (
+            {"sensors": {"kind": "random", "m": 4, "lo": -10.0, "hi": 10.0},
+             "source": {"uniform": [-5.0, 5.0]}},
+            (RANDOM_4, [4.48328453291775, 1.2188359279638288], NOISE_DEFAULT)),
+        "a 3-D random array and every noise field": (
+            {"sensors": {"kind": "random", "m": 4, "lo": -10, "hi": 10, "n": 3},
+             "source": [1.0, 2.0, 3.0],
+             "noise": {"sigma2": 0.25, "f0": 500, "c": 343.0, "fs_factor": 8.0}},
+            ([[-7.428595944616008, -0.014442751197700332, 2.029967152467149],
+              [-9.42621983256111, -7.041478308450881, 8.564220459207391],
+              [-8.591588476916064, -7.40452101201404, 8.9665690658355],
+              [2.4376718559276576, -2.6201375254041803, 0.22780043606525346]],
+             [1.0, 2.0, 3.0], NoiseModel(0.25, 500.0, 343.0, 8.0))),
+        "a circular array and an integer box": (
+            {"sensors": {"kind": "circular", "m": 3, "radius": 2.0},
+             "source": {"uniform": [0, 1]}, "noise": {"f0": 250.0}},
+            ([[-0.9999999999999996, 1.7320508075688774],
+              [-1.0000000000000009, -1.7320508075688767], [2.0, -4.898587196589413e-16]],
+             [0.12857020276919962, 0.49927786244011496], NoiseModel(0.0, 250.0, 340.0))),
+        "the rhombus": ({"sensors": {"kind": "rhombus"}, "source": [1, -1]},
+                        (RHOMBUS, [1.0, -1.0], NOISE_DEFAULT)),
+        "the linear array": (
+            {"sensors": {"kind": "linear"}, "source": [-5.0, 5.0],
+             "noise": {"f0": 1000.0, "c": 340.0}},
+            ([[5.0, 0.0], [5.0, 10.0], [5.0, 20.0], [5.0, 30.0]], [-5.0, 5.0], NOISE_DEFAULT)),
+    }
+
+    @staticmethod
+    def assert_reads_to(scen, sensors, source, noise):
+        np.testing.assert_array_equal(scen.array.sensors, sensors)
+        np.testing.assert_array_equal(scen.source, source)
+        assert scen.noise == noise
+
+    @pytest.mark.parametrize("case", FILES)
+    def test_scenario_file(self, tmp_path, case):
+        doc, (sensors, source, noise, seed) = self.FILES[case]
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps(doc))
+        scen = load_scenario(path, np.random.default_rng(11))
+        self.assert_reads_to(scen, sensors, source, noise)
+        assert scen.seed == seed
+        # an integer stays an int, as in every other JSON number
+        assert [type(v) for v in asdict(scen.noise).values()] == \
+            [type(doc["noise"].get(k, 4.0)) for k in asdict(scen.noise)]
+        # a config's {"file": ...} scenario reads the file with the run's generator
+        got = _resolve_scenario({"file": str(path)}, np.random.default_rng(11))
+        self.assert_reads_to(Scenario(*got), sensors, source, noise)
+        # with no generator a file draws from default_rng(0), the same on every read
+        first, again = load_scenario(path), load_scenario(path)
+        np.testing.assert_array_equal(first.array.sensors, again.array.sensors)
+        np.testing.assert_array_equal(first.source, again.source)
+
+    @pytest.mark.parametrize("case", INLINE)
+    def test_inline_scenario(self, case):
+        spec, (sensors, source, noise) = self.INLINE[case]
+        got = _resolve_scenario(spec, np.random.default_rng(11))
+        self.assert_reads_to(Scenario(*got), sensors, source, noise)
