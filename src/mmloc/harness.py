@@ -157,7 +157,10 @@ def _resolve_scenario(spec, rng):
     the inline form, both read by scenario._read_scenario; a random array or
     a uniform source draws from rng, and each run replaces the sigma2."""
     if isinstance(spec, dict) and "file" in spec:
-        scen = _scen.load_scenario(_scen._check_keys("scenario", spec, ("file",))["file"], rng)
+        path = _scen._check_keys("scenario", spec, ("file",))["file"]
+        if not isinstance(path, str):  # open(0) would read stdin
+            raise TypeError(f"file must be a string, not {type(path).__name__}")
+        scen = _scen.load_scenario(path, rng)
     else:
         scen = _scen._read_scenario(spec, rng, *_scen._INLINE_FORM)
     return scen.array, scen.source, scen.noise

@@ -18,17 +18,20 @@ import operator
 
 import numpy as np
 
-from .scenario import RangeDiffSet, _as_real, as_position, sensor_coords
+from .scenario import RangeDiffSet, _as_real, _as_reals, as_position, sensor_coords
 
 
 def _check_ranges(ranges, m: int) -> np.ndarray:
-    """Ranges as a flat float vector of length m; rejects NaN and inf."""
-    r = np.asarray(ranges, dtype=float).reshape(-1)
+    """Ranges as a flat float vector by _as_reals, named "ranges": finite, then m of them."""
+    r = _as_reals("ranges", ranges, "ranges must be finite").ravel()
     if r.size != m:
         raise ValueError(f"{r.size} ranges for {m} sensors")
-    if not all(map(math.isfinite, r.tolist())):
-        raise ValueError("ranges must be finite")
     return r
+
+
+def _as_points(X) -> np.ndarray:
+    """Evaluation points as a (B, n) float array, by _as_reals: finite, named "points"."""
+    return _as_reals("points", X, "points must be finite", np.atleast_2d)
 
 
 def _check_rd(rd: RangeDiffSet, m: int) -> None:
@@ -114,7 +117,7 @@ def f_rdls(x, array, rd: RangeDiffSet) -> float:
 def f_rls_many(X, array, ranges) -> np.ndarray:
     """f_rls evaluated at each row of X, shape (B, n) -> (B,)."""
     coords = sensor_coords(array)
-    pts = np.atleast_2d(np.asarray(X, dtype=float))
+    pts = _as_points(X)
     r = _check_ranges(ranges, coords.shape[0])
     res = r[:, None] - np.linalg.norm(pts[None, :, :] - coords[:, None, :], axis=2)
     return _sum(res * res)
@@ -136,7 +139,7 @@ def _rd_costs(pts, coords, i0, j0, values) -> np.ndarray:
 def f_rdls_many(X, array, rd: RangeDiffSet) -> np.ndarray:
     """f_rdls evaluated at each row of X, shape (B, n) -> (B,)."""
     coords = sensor_coords(array)
-    pts = np.atleast_2d(np.asarray(X, dtype=float))
+    pts = _as_points(X)
     _check_rd(rd, coords.shape[0])
     return _rd_costs(pts[None], coords, (rd.i - 1)[None], (rd.j - 1)[None],
                      rd.values[None])[0]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -26,18 +27,6 @@ from .errors import SensorSingularityError
 
 # sensors closer than this are considered coincident [m]
 COINCIDENT_TOL = 1e-12
-
-
-def as_position(x, n: int | None = None) -> np.ndarray:
-    """x as a flat float vector, a view when x is one, once it has 2 or 3 (or n) finite values."""
-    p = np.asarray(x, dtype=float).reshape(-1)
-    if p.size not in (2, 3):
-        raise ValueError(f"position must have 2 or 3 coordinates, got {p.size}")
-    if not all(map(math.isfinite, p.tolist())):
-        raise ValueError("position coordinates must be finite")
-    if n is not None and p.size != n:
-        raise ValueError(f"position has dimension {p.size}, expected {n}")
-    return p
 
 
 def _as_int(name: str, value) -> int:
@@ -77,6 +66,48 @@ def _as_real(name: str, value, low=None, *, closed=False):
     return value
 
 
+def _as_reals(name: str, value, finite: str, check=None) -> np.ndarray:
+    """value as a float array: the one conversion of every array of real numbers.
+
+    Every entry follows _as_real's rule and message, naming the field `name`:
+    text, bytes, a bool, None or another non-number is a TypeError, and an
+    int beyond the float range a ValueError.  An np.ndarray of integers or
+    floats passes by its dtype; anything else is checked entry by entry, so
+    [True, 5] and ["1", 2] are refused, where np.asarray(..., dtype=float)
+    would read them as numbers.  check, the site's own shape rules, takes the
+    float array and returns the array to go on with (reshaped, say); then a
+    non-finite entry is ValueError(finite).
+    """
+    if type(value) is not np.ndarray or value.dtype.kind not in "fiu":
+        value = np.array(value, dtype=object)
+        for v in value.ravel().tolist():
+            _as_real(name, v)
+    a = value.astype(float, copy=False)
+    a = a if check is None else check(a)
+    # up to 32 entries a test on Python floats beats one numpy pass
+    if not (np.isfinite(a).all() if a.size > 32
+            else all(map(math.isfinite, (a if a.ndim == 1 else a.ravel()).tolist()))):
+        raise ValueError(finite)
+    return a
+
+
+def _position_size(p):
+    """as_position's size rule, the check it gives _as_reals: p flat, 2 or 3 values."""
+    p = p if p.ndim == 1 else p.ravel()
+    if p.size not in (2, 3):
+        raise ValueError(f"position must have 2 or 3 coordinates, got {p.size}")
+    return p
+
+
+def as_position(x, n: int | None = None) -> np.ndarray:
+    """x as a flat float vector, a view when x is one, once it has 2 or 3 (or n)
+    finite values; its entries follow _as_reals, named "position"."""
+    p = _as_reals("position", x, "position coordinates must be finite", _position_size)
+    if n is not None and p.size != n:
+        raise ValueError(f"position has dimension {p.size}, expected {n}")
+    return p
+
+
 def _check_keys(what: str, doc, required, optional=()) -> dict:
     """doc, once checked as the JSON object `what`: a TypeError naming `what`
     when doc is not a dict, else a ValueError naming every key of doc that is
@@ -94,26 +125,19 @@ def _check_keys(what: str, doc, required, optional=()) -> dict:
 
 @dataclass(frozen=True)
 class SensorArray:
-    """An ordered set of m >= 2 distinct sensor positions (1-indexed accessors)."""
+    """An ordered set of m >= 2 distinct sensor positions (1-indexed accessors),
+    checked first as coordinates by sensor_coords."""
 
     sensors: np.ndarray  # (m, n) [m]
 
     def __post_init__(self):
-        arr = np.asarray(self.sensors, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("sensors must be a 2-D array of shape (m, n)")
-        m, n = arr.shape
+        arr = sensor_coords(self.sensors).copy()
+        m = arr.shape[0]
         if m < 2:
             raise ValueError(f"need at least 2 sensors, got {m}")
-        if n not in (2, 3):
-            raise ValueError(f"sensor dimension must be 2 or 3, got {n}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("sensor coordinates must be finite")
-        for i in range(m):
-            for j in range(i + 1, m):
-                if np.linalg.norm(arr[i] - arr[j]) <= COINCIDENT_TOL:
-                    raise ValueError(f"sensors {i + 1} and {j + 1} coincide")
-        arr = arr.copy()
+        for i, j in unordered_pairs(m):
+            if np.linalg.norm(arr[i - 1] - arr[j - 1]) <= COINCIDENT_TOL:
+                raise ValueError(f"sensors {i} and {j} coincide")
         arr.setflags(write=False)
         object.__setattr__(self, "sensors", arr)
 
@@ -135,25 +159,29 @@ class SensorArray:
         return self.sensors.mean(axis=0)
 
 
+def _coordinate_rows(arr):
+    """sensor_coords' shape rule (an _as_reals check): rows of 2 or 3
+    coordinates, at least one row; a 1-D array is one row."""
+    if arr.ndim not in (1, 2) or arr.shape[-1] not in (2, 3):
+        raise ValueError(f"sensor coordinates must have shape (m, 2) or (m, 3), got {arr.shape}")
+    arr = arr[None] if arr.ndim == 1 else arr
+    if arr.shape[0] < 1:
+        raise ValueError("need at least one sensor")
+    return arr
+
+
 def sensor_coords(array) -> np.ndarray:
     """Coordinates of a SensorArray, or a raw (m, n) array passed through.
 
-    Raw arrays are accepted so that the objective and solver functions can
-    be evaluated on configurations (e.g. a single sensor) that the
-    SensorArray container deliberately rejects.
+    The one check of sensor coordinates, which SensorArray builds on: an (m, n)
+    float array by _as_reals, named "sensors", with n 2 or 3 and every entry
+    finite.  Raw arrays are accepted so that the objective and solver
+    functions can be evaluated on configurations (e.g. a single sensor, or a
+    1-D array as one) that the SensorArray container deliberately rejects.
     """
     if isinstance(array, SensorArray):
         return array.sensors
-    arr = np.asarray(array, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    if arr.ndim != 2 or arr.shape[1] not in (2, 3):
-        raise ValueError("sensor coordinates must have shape (m, 2) or (m, 3)")
-    if arr.shape[0] < 1:
-        raise ValueError("need at least one sensor")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sensor coordinates must be finite")
-    return arr
+    return _as_reals("sensors", array, "sensor coordinates must be finite", _coordinate_rows)
 
 
 @dataclass(frozen=True)
@@ -162,9 +190,10 @@ class RangeDiffSet:
 
     Entry k states ||x - y_i[k]|| - ||x - y_j[k]|| ~= values[k] with
     values[k] >= 0; the (i, j) orientation encodes the sign.  Indices are
-    1-based.  Checks, in order: equal 1-D shapes, an integer m >= 2, m(m-1)/2
-    entries, integer-typed indices (not bool or float), each in 1..m, i != j,
-    each unordered pair once, finite values >= 0.  Stores read-only copies.
+    1-based.  Checks, in order: the entries of values (by _as_reals, named
+    "values"), equal 1-D shapes, an integer m >= 2, m(m-1)/2 entries,
+    integer-typed indices (not bool or float), each in 1..m, i != j, each
+    unordered pair once, finite values >= 0.  Stores read-only copies.
     """
 
     i: np.ndarray        # (m_hat,) int, 1-based
@@ -173,8 +202,15 @@ class RangeDiffSet:
     m: int               # number of sensors
 
     def __post_init__(self):
+        vv = _as_reals("values", self.values, "range differences must be finite", self._pairs)
+        if min(vv.tolist()) < 0:
+            raise ValueError("stored range differences must be >= 0 (flip i,j instead)")
+
+    def _pairs(self, vv):
+        """The rules before the values' finiteness (the _as_reals check of
+        __post_init__); stores read-only copies of i, j and vv, and the int m,
+        and returns the stored values."""
         ii, jj = np.array(self.i), np.array(self.j)
-        vv = np.array(self.values, dtype=float)
         if not (ii.shape == jj.shape == vv.shape) or ii.ndim != 1:
             raise ValueError("i, j, values must be 1-D arrays of equal length")
         m = _as_int("m", self.m)
@@ -188,22 +224,19 @@ class RangeDiffSet:
         ii, jj = ii.astype(int, copy=False), jj.astype(int, copy=False)
         # checked on Python scalars: at m <= 10 a numpy call per check costs
         # more than the check itself
-        il, jl, vl = ii.tolist(), jj.tolist(), vv.tolist()
+        il, jl = ii.tolist(), jj.tolist()
         if min(il) < 1 or max(il) > m or min(jl) < 1 or max(jl) > m:
             raise ValueError("pair indices out of range")
-        if any(a == b for a, b in zip(il, jl)):
+        if any(map(operator.eq, il, jl)):
             raise ValueError("pair indices must differ")
         seen = {(a, b) if a < b else (b, a) for a, b in zip(il, jl)}
         if len(seen) != expected:
             raise ValueError("each unordered pair must appear exactly once")
-        if not all(map(math.isfinite, vl)):
-            raise ValueError("range differences must be finite")
-        if min(vl) < 0:
-            raise ValueError("stored range differences must be >= 0 (flip i,j instead)")
-        for name, arr in (("i", ii), ("j", jj), ("values", vv)):
+        for name, arr in (("i", ii), ("j", jj), ("values", vv.copy())):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "m", m)
+        return self.values
 
     @property
     def n_pairs(self) -> int:
@@ -348,33 +381,32 @@ def noisy_ranges(x, array, noise: NoiseModel, seed=None) -> np.ndarray:
 
 
 def _orient_rows(D, a, b):
-    """Signed differences D (B, P), column k for the 1-based pair (a[k], b[k])
-    with a[k] < b[k], as the (i, j, values) arrays of B measurement sets, each
-    (B, P): each entry is stored farther sensor first, so its value is >= 0;
-    ties (difference exactly 0) keep the order (a[k], b[k])."""
-    if not np.isfinite(D).all():
-        raise ValueError("range differences must be finite")
+    """Signed finite differences D (B, P), column k for the 1-based pair (a[k],
+    b[k]) with a[k] < b[k], as the (i, j, values) arrays of B measurement
+    sets, each (B, P): each entry is stored farther sensor first, so its value
+    is >= 0; ties (difference exactly 0) keep the order (a[k], b[k])."""
     neg = D < 0
     return np.where(neg, b, a), np.where(neg, a, b), np.where(neg, -D, D)
 
 
 def _rangediff_rows(R):
     """The measurement sets of ranges R (B, m), one per row, as the (i, j,
-    values) arrays of _orient_rows: R[:, a] - R[:, b] over unordered_pairs."""
-    R = np.asarray(R, dtype=float)
+    values) arrays of _orient_rows: R[:, a] - R[:, b] over unordered_pairs.
+    R follows _as_reals, named "ranges", and a range that is not finite
+    fails as "range differences must be finite"."""
+    R = _as_reals("ranges", R, "range differences must be finite")
     if R.ndim != 2 or R.shape[1] < 2:
         raise ValueError("need at least 2 ranges")
     a, b = np.array(unordered_pairs(R.shape[1])).T
-    with np.errstate(invalid="ignore"):  # inf - inf is refused as non-finite
-        D = R[:, a - 1] - R[:, b - 1]
-    return _orient_rows(D, a, b)
+    return _orient_rows(R[:, a - 1] - R[:, b - 1], a, b)
 
 
 def oriented_rangediffs(diffs, m: int) -> RangeDiffSet:
     """Measurement set from signed differences r_i - r_j, one per pair in
-    unordered_pairs(m) order, oriented by _orient_rows."""
+    unordered_pairs(m) order, oriented by _orient_rows; diffs follow
+    _as_reals, named "diffs"."""
     a, b = np.array(unordered_pairs(m)).reshape(-1, 2).T
-    D = np.array(diffs, dtype=float).reshape(1, -1)
+    D = _as_reals("diffs", diffs, "range differences must be finite").reshape(1, -1)
     if D.shape[1] != a.size:
         raise ValueError(f"expected {a.size} differences for m={m}, got {D.shape[1]}")
     ii, jj, vv = _orient_rows(D, a, b)
@@ -383,8 +415,9 @@ def oriented_rangediffs(diffs, m: int) -> RangeDiffSet:
 
 def rangediffs_from_ranges(ranges) -> RangeDiffSet:
     """Pairwise differences r_i - r_j for i < j, in unordered_pairs order,
-    oriented as oriented_rangediffs stores them (_rangediff_rows on one row)."""
-    r = np.asarray(ranges, dtype=float).reshape(1, -1)
+    oriented as oriented_rangediffs stores them: _rangediff_rows on the one
+    row of every range given."""
+    r = _as_reals("ranges", ranges, "range differences must be finite").reshape(1, -1)
     ii, jj, vv = _rangediff_rows(r)
     return RangeDiffSet(ii[0], jj[0], vv[0], r.shape[1])
 
@@ -425,8 +458,9 @@ def _write_table(path, header: str, rows) -> None:
 
 def _read_table(path, header: str, kinds) -> list[list]:
     """Each non-blank line after the exact header, as its fields converted by
-    kinds (one callable per column); a line with another field count, or a
-    field its column's callable refuses, is a ValueError naming the line."""
+    kinds (one callable per column, by _parse); a line with another field
+    count, or a field its column's callable refuses, is a ValueError naming
+    the line."""
     names = header.split(",")
     with open(path) as fh:
         got = fh.readline().strip()
@@ -441,13 +475,17 @@ def _read_table(path, header: str, kinds) -> list[list]:
             if len(fields) != len(names):
                 raise ValueError(f"line {lineno} has {len(fields)} fields, "
                                  f"expected {len(names)} ({header!r}): {line!r}")
-            for k, (name, kind) in enumerate(zip(names, kinds)):
-                try:
-                    fields[k] = kind(fields[k])
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}, column {name!r}: {exc}") from None
-            rows.append(fields)
+            rows.append([_parse(lineno, *field) for field in zip(names, kinds, fields)])
     return rows
+
+
+def _parse(lineno: int, name: str, kind, text: str):
+    """kind(text), the field `name` of line lineno of a file; a ValueError
+    kind raises is re-raised naming the line and the field."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}, column {name!r}: {exc}") from None
 
 
 def _write_json(path, doc) -> None:
@@ -531,7 +569,7 @@ def load_scenario(path, rng=0) -> Scenario:
 
 
 def write_ranges_csv(path, ranges) -> None:
-    r = np.asarray(ranges, dtype=float).reshape(-1).tolist()
+    r = _as_reals("ranges", ranges, "ranges must be finite").ravel().tolist()
     _write_table(path, "i,r_i", ((str(k), repr(v)) for k, v in enumerate(r, start=1)))
 
 

@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import SensorSingularityError
-from .objective import _f_ranges, _range_inputs
+from .objective import _as_points, _f_ranges, _range_inputs
 from .scenario import _unit_vectors, as_position
 from .solvit import SolveOutcome, SolverConfig, _mm_loop, _planar_make
 
@@ -42,7 +42,7 @@ def sfp_surrogate_many(X, x_k, array, ranges) -> np.ndarray:
     """Quadratic bound of f_rls around x_k at each row of X -> (B,)."""
     coords, _, r = _range_inputs(array, ranges)
     _, w = _unit_vectors(as_position(x_k, coords.shape[1]), coords)
-    pts = np.atleast_2d(np.asarray(X, dtype=float))
+    pts = _as_points(X)
     out = np.zeros(pts.shape[0])
     for k, rk in enumerate(r):
         d = pts - coords[k][None, :]
@@ -52,8 +52,7 @@ def sfp_surrogate_many(X, x_k, array, ranges) -> np.ndarray:
 
 def sfp_surrogate(x, x_k, array, ranges) -> float:
     """Quadratic bound of f_rls around x_k at a single point."""
-    return float(sfp_surrogate_many(np.asarray(x, dtype=float)[None, :],
-                                    x_k, array, ranges)[0])
+    return float(sfp_surrogate_many([x], x_k, array, ranges)[0])
 
 
 def _sfp_step_core_nd(x: list[float], ys, r: list[float], n: int) -> list[float]:

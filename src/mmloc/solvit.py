@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SensorSingularityError, SingularSystemError
-from .objective import _dists, _f_pairs, _rd_inputs, _sum
+from .objective import _as_points, _dists, _f_pairs, _rd_inputs, _sum
 from .scenario import (RangeDiffSet, _as_count, _as_real, _unit_vectors, _write_table,
                        as_position)
 
@@ -160,7 +160,7 @@ def surrogate_g_many(X, x_k, array, rd: RangeDiffSet) -> np.ndarray:
     """
     coords, _, pairs = _rd_inputs(array, rd)
     rho, w = _unit_vectors(as_position(x_k, coords.shape[1]), coords)
-    pts = np.atleast_2d(np.asarray(X, dtype=float))
+    pts = _as_points(X)
     out = np.zeros(pts.shape[0])
     for i, j, r in pairs:
         yi = coords[i]; yj = coords[j]
@@ -178,7 +178,7 @@ def surrogate_g_many(X, x_k, array, rd: RangeDiffSet) -> np.ndarray:
 
 def surrogate_g(x, x_k, array, rd: RangeDiffSet) -> float:
     """Quadratic bound around x_k at a single point (see surrogate_g_many)."""
-    return float(surrogate_g_many(np.asarray(x, dtype=float)[None, :], x_k, array, rd)[0])
+    return float(surrogate_g_many([x], x_k, array, rd)[0])
 
 
 # ---------------------------------------------------------------------------

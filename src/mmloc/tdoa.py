@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import (RangeDiffSet, _as_count, _as_real, _check_keys, _read_json, _write_table,
-                       as_position, oriented_rangediffs, sensor_coords, unordered_pairs)
+from .scenario import (RangeDiffSet, _as_count, _as_real, _as_reals, _check_keys, _parse,
+                       _read_json, _write_table, as_position, oriented_rangediffs, sensor_coords,
+                       unordered_pairs)
 
 # fixture defaults for the anechoic microphone experiment
 TONE_F0 = 250.0          # [Hz]
@@ -53,13 +54,11 @@ class SignalRecord:
     fs: float  # [Hz]
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float).reshape(-1)
+        # flatten: a flat copy, stored read-only
+        s = _as_reals("samples", self.samples, "signal samples must be finite").flatten()
         if s.size < 2:
             raise ValueError("signal must have at least 2 samples")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("signal samples must be finite")
         _as_real("fs", self.fs, 0)
-        s = s.copy()
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
         object.__setattr__(self, "fs", float(self.fs))
@@ -151,7 +150,8 @@ def delays_to_rangediffs(delays, c: float) -> RangeDiffSet:
         key = (min(i, j), max(i, j))
         if key in diffs:
             raise ValueError(f"pair {{{i},{j}}} supplied twice")
-        diffs[key] = c * (float(tau) if i < j else -float(tau))
+        tau = float(_as_real(f"delay {(i, j)}", tau))
+        diffs[key] = c * (tau if i < j else -tau)
     m = max(j for _, j in diffs)
     for pair in unordered_pairs(m):
         if pair not in diffs:
@@ -234,7 +234,7 @@ def read_signals_csv(path) -> list[SignalRecord]:
         header = fh.readline().strip()
         if not header.startswith("# fs="):
             raise ValueError("missing '# fs=<Hz>' header line")
-        fs = float(header[len("# fs="):])
+        fs = _parse(1, "fs", float, header[len("# fs="):])
         lines = [line for line in fh if line.strip()]
     if not lines:
         raise ValueError("no samples in signal CSV")

@@ -1,12 +1,31 @@
 """Bad input fails loudly at the boundary, never as a NaN estimate.
 
-Positions and ranges are checked for size and finiteness on Python floats
-(as_position and objective._check_ranges); these tests hold every entry
-point that takes them to those messages, for each non-finite value.  Each
-scalar cost, surrogate, step and solve reaches its measurement check through
-one helper per measurement kind (objective._range_inputs, _rd_inputs), so
-all of them check the sensors, then the measurements, then the position.
-Each scalar real input goes through scenario._as_real, which names its field.
+Each scalar real input goes through scenario._as_real, which names its
+field, and each array of real numbers through scenario._as_reals, which
+applies _as_real's rule to every entry.  A numpy array of integers or floats
+passes by its dtype; a list (or an array of another dtype) is checked entry by
+entry.  An entry that is text, a bool, None or another non-number is a
+TypeError "<field> must be real number, not <type>", and an int beyond the
+float range a ValueError "<field> is beyond the float range".  The fields
+are position (as_position), sensors (SensorArray, sensor_coords), ranges
+(objective._check_ranges, _rangediff_rows, rangediffs_from_ranges,
+write_ranges_csv), diffs (oriented_rangediffs), values (RangeDiffSet),
+samples (SignalRecord) and points (the evaluation points of the *_many
+costs and surrogates); a delay of delays_to_rangediffs is named by its
+pair.  Then a non-finite entry is a ValueError with the field's message:
+"position coordinates must be finite", "sensor coordinates must be finite",
+"ranges must be finite", "range differences must be finite" (the ranges of
+a range-difference set, diffs, values and delays), "signal samples must be
+finite" or "points must be finite".  ARRAY_ENTRIES drives every entry with
+each bad input of BAD_ARRAYS (a text array, a bool array, a numeric string
+among numbers, a bool among numbers, a None entry, a NaN).
+
+Positions and ranges are checked for size and finiteness on Python floats;
+these tests hold every entry point that takes them to those messages, for
+each non-finite value.  Each scalar cost, surrogate, step and solve reaches
+its measurement check through one helper per measurement kind
+(objective._range_inputs, _rd_inputs), so all of them check the sensors,
+then the measurements, then the position.
 """
 
 import json
@@ -15,18 +34,18 @@ import math
 import numpy as np
 import pytest
 
-from mmloc import (ExperimentConfig, NoiseModel, SensorArray, SignalRecord, SolverConfig,
-                   bandpass, bound_quantities, circular_array, delays_to_rangediffs,
-                   estimate_rangediffs, f_rdls, f_rdls_many, f_rls, f_rls_many, grad_fd,
-                   hyperbola_points, load_scenario, random_array, range_variance,
-                   rangediffs_from_ranges, read_rangediffs_csv, read_ranges_csv, read_rmse_csv,
-                   read_signals_raw, sfp_solve, sfp_step, sfp_surrogate, snr_to_sigma2,
-                   solvit_solve, solvit_step, surrogate_g, tone_burst_signals, true_ranges,
-                   write_signals_csv)
+from mmloc import (ExperimentConfig, NoiseModel, RangeDiffSet, SensorArray, SignalRecord,
+                   SolverConfig, bandpass, bound_quantities, circular_array,
+                   delays_to_rangediffs, estimate_rangediffs, f_rdls, f_rdls_many, f_rls,
+                   f_rls_many, grad_fd, hyperbola_points, load_scenario, random_array,
+                   range_variance, rangediffs_from_ranges, read_rangediffs_csv, read_ranges_csv,
+                   read_rmse_csv, read_signals_csv, read_signals_raw, sfp_solve, sfp_step,
+                   sfp_surrogate, snr_to_sigma2, solvit_solve, solvit_step, surrogate_g,
+                   tone_burst_signals, true_ranges, write_ranges_csv, write_signals_csv)
 from mmloc.cli import main
 from mmloc.harness import solve_one
 from mmloc.objective import _f_pairs, _f_ranges
-from mmloc.scenario import as_position, oriented_rangediffs
+from mmloc.scenario import _rangediff_rows, as_position, oriented_rangediffs
 from mmloc.sfp import sfp_surrogate_many
 from mmloc.solvit import surrogate_g_many
 from mmloc.tdoa import ANECHOIC_MICROPHONES
@@ -264,7 +283,10 @@ INPUT_CASES = {
     "one channel to correlate": (lambda tmp: estimate_rangediffs(TWO_CHANNELS[:1]),
                                  "need at least 2 channels"),
     "1-D sensor array": (lambda tmp: SensorArray([0.0, 1.0, 2.0]),
-                         "sensors must be a 2-D array of shape (m, n)"),
+                         "need at least 2 sensors, got 1"),
+    "sensor array of four coordinates a row": (
+        lambda tmp: SensorArray([[0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0]]),
+        "sensor coordinates must have shape (m, 2) or (m, 3), got (2, 4)"),
     "4-D random array": (lambda tmp: random_array(4, -1.0, 1.0, n=4), "n must be 2 or 3"),
     "one range": (lambda tmp: rangediffs_from_ranges([1.0]), "need at least 2 ranges"),
     "five differences for four sensors": (lambda tmp: oriented_rangediffs([1.0] * 5, 4),
@@ -281,6 +303,9 @@ INPUT_CASES = {
     "non-numeric sensor index in a range-difference CSV": (
         lambda tmp: read_rangediffs_csv(written(tmp / "rd.csv", "i,j,r_ij\n1,x,3.0\n")),
         "line 2, column 'j': invalid literal for int() with base 10: 'x'"),
+    "non-numeric fs header of a signal CSV": (
+        lambda tmp: read_signals_csv(written(tmp / "s.csv", "# fs=abc\n1.0,2.0\n3.0,4.0\n")),
+        "line 1, column 'fs': could not convert string to float: 'abc'"),
     "negative rmse in an RMSE CSV": (
         lambda tmp: read_rmse_csv(written(tmp / "r.csv", RMSE_HEADER + "0.0,-0.5,0.25,0\n")),
         "rmse must be >= 0"),
@@ -316,4 +341,186 @@ def test_bench_refuses_a_trace_only_init_and_writes_nothing(tmp_path, capsys):
         {"scenario": CIRCLE, "snr_grid": [0.0], "trials": 2, "init": "both"}))
     assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "rmse.csv")]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: init 'both' not valid here"]
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def with_first(template, value):
+    """template as nested lists, its first number replaced by value."""
+    out = np.asarray(template, dtype=float).tolist()
+    inner = out
+    while isinstance(inner[0], list):
+        inner = inner[0]
+    inner[0] = value
+    return out
+
+
+# the bad inputs every array entry is driven with: (a maker of the bad input
+# from the entry's good template, the type its entries are refused as, or None for
+# the finiteness refusal)
+BAD_ARRAYS = {
+    "text array": (lambda t: np.asarray(t, dtype=float).astype(str), "str"),
+    "bool array": (lambda t: np.asarray(t, dtype=float).astype(bool), "bool"),
+    "numeric string among numbers": (lambda t: with_first(t, "1"), "str"),
+    "bool among numbers": (lambda t: with_first(t, True), "bool"),
+    "None entry": (lambda t: with_first(t, None), "NoneType"),
+    "NaN entry": (lambda t: with_first(t, math.nan), None),
+}
+
+TRIANGLE = [[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]]
+POINTS = [[1.0, 2.0], [3.0, -4.0]]
+FOUR_RANGES = [5.0, 6.0, 7.0, 8.0]
+FOUR_SET = rangediffs_from_ranges(FOUR_RANGES)
+
+
+def config_with(**scenario):
+    return ExperimentConfig(scenario={"sensors": TRIANGLE, "source": [1.0, 2.0], **scenario},
+                            snr_grid=[0.0], trials=2)
+
+
+# entry -> (good template, call of the entry on a value and a scratch directory,
+# the field its refusals name, its non-finite message): every array of real
+# numbers goes through scenario._as_reals
+ARRAY_ENTRIES = {
+    "as_position": ([1.0, 2.0], lambda v, tmp: as_position(v, 2),
+                    "position", "position coordinates must be finite"),
+    "solver start": ([1.0, 2.0], lambda v, tmp: solvit_solve(v, FOUR, FOUR_SET),
+                     "position", "position coordinates must be finite"),
+    "config source": ([1.0, 2.0], lambda v, tmp: config_with(source=v),
+                      "position", "position coordinates must be finite"),
+    "config init_point": ([1.0, 2.0], lambda v, tmp: ExperimentConfig(
+        scenario=CIRCLE, snr_grid=[0.0], trials=2, init="fixed", init_point=v),
+        "position", "position coordinates must be finite"),
+    "SensorArray": (TRIANGLE, lambda v, tmp: SensorArray(v),
+                    "sensors", "sensor coordinates must be finite"),
+    "sensor_coords": (TRIANGLE, lambda v, tmp: f_rls([1.0, 2.0], v, [1.0, 2.0, 3.0]),
+                      "sensors", "sensor coordinates must be finite"),
+    "config sensors": (TRIANGLE, lambda v, tmp: config_with(sensors=v),
+                       "sensors", "sensor coordinates must be finite"),
+    "_check_ranges": (FOUR_RANGES, lambda v, tmp: f_rls([1.0, 2.0], FOUR, v),
+                      "ranges", "ranges must be finite"),
+    "sfp_solve ranges": (FOUR_RANGES, lambda v, tmp: sfp_solve(None, FOUR, v),
+                         "ranges", "ranges must be finite"),
+    "_rangediff_rows": ([FOUR_RANGES], lambda v, tmp: _rangediff_rows(v),
+                        "ranges", "range differences must be finite"),
+    "rangediffs_from_ranges": (FOUR_RANGES, lambda v, tmp: rangediffs_from_ranges(v),
+                               "ranges", "range differences must be finite"),
+    "oriented_rangediffs": ([1.0, 2.0, 3.0, 1.0, 2.0, 1.0],
+                            lambda v, tmp: oriented_rangediffs(v, 4),
+                            "diffs", "range differences must be finite"),
+    "RangeDiffSet values": ([0.5, 0.2, 0.1], lambda v, tmp: RangeDiffSet([1, 1, 2], [2, 3, 3],
+                                                                         v, 3),
+                            "values", "range differences must be finite"),
+    "SignalRecord samples": ([0.0, 1.0, 0.5, -1.0], lambda v, tmp: SignalRecord(v, 100.0),
+                             "samples", "signal samples must be finite"),
+    "write_ranges_csv": (FOUR_RANGES, lambda v, tmp: write_ranges_csv(tmp / "r.csv", v),
+                         "ranges", "ranges must be finite"),
+    "f_rls_many points": (POINTS, lambda v, tmp: f_rls_many(v, FOUR, FOUR_RANGES),
+                          "points", "points must be finite"),
+    "f_rdls_many points": (POINTS, lambda v, tmp: f_rdls_many(v, FOUR, FOUR_SET),
+                           "points", "points must be finite"),
+    "sfp_surrogate_many points": (
+        POINTS, lambda v, tmp: sfp_surrogate_many(v, [1.0, 1.0], FOUR, FOUR_RANGES),
+        "points", "points must be finite"),
+    "surrogate_g_many points": (
+        POINTS, lambda v, tmp: surrogate_g_many(v, [1.0, 1.0], FOUR, FOUR_SET),
+        "points", "points must be finite"),
+    "sfp_surrogate point": ([1.0, 2.0], lambda v, tmp: sfp_surrogate(v, [1.0, 1.0], FOUR,
+                                                                     FOUR_RANGES),
+                            "points", "points must be finite"),
+    "surrogate_g point": ([1.0, 2.0], lambda v, tmp: surrogate_g(v, [1.0, 1.0], FOUR, FOUR_SET),
+                          "points", "points must be finite"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_ARRAYS)
+@pytest.mark.parametrize("entry", ARRAY_ENTRIES)
+def test_array_entry_refuses_by_its_field(entry, bad, tmp_path):
+    """Each bad input gets one error, and it names the field."""
+    template, call, name, finite = ARRAY_ENTRIES[entry]
+    make, kind = BAD_ARRAYS[bad]
+    good, refused = tmp_path / "good", tmp_path / "refused"
+    good.mkdir(), refused.mkdir()
+    call(template, good)  # the template itself passes
+    error = ValueError if kind is None else TypeError
+    with pytest.raises(error) as exc:
+        call(make(template), refused)
+    assert type(exc.value) is error
+    assert str(exc.value) == (finite if kind is None else f"{name} must be real number, not {kind}")
+    assert not any(refused.iterdir())
+
+
+# each delay goes through scenario._as_real, named by its pair
+DELAY_CASES = {
+    "numeric string delay": ({(1, 2): 1e-3, (1, 3): "0.002", (2, 3): 0.0},
+                             TypeError, "delay (1, 3) must be real number, not str"),
+    "bool delay": ({(1, 2): 1e-3, (3, 1): True, (2, 3): 0.0},
+                   TypeError, "delay (3, 1) must be real number, not bool"),
+    "null delay": ({(1, 2): None, (1, 3): 1e-3, (2, 3): 0.0},
+                   TypeError, "delay (1, 2) must be real number, not NoneType"),
+    "huge int delay": ({(1, 2): 1e-3, (1, 3): 10**400, (2, 3): 0.0},
+                       ValueError, "delay (1, 3) is beyond the float range"),
+    "NaN delay": ({(1, 2): 1e-3, (1, 3): math.nan, (2, 3): 0.0},
+                  ValueError, "range differences must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", DELAY_CASES)
+def test_bad_delay_is_refused_by_its_pair(case):
+    delays, error, message = DELAY_CASES[case]
+    with pytest.raises(error) as exc:
+        delays_to_rangediffs(delays, 340.0)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_delays_keep_their_values():
+    rd = delays_to_rangediffs({(1, 2): 1e-3, (3, 1): np.float32(2e-3), (2, 3): -1}, 340.0)
+    assert list(rd.entries()) == [(1, 2, 340.0 * 1e-3), (3, 1, 340.0 * float(np.float32(2e-3))),
+                                  (3, 2, 340.0)]
+
+
+# (call, error, message): each input ran as numbers, or failed naming no field,
+# before every array went through scenario._as_reals
+NUMBERS_OF_TEXT = {
+    "config of numeric string coordinates": (
+        lambda: ExperimentConfig(scenario={"sensors": [["0", "0"], ["10", "0"], ["0", "10"]],
+                                           "source": ["1", "2"]}, snr_grid=[0.0], trials=2),
+        TypeError, "sensors must be real number, not str"),
+    "config of a numeric string source": (
+        lambda: ExperimentConfig(scenario={"sensors": TRIANGLE, "source": ["1", "2"]},
+                                 snr_grid=[0.0], trials=2),
+        TypeError, "position must be real number, not str"),
+    "sensors of strings and a bool": (
+        lambda: SensorArray([["0", "0"], ["10", "0"], [True, "5"]]),
+        TypeError, "sensors must be real number, not str"),
+    "ranges of strings and a bool": (
+        lambda: f_rls([1.0, 2.0], circular_array(4, 10.0), ["5", "6", "7", True]),
+        TypeError, "ranges must be real number, not str"),
+    "range differences of a string and a bool": (
+        lambda: RangeDiffSet([1, 1, 2], [2, 3, 3], ["0.5", True, 0.1], 3),
+        TypeError, "values must be real number, not str"),
+    "delays of a string and a bool": (
+        lambda: delays_to_rangediffs({(1, 2): "0.001", (1, 3): True, (2, 3): 0.0}, 340.0),
+        TypeError, "delay (1, 2) must be real number, not str"),
+    "a NaN evaluation point": (
+        lambda: f_rdls_many([[math.nan, 1.0]], circular_array(4, 10.0),
+                            rangediffs_from_ranges(FOUR_RANGES)),
+        ValueError, "points must be finite"),
+    "text sensors": (lambda: SensorArray("abc"), TypeError,
+                     "sensors must be real number, not str"),
+}
+
+
+@pytest.mark.parametrize("case", NUMBERS_OF_TEXT)
+def test_input_once_read_as_numbers_is_refused(case):
+    call, error, message = NUMBERS_OF_TEXT[case]
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_bench_refuses_text_sensors_in_one_line(tmp_path, capsys):
+    cfg = written(tmp_path / "cfg.json", json.dumps(
+        {"scenario": {"sensors": "abc", "source": [1.0, 2.0]}, "snr_grid": [0.0], "trials": 2}))
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "rmse.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: sensors must be real number, not str"]
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]

@@ -1,9 +1,13 @@
-"""Command-line interface, exercised in-process through main(argv)."""
+"""Command-line interface, exercised in-process through main(argv); one test
+runs `python -m mmloc` as a child process, so that it can be given a stdin."""
 
 import json
+import os
 import runpy
+import subprocess
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -420,6 +424,22 @@ class TestModuleEntry:
         assert (code, out) == (2, "")
         assert err.splitlines() == [f"error: {message}"]
         assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+    def test_config_scenario_file_of_a_number_reads_no_stdin(self, tmp_path):
+        """{"file": 0} would open file descriptor 0: with a valid scenario on
+        stdin, `python -m mmloc bench` still refuses it in one line."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": {"file": 0}, "snr_grid": [0.0], "trials": 2}))
+        scen = {"n": 2, "sensors": [[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]], "source": [1.0, 2.0],
+                "noise": {"sigma2": 0.0, "f0": 1000.0, "c": 340.0}, "seed": None}
+        src = Path(__file__).resolve().parents[1] / "src"
+        run = subprocess.run([sys.executable, "-m", "mmloc", "bench", "--config", str(cfg),
+                              "--out", str(tmp_path / "rmse.csv")],
+                             input=json.dumps(scen), capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr.splitlines() == ["error: file must be a string, not int"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 class TestErrorReporting:

@@ -287,7 +287,23 @@ class TestConfig:
                                   "position coordinates must be finite"),
         "non-numeric init_point": ("config", lambda d: d.update(init="fixed",
                                                                 init_point=["one", 2.0]),
-                                   "could not convert string to float: 'one'"),
+                                   "position must be real number, not str"),
+        "text sensors": ("config", lambda d: d["scenario"].update(sensors="abc"),
+                         "sensors must be real number, not str"),
+        "numeric string coordinates": ("config", lambda d: d["scenario"].update(
+            sensors=[["0", "0"], ["10", "0"], ["0", "10"]]), "sensors must be real number, not str"),
+        "numeric string source": ("config", lambda d: d["scenario"].update(source=["1", "2"]),
+                                  "position must be real number, not str"),
+        "bool coordinate in the scenario file": (
+            "scenario file", lambda d: d["sensors"][0].__setitem__(0, True),
+            "sensors must be real number, not bool"),
+        "numeric string source in the scenario file": (
+            "scenario file", lambda d: d.update(source=["1.0", "5.0"]),
+            "position must be real number, not str"),
+        "scenario file of a number": ("config", lambda d: d.update(scenario={"file": 0}),
+                                      "file must be a string, not int"),
+        "scenario file of a list": ("config", lambda d: d.update(scenario={"file": ["s.json"]}),
+                                    "file must be a string, not list"),
         "init_point with another init": ("config", lambda d: d.update(init_point=[1.0, 2.0]),
                                          "init_point is used only with init 'fixed'"),
         "init both with a grid": ("config", lambda d: d.update(init="both"),

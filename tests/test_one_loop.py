@@ -9,7 +9,8 @@ are written twice, in _mm_loop and in the one template of the generated
 loops (solvit._STOP_RULE); the source is checked for where the
 zero-objective stop is tested, where source is compiled, where a trace is
 built and where a singular step is caught, since a second loop (an
-accelerated one, say) would need each of its own.  The loop builds a trace
+accelerated one, say) would need each of its own; one AST walk (sites)
+serves the four checks, each with its own match rule.  The loop builds a trace
 only when the caller asks, and asking changes nothing else.  The planar
 sweeps of the criterion-7 config take every iteration in the generated
 loops.
@@ -31,26 +32,47 @@ from conftest import criterion_7_config, ending_cases, make_instance, make_range
 SRC = Path(__file__).resolve().parents[1] / "src" / "mmloc"
 
 
+def sites(source, name, match):
+    """name:label of each node of source that match(node, func, assigned)
+    labels, in walk order; match returns a label, or None to pass the node.
+    func is the innermost enclosing function (None at module level), and
+    assigned the name a module-level assignment around the node binds (else
+    None).  Docstrings and other bare constants are not walked."""
+    found = []
+
+    def visit(node, func, assigned):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name, None)
+                continue
+            if isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant):
+                continue  # a docstring
+            here = assigned
+            if func is None and isinstance(child, ast.Assign):
+                here = getattr(child.targets[0], "id", None)
+            label = match(child, func, here)
+            if label is not None:
+                found.append(f"{name}:{label}")
+            visit(child, func, here)
+
+    visit(ast.parse(source, name), None, None)
+    return found
+
+
+def named(node):
+    """The name node refers to, bare or as an attribute (None for another node)."""
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
 def trace_builders(source, name="<source>"):
     """file:function of each call to SolveTrace (by name or as an attribute),
     named by the innermost enclosing function (None at module level)."""
-    sites = []
+    def match(node, func, _):
+        if isinstance(node, ast.Call) and named(node.func) == "SolveTrace":
+            return f"{func}"
+        return None
 
-    def visit(node, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.Call):
-                callee = child.func
-                called = callee.attr if isinstance(callee, ast.Attribute) else getattr(
-                    callee, "id", None)
-                if called == "SolveTrace":
-                    sites.append(f"{name}:{func}")
-            visit(child, func)
-
-    visit(ast.parse(source, name), None)
-    return sites
+    return sites(source, name, match)
 
 
 def test_checker_sees_every_site():
@@ -77,26 +99,18 @@ def singular_catches(source, name="<source>"):
     SensorSingularityError (by name or as an attribute, alone or in a
     tuple), named by the innermost enclosing function (None at module level)."""
     errors = ("SingularSystemError", "SensorSingularityError")
-    sites = []
 
-    def named(node):
+    def caught(node):
         if isinstance(node, ast.Tuple):
-            return any(named(e) for e in node.elts)
-        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-        return name in errors
+            return any(caught(e) for e in node.elts)
+        return named(node) in errors
 
-    def visit(node, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.ExceptHandler) and child.type is not None and named(
-                    child.type):
-                sites.append(f"{name}:{func}")
-            visit(child, func)
+    def match(node, func, _):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None and caught(node.type):
+            return f"{func}"
+        return None
 
-    visit(ast.parse(source, name), None)
-    return sites
+    return sites(source, name, match)
 
 
 def test_singular_checker_sees_every_site():
@@ -136,20 +150,13 @@ def test_only_mm_loop_catches_a_singular_step():
 def source_compiles(source, name="<source>"):
     """file:function:builtin of each call to exec, eval or compile by name,
     named by the innermost enclosing function (None at module level)."""
-    sites = []
+    def match(node, func, _):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("exec", "eval", "compile")):
+            return f"{func}:{node.func.id}"
+        return None
 
-    def visit(node, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id in ("exec", "eval", "compile")):
-                sites.append(f"{name}:{func}:{child.func.id}")
-            visit(child, func)
-
-    visit(ast.parse(source, name), None)
-    return sites
+    return sites(source, name, match)
 
 
 def test_compile_checker_sees_every_site():
@@ -176,33 +183,19 @@ def test_only_the_planar_builder_compiles_source():
 
 
 def zero_objective_tests(source, name="<source>"):
-    """file:place of each comparison with _ZERO_OBJECTIVE, named by the
-    innermost enclosing function, and of each string other than a docstring
-    or the bare name that names it (source a template compiles), named by
-    the module-level name it is assigned to."""
-    sites = []
+    """file:place of each comparison with _ZERO_OBJECTIVE, and of each string
+    other than a docstring or the bare name that names it (source a template
+    compiles): the place is the innermost enclosing function, or at module
+    level the name the assignment around it binds."""
+    def match(node, func, assigned):
+        compared = isinstance(node, ast.Compare) and any(
+            isinstance(op, ast.Name) and op.id == "_ZERO_OBJECTIVE"
+            for op in (node.left, *node.comparators))
+        quoted = (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value != "_ZERO_OBJECTIVE" and "_ZERO_OBJECTIVE" in node.value)
+        return f"{func if func is not None else assigned}" if compared or quoted else None
 
-    def visit(node, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant):
-                continue  # a docstring
-            place = func
-            if func is None and isinstance(child, ast.Assign):
-                place = getattr(child.targets[0], "id", None)
-            if isinstance(child, ast.Compare) and any(
-                    isinstance(op, ast.Name) and op.id == "_ZERO_OBJECTIVE"
-                    for op in (child.left, *child.comparators)):
-                sites.append(f"{name}:{func}")
-            if (isinstance(child, ast.Constant) and isinstance(child.value, str)
-                    and child.value != "_ZERO_OBJECTIVE" and "_ZERO_OBJECTIVE" in child.value):
-                sites.append(f"{name}:{place}")
-            visit(child, place)
-
-    visit(ast.parse(source, name), None)
-    return sites
+    return sites(source, name, match)
 
 
 def test_zero_objective_checker_sees_every_site():
