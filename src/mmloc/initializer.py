@@ -76,20 +76,17 @@ def _exit_z(center, along, across, bound) -> np.ndarray:
 
 def _arcs(yi, yj, foc, r, bound):
     """The branches ||x - y_i|| - ||x - y_j|| = r, one per row (yi, yj:
-    (B, 2); foc = ||y_j - y_i|| and r: (B,)), as (arcs, kept): arcs holds
-    (center, u, a, b, t_lo, t_hi) in 8 columns for the rows kept, whose
-    indices kept lists in order.
+    (B, 2); foc = ||y_j - y_i|| and r: (B,), 0 <= r < foc), as (arcs, kept):
+    arcs holds (center, u, a, b, t_lo, t_hi) in 8 columns for the rows kept,
+    whose indices kept lists in order.
 
     Canonical form: center + a*cosh(t)*u + b*sinh(t)*p with a = r/2,
     b^2 = (foc/2)^2 - a^2, u the unit vector from y_i to y_j, p = (-u_1, u_0).
     [-t_lo, t_hi] is the largest interval around the vertex (t = 0) inside
     ||x||_inf <= bound (_exit_z; infinite if the box overflows floats).  A
-    row has no arc when r >= foc (r == foc is a ray) or when its vertex lies
-    outside the box.  The arithmetic is the scalar formulas' per element;
-    the angles take math.log per row.
+    row has no arc when its vertex lies outside the box.  The arithmetic is
+    the scalar formulas' per element; the angles take math.log per row.
     """
-    kept = np.flatnonzero(r < foc)
-    yi, yj, foc, r = yi[kept], yj[kept], foc[kept], r[kept]
     a = r / 2.0
     c = foc / 2.0
     b = np.sqrt(c * c - a * a)
@@ -98,9 +95,8 @@ def _arcs(yi, yj, foc, r, bound):
     along = a[:, None] * u
     across = b[:, None] * np.stack([-u[:, 1], u[:, 0]], axis=1)
     vertex = center + along
-    inside = ~(np.maximum(np.abs(vertex[:, 0]), np.abs(vertex[:, 1])) > bound)
-    kept, center, u, a, b, along, across = (
-        v[inside] for v in (kept, center, u, a, b, along, across))
+    kept = np.flatnonzero(~(np.maximum(np.abs(vertex[:, 0]), np.abs(vertex[:, 1])) > bound))
+    center, u, a, b, along, across = (v[kept] for v in (center, u, a, b, along, across))
     t_lo, t_hi = ([math.log(z) for z in zs]
                   for zs in _exit_z(center, along, np.stack([-across, across]), bound).tolist())
     return np.column_stack([center, u, a, b, t_lo, t_hi]), kept
@@ -137,7 +133,7 @@ def hyperbola_points(y_i, y_j, r_ij: float, l: int, coord_bound: float) -> np.nd
     _as_real("coord_bound", coord_bound, 0)
     if not _as_real("r_ij", r_ij) >= 0:  # NaN too
         raise ValueError("r_ij must be >= 0")
-    foc = float(np.linalg.norm(yj - yi))
+    foc = float(np.linalg.norm(yj - yi, axis=0))  # init_points' separation, bit for bit
     if r_ij == foc:
         raise RayMeasurementError(
             f"range difference {r_ij} equals the focal distance; the locus is a ray"
@@ -214,7 +210,7 @@ def init_points(array, rds, seeds, cfg: InitConfig | None = None) -> np.ndarray:
         I = np.stack([rd.i for rd in rds]) - 1
         J = np.stack([rd.j for rd in rds]) - 1
         V = np.stack([rd.values for rd in rds])
-        # separations as the feasibility filter takes them (row-wise norms)
+        # the one separation: the feasibility filter's and the arcs' focal distance
         sep = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
         feasible = V < sep[I, J]
         counts = feasible.sum(axis=1).tolist()
@@ -224,15 +220,8 @@ def init_points(array, rds, seeds, cfg: InitConfig | None = None) -> np.ndarray:
         # each candidate row's pick is its draw-th feasible pair
         k = np.argmax(np.cumsum(feasible[cand], axis=1) > np.array(draw)[:, None], axis=1)
         i, j = I[cand, k], J[cand, k]
-        # focal distances as hyperbola_points takes them (vector norms); a
-        # value within rounding of the separation can pass the row-wise-norm
-        # filter yet be a ray here, and a tight user-supplied box can exclude
-        # the branch vertex: both rows take the grid
-        pairs = list(zip(i.tolist(), j.tolist()))
-        foc = {pair: float(np.linalg.norm(coords[pair[1]] - coords[pair[0]]))
-               for pair in set(pairs)}
-        arcs, kept = _arcs(coords[i], coords[j], np.array([foc[p] for p in pairs]),
-                           V[cand, k], bound)
+        # a tight user-supplied box can exclude the branch vertex: such a row takes the grid
+        arcs, kept = _arcs(coords[i], coords[j], sep[i, j], V[cand, k], bound)
         rows = cand[kept]
     fallback = np.ones(len(rds), dtype=bool)
     fallback[rows] = False

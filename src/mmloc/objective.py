@@ -4,10 +4,16 @@ f_rls(x)  = sum_i (r_i - ||x - y_i||)^2
 f_rdls(x) = sum over stored pairs of (r_ij - (||x - y_i|| - ||x - y_j||))^2
 
 Both are nonnegative, nonconvex, and non-smooth exactly at the sensor
-positions.  One distance (_dists: the sqrt of the squared coordinate
-differences added in coordinate order) and one summation order (entry
-order, from 0.0) serve every cost and MM step, so the *_many variants, which
-evaluate a batch of points with numpy, equal f_rls and f_rdls bit for bit.
+positions.  One summation order (entry order, from 0.0) serves every cost
+and MM step, and one distance every Euclidean distance in the package: the
+sqrt of the squared coordinate differences added in coordinate order
+(_dists, or np.linalg.norm with axis).  The costs, the MM steps, the
+initializer's sensor separations and focal distances, SensorArray's
+coincidence check and grad_fd's default step all take it; a norm without
+axis, the sqrt of a BLAS dot, would round by the BLAS kernel that loads.
+So the *_many variants, which evaluate a batch of points with numpy, equal
+f_rls and f_rdls bit for bit, and a start's feasibility filter and its arc
+read one separation.
 """
 
 from __future__ import annotations
@@ -29,9 +35,13 @@ def _check_ranges(ranges, m: int) -> np.ndarray:
     return r
 
 
-def _as_points(X) -> np.ndarray:
-    """Evaluation points as a (B, n) float array, by _as_reals: finite, named "points"."""
-    return _as_reals("points", X, "points must be finite", np.atleast_2d)
+def _as_points(X, n: int) -> np.ndarray:
+    """Evaluation points as a (B, n) float array, by _as_reals: finite, then of
+    the array's dimension n, named "points"."""
+    pts = _as_reals("points", X, "points must be finite", np.atleast_2d)
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise ValueError(f"points have shape {pts.shape}, expected (B, {n})")
+    return pts
 
 
 def _check_rd(rd: RangeDiffSet, m: int) -> None:
@@ -117,7 +127,7 @@ def f_rdls(x, array, rd: RangeDiffSet) -> float:
 def f_rls_many(X, array, ranges) -> np.ndarray:
     """f_rls evaluated at each row of X, shape (B, n) -> (B,)."""
     coords = sensor_coords(array)
-    pts = _as_points(X)
+    pts = _as_points(X, coords.shape[1])
     r = _check_ranges(ranges, coords.shape[0])
     res = r[:, None] - np.linalg.norm(pts[None, :, :] - coords[:, None, :], axis=2)
     return _sum(res * res)
@@ -139,7 +149,7 @@ def _rd_costs(pts, coords, i0, j0, values) -> np.ndarray:
 def f_rdls_many(X, array, rd: RangeDiffSet) -> np.ndarray:
     """f_rdls evaluated at each row of X, shape (B, n) -> (B,)."""
     coords = sensor_coords(array)
-    pts = _as_points(X)
+    pts = _as_points(X, coords.shape[1])
     _check_rd(rd, coords.shape[0])
     return _rd_costs(pts[None], coords, (rd.i - 1)[None], (rd.j - 1)[None],
                      rd.values[None])[0]
@@ -162,7 +172,7 @@ def grad_fd(f, x, h: float | None = None, sensors=None) -> np.ndarray:
     """
     p = as_position(x)
     if h is None:
-        h = 1e-6 * (1.0 + float(np.linalg.norm(p)))
+        h = 1e-6 * (1.0 + float(np.linalg.norm(p, axis=0)))
     _as_real("h", h, 0)
     if sensors is not None:
         coords = sensor_coords(sensors)

@@ -136,7 +136,7 @@ class SensorArray:
         if m < 2:
             raise ValueError(f"need at least 2 sensors, got {m}")
         for i, j in unordered_pairs(m):
-            if np.linalg.norm(arr[i - 1] - arr[j - 1]) <= COINCIDENT_TOL:
+            if np.linalg.norm(arr[i - 1] - arr[j - 1], axis=0) <= COINCIDENT_TOL:
                 raise ValueError(f"sensors {i} and {j} coincide")
         arr.setflags(write=False)
         object.__setattr__(self, "sensors", arr)

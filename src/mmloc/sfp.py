@@ -18,11 +18,11 @@ by _sfp_kernel on solvit._planar_make (which describes it):
 _sfp_step_core_nd and objective._f_ranges unrolled into one pass over the
 sensors per iteration, whose norms give both the cost at x and the update
 from x, with the stop rule inline, compiled on the first solve with m
-sensors.  It must stay bit-identical to them: TestPlanarKernel in
-tests/test_sfp.py compares its traces with conftest.reference_iterate
-around those two kernels, and tests/test_solve_pins.py pins fixed solves.
-n == 3 takes every iteration in _mm_loop, which calls those two kernels
-itself.
+sensors.  It must stay bit-identical to them: from any iterate, each
+iteration it takes has the cost, the update and the stop that _mm_loop
+gives with those two kernels, so a solve's outcome and trace are the same
+bits whichever loop takes its iterations.  n == 3 takes every iteration in
+_mm_loop, which calls those two kernels itself.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def sfp_surrogate_many(X, x_k, array, ranges) -> np.ndarray:
     """Quadratic bound of f_rls around x_k at each row of X -> (B,)."""
     coords, _, r = _range_inputs(array, ranges)
     _, w = _unit_vectors(as_position(x_k, coords.shape[1]), coords)
-    pts = _as_points(X)
+    pts = _as_points(X, coords.shape[1])
     out = np.zeros(pts.shape[0])
     for k, rk in enumerate(r):
         d = pts - coords[k][None, :]

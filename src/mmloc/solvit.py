@@ -42,12 +42,11 @@ loop again.  _planar_make writes that loop and SFP's planar loop, each a
 while loop around straight-line source, and describes both; this one is
 compiled once per layout, keyed on m and the stored sequence of unordered
 pairs (_planar_kernel, a bounded cache).  It must stay bit-identical to the
-reference kernels: TestPlanarKernel in tests/test_solvit.py compares its
-traces with conftest.reference_iterate around _step_core_nd and _f_pairs,
-one step at a time (test_step_matches_generic_loop and the four tests after
-it) and over whole solves, and tests/test_solve_pins.py pins fixed solves,
-the 25 TDOA fixture solves among them.  tests/test_one_loop.py checks that
-every solve runs _mm_loop.  Acceptance criterion 11 times the planar loop.
+reference kernels: from any iterate, each iteration it takes has the cost,
+the update and the stop that _mm_loop gives with _f_pairs and _step_core_nd,
+so a solve's outcome and trace are the same bits whichever loop takes its
+iterations.  Every solve runs _mm_loop.  Acceptance criterion 11 times the
+planar loop.
 """
 
 from __future__ import annotations
@@ -160,7 +159,7 @@ def surrogate_g_many(X, x_k, array, rd: RangeDiffSet) -> np.ndarray:
     """
     coords, _, pairs = _rd_inputs(array, rd)
     rho, w = _unit_vectors(as_position(x_k, coords.shape[1]), coords)
-    pts = _as_points(X)
+    pts = _as_points(X, coords.shape[1])
     out = np.zeros(pts.shape[0])
     for i, j, r in pairs:
         yi = coords[i]; yj = coords[j]
@@ -405,9 +404,8 @@ def _planar_make(m, label, *, setup, sums, terms, tail, bound=()):
     iterations _mm_loop would take itself with the solver's reference cost
     and step on (ys, data), from the iterate (x0, x1) at iteration it, f_cur
     the cost before it (inf at the start), with the same floating-point
-    operations in the same order, so every trace is bit-identical; the
-    solver's tests compare the two (TestPlanarKernel in tests/test_solvit.py
-    and tests/test_sfp.py).  It appends each swept point and its cost to
+    operations in the same order, so every cost, update, stop and trace is
+    bit-identical to _mm_loop's.  It appends each swept point and its cost to
     points and objectives unless they are None.  It returns ((x0, x1), f,
     it, status) where the stop rule or max_iter ends the run, and the state
     an iteration started from with status None where that iteration cannot

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import (RangeDiffSet, _as_count, _as_real, _as_reals, _check_keys, _parse,
+from .scenario import (RangeDiffSet, _as_count, _as_int, _as_real, _as_reals, _check_keys, _parse,
                        _read_json, _write_table, as_position, oriented_rangediffs, sensor_coords,
                        unordered_pairs)
 
@@ -145,6 +145,8 @@ def delays_to_rangediffs(delays, c: float) -> RangeDiffSet:
         raise ValueError("empty delay mapping")
     diffs = {}  # (i, j) with i < j -> c * tau_ij
     for (i, j), tau in delays.items():
+        name = f"delay {(i, j)} index"
+        i, j = _as_int(name, i), _as_int(name, j)
         if i == j or i < 1 or j < 1:
             raise ValueError(f"bad pair indices ({i}, {j})")
         key = (min(i, j), max(i, j))

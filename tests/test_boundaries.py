@@ -18,7 +18,10 @@ pair.  Then a non-finite entry is a ValueError with the field's message:
 a range-difference set, diffs, values and delays), "signal samples must be
 finite" or "points must be finite".  ARRAY_ENTRIES drives every entry with
 each bad input of BAD_ARRAYS (a text array, a bool array, a numeric string
-among numbers, a bool among numbers, a None entry, a NaN).
+among numbers, a bool among numbers, a None entry, a NaN).  The points of a
+batch form must then have the array's dimension ("points have shape (1, 3),
+expected (B, 2)"), and each pair index of a delay is an integer by
+scenario._as_int ("delay (True, 2) index must be an integer, got True").
 
 Positions and ranges are checked for size and finiteness on Python floats;
 these tests hold every entry point that takes them to those messages, for
@@ -449,8 +452,29 @@ def test_array_entry_refuses_by_its_field(entry, bad, tmp_path):
     assert not any(refused.iterdir())
 
 
-# each delay goes through scenario._as_real, named by its pair
+BATCH_FORMS = ["f_rls_many points", "f_rdls_many points", "sfp_surrogate_many points",
+               "surrogate_g_many points"]
+
+
+@pytest.mark.parametrize("points", [[[1.0, 2.0, 3.0]], [[[1.0, 2.0]]]],
+                         ids=["3-D point", "3-D array"])
+@pytest.mark.parametrize("entry", BATCH_FORMS)
+def test_batch_points_of_another_dimension_are_refused(entry, points, tmp_path):
+    """A batch form takes points of the array's dimension, (B, 2) here."""
+    with pytest.raises(ValueError) as exc:
+        ARRAY_ENTRIES[entry][1](points, tmp_path)
+    assert str(exc.value) == f"points have shape {np.shape(points)}, expected (B, 2)"
+
+
+# each pair index goes through scenario._as_int and each delay through
+# scenario._as_real, named by its pair
 DELAY_CASES = {
+    "bool pair index": ({(True, 2): 1e-3},
+                        ValueError, "delay (True, 2) index must be an integer, got True"),
+    "numeric string pair index": ({("1", 2): 1e-3},
+                                  ValueError, "delay ('1', 2) index must be an integer, got '1'"),
+    "float pair index": ({(1.5, 2): 1e-3},
+                         ValueError, "delay (1.5, 2) index must be an integer, got 1.5"),
     "numeric string delay": ({(1, 2): 1e-3, (1, 3): "0.002", (2, 3): 0.0},
                              TypeError, "delay (1, 3) must be real number, not str"),
     "bool delay": ({(1, 2): 1e-3, (3, 1): True, (2, 3): 0.0},

@@ -166,20 +166,19 @@ class TestInitPoint:
         assert x0.shape == (2,)
 
     def test_separation_rounding_edge_falls_back_to_grid(self):
-        # a value equal to the sensor separation is a ray; the feasibility
-        # filter (row-wise norm) can put the separation one bit above
-        # hyperbola_points' focal distance (vector norm), and the start
-        # must then come from the grid instead of an exception
+        # a value equal to the sensor separation (the row-wise norm) is a
+        # ray and takes the grid; a value one bit below it, such as a BLAS
+        # dot's rounding of the same norm, takes an arc; neither raises
         rng = np.random.default_rng(5)
         for _ in range(1000):
             pair = rng.uniform(-50.0, 50.0, (2, 2))
             diff = pair[1] - pair[0]
-            foc = float(np.linalg.norm(diff))
+            dot = float(np.sqrt(diff @ diff))
             sep = float(np.linalg.norm(diff[None, :], axis=1)[0])
-            if sep > foc:
+            if sep > dot:
                 break
         array = SensorArray(pair)
-        for v in (foc, sep):
+        for v in (dot, sep):
             rd = RangeDiffSet(np.array([1]), np.array([2]), np.array([v]), 2)
             x0 = init_point(array, rd, InitConfig(grid_size=16, seed=0))
             assert x0.shape == (2,) and np.all(np.isfinite(x0))
@@ -281,25 +280,20 @@ class TestInitPoints:
                              grid_size=int(rng.integers(2, 200)))
 
     def test_fallback_rows(self, monkeypatch):
-        # no feasible pair, a vertex outside a tight box and a value one bit
-        # above the vector-norm focal distance each take the grid, among rows
-        # that do not
+        # no feasible pair, a vertex outside a tight box and a value equal to
+        # the separation (a ray) each take the grid, among rows that do not
         calls = []
         fallback = mmloc.initializer._grid_fallback
         monkeypatch.setattr(mmloc.initializer, "_grid_fallback",
                             lambda *a: calls.append(1) or fallback(*a))
         rng = np.random.default_rng(5)
-        for _ in range(1000):
-            pair = rng.uniform(-50.0, 50.0, (2, 2))
-            diff = pair[1] - pair[0]
-            foc = float(np.linalg.norm(diff))
-            if float(np.linalg.norm(diff[None, :], axis=1)[0]) > foc:
-                break
+        pair = rng.uniform(-50.0, 50.0, (2, 2))
+        sep = float(np.linalg.norm(pair[1] - pair[0], axis=0))
         array = SensorArray(pair)
         rds = [RangeDiffSet(np.array([1]), np.array([2]), np.array([v]), 2)
-               for v in (foc, 0.5 * foc, 2.0 * foc, 0.25 * foc)]
+               for v in (sep, 0.5 * sep, 2.0 * sep, 0.25 * sep)]
         self.assert_rows(array, rds, [0, 1, 2, 3], grid_size=16)
-        assert len(calls) == 2 * 2  # the rounding edge and the infeasible pair, twice
+        assert len(calls) == 2 * 2  # the ray and the infeasible pair, twice
         calls.clear()
         array, _, rd = make_instance(2, m=4, sigma2=1.0)
         self.assert_rows(array, [rd, rd], [0, 1], coord_bound=0.05)
@@ -366,10 +360,8 @@ def reference_exit_angle(center, along, across, bound):
 
 
 def reference_arc(yi, yj, foc, r, bound):
-    """One branch's (center, u, a, b, t_lo, t_hi) on Python floats, or None
-    where it has no arc in the box (a ray, r above foc, the vertex outside)."""
-    if r >= foc:
-        return None
+    """One branch's (center, u, a, b, t_lo, t_hi) on Python floats for
+    0 <= r < foc, or None where its vertex lies outside the box."""
     a, c = r / 2.0, foc / 2.0
     b = math.sqrt(c * c - a * a)
     center = [(yi[0] + yj[0]) / 2.0, (yi[1] + yj[1]) / 2.0]
@@ -383,15 +375,15 @@ def reference_arc(yi, yj, foc, r, bound):
 
 def reference_start(coords, rd, seed, l, bound):
     """One row's start the scalar way: the filter on row-wise norms, one
-    seeded pick, the arc on Python floats (focal distance as a vector norm),
-    its samples and their f_rdls, else the grid."""
+    seeded pick, the arc on Python floats (focal distance the same row-wise
+    norm), its samples and their f_rdls, else the grid."""
     sep = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2).tolist()
     il, jl, vl = rd.i.tolist(), rd.j.tolist(), rd.values.tolist()
     feasible = [k for k, v in enumerate(vl) if v < sep[il[k] - 1][jl[k] - 1]]
     if coords.shape[1] == 2 and feasible:
         k = feasible[int(np.random.default_rng(seed).integers(len(feasible)))]
         yi, yj = coords[il[k] - 1], coords[jl[k] - 1]
-        arc = reference_arc(yi.tolist(), yj.tolist(), float(np.linalg.norm(yj - yi)), vl[k], bound)
+        arc = reference_arc(yi.tolist(), yj.tolist(), sep[il[k] - 1][jl[k] - 1], vl[k], bound)
         if arc is not None:
             pts = mmloc.initializer._arc_samples(np.array([arc]), l, bound)[0]
             vals = f_rdls_many(pts, coords, rd)
@@ -406,22 +398,23 @@ class TestArcPass:
     """The array pass over rows keeps the scalar arc and start bit for bit."""
 
     def test_arcs_match_scalar_formulas(self):
-        # random foci and differences, rays, differences above the focal
-        # distance, tight boxes that exclude the vertex, and boxes too large
-        # for float arithmetic (infinite angles)
+        # random foci and differences below the focal distance (both callers
+        # refuse the rest), one bit below it, zero, tight boxes that exclude
+        # the vertex, and boxes too large for float arithmetic (infinite angles)
         rng = np.random.default_rng(31)
         for bound in (10.0, 30.0, 1e155, 1e300):
             yi, yj = rng.uniform(-20.0, 20.0, (2, 400, 2))
-            foc = np.array([float(np.linalg.norm(b - a)) for a, b in zip(yi, yj)])
+            foc = np.linalg.norm(yj - yi, axis=1)
             r = foc * rng.uniform(0.0, 1.0, 400)
-            r[::7] = foc[::7]
-            r[1::7] = 1.01 * foc[1::7]
+            r[::7] = np.nextafter(foc[::7], 0.0)
             r[2::7] = 0.0
             arcs, kept = mmloc.initializer._arcs(yi, yj, foc, r, bound)
             want = [reference_arc(a.tolist(), b.tolist(), f, v, bound)
                     for a, b, f, v in zip(yi, yj, foc.tolist(), r.tolist())]
             assert kept.tolist() == [k for k, w in enumerate(want) if w is not None]
-            assert 0 < len(kept) < 400
+            # each vertex lies between its foci: the 10 m box excludes some,
+            # the others none
+            assert 0 < len(kept) < 400 if bound == 10.0 else len(kept) == 400
             assert hexes(arcs) == hexes([w for w in want if w is not None])
 
     @staticmethod
