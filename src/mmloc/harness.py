@@ -3,16 +3,20 @@ frequency, and CRLB overlays, driven by a JSON config.
 
 Reproducibility contract: (config, seed) determines every output byte.
 The master seed is split into independent streams for scenario
-generation, the trace measurement draw, and the per-trial noise; each
+generation, the trace measurement draw, and the per-trial noise.  The
+config is frozen and resolved once, when it is built: its scenario, drawn
+from the scenario stream, and each sweep value's noise model; both runs read
+that resolution and split the other streams afresh on each call.  Each
 trial's noise is drawn once as unit normals and rescaled per sweep value
 (common random numbers), so RMSE curves differ across the sweep only
 through the noise level, not the realization.  Per-trial seeding also
 makes results independent of any execution order or worker count.
 
-A sweep runs in stages, each over the whole sweep: the ranges of every
-(value, trial) as one array; for solvit, one CRLB per value (crlb.fisher's
-closed form) and every measurement set from one scenario._rangediff_rows
-pass, each row then wrapped as the RangeDiffSet its solve takes; every start
+A sweep runs in stages, each over the whole sweep, on the scenario and the
+noise models its config resolved: the ranges of every (value, trial) as one
+array; for solvit, one CRLB per value (crlb.fisher's closed form) and every
+measurement set from one scenario._rangediff_rows pass, each row then
+wrapped as the RangeDiffSet its solve takes; every start
 (proposed ones in one initializer.init_points call, whose feasibility filter,
 pair pick and arcs are array passes, a random one per trial, the centroid or
 fixed point once); the solves in value, trial order, keeping each trial's
@@ -58,7 +62,7 @@ class RmseRow:
             raise ValueError("trials_failed must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one experiment.
 
@@ -77,13 +81,22 @@ class ExperimentConfig:
     snr_grid / freq_grid: exactly one non-empty for RMSE sweeps.  A
         frequency sweep holds the SNR at snr_db.  Infinite SNR entries
         mean zero noise.  Every grid value, snr_db and init_point are
-        checked on construction by the rules the runs apply.
+        checked on construction.
     init: proposed | random | fixed | centroid | both ("both" only for
         traces, so not with a grid; "fixed" requires init_point, and
         init_point is refused with any other init).  None, the default, becomes
         the solver's default start on construction (start_rule: proposed
         for solvit, centroid for sfp), and the config keeps that name.
     tol / max_iter: default to and are checked by SolverConfig.
+
+    The config is frozen, and construction resolves it once: the scenario,
+    drawn from the seed's scenario stream (child 0 of
+    SeedSequence(seed).spawn(3)), each sweep value's NoiseModel and the
+    trace's at snr_db.  run_rmse_sweep and run_trace read that resolution,
+    so they run on exactly the array, source and noise the checks saw; each
+    run still splits a fresh SeedSequence(seed) for its other streams.  The
+    resolution is kept outside the fields, so to_json, ==, and repr read
+    the fields alone.
     """
 
     scenario: dict
@@ -99,22 +112,22 @@ class ExperimentConfig:
     max_iter: int = _solvit.SolverConfig.max_iter
 
     def __post_init__(self):
-        self.trials = _scen._as_count("trials", self.trials, 1)
-        self.seed = _scen._as_count("seed", self.seed, 0)
-        self.max_iter = self.solver_config().max_iter
+        object.__setattr__(self, "trials", _scen._as_count("trials", self.trials, 1))
+        object.__setattr__(self, "seed", _scen._as_count("seed", self.seed, 0))
+        object.__setattr__(self, "max_iter", self.solver_config().max_iter)
         if self.snr_grid and self.freq_grid:
             raise ValueError("give at most one of snr_grid / freq_grid")
         if self.solver not in ("solvit", "sfp"):
             raise ValueError(f"unknown solver {self.solver!r}")
-        self.init = start_rule(self.solver, self.init)
+        object.__setattr__(self, "init", start_rule(self.solver, self.init))
         if self.init == "fixed" and self.init_point is None:
             raise ValueError("init=fixed requires init_point")
-        # builds the scenario and each run's noise once and discards them, so a
-        # bad key or value fails now; +inf SNR is zero noise
-        array, _, noise = _resolve_scenario(self.scenario, np.random.default_rng(0))
-        for value in self.snr_grid or self.freq_grid or ():
-            _sweep_noise(self, noise, value)
-        _sigma2_of(self.snr_db)
+        # (array, source, [(sweep value, noise)], trace noise); +inf SNR is zero noise
+        scen_ss = np.random.SeedSequence(self.seed).spawn(3)[0]
+        array, source, noise = _resolve_scenario(self.scenario, np.random.default_rng(scen_ss))
+        sweep = [(v, _sweep_noise(self, noise, v)) for v in self.snr_grid or self.freq_grid or ()]
+        object.__setattr__(self, "_resolved", (array, source, sweep,
+                                               replace(noise, sigma2=_sigma2_of(self.snr_db))))
         if self.init_point is not None:
             _scen.as_position(self.init_point, array.n)
             if self.init != "fixed":
@@ -155,7 +168,8 @@ def start_rule(solver: str, init: str | None) -> str:
 def _resolve_scenario(spec, rng):
     """(array, source, noise model) of a config's scenario, {"file": path} or
     the inline form, both read by scenario._read_scenario; a random array or
-    a uniform source draws from rng, and each run replaces the sigma2."""
+    a uniform source draws from rng, and the config replaces the sigma2
+    with each sweep value's and the trace's."""
     if isinstance(spec, dict) and "file" in spec:
         path = _scen._check_keys("scenario", spec, ("file",))["file"]
         if not isinstance(path, str):  # open(0) would read stdin
@@ -231,10 +245,8 @@ def run_trace(cfg: ExperimentConfig, out_dir=None) -> dict:
     SolveOutcome)}, each outcome's trace set; with out_dir set, each trace
     is also written to trace_<init_name>.csv.
     """
-    master = np.random.SeedSequence(cfg.seed)
-    scen_ss, meas_ss, init_ss = master.spawn(3)
-    array, source, noise_t = _resolve_scenario(cfg.scenario, np.random.default_rng(scen_ss))
-    noise = replace(noise_t, sigma2=_sigma2_of(cfg.snr_db))
+    array, source, _, noise = cfg._resolved
+    _, meas_ss, init_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     solver_cfg = cfg.solver_config()
     init_names = ["proposed", "random"] if cfg.init == "both" else [cfg.init]
     init_seeds = init_ss.spawn(len(init_names))
@@ -259,13 +271,10 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[RmseRow]:
     The CRLB column is the range-difference bound at the true source; for
     the range-only solver no bound is implemented and NaN is written.
     """
-    if bool(cfg.snr_grid) == bool(cfg.freq_grid):
+    array, source, sweep, _ = cfg._resolved
+    if not sweep:
         raise ValueError("exactly one of snr_grid / freq_grid must be non-empty")
-    sweep = list(cfg.snr_grid or cfg.freq_grid)
-
-    master = np.random.SeedSequence(cfg.seed)
-    scen_ss, _meas_ss, trial_ss = master.spawn(3)
-    array, source, noise_t = _resolve_scenario(cfg.scenario, np.random.default_rng(scen_ss))
+    _, _, trial_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     solver_cfg = cfg.solver_config()
     d_true = _scen.true_ranges(source, array)
 
@@ -278,11 +287,10 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[RmseRow]:
     # every (sweep value, trial) range row, value-major, in one array; solvit
     # orients all of their measurement sets in one pass and wraps each row as
     # the RangeDiffSet its solve takes
-    noises = [_sweep_noise(cfg, noise_t, value) for value in sweep]
-    stds = np.array([_scen.range_noise_std(source, array, noise) for noise in noises])
+    stds = np.array([_scen.range_noise_std(source, array, noise) for _, noise in sweep])
     ranges = (d_true + eps * stds[:, None, :]).reshape(-1, array.m)
     if cfg.solver == "solvit":
-        bounds = [_crlb.fisher(source, array, noise).rmse_bound for noise in noises]
+        bounds = [_crlb.fisher(source, array, noise).rmse_bound for _, noise in sweep]
         meas = [_scen.RangeDiffSet(i, j, v, array.m)
                 for i, j, v in zip(*_scen._rangediff_rows(ranges))]
     else:
@@ -300,7 +308,7 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[RmseRow]:
     outcomes = [solve(x0, array, mk, solver_cfg) for x0, mk in zip(x0s, meas)]
     # the row stage: each value's slice of trials; a singular solve is a failed trial
     rows = []
-    for value, bound, first in zip(sweep, bounds, range(0, len(outcomes), cfg.trials)):
+    for (value, _), bound, first in zip(sweep, bounds, range(0, len(outcomes), cfg.trials)):
         sqerrs = [_sum(v * v for v in (est - source).tolist())
                   for est, outcome in outcomes[first:first + cfg.trials]
                   if outcome.status != _solvit.SINGULAR_SYSTEM]

@@ -392,13 +392,17 @@ def _orient_rows(D, a, b):
 def _rangediff_rows(R):
     """The measurement sets of ranges R (B, m), one per row, as the (i, j,
     values) arrays of _orient_rows: R[:, a] - R[:, b] over unordered_pairs.
-    R follows _as_reals, named "ranges", and a range that is not finite
-    fails as "range differences must be finite"."""
+    R follows _as_reals, named "ranges", and a range or a difference that is
+    not finite fails as "range differences must be finite"."""
     R = _as_reals("ranges", R, "range differences must be finite")
     if R.ndim != 2 or R.shape[1] < 2:
         raise ValueError("need at least 2 ranges")
     a, b = np.array(unordered_pairs(R.shape[1])).T
-    return _orient_rows(R[:, a - 1] - R[:, b - 1], a, b)
+    with np.errstate(over="ignore"):  # two finite ranges can differ past the float range
+        D = R[:, a - 1] - R[:, b - 1]
+    if not np.isfinite(D).all():
+        raise ValueError("range differences must be finite")
+    return _orient_rows(D, a, b)
 
 
 def oriented_rangediffs(diffs, m: int) -> RangeDiffSet:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,7 +134,9 @@ def delays_to_rangediffs(delays, c: float) -> RangeDiffSet:
         delays: mapping (i, j) -> tau_ij with 1-based sensor indices, where
             tau_ij is the arrival time at sensor i minus the arrival time
             at sensor j.  Exactly one entry per unordered pair; either
-            orientation may be supplied (tau_ji = -tau_ij).
+            orientation may be supplied (tau_ji = -tau_ij).  Anything but a
+            mapping is a TypeError, and a key that is not a 2-tuple a
+            ValueError naming the key, before it is unpacked.
         c: propagation speed [m/s].
 
     Returns:
@@ -141,10 +144,15 @@ def delays_to_rangediffs(delays, c: float) -> RangeDiffSet:
         are >= 0.
     """
     _as_real("c", c, 0)
+    if not isinstance(delays, Mapping):
+        raise TypeError(f"delays must be a mapping, not {type(delays).__name__}")
     if not delays:
         raise ValueError("empty delay mapping")
     diffs = {}  # (i, j) with i < j -> c * tau_ij
-    for (i, j), tau in delays.items():
+    for key, tau in delays.items():
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise ValueError(f"delay key {key!r} must be a pair (i, j) of sensor indices")
+        i, j = key
         name = f"delay {(i, j)} index"
         i, j = _as_int(name, i), _as_int(name, j)
         if i == j or i < 1 or j < 1:

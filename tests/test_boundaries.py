@@ -292,6 +292,12 @@ INPUT_CASES = {
         "sensor coordinates must have shape (m, 2) or (m, 3), got (2, 4)"),
     "4-D random array": (lambda tmp: random_array(4, -1.0, 1.0, n=4), "n must be 2 or 3"),
     "one range": (lambda tmp: rangediffs_from_ranges([1.0]), "need at least 2 ranges"),
+    # finite ranges whose difference is beyond the float range
+    "ranges that differ past the float range": (
+        lambda tmp: _rangediff_rows([[1e308, -1e308, 0.0]]), "range differences must be finite"),
+    "one row of ranges that differ past the float range": (
+        lambda tmp: rangediffs_from_ranges([1e308, -1e308, 0.0]),
+        "range differences must be finite"),
     "five differences for four sensors": (lambda tmp: oriented_rangediffs([1.0] * 5, 4),
                                           "expected 6 differences for m=4, got 5"),
     "scenario file n against its sensors": (
@@ -466,9 +472,16 @@ def test_batch_points_of_another_dimension_are_refused(entry, points, tmp_path):
     assert str(exc.value) == f"points have shape {np.shape(points)}, expected (B, 2)"
 
 
-# each pair index goes through scenario._as_int and each delay through
+# the delays must be a mapping and each key a pair, checked before the key is
+# unpacked; each pair index goes through scenario._as_int and each delay through
 # scenario._as_real, named by its pair
 DELAY_CASES = {
+    "a list of pairs": ([((1, 2), 1e-3)], TypeError, "delays must be a mapping, not list"),
+    "a key of one index": ({1: 1e-3},
+                           ValueError, "delay key 1 must be a pair (i, j) of sensor indices"),
+    "a key of three indices": (
+        {(1, 2, 3): 1e-3},
+        ValueError, "delay key (1, 2, 3) must be a pair (i, j) of sensor indices"),
     "bool pair index": ({(True, 2): 1e-3},
                         ValueError, "delay (True, 2) index must be an integer, got True"),
     "numeric string pair index": ({("1", 2): 1e-3},

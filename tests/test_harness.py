@@ -4,7 +4,7 @@ import copy
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -152,6 +152,43 @@ class TestConfig:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             ExperimentConfig.from_json(path)
+
+    def test_a_built_config_is_frozen(self):
+        """A field set after the checks would reach the runs unchecked."""
+        cfg = small_config()
+        for field in fields(cfg):
+            with pytest.raises(FrozenInstanceError):
+                setattr(cfg, field.name, getattr(cfg, field.name))
+        with pytest.raises(FrozenInstanceError):
+            cfg.trials = 0
+        with pytest.raises(FrozenInstanceError):
+            small_config(solver="sfp", init="centroid").init = "proposed"
+        # the resolution the runs read is no field: == and repr read the fields alone
+        assert cfg == small_config() and "_resolved" not in repr(cfg)
+
+    def test_the_scenario_file_is_read_once(self, tmp_path, capsys, monkeypatch):
+        """Building a config resolves its scenario, and the run reads that
+        resolution: one read of the file per bench request and per trace."""
+        reads = []
+
+        def counted(*args, **kwargs):
+            reads.append(args)
+            return load_scenario(*args, **kwargs)
+
+        monkeypatch.setattr(mmloc.scenario, "load_scenario", counted)
+        scen_path = tmp_path / "scen.json"
+        save_scenario(scen_path, Scenario(circular_array(5, radius=10.0), np.array([1.0, 5.0]),
+                                          NoiseModel(sigma2=0.0, f0=1000.0, c=340.0)))
+        cfg = small_config(scenario={"file": str(scen_path)}, trials=2)
+        cfg.to_json(tmp_path / "cfg.json")
+        reads.clear()
+        assert main(["bench", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "rmse.csv")]) == 0
+        assert len(reads) == 1
+        reads.clear()
+        run_trace(replace(cfg, snr_grid=None, init="both"))
+        assert len(reads) == 1
+        capsys.readouterr()
 
     def test_counts_must_be_integers(self, tmp_path, capsys):
         for field in ("trials", "max_iter"):
@@ -366,11 +403,15 @@ class TestRunTrace:
         assert (tmp_path / "trace_random.csv").exists()
 
     def test_deterministic(self):
-        cfg = small_config(init="proposed", snr_grid=None, freq_grid=None)
-        est1, out1 = run_trace(cfg)["proposed"]
-        est2, out2 = run_trace(cfg)["proposed"]
-        np.testing.assert_array_equal(est1, est2)
-        np.testing.assert_array_equal(out1.trace.objectives, out2.trace.objectives)
+        # two runs of one config split its seed afresh: equal traces
+        cfg = small_config(init="both", snr_grid=None, freq_grid=None)
+        first, again = run_trace(cfg), run_trace(cfg)
+        for name in ("proposed", "random"):
+            np.testing.assert_array_equal(first[name][0], again[name][0])
+            np.testing.assert_array_equal(first[name][1].trace.iterates,
+                                          again[name][1].trace.iterates)
+            np.testing.assert_array_equal(first[name][1].trace.objectives,
+                                          again[name][1].trace.objectives)
 
     def test_proposed_usually_needs_fewer_iterations(self):
         """Starting from the hyperbola sample beats a random unit-box start
@@ -396,9 +437,11 @@ class TestRunTrace:
 
 class TestRmseSweep:
     def test_deterministic_given_seed(self):
-        rows1 = run_rmse_sweep(small_config())
-        rows2 = run_rmse_sweep(small_config())
-        assert rows1 == rows2
+        cfg = small_config()
+        rows1 = run_rmse_sweep(cfg)
+        assert run_rmse_sweep(small_config()) == rows1
+        # two runs of one config split its seed afresh: equal rows
+        assert run_rmse_sweep(cfg) == rows1
 
     def test_seed_changes_results(self):
         rows1 = run_rmse_sweep(small_config(seed=5))
