@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objective import _sum
-from .scenario import (NoiseModel, _unit_vectors, _write_json, as_position,
+from .scenario import (NoiseModel, _freeze, _unit_vectors, _write_json, as_position,
                        range_variance, rangediffs_from_ranges, sensor_coords)
 from .solvit import _sym_eig_range
 
@@ -40,6 +40,9 @@ class CrlbReport:
     fisher: np.ndarray   # (n, n) symmetric PSD
     cov_rank: int
     rmse_bound: float    # [m]; +inf when the Fisher matrix is singular
+
+    def __post_init__(self):
+        _freeze(self, fisher=self.fisher)
 
     def to_dict(self) -> dict:
         return {

@@ -48,7 +48,7 @@ _GENERATOR_ID = "numpy default_rng (PCG64)"
 _INIT_CHOICES = ("proposed", "random", "fixed", "centroid", "both")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RmseRow:
     sweep: float          # SNR [dB] or frequency [Hz]
     rmse: float           # [m]
@@ -95,8 +95,11 @@ class ExperimentConfig:
     trace's at snr_db.  run_rmse_sweep and run_trace read that resolution,
     so they run on exactly the array, source and noise the checks saw; each
     run still splits a fresh SeedSequence(seed) for its other streams.  The
-    resolution is kept outside the fields, so to_json, ==, and repr read
-    the fields alone.
+    resolution is kept outside the fields, so == and repr read the fields
+    alone.  So is a deep copy of the checked fields (asdict): to_json writes
+    it, and the runs and write_metadata read init_point from it, so a grid,
+    scenario or init_point changed in place after the checks reaches neither
+    a run nor a written file.
     """
 
     scenario: dict
@@ -112,22 +115,21 @@ class ExperimentConfig:
     max_iter: int = _solvit.SolverConfig.max_iter
 
     def __post_init__(self):
-        object.__setattr__(self, "trials", _scen._as_count("trials", self.trials, 1))
-        object.__setattr__(self, "seed", _scen._as_count("seed", self.seed, 0))
-        object.__setattr__(self, "max_iter", self.solver_config().max_iter)
+        _scen._freeze(self, trials=_scen._as_count("trials", self.trials, 1),
+                      seed=_scen._as_count("seed", self.seed, 0),
+                      max_iter=self.solver_config().max_iter)
         if self.snr_grid and self.freq_grid:
             raise ValueError("give at most one of snr_grid / freq_grid")
         if self.solver not in ("solvit", "sfp"):
             raise ValueError(f"unknown solver {self.solver!r}")
-        object.__setattr__(self, "init", start_rule(self.solver, self.init))
+        _scen._freeze(self, init=start_rule(self.solver, self.init))
         if self.init == "fixed" and self.init_point is None:
             raise ValueError("init=fixed requires init_point")
         # (array, source, [(sweep value, noise)], trace noise); +inf SNR is zero noise
         scen_ss = np.random.SeedSequence(self.seed).spawn(3)[0]
         array, source, noise = _resolve_scenario(self.scenario, np.random.default_rng(scen_ss))
         sweep = [(v, _sweep_noise(self, noise, v)) for v in self.snr_grid or self.freq_grid or ()]
-        object.__setattr__(self, "_resolved", (array, source, sweep,
-                                               replace(noise, sigma2=_sigma2_of(self.snr_db))))
+        trace_noise = replace(noise, sigma2=_sigma2_of(self.snr_db))
         if self.init_point is not None:
             _scen.as_position(self.init_point, array.n)
             if self.init != "fixed":
@@ -135,6 +137,7 @@ class ExperimentConfig:
                                  f"not with init {self.init!r}")
         if self.init == "both" and (self.snr_grid or self.freq_grid):
             raise ValueError("init 'both' not valid here")
+        _scen._freeze(self, _resolved=(array, source, sweep, trace_noise), _doc=asdict(self))
 
     def solver_config(self) -> _solvit.SolverConfig:
         return _solvit.SolverConfig(tol=self.tol, max_iter=self.max_iter)
@@ -145,7 +148,7 @@ class ExperimentConfig:
                                        cls.__dataclass_fields__))
 
     def to_json(self, path) -> None:
-        _scen._write_json(path, asdict(self))
+        _scen._write_json(path, self._doc)
 
 
 def start_rule(solver: str, init: str | None) -> str:
@@ -257,7 +260,7 @@ def run_trace(cfg: ExperimentConfig, out_dir=None) -> dict:
     results = {}
     for name, init_seed in zip(init_names, init_seeds):
         est, outcome = solve_one(cfg.solver, name, array, meas, init_seed, solver_cfg,
-                                 cfg.init_point, trace=True)
+                                 cfg._doc["init_point"], trace=True)
         results[name] = (est, outcome)
         if out_dir is not None:
             _solvit.write_trace_csv(os.path.join(out_dir, f"trace_{name}.csv"), outcome.trace)
@@ -301,7 +304,7 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[RmseRow]:
     elif cfg.init == "random":  # a trial's start is shared by every sweep value
         x0s = [_pick_x0("random", array, None, seed) for seed in seeds] * len(sweep)
     else:
-        x0s = [_pick_x0(cfg.init, array, None, None, cfg.init_point)] * len(meas)
+        x0s = [_pick_x0(cfg.init, array, None, None, cfg._doc["init_point"])] * len(meas)
 
     # the solve stage: every (start, measurement set) pair, value-major, untraced
     solve = _solve_fn(cfg.solver)
@@ -342,7 +345,7 @@ def write_metadata(path, cfg: ExperimentConfig) -> None:
             "tol": cfg.tol,
             "max_iter": cfg.max_iter,
             "init": cfg.init,
-            "init_point": cfg.init_point,
+            "init_point": cfg._doc["init_point"],
         },
         "trials": cfg.trials,
         "snr_db": cfg.snr_db,

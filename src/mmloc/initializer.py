@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateMeasurementError, RayMeasurementError
 from .objective import _check_rd, _rd_costs, f_rdls_many
-from .scenario import RangeDiffSet, _as_count, _as_real, as_position, sensor_coords
+from .scenario import RangeDiffSet, _as_count, _as_real, _freeze, as_position, sensor_coords
 
 # bound on the float64s in the largest temporary of one init_points chunk
 # (16 MB): a row counts l * max(m, pairs), at least the l * m of its distances
@@ -37,7 +37,7 @@ class InitConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "grid_size", _as_count("grid_size", self.grid_size, 2))
+        _freeze(self, grid_size=_as_count("grid_size", self.grid_size, 2))
         if self.coord_bound is not None:
             _as_real("coord_bound", self.coord_bound, 0)
 

@@ -38,7 +38,7 @@ def _check_ranges(ranges, m: int) -> np.ndarray:
 def _as_points(X, n: int) -> np.ndarray:
     """Evaluation points as a (B, n) float array, by _as_reals: finite, then of
     the array's dimension n, named "points"."""
-    pts = _as_reals("points", X, "points must be finite", np.atleast_2d)
+    pts = np.atleast_2d(_as_reals("points", X, "points must be finite"))
     if pts.ndim != 2 or pts.shape[1] != n:
         raise ValueError(f"points have shape {pts.shape}, expected (B, {n})")
     return pts

@@ -7,9 +7,11 @@ formed by differencing one noise draw per sensor, so entries that share a
 sensor are correlated by construction, and each stored entry is oriented
 so that its value is nonnegative.
 
-All containers are immutable after construction; generation functions are
-pure given (inputs, seed).  Random draws use numpy's default PCG64
-generator, which is what output metadata records.
+Every frozen record of the package checks its fields on construction and
+stores them through one helper, _freeze, which keeps an array as a
+read-only copy, so no caller's array reaches into a record.  Generation
+functions are pure given (inputs, seed).  Random draws use numpy's default
+PCG64 generator, which is what output metadata records.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def _as_real(name: str, value, low=None, *, closed=False):
     return value
 
 
-def _as_reals(name: str, value, finite: str, check=None) -> np.ndarray:
+def _as_reals(name: str, value, finite: str | None = None) -> np.ndarray:
     """value as a float array: the one conversion of every array of real numbers.
 
     Every entry follows _as_real's rule and message, naming the field `name`:
@@ -74,35 +76,46 @@ def _as_reals(name: str, value, finite: str, check=None) -> np.ndarray:
     int beyond the float range a ValueError.  An np.ndarray of integers or
     floats passes by its dtype; anything else is checked entry by entry, so
     [True, 5] and ["1", 2] are refused, where np.asarray(..., dtype=float)
-    would read them as numbers.  check, the site's own shape rules, takes the
-    float array and returns the array to go on with (reshaped, say); then a
-    non-finite entry is ValueError(finite).
+    would read them as numbers.  With finite given, a non-finite entry is
+    then ValueError(finite) (see _finite); a site with shape rules of its own
+    passes none and calls _finite after them.
     """
     if type(value) is not np.ndarray or value.dtype.kind not in "fiu":
         value = np.array(value, dtype=object)
         for v in value.ravel().tolist():
             _as_real(name, v)
     a = value.astype(float, copy=False)
-    a = a if check is None else check(a)
+    return a if finite is None else _finite(a, finite)
+
+
+def _finite(a: np.ndarray, message: str) -> np.ndarray:
+    """a, the one finiteness test of an array of real numbers: a non-finite
+    entry is ValueError(message)."""
     # up to 32 entries a test on Python floats beats one numpy pass
     if not (np.isfinite(a).all() if a.size > 32
             else all(map(math.isfinite, (a if a.ndim == 1 else a.ravel()).tolist()))):
-        raise ValueError(finite)
+        raise ValueError(message)
     return a
 
 
-def _position_size(p):
-    """as_position's size rule, the check it gives _as_reals: p flat, 2 or 3 values."""
-    p = p if p.ndim == 1 else p.ravel()
-    if p.size not in (2, 3):
-        raise ValueError(f"position must have 2 or 3 coordinates, got {p.size}")
-    return p
+def _freeze(record, **fields) -> None:
+    """Set each field of the frozen dataclass record; an ndarray is stored as
+    a read-only copy, so no caller's array can reach into the record.  The
+    one place a frozen record stores its fields."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value = value.copy()
+            value.setflags(write=False)
+        object.__setattr__(record, name, value)
 
 
 def as_position(x, n: int | None = None) -> np.ndarray:
     """x as a flat float vector, a view when x is one, once it has 2 or 3 (or n)
     finite values; its entries follow _as_reals, named "position"."""
-    p = _as_reals("position", x, "position coordinates must be finite", _position_size)
+    p = _as_reals("position", x).reshape(-1)
+    if p.size not in (2, 3):
+        raise ValueError(f"position must have 2 or 3 coordinates, got {p.size}")
+    _finite(p, "position coordinates must be finite")
     if n is not None and p.size != n:
         raise ValueError(f"position has dimension {p.size}, expected {n}")
     return p
@@ -131,15 +144,14 @@ class SensorArray:
     sensors: np.ndarray  # (m, n) [m]
 
     def __post_init__(self):
-        arr = sensor_coords(self.sensors).copy()
+        arr = sensor_coords(self.sensors)
         m = arr.shape[0]
         if m < 2:
             raise ValueError(f"need at least 2 sensors, got {m}")
         for i, j in unordered_pairs(m):
             if np.linalg.norm(arr[i - 1] - arr[j - 1], axis=0) <= COINCIDENT_TOL:
                 raise ValueError(f"sensors {i} and {j} coincide")
-        arr.setflags(write=False)
-        object.__setattr__(self, "sensors", arr)
+        _freeze(self, sensors=arr)
 
     @property
     def m(self) -> int:
@@ -159,17 +171,6 @@ class SensorArray:
         return self.sensors.mean(axis=0)
 
 
-def _coordinate_rows(arr):
-    """sensor_coords' shape rule (an _as_reals check): rows of 2 or 3
-    coordinates, at least one row; a 1-D array is one row."""
-    if arr.ndim not in (1, 2) or arr.shape[-1] not in (2, 3):
-        raise ValueError(f"sensor coordinates must have shape (m, 2) or (m, 3), got {arr.shape}")
-    arr = arr[None] if arr.ndim == 1 else arr
-    if arr.shape[0] < 1:
-        raise ValueError("need at least one sensor")
-    return arr
-
-
 def sensor_coords(array) -> np.ndarray:
     """Coordinates of a SensorArray, or a raw (m, n) array passed through.
 
@@ -181,7 +182,13 @@ def sensor_coords(array) -> np.ndarray:
     """
     if isinstance(array, SensorArray):
         return array.sensors
-    return _as_reals("sensors", array, "sensor coordinates must be finite", _coordinate_rows)
+    arr = _as_reals("sensors", array)
+    if arr.ndim not in (1, 2) or arr.shape[-1] not in (2, 3):
+        raise ValueError(f"sensor coordinates must have shape (m, 2) or (m, 3), got {arr.shape}")
+    arr = arr[None] if arr.ndim == 1 else arr
+    if arr.shape[0] < 1:
+        raise ValueError("need at least one sensor")
+    return _finite(arr, "sensor coordinates must be finite")
 
 
 @dataclass(frozen=True)
@@ -202,15 +209,8 @@ class RangeDiffSet:
     m: int               # number of sensors
 
     def __post_init__(self):
-        vv = _as_reals("values", self.values, "range differences must be finite", self._pairs)
-        if min(vv.tolist()) < 0:
-            raise ValueError("stored range differences must be >= 0 (flip i,j instead)")
-
-    def _pairs(self, vv):
-        """The rules before the values' finiteness (the _as_reals check of
-        __post_init__); stores read-only copies of i, j and vv, and the int m,
-        and returns the stored values."""
-        ii, jj = np.array(self.i), np.array(self.j)
+        vv = _as_reals("values", self.values)
+        ii, jj = np.asarray(self.i), np.asarray(self.j)
         if not (ii.shape == jj.shape == vv.shape) or ii.ndim != 1:
             raise ValueError("i, j, values must be 1-D arrays of equal length")
         m = _as_int("m", self.m)
@@ -232,11 +232,9 @@ class RangeDiffSet:
         seen = {(a, b) if a < b else (b, a) for a, b in zip(il, jl)}
         if len(seen) != expected:
             raise ValueError("each unordered pair must appear exactly once")
-        for name, arr in (("i", ii), ("j", jj), ("values", vv.copy())):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "m", m)
-        return self.values
+        if min(_finite(vv, "range differences must be finite").tolist()) < 0:
+            raise ValueError("stored range differences must be >= 0 (flip i,j instead)")
+        _freeze(self, i=ii, j=jj, values=vv, m=m)
 
     @property
     def n_pairs(self) -> int:
@@ -400,9 +398,7 @@ def _rangediff_rows(R):
     a, b = np.array(unordered_pairs(R.shape[1])).T
     with np.errstate(over="ignore"):  # two finite ranges can differ past the float range
         D = R[:, a - 1] - R[:, b - 1]
-    if not np.isfinite(D).all():
-        raise ValueError("range differences must be finite")
-    return _orient_rows(D, a, b)
+    return _orient_rows(_finite(D, "range differences must be finite"), a, b)
 
 
 def oriented_rangediffs(diffs, m: int) -> RangeDiffSet:
@@ -421,7 +417,7 @@ def rangediffs_from_ranges(ranges) -> RangeDiffSet:
     """Pairwise differences r_i - r_j for i < j, in unordered_pairs order,
     oriented as oriented_rangediffs stores them: _rangediff_rows on the one
     row of every range given."""
-    r = _as_reals("ranges", ranges, "range differences must be finite").reshape(1, -1)
+    r = _as_reals("ranges", ranges).reshape(1, -1)
     ii, jj, vv = _rangediff_rows(r)
     return RangeDiffSet(ii[0], jj[0], vv[0], r.shape[1])
 
@@ -441,7 +437,11 @@ def noisy_rangediffs(x, array, noise: NoiseModel, seed=None) -> RangeDiffSet:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete simulation setup: sensors, true source, noise, seed."""
+    """A complete simulation setup: sensors, true source, noise, seed.
+
+    Checks, in order: array is a SensorArray and noise a NoiseModel (else a
+    TypeError naming the field), seed None or an integer >= 0, and source a
+    position of the array's dimension (as_position), stored as a copy."""
 
     array: SensorArray
     source: np.ndarray
@@ -449,7 +449,12 @@ class Scenario:
     seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "source", as_position(self.source, self.array.n))
+        if not isinstance(self.array, SensorArray):
+            raise TypeError(f"array must be a SensorArray, not {type(self.array).__name__}")
+        if not isinstance(self.noise, NoiseModel):
+            raise TypeError(f"noise must be a NoiseModel, not {type(self.noise).__name__}")
+        _freeze(self, seed=None if self.seed is None else _as_count("seed", self.seed, 0),
+                source=as_position(self.source, self.array.n))
 
 
 def _write_table(path, header: str, rows) -> None:
@@ -561,8 +566,7 @@ def _read_scenario(doc, rng, required, optional, noise_required) -> Scenario:
     noise = _check_keys("noise", doc.get("noise", {}), noise_required,
                         NoiseModel.__dataclass_fields__)
     noise = NoiseModel(**{"sigma2": 0.0, "f0": 1000.0, "c": 340.0, **noise})
-    seed = doc.get("seed")
-    return Scenario(array, source, noise, None if seed is None else _as_count("seed", seed, 0))
+    return Scenario(array, source, noise, doc.get("seed"))
 
 
 def load_scenario(path, rng=0) -> Scenario:

@@ -59,8 +59,8 @@ import numpy as np
 
 from .errors import SensorSingularityError, SingularSystemError
 from .objective import _as_points, _dists, _f_pairs, _rd_inputs, _sum
-from .scenario import (RangeDiffSet, _as_count, _as_real, _unit_vectors, _write_table,
-                       as_position)
+from .scenario import (RangeDiffSet, _as_count, _as_real, _freeze, _unit_vectors,
+                       _write_table, as_position)
 
 # termination labels shared by all iterative solvers
 CONVERGED = "converged"
@@ -85,7 +85,7 @@ class SolverConfig:
 
     def __post_init__(self):
         _as_real("tol", self.tol, 0)
-        object.__setattr__(self, "max_iter", _as_count("max_iter", self.max_iter, 1))
+        _freeze(self, max_iter=_as_count("max_iter", self.max_iter, 1))
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,10 @@ class SolveTrace:
     objectives: np.ndarray  # (k,)
 
     def __post_init__(self):
-        it = np.array(self.iterates, dtype=float)
-        ob = np.array(self.objectives, dtype=float)
+        it, ob = np.asarray(self.iterates, dtype=float), np.asarray(self.objectives, dtype=float)
         if it.ndim != 2 or ob.ndim != 1 or it.shape[0] != ob.size:
             raise ValueError("iterates and objectives lengths disagree")
-        for name, arr in (("iterates", it), ("objectives", ob)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, iterates=it, objectives=ob)
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,11 +116,15 @@ class SolveOutcome:
 
 @dataclass(frozen=True)
 class BoundQuantities:
-    """Per-iterate quantities defining the quadratic bound (see module docstring)."""
+    """Per-iterate quantities defining the quadratic bound (see module docstring),
+    stored as read-only copies."""
 
     w: np.ndarray  # (m, n) unit vectors from sensors to x^k
     s: np.ndarray  # (m_hat,) nonnegative scalars, one per stored pair
     Q: np.ndarray  # (m_hat, n, n) rank-one matrices, one per stored pair
+
+    def __post_init__(self):
+        _freeze(self, w=self.w, s=self.s, Q=self.Q)
 
 
 def write_trace_csv(path, trace: SolveTrace) -> None:

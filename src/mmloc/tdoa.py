@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import (RangeDiffSet, _as_count, _as_int, _as_real, _as_reals, _check_keys, _parse,
-                       _read_json, _write_table, as_position, oriented_rangediffs, sensor_coords,
-                       unordered_pairs)
+from .scenario import (RangeDiffSet, _as_count, _as_int, _as_real, _as_reals, _check_keys, _freeze,
+                       _parse, _read_json, _write_table, as_position, oriented_rangediffs,
+                       sensor_coords, unordered_pairs)
 
 # fixture defaults for the anechoic microphone experiment
 TONE_F0 = 250.0          # [Hz]
@@ -55,14 +55,10 @@ class SignalRecord:
     fs: float  # [Hz]
 
     def __post_init__(self):
-        # flatten: a flat copy, stored read-only
-        s = _as_reals("samples", self.samples, "signal samples must be finite").flatten()
+        s = _as_reals("samples", self.samples, "signal samples must be finite").reshape(-1)
         if s.size < 2:
             raise ValueError("signal must have at least 2 samples")
-        _as_real("fs", self.fs, 0)
-        s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
-        object.__setattr__(self, "fs", float(self.fs))
+        _freeze(self, samples=s, fs=float(_as_real("fs", self.fs, 0)))
 
 
 def bandpass(sig: SignalRecord, f_lo: float, f_hi: float) -> SignalRecord:

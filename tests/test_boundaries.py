@@ -22,6 +22,10 @@ among numbers, a bool among numbers, a None entry, a NaN).  The points of a
 batch form must then have the array's dimension ("points have shape (1, 3),
 expected (B, 2)"), and each pair index of a delay is an integer by
 scenario._as_int ("delay (True, 2) index must be an integer, got True").
+A Scenario checks its own fields: an array that is not a SensorArray or a
+noise that is not a NoiseModel is a TypeError naming the field ("noise must
+be a NoiseModel, not str"), and a seed must be None or an integer >= 0, in a
+file as in a call ("seed must be an integer, got 5.7").
 
 Positions and ranges are checked for size and finiteness on Python floats;
 these tests hold every entry point that takes them to those messages, for
@@ -37,8 +41,8 @@ import math
 import numpy as np
 import pytest
 
-from mmloc import (ExperimentConfig, NoiseModel, RangeDiffSet, SensorArray, SignalRecord,
-                   SolverConfig, bandpass, bound_quantities, circular_array,
+from mmloc import (ExperimentConfig, NoiseModel, RangeDiffSet, Scenario, SensorArray,
+                   SignalRecord, SolverConfig, bandpass, bound_quantities, circular_array,
                    delays_to_rangediffs, estimate_rangediffs, f_rdls, f_rdls_many, f_rls,
                    f_rls_many, grad_fd, hyperbola_points, load_scenario, random_array,
                    range_variance, rangediffs_from_ranges, read_rangediffs_csv, read_ranges_csv,
@@ -561,3 +565,27 @@ def test_bench_refuses_text_sensors_in_one_line(tmp_path, capsys):
     assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "rmse.csv")]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: sensors must be real number, not str"]
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+# (call on a scratch directory, error, message): each field of a Scenario built
+# by a caller, which was kept unchecked until Scenario checked its own fields
+SCENARIO_CASES = {
+    "a fractional seed": (lambda tmp: Scenario(circular_array(4, 10.0), [1.0, 2.0], NOISE, 5.7),
+                          ValueError, "seed must be an integer, got 5.7"),
+    "a text noise": (lambda tmp: Scenario(circular_array(4, 10.0), [1.0, 2.0], "x"),
+                     TypeError, "noise must be a NoiseModel, not str"),
+    "raw coordinates as the array": (lambda tmp: Scenario(TRIANGLE, [1.0, 2.0], NOISE),
+                                     TypeError, "array must be a SensorArray, not list"),
+    "a fractional seed in a scenario file": (
+        lambda tmp: load_scenario(written(tmp / "scen.json", json.dumps(
+            dict(SCENARIO_DOC, n=2, seed=5.7)))),
+        ValueError, "seed must be an integer, got 5.7"),
+}
+
+
+@pytest.mark.parametrize("case", SCENARIO_CASES)
+def test_scenario_refuses_a_bad_field_by_name(case, tmp_path):
+    call, error, message = SCENARIO_CASES[case]
+    with pytest.raises(error) as exc:
+        call(tmp_path)
+    assert type(exc.value) is error and str(exc.value) == message

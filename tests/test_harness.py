@@ -166,6 +166,35 @@ class TestConfig:
         # the resolution the runs read is no field: == and repr read the fields alone
         assert cfg == small_config() and "_resolved" not in repr(cfg)
 
+    def test_a_config_changed_in_place_writes_what_it_ran(self, tmp_path):
+        """A grid or scenario changed in place after the checks reaches
+        neither the run nor the written config, which reruns to the same CSV."""
+        cfg = small_config(scenario={"sensors": {"kind": "circular", "m": 5, "radius": 10.0},
+                                     "source": [3.0, -2.0]}, snr_grid=[0.0], trials=5)
+        cfg.snr_grid.append(10.0)
+        cfg.scenario["source"] = [50.0, 50.0]
+        write_rmse_csv(tmp_path / "run.csv", run_rmse_sweep(cfg))
+        cfg.to_json(tmp_path / "cfg.json")
+        again = ExperimentConfig.from_json(tmp_path / "cfg.json")
+        assert again.snr_grid == [0.0] and again.scenario["source"] == [3.0, -2.0]
+        rows = run_rmse_sweep(again)
+        assert len(rows) == 1
+        write_rmse_csv(tmp_path / "again.csv", rows)
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
+
+    def test_an_init_point_changed_in_place_reaches_no_run(self, tmp_path):
+        """The runs and the metadata read the init_point the checks saw."""
+        cfg = small_config(init="fixed", init_point=[1.0, 2.0], trials=3)
+        trace_cfg = small_config(snr_grid=None, init="fixed", init_point=[1.0, 2.0])
+        rows = run_rmse_sweep(cfg)
+        cfg.init_point[0] = trace_cfg.init_point[0] = 9.0
+        assert run_rmse_sweep(cfg) == rows
+        _, outcome = run_trace(trace_cfg)["fixed"]
+        assert outcome.trace.iterates[0].tolist() == [1.0, 2.0]
+        write_metadata(tmp_path / "meta.json", cfg)
+        assert json.loads((tmp_path / "meta.json").read_text())["solver"]["init_point"] == \
+            [1.0, 2.0]
+
     def test_the_scenario_file_is_read_once(self, tmp_path, capsys, monkeypatch):
         """Building a config resolves its scenario, and the run reads that
         resolution: one read of the file per bench request and per trace."""
