@@ -30,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objective import _sum
-from .scenario import (NoiseModel, _freeze, _unit_vectors, _write_json, as_position,
-                       range_variance, rangediffs_from_ranges, sensor_coords)
+from .scenario import (NoiseModel, _as_count, _as_real, _as_reals, _freeze, _unit_vectors,
+                       _write_json, as_position, range_variance, rangediffs_from_ranges,
+                       sensor_coords)
 from .solvit import _sym_eig_range
 
 
@@ -42,7 +43,9 @@ class CrlbReport:
     rmse_bound: float    # [m]; +inf when the Fisher matrix is singular
 
     def __post_init__(self):
-        _freeze(self, fisher=self.fisher)
+        _as_real("rmse_bound", self.rmse_bound)
+        _freeze(self, fisher=_as_reals("fisher", self.fisher),
+                cov_rank=_as_count("cov_rank", self.cov_rank, 0))
 
     def to_dict(self) -> dict:
         return {

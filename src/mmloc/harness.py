@@ -56,10 +56,11 @@ class RmseRow:
     trials_failed: int
 
     def __post_init__(self):
-        if not (self.rmse >= 0 or math.isnan(self.rmse)):
+        _scen._as_real("sweep", self.sweep)
+        _scen._as_real("crlb", self.crlb)
+        if not (_scen._as_real("rmse", self.rmse) >= 0 or math.isnan(self.rmse)):
             raise ValueError("rmse must be >= 0")
-        if self.trials_failed < 0:
-            raise ValueError("trials_failed must be >= 0")
+        _scen._as_count("trials_failed", self.trials_failed, 0)
 
 
 @dataclass(frozen=True)

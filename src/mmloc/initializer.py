@@ -34,10 +34,12 @@ _TOO_LARGE = "coord_bound={!r} is too large: the cost at the best sample is not 
 class InitConfig:
     grid_size: int = 128       # points evaluated along the chosen hyperbola
     coord_bound: float | None = None  # search box half-width [m]; default 2*max|coord|
-    seed: int | None = None
+    seed: int | np.random.SeedSequence | None = None  # seeds the pair pick
 
     def __post_init__(self):
         _freeze(self, grid_size=_as_count("grid_size", self.grid_size, 2))
+        if self.seed is not None and not isinstance(self.seed, np.random.SeedSequence):
+            _freeze(self, seed=_as_count("seed", self.seed, 0))
         if self.coord_bound is not None:
             _as_real("coord_bound", self.coord_bound, 0)
 

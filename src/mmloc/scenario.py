@@ -46,6 +46,15 @@ def _as_count(name: str, value, minimum: int) -> int:
     return value
 
 
+def _as_flag(name: str, value) -> bool:
+    """A boolean flag as a bool: a bool or an np.bool_ passes, anything else
+    is a TypeError naming the flag, where a truth test would read "no" as
+    set and fail on an array with a message that names no flag."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a bool, not {type(value).__name__}")
+    return bool(value)
+
+
 def _as_real(name: str, value, low=None, *, closed=False):
     """A real-number field, returned as given (an int stays an int).
 
@@ -306,7 +315,7 @@ def random_array(m: int, lo: float, hi: float, n: int = 2, seed=None) -> SensorA
     m = _as_count("m", m, 2)
     if not _as_real("lo", lo, -math.inf) < _as_real("hi", hi, -math.inf):
         raise ValueError(f"degenerate bounds: lo={lo} must be < hi={hi}")
-    if n not in (2, 3):
+    if _as_int("n", n) not in (2, 3):
         raise ValueError("n must be 2 or 3")
     return SensorArray(np.random.default_rng(seed).uniform(lo, hi, size=(m, n)))
 

@@ -7,7 +7,9 @@ solver, but for f_rls, gives an update that is a plain average:
 
 i.e. each sensor votes for the point at measured range r_i along the ray
 from itself through the current iterate, and the iterate moves to the
-mean of the votes.  Descent is monotone for nonnegative r_i.
+mean of the votes.  Descent is monotone for nonnegative r_i.  The update
+is one pass over the sensors: each distance comes from objective._dists,
+and the first sensor x sits on ends the step.
 
 Both solvers run the one loop solvit._mm_loop and return its
 SolveOutcome, with the iterate history only when trace is set; see the
@@ -28,12 +30,11 @@ _mm_loop, which calls those two kernels itself.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
 from .errors import SensorSingularityError
-from .objective import _as_points, _f_ranges, _range_inputs
+from .objective import _as_points, _dists, _f_ranges, _range_inputs
 from .scenario import _unit_vectors, as_position
 from .solvit import SolveOutcome, SolverConfig, _mm_loop, _planar_make
 
@@ -56,24 +57,19 @@ def sfp_surrogate(x, x_k, array, ranges) -> float:
 
 
 def _sfp_step_core_nd(x: list[float], ys, r: list[float], n: int) -> list[float]:
-    """Generic update for any n; the reference the planar kernel must match."""
-    m = len(ys)
+    """The update for n = 2 or 3; the reference the planar kernel must match.
+
+    One pass over the sensors reads each distance d_k from _dists, raises
+    SensorSingularityError at the first d_k of 0, and adds
+    y_k + (r_k / d_k)(x - y_k) in sensor order; the sum is divided by m."""
+    rho = _dists(x, ys)
     acc = [0.0] * n
-    for k in range(m):
-        y = ys[k]
-        s2 = 0.0
-        d = [0.0] * n
-        for t in range(n):
-            dt = x[t] - y[t]
-            d[t] = dt
-            s2 += dt * dt
-        nrm = math.sqrt(s2)
-        if nrm <= 0.0:
+    for k, (y, rk, dk) in enumerate(zip(ys, r, rho)):
+        if dk <= 0.0:
             raise SensorSingularityError(k + 1)
-        scale = r[k] / nrm
         for t in range(n):
-            acc[t] += y[t] + scale * d[t]
-    return [a / m for a in acc]
+            acc[t] += y[t] + (rk / dk) * (x[t] - y[t])
+    return [a / len(ys) for a in acc]
 
 
 def sfp_step(x_k, array, ranges) -> np.ndarray:

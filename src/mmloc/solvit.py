@@ -24,7 +24,9 @@ the per-iteration cost is then proportional to the number of pairs
 (O(n^2 * m_hat)), which keeps the cost model measurable at small m
 instead of being buried under vectorization overhead.  Accumulation runs
 in entry order, so traces are bit-reproducible.  _step_core_nd is the one
-step kernel.
+step kernel: one pass over the sensors reads the distances from
+objective._dists, stops at the first sensor x sits on, and forms each w_k
+and v_k = w_k . y_k once; one pass over the pairs reads them.
 
 Both solvers run one loop, _mm_loop, which takes an iteration itself with
 the solver's cost and step: the cost at x (and the sensor distances), the
@@ -53,14 +55,15 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SensorSingularityError, SingularSystemError
 from .objective import _as_points, _dists, _f_pairs, _rd_inputs, _sum
-from .scenario import (RangeDiffSet, _as_count, _as_real, _freeze, _unit_vectors,
-                       _write_table, as_position)
+from .scenario import (RangeDiffSet, _as_count, _as_flag, _as_real, _as_reals, _freeze,
+                       _unit_vectors, _write_table, as_position)
 
 # termination labels shared by all iterative solvers
 CONVERGED = "converged"
@@ -124,7 +127,8 @@ class BoundQuantities:
     Q: np.ndarray  # (m_hat, n, n) rank-one matrices, one per stored pair
 
     def __post_init__(self):
-        _freeze(self, w=self.w, s=self.s, Q=self.Q)
+        _freeze(self, w=_as_reals("w", self.w), s=_as_reals("s", self.s),
+                Q=_as_reals("Q", self.Q))
 
 
 def write_trace_csv(path, trace: SolveTrace) -> None:
@@ -240,23 +244,17 @@ def _step_core_nd(x: list[float], ys: list[tuple[float, ...]],
     """One bound-minimization step on plain Python scalars, for n = 2 or 3.
 
     x: current iterate; ys: sensor tuples; pairs: 0-based (i, j, r_ij).
+    The sensor pass (see the module docstring) sums v_k from 0.0 in
+    coordinate order, as the planar loop's _SENSOR_TERMS do.
     """
-    m = len(ys)
-    rho = [0.0] * m
-    w = [None] * m
-    for k in range(m):
-        y = ys[k]
-        s2 = 0.0
-        d = [0.0] * n
-        for t in range(n):
-            dt = x[t] - y[t]
-            d[t] = dt
-            s2 += dt * dt
-        nrm = math.sqrt(s2)
-        if nrm <= 0.0:
+    rho = _dists(x, ys)
+    w, v = [], []
+    for k, (y, dk) in enumerate(zip(ys, rho)):
+        if dk <= 0.0:
             raise SensorSingularityError(k + 1)
-        rho[k] = nrm
-        w[k] = [dt / nrm for dt in d]
+        wk = [(a - b) / dk for a, b in zip(x, y)]
+        w.append(wk)
+        v.append(_sum(map(operator.mul, wk, y)))
 
     A = [[0.0] * n for _ in range(n)]
     b = [0.0] * n
@@ -265,17 +263,12 @@ def _step_core_nd(x: list[float], ys: list[tuple[float, ...]],
         yi = ys[ii]; yj = ys[jj]
         s = r / rho[jj]
         diag = 2.0 + s
-        wi_yi = 0.0
-        wj_yj = 0.0
-        for t in range(n):
-            wi_yi += wi[t] * yi[t]
-            wj_yj += wj[t] * yj[t]
         for t in range(n):
             wit = wi[t]; wjt = wj[t]
             A[t][t] += diag - 2.0 * wjt * wit
             for u in range(t + 1, n):
                 A[t][u] -= wjt * wi[u] + wit * wj[u]
-            b[t] += yi[t] + yj[t] + r * wit + s * yj[t] - wjt * wi_yi - wit * wj_yj
+            b[t] += yi[t] + yj[t] + r * wit + s * yj[t] - wjt * v[ii] - wit * v[jj]
     for t in range(n):
         for u in range(t + 1, n):
             A[u][t] = A[t][u]
@@ -338,7 +331,7 @@ def _mm_loop(x0, ys, cfg, cost, step, data, trace=False, run=None):
     """
     n = len(x0)
     x = _nudge_off_sensors(x0, ys, n)
-    points, objectives = ([], []) if trace else (None, None)
+    points, objectives = ([], []) if _as_flag("trace", trace) else (None, None)
     max_iter, tol = cfg.max_iter, cfg.tol
     f, it = math.inf, 0  # no relative change to test at the start
     while True:

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import (RangeDiffSet, _as_count, _as_int, _as_real, _as_reals, _check_keys, _freeze,
-                       _parse, _read_json, _write_table, as_position, oriented_rangediffs,
-                       sensor_coords, unordered_pairs)
+from .scenario import (RangeDiffSet, _as_count, _as_flag, _as_int, _as_real, _as_reals,
+                       _check_keys, _freeze, _parse, _read_json, _write_table, as_position,
+                       oriented_rangediffs, sensor_coords, unordered_pairs)
 
 # fixture defaults for the anechoic microphone experiment
 TONE_F0 = 250.0          # [Hz]
@@ -102,6 +102,7 @@ def xcorr_delay(a: SignalRecord, b: SignalRecord, refine: bool = False) -> float
     refine=True a three-point parabolic fit around the peak gives
     sub-sample output; the default keeps exact integer-sample resolution.
     """
+    _as_flag("refine", refine)
     if a.fs != b.fs:
         raise ValueError(f"sampling rates differ: {a.fs} vs {b.fs}")
     sa, sb = a.samples, b.samples

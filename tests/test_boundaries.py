@@ -25,7 +25,11 @@ scenario._as_int ("delay (True, 2) index must be an integer, got True").
 A Scenario checks its own fields: an array that is not a SensorArray or a
 noise that is not a NoiseModel is a TypeError naming the field ("noise must
 be a NoiseModel, not str"), and a seed must be None or an integer >= 0, in a
-file as in a call ("seed must be an integer, got 5.7").
+file as in a call ("seed must be an integer, got 5.7").  So must InitConfig's
+seed, or be the SeedSequence a trace passes ("seed must be >= 0").  The
+records CrlbReport, BoundQuantities and RmseRow check their fields by name,
+and each boolean flag (trace of the solves, refine of the correlation) is a
+bool or an np.bool_ by scenario._as_flag ("trace must be a bool, not str").
 
 Positions and ranges are checked for size and finiteness on Python floats;
 these tests hold every entry point that takes them to those messages, for
@@ -41,14 +45,16 @@ import math
 import numpy as np
 import pytest
 
-from mmloc import (ExperimentConfig, NoiseModel, RangeDiffSet, Scenario, SensorArray,
-                   SignalRecord, SolverConfig, bandpass, bound_quantities, circular_array,
-                   delays_to_rangediffs, estimate_rangediffs, f_rdls, f_rdls_many, f_rls,
-                   f_rls_many, grad_fd, hyperbola_points, load_scenario, random_array,
-                   range_variance, rangediffs_from_ranges, read_rangediffs_csv, read_ranges_csv,
-                   read_rmse_csv, read_signals_csv, read_signals_raw, sfp_solve, sfp_step,
+from mmloc import (BoundQuantities, CrlbReport, ExperimentConfig, InitConfig, NoiseModel,
+                   RangeDiffSet, RmseRow, Scenario, SensorArray, SignalRecord, SolverConfig,
+                   bandpass, bound_quantities, circular_array, delays_to_rangediffs,
+                   estimate_rangediffs, f_rdls, f_rdls_many, f_rls, f_rls_many, grad_fd,
+                   hyperbola_points, load_scenario, random_array, range_variance,
+                   rangediffs_from_ranges, read_rangediffs_csv, read_ranges_csv, read_rmse_csv,
+                   read_signals_csv, read_signals_raw, save_scenario, sfp_solve, sfp_step,
                    sfp_surrogate, snr_to_sigma2, solvit_solve, solvit_step, surrogate_g,
-                   tone_burst_signals, true_ranges, write_ranges_csv, write_signals_csv)
+                   tone_burst_signals, true_ranges, write_rangediffs_csv, write_ranges_csv,
+                   write_signals_csv, xcorr_delay)
 from mmloc.cli import main
 from mmloc.harness import solve_one
 from mmloc.objective import _f_pairs, _f_ranges
@@ -589,3 +595,92 @@ def test_scenario_refuses_a_bad_field_by_name(case, tmp_path):
     with pytest.raises(error) as exc:
         call(tmp_path)
     assert type(exc.value) is error and str(exc.value) == message
+
+
+def init_from_the_cli(tmp, *flags):
+    """mmloc init on a circle scenario and its exact differences, with flags."""
+    scen = Scenario(circular_array(4, 10.0), [1.0, 2.0], NOISE)
+    save_scenario(tmp / "scen.json", scen)
+    write_rangediffs_csv(tmp / "rd.csv", rangediffs_from_ranges(true_ranges(scen.source,
+                                                                            scen.array)))
+    return main(["init", "--scenario", str(tmp / "scen.json"),
+                 "--measurements", str(tmp / "rd.csv"), *flags])
+
+
+def flag_calls(flag):
+    """(flag name, call passing flag) of each call that takes a boolean flag,
+    on the circle's exact ranges or two silent channels."""
+    r = true_ranges([1.0, 2.0], FOUR)
+    rd = rangediffs_from_ranges(r)
+    return {"solvit_solve": ("trace", lambda: solvit_solve([0.0, 0.0], FOUR, rd, trace=flag)),
+            "sfp_solve": ("trace", lambda: sfp_solve(None, FOUR, r, trace=flag)),
+            "solve_one": ("trace", lambda: solve_one("sfp", "centroid", FOUR, r, 0,
+                                                     SolverConfig(), trace=flag)),
+            "xcorr_delay": ("refine", lambda: xcorr_delay(*TWO_CHANNELS, refine=flag)),
+            "estimate_rangediffs": ("refine",
+                                    lambda: estimate_rangediffs(TWO_CHANNELS, refine=flag))}
+
+
+# (call, error, message): a field of a record or a call that used to build
+# from a wrong value, or to fail inside numpy with a message naming no field
+FIELD_CASES = {
+    "a fractional init seed": (lambda: InitConfig(seed=5.7), ValueError,
+                               "seed must be an integer, got 5.7"),
+    "a bool init seed": (lambda: InitConfig(seed=True), ValueError,
+                         "seed must be an integer, got True"),
+    "a negative init seed": (lambda: InitConfig(seed=-5), ValueError, "seed must be >= 0"),
+    "a text rank of a CRLB report": (lambda: CrlbReport(np.eye(2), "x", 1.0), ValueError,
+                                     "cov_rank must be an integer, got 'x'"),
+    "a negative rank of a CRLB report": (lambda: CrlbReport(np.eye(2), -1, 1.0), ValueError,
+                                         "cov_rank must be >= 0"),
+    "a text bound of a CRLB report": (lambda: CrlbReport(np.eye(2), 1, "x"), TypeError,
+                                      "rmse_bound must be real number, not str"),
+    "a text Fisher matrix": (lambda: CrlbReport([["a", 0.0], [0.0, 1.0]], 1, 1.0), TypeError,
+                             "fisher must be real number, not str"),
+    "text unit vectors of a bound": (lambda: BoundQuantities([["a", 0.0]], [0.5], [np.eye(2)]),
+                                     TypeError, "w must be real number, not str"),
+    "a bool s of a bound": (lambda: BoundQuantities([[1.0, 0.0]], [True], [np.eye(2)]),
+                            TypeError, "s must be real number, not bool"),
+    "a None Q of a bound": (lambda: BoundQuantities([[1.0, 0.0]], [0.5], [[[None, 0.0]]]),
+                            TypeError, "Q must be real number, not NoneType"),
+    "a float dimension of a random array": (lambda: random_array(4, -1.0, 1.0, n=2.0),
+                                            ValueError, "n must be an integer, got 2.0"),
+    "a text sweep value of an RMSE row": (lambda: RmseRow("x", 0.5, 0.25, 0), TypeError,
+                                          "sweep must be real number, not str"),
+    "a text rmse of an RMSE row": (lambda: RmseRow(0.0, "x", 0.25, 0), TypeError,
+                                   "rmse must be real number, not str"),
+    "a None bound of an RMSE row": (lambda: RmseRow(0.0, 0.5, None, 0), TypeError,
+                                    "crlb must be real number, not NoneType"),
+    "a fractional failed count of an RMSE row": (lambda: RmseRow(0.0, 0.5, 0.25, 2.5),
+                                                 ValueError,
+                                                 "trials_failed must be an integer, got 2.5"),
+    **{f"{kind} {flag} flag of {name}": (call, TypeError,
+                                         f"{flag} must be a bool, not {type(bad).__name__}")
+       for kind, bad in (("a text", "no"), ("an array", np.array([True, False])))
+       for name, (flag, call) in flag_calls(bad).items()},
+}
+
+
+@pytest.mark.parametrize("case", FIELD_CASES)
+def test_bad_field_is_refused_by_name(case):
+    call, error, message = FIELD_CASES[case]
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_the_cli_refuses_a_negative_init_seed(tmp_path, capsys):
+    assert init_from_the_cli(tmp_path, "--seed", "-5") == 2
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0"]
+
+
+def test_good_seeds_and_flags_still_build(tmp_path, capsys):
+    ss = np.random.SeedSequence(7)
+    assert InitConfig(seed=ss).seed is ss and InitConfig(seed=np.int64(7)).seed == 7
+    assert init_from_the_cli(tmp_path, "--seed", "5") == 0
+    report = CrlbReport([[1.0, 0.0], [0.0, 1.0]], 2, math.inf)
+    assert report.to_dict() == {"fisher": [[1.0, 0.0], [0.0, 1.0]], "cov_rank": 2,
+                                "rmse_bound": math.inf}
+    for flag in (False, np.bool_(True)):
+        for _, call in flag_calls(flag).values():
+            call()

@@ -6,7 +6,9 @@ called with axis.  Without axis it takes the sqrt of a BLAS dot, whose
 rounding depends on the BLAS kernel that loads (an FMA kernel rounds
 differently), and math.hypot and math.dist round their own ways.  So no
 norm in src/ goes without axis, and neither hypot nor math.dist is called;
-the AST walk of tests/test_one_loop.py finds the calls.  The hyperbola
+the AST walk of tests/test_one_loop.py finds the calls.  The reference MM
+steps (solvit._step_core_nd, sfp._sfp_step_core_nd) take no sqrt of their
+own: each reads its distances from one _dists call.  The hyperbola
 start reads one separation: init_points' feasibility filter, its arcs'
 focal distances and hyperbola_points' ray check are one number.
 """
@@ -63,6 +65,44 @@ def test_only_row_wise_norms():
     for path in sorted(SRC.glob("*.py")):
         found += other_distances(path.read_text(), path.name)
     assert found == []
+
+
+STEPS = ("_step_core_nd", "_sfp_step_core_nd")
+
+
+def step_distances(source, name="<source>"):
+    """file:function:callee of each sqrt or _dists call (by any path) whose
+    innermost enclosing function is a reference MM step."""
+    def match(node, func, _):
+        callee = named(node.func) if isinstance(node, ast.Call) else None
+        return f"{func}:{callee}" if func in STEPS and callee in ("sqrt", "_dists") else None
+
+    return sites(source, name, match)
+
+
+def test_step_checker_sees_every_site():
+    source = """
+def _step_core_nd(x, ys, pairs, n):
+    rho = [math.sqrt(s) for s in squares(x, ys)]
+    return _dists(x, ys), objective._dists(x, ys)
+
+def _sfp_step_core_nd(x, ys, r, n):
+    return np.sqrt(x), sqrt(x)
+
+def _dists(x, ys):
+    return [math.sqrt(s) for s in squares(x, ys)]
+"""
+    assert step_distances(source) == [
+        "<source>:_step_core_nd:sqrt", "<source>:_step_core_nd:_dists",
+        "<source>:_step_core_nd:_dists", "<source>:_sfp_step_core_nd:sqrt",
+        "<source>:_sfp_step_core_nd:sqrt"]
+
+
+def test_each_reference_step_reads_one_distance_pass():
+    found = []
+    for module in ("solvit.py", "sfp.py"):
+        found += step_distances((SRC / module).read_text(), module)
+    assert found == ["solvit.py:_step_core_nd:_dists", "sfp.py:_sfp_step_core_nd:_dists"]
 
 
 def separation(pair):
