@@ -14,13 +14,17 @@ makes results independent of any execution order or worker count.
 
 A sweep runs in stages, each over the whole sweep, on the scenario and the
 noise models its config resolved: the ranges of every (value, trial) as one
-array; for solvit, one CRLB per value (crlb.fisher's closed form) and every
-measurement set from one scenario._rangediff_rows pass, each row then
-wrapped as the RangeDiffSet its solve takes; every start
-(proposed ones in one initializer.init_points call, whose feasibility filter,
-pair pick and arcs are array passes, a random one per trial, the centroid or
-fixed point once); the solves in value, trial order, keeping each trial's
-estimate and SolveOutcome (no trace); then one row per sweep value.
+array; for solvit, one CRLB per value (crlb.fisher's closed form); every
+measurement set (_measurements: for solvit one scenario._rangediff_rows
+pass, each row then wrapped as the RangeDiffSet its solve takes); every
+start (_starts: proposed ones in one initializer.init_points call, whose
+feasibility filter, pair pick and arcs are array passes, a random one per
+row, the centroid or fixed point shared); the solves in value, trial order,
+keeping each trial's estimate and SolveOutcome (no trace); then one row per
+sweep value.  A single solve is a sweep of one row: solve_one (which every
+`mmloc solve` runs) takes its start from _starts, and run_trace also its
+measurement set from _measurements.  Every seed of a start passes one
+check, scenario._as_seed.
 
 Failed trials (singular step systems) are excluded from the RMSE average
 and counted in the "failed" column; this policy is recorded in the
@@ -204,16 +208,29 @@ def _sweep_noise(cfg, noise_t, value) -> _scen.NoiseModel:
 # runs
 # ---------------------------------------------------------------------------
 
-def _pick_x0(init: str, array, meas, seed, fixed=None):
+def _starts(init: str, array, meas, seeds, fixed=None) -> list:
+    """The start `init` gives each measurement set of meas, seeded by its
+    entry of seeds, each checked by scenario._as_seed; `fixed` is the
+    init="fixed" point, which the solver validates as a position.  The
+    proposed starts come from one initializer.init_points call."""
+    seeds = [_scen._as_seed("seed", seed) for seed in seeds]
     if init == "proposed":
-        return _init.init_point(array, meas, _init.InitConfig(seed=seed))
+        return list(_init.init_points(array, meas, seeds))
     if init == "random":
-        return np.random.default_rng(seed).uniform(0.0, 1.0, size=array.n)
-    if init == "fixed":
-        return fixed  # the solver validates it as a position
-    if init == "centroid":
-        return array.centroid()
+        return [np.random.default_rng(seed).uniform(0.0, 1.0, size=array.n) for seed in seeds]
+    if init in ("fixed", "centroid"):
+        return [fixed if init == "fixed" else array.centroid()] * len(seeds)
     raise ValueError(f"init {init!r} not valid here")
+
+
+def _measurements(solver: str, R) -> list:
+    """The measurement set `solver` consumes from each row of ranges R (B, m):
+    the row itself for sfp; for solvit, every row oriented in one
+    scenario._rangediff_rows pass, each then wrapped as the RangeDiffSet its
+    solve takes."""
+    if solver == "sfp":
+        return list(R)
+    return [_scen.RangeDiffSet(i, j, v, R.shape[1]) for i, j, v in zip(*_scen._rangediff_rows(R))]
 
 
 def _solve_fn(solver: str):
@@ -221,15 +238,11 @@ def _solve_fn(solver: str):
     return _solvit.solvit_solve if solver == "solvit" else _sfp.sfp_solve
 
 
-def _measurement(solver: str, ranges):
-    """The measurement `solver` consumes, formed from one range per sensor."""
-    return _scen.rangediffs_from_ranges(ranges) if solver == "solvit" else ranges
-
-
 def solve_one(solver: str, init: str, array, meas, seed, solver_cfg, fixed=None, *,
               trace=False):
     """Pick the starting point `init` (seeded by `seed`; `fixed` is the
-    init="fixed" point) and run `solver` on `meas` from it.
+    init="fixed" point) and run `solver` on `meas` from it: the sweep's start
+    stage (_starts) on one row.
 
     meas is a RangeDiffSet for solvit and the ranges for sfp.  Every solve
     of the CLI and the traces goes through here; it calls the solvers and
@@ -237,15 +250,17 @@ def solve_one(solver: str, init: str, array, meas, seed, solver_cfg, fixed=None,
     attribute sees every call.  Returns (estimate, SolveOutcome), how the
     solve ended; its trace is the swept history only when trace is set.
     """
-    return _solve_fn(solver)(_pick_x0(init, array, meas, seed, fixed), array, meas, solver_cfg,
-                             trace=trace)
+    x0 = _starts(init, array, [meas], [seed], fixed)[0]
+    return _solve_fn(solver)(x0, array, meas, solver_cfg, trace=trace)
 
 
 def run_trace(cfg: ExperimentConfig, out_dir=None) -> dict:
     """One solve per requested initialization, each asked for its full
     iterate trace.
 
-    Noise level comes from cfg.snr_db.  Returns {init_name: (estimate,
+    Noise level comes from cfg.snr_db.  The one measurement draw is the
+    sweep's measurement stage (_measurements) on one row, and each solve
+    its start stage on one row (solve_one).  Returns {init_name: (estimate,
     SolveOutcome)}, each outcome's trace set; with out_dir set, each trace
     is also written to trace_<init_name>.csv.
     """
@@ -256,8 +271,7 @@ def run_trace(cfg: ExperimentConfig, out_dir=None) -> dict:
     init_seeds = init_ss.spawn(len(init_names))
 
     # one measurement draw shared by every initialization
-    ranges = _scen.noisy_ranges(source, array, noise, seed=np.random.default_rng(meas_ss))
-    meas = _measurement(cfg.solver, ranges)
+    meas = _measurements(cfg.solver, _scen.noisy_ranges(source, array, noise, meas_ss)[None])[0]
     results = {}
     for name, init_seed in zip(init_names, init_seeds):
         est, outcome = solve_one(cfg.solver, name, array, meas, init_seed, solver_cfg,
@@ -288,24 +302,14 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[RmseRow]:
     eps = np.array([rng.standard_normal(array.m) for rng in rngs])
     seeds = [int(rng.integers(2 ** 63)) for rng in rngs]
 
-    # every (sweep value, trial) range row, value-major, in one array; solvit
-    # orients all of their measurement sets in one pass and wraps each row as
-    # the RangeDiffSet its solve takes
+    # every (sweep value, trial) range row, value-major, in one array, then
+    # its measurement set and its start; a trial's seed serves every value
     stds = np.array([_scen.range_noise_std(source, array, noise) for _, noise in sweep])
     ranges = (d_true + eps * stds[:, None, :]).reshape(-1, array.m)
-    if cfg.solver == "solvit":
-        bounds = [_crlb.fisher(source, array, noise).rmse_bound for _, noise in sweep]
-        meas = [_scen.RangeDiffSet(i, j, v, array.m)
-                for i, j, v in zip(*_scen._rangediff_rows(ranges))]
-    else:
-        bounds = [math.nan] * len(sweep)
-        meas = list(ranges)
-    if cfg.init == "proposed":
-        x0s = _init.init_points(array, meas, seeds * len(sweep))
-    elif cfg.init == "random":  # a trial's start is shared by every sweep value
-        x0s = [_pick_x0("random", array, None, seed) for seed in seeds] * len(sweep)
-    else:
-        x0s = [_pick_x0(cfg.init, array, None, None, cfg._doc["init_point"])] * len(meas)
+    bounds = ([_crlb.fisher(source, array, noise).rmse_bound for _, noise in sweep]
+              if cfg.solver == "solvit" else [math.nan] * len(sweep))
+    meas = _measurements(cfg.solver, ranges)
+    x0s = _starts(cfg.init, array, meas, seeds * len(sweep), cfg._doc["init_point"])
 
     # the solve stage: every (start, measurement set) pair, value-major, untraced
     solve = _solve_fn(cfg.solver)

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import DegenerateMeasurementError, RayMeasurementError
 from .objective import _check_rd, _rd_costs, f_rdls_many
-from .scenario import RangeDiffSet, _as_count, _as_real, _freeze, as_position, sensor_coords
+from .scenario import (RangeDiffSet, _as_count, _as_real, _as_seed, _freeze, as_position,
+                       sensor_coords)
 
 # bound on the float64s in the largest temporary of one init_points chunk
 # (16 MB): a row counts l * max(m, pairs), at least the l * m of its distances
@@ -34,12 +35,11 @@ _TOO_LARGE = "coord_bound={!r} is too large: the cost at the best sample is not 
 class InitConfig:
     grid_size: int = 128       # points evaluated along the chosen hyperbola
     coord_bound: float | None = None  # search box half-width [m]; default 2*max|coord|
-    seed: int | np.random.SeedSequence | None = None  # seeds the pair pick
+    seed: int | np.random.SeedSequence | np.random.Generator | None = None  # seeds the pair pick
 
     def __post_init__(self):
-        _freeze(self, grid_size=_as_count("grid_size", self.grid_size, 2))
-        if self.seed is not None and not isinstance(self.seed, np.random.SeedSequence):
-            _freeze(self, seed=_as_count("seed", self.seed, 0))
+        _freeze(self, grid_size=_as_count("grid_size", self.grid_size, 2),
+                seed=_as_seed("seed", self.seed))
         if self.coord_bound is not None:
             _as_real("coord_bound", self.coord_bound, 0)
 
@@ -175,8 +175,9 @@ def _grid_fallback(coords: np.ndarray, rd: RangeDiffSet, l: int,
 
 
 def _draw(seed, count: int, memo: dict) -> int:
-    """default_rng(seed).integers(count), kept in memo for an integer seed."""
-    if not isinstance(seed, (int, np.integer)):
+    """default_rng(seed).integers(count), kept in memo for an int seed.  The
+    seed has passed _as_seed, so True, which hashes as 1, never reaches it."""
+    if not isinstance(seed, int):
         return int(np.random.default_rng(seed).integers(count))
     if (seed, count) not in memo:
         memo[seed, count] = int(np.random.default_rng(seed).integers(count))
@@ -187,7 +188,8 @@ def init_points(array, rds, seeds, cfg: InitConfig | None = None) -> np.ndarray:
     """Starting points for many range-difference sets on one array, (B, n).
 
     Row b is init_point(array, rds[b], InitConfig(seed=seeds[b], grid_size=
-    cfg.grid_size, coord_bound=cfg.coord_bound)) bit for bit.  The
+    cfg.grid_size, coord_bound=cfg.coord_bound)) bit for bit, each seed
+    checked as InitConfig checks its own (scenario._as_seed).  The
     feasibility filter, the pair pick and the arcs are array passes over
     the rows, with one seeded draw per row; rows with no usable arc (or
     n = 3) take the grid fallback, and the others' samples, costs and argmin
@@ -196,6 +198,7 @@ def init_points(array, rds, seeds, cfg: InitConfig | None = None) -> np.ndarray:
     cfg = cfg or InitConfig()
     if len(rds) != len(seeds):
         raise ValueError(f"{len(rds)} measurement sets for {len(seeds)} seeds")
+    seeds = [_as_seed("seed", seed) for seed in seeds]
     coords = sensor_coords(array)
     m, n = coords.shape
     l = cfg.grid_size

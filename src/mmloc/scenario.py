@@ -46,6 +46,15 @@ def _as_count(name: str, value, minimum: int) -> int:
     return value
 
 
+def _as_seed(name: str, value):
+    """A seed: None, a SeedSequence or a Generator as given, anything else an
+    int >= 0 by _as_count.  The one check of every seed the package takes,
+    where numpy would read True as 1 and refuse 5.7 or -1 naming no field."""
+    if value is None or isinstance(value, (np.random.SeedSequence, np.random.Generator)):
+        return value
+    return _as_count(name, value, 0)
+
+
 def _as_flag(name: str, value) -> bool:
     """A boolean flag as a bool: a bool or an np.bool_ passes, anything else
     is a TypeError naming the flag, where a truth test would read "no" as
@@ -311,13 +320,13 @@ def linear_array() -> SensorArray:
 
 def random_array(m: int, lo: float, hi: float, n: int = 2, seed=None) -> SensorArray:
     """Sensors with i.i.d. uniform coordinates in [lo, hi]^n, deterministic given
-    seed; SensorArray refuses a draw with coincident sensors."""
+    seed (_as_seed); SensorArray refuses a draw with coincident sensors."""
     m = _as_count("m", m, 2)
     if not _as_real("lo", lo, -math.inf) < _as_real("hi", hi, -math.inf):
         raise ValueError(f"degenerate bounds: lo={lo} must be < hi={hi}")
     if _as_int("n", n) not in (2, 3):
         raise ValueError("n must be 2 or 3")
-    return SensorArray(np.random.default_rng(seed).uniform(lo, hi, size=(m, n)))
+    return SensorArray(np.random.default_rng(_as_seed("seed", seed)).uniform(lo, hi, (m, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +382,15 @@ def noisy_ranges(x, array, noise: NoiseModel, seed=None) -> np.ndarray:
 
     Values are not clamped: at realistic noise levels negativity is
     improbable, and clamping would bias downstream estimators.  A warning
-    reports any non-positive draws.
+    reports any non-positive draws.  The seed is checked (_as_seed) even
+    when the noise is zero and nothing is drawn.
     """
+    seed = _as_seed("seed", seed)
     d = true_ranges(x, array)
     if noise.sigma2 == 0:
         return d
     std = range_noise_std(x, array, noise)
-    rng = np.random.default_rng(seed)
-    r = d + rng.standard_normal(d.size) * std
+    r = d + np.random.default_rng(seed).standard_normal(d.size) * std
     bad = int(np.sum(r <= 0))
     if bad:
         warnings.warn(f"{bad} noisy range(s) non-positive; kept unclamped", stacklevel=2)
@@ -551,7 +561,8 @@ def _read_scenario(doc, rng, required, optional, noise_required) -> Scenario:
         point uniform in the box [lo, hi]^n.
     noise: NoiseModel's fields.
     n (file form): the array's dimension; seed (file form): null or an int.
-    A random array, then a uniform source, draw from the numpy Generator rng.
+    A random array, then a uniform source, draw from the numpy Generator rng,
+    so a random kind's keys hold no seed.
     """
     _check_keys("scenario", doc, required, optional)
     spec = doc["sensors"]
@@ -561,6 +572,8 @@ def _read_scenario(doc, rng, required, optional, noise_required) -> Scenario:
         if not isinstance(kind, str) or kind not in _ARRAY_KINDS:
             raise ValueError(f"unknown sensor kind {kind!r}")
         make = _ARRAY_KINDS[kind]
+        if kind == "random" and "seed" in params:  # a random array draws from rng
+            raise ValueError("unknown sensors fields: ['seed']")
         array = make(**params, seed=rng) if kind == "random" else make(**params)
     else:
         array = SensorArray(spec)
@@ -581,8 +594,10 @@ def _read_scenario(doc, rng, required, optional, noise_required) -> Scenario:
 def load_scenario(path, rng=0) -> Scenario:
     """The scenario file at path, in _read_scenario's file form.  A random
     array or a uniform source draws from rng, a numpy Generator or a seed for
-    one; the default seed 0 gives one scenario on every read of a file."""
-    return _read_scenario(_read_json(path), np.random.default_rng(rng), *_FILE_FORM)
+    one (_as_seed, named "rng"); the default seed 0 gives one scenario on
+    every read of a file."""
+    return _read_scenario(_read_json(path), np.random.default_rng(_as_seed("rng", rng)),
+                          *_FILE_FORM)
 
 
 def write_ranges_csv(path, ranges) -> None:

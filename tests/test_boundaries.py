@@ -25,8 +25,13 @@ scenario._as_int ("delay (True, 2) index must be an integer, got True").
 A Scenario checks its own fields: an array that is not a SensorArray or a
 noise that is not a NoiseModel is a TypeError naming the field ("noise must
 be a NoiseModel, not str"), and a seed must be None or an integer >= 0, in a
-file as in a call ("seed must be an integer, got 5.7").  So must InitConfig's
-seed, or be the SeedSequence a trace passes ("seed must be >= 0").  The
+file as in a call ("seed must be an integer, got 5.7").  Every seed a draw
+takes passes one check, scenario._as_seed: None, a SeedSequence or a
+Generator as given, anything else an integer >= 0 ("seed must be >= 0").
+SEED_ENTRIES holds each entry that takes one (InitConfig, init_points,
+random_array, noisy_ranges, noisy_rangediffs, load_scenario's rng, solve_one
+with either seeded start) to that rule, and to the draws numpy makes from the
+seed as given; `mmloc simulate`, `solve` and `init` refuse --seed -1.  The
 records CrlbReport, BoundQuantities and RmseRow check their fields by name,
 and each boolean flag (trace of the solves, refine of the correlation) is a
 bool or an np.bool_ by scenario._as_flag ("trace must be a bool, not str").
@@ -49,20 +54,22 @@ from mmloc import (BoundQuantities, CrlbReport, ExperimentConfig, InitConfig, No
                    RangeDiffSet, RmseRow, Scenario, SensorArray, SignalRecord, SolverConfig,
                    bandpass, bound_quantities, circular_array, delays_to_rangediffs,
                    estimate_rangediffs, f_rdls, f_rdls_many, f_rls, f_rls_many, grad_fd,
-                   hyperbola_points, load_scenario, random_array, range_variance,
-                   rangediffs_from_ranges, read_rangediffs_csv, read_ranges_csv, read_rmse_csv,
+                   hyperbola_points, load_scenario, noisy_rangediffs, noisy_ranges,
+                   random_array, range_noise_std, range_variance, rangediffs_from_ranges, read_rangediffs_csv, read_ranges_csv, read_rmse_csv,
                    read_signals_csv, read_signals_raw, save_scenario, sfp_solve, sfp_step,
                    sfp_surrogate, snr_to_sigma2, solvit_solve, solvit_step, surrogate_g,
                    tone_burst_signals, true_ranges, write_rangediffs_csv, write_ranges_csv,
                    write_signals_csv, xcorr_delay)
 from mmloc.cli import main
 from mmloc.harness import solve_one
+from mmloc.initializer import init_point, init_points
 from mmloc.objective import _f_pairs, _f_ranges
 from mmloc.scenario import _rangediff_rows, as_position, oriented_rangediffs
 from mmloc.sfp import sfp_surrogate_many
 from mmloc.solvit import surrogate_g_many
 from mmloc.tdoa import ANECHOIC_MICROPHONES
 from conftest import make_instance, make_range_instance
+from test_initializer import reference_start
 
 BAD = [np.nan, np.inf, -np.inf]
 
@@ -684,3 +691,112 @@ def test_good_seeds_and_flags_still_build(tmp_path, capsys):
     for flag in (False, np.bool_(True)):
         for _, call in flag_calls(flag).values():
             call()
+
+
+# the circle's exact differences seen from SOURCE: every pair is feasible, so
+# the seed picks among six hyperbolas
+SOURCE = [1.0, 2.0]
+EXACT_SET = rangediffs_from_ranges(true_ranges(SOURCE, FOUR))
+SILENT = NoiseModel(sigma2=0.0, f0=1000.0, c=340.0)
+RANDOM_FILE = {"n": 2, "sensors": {"kind": "random", "m": 4, "lo": -10.0, "hi": 10.0},
+               "source": SOURCE, "noise": {"sigma2": 0.0, "f0": 1000.0, "c": 340.0}}
+
+
+def seed_entries(tmp):
+    """{entry: (field, call of a seed, reference)}: each entry that takes a
+    seed, and what it returns when numpy draws from rng = default_rng(seed),
+    the generator numpy builds from the seed as given."""
+    def start(rng):
+        return reference_start(FOUR.sensors, EXACT_SET, rng, 128, 20.0)
+
+    def heard(rng):
+        noise = rng.standard_normal(4) * range_noise_std(SOURCE, FOUR, NOISE)
+        return true_ranges(SOURCE, FOUR) + noise
+
+    def solve(init, s):
+        return solve_one("solvit", init, FOUR, EXACT_SET, s, SolverConfig())[0]
+
+    path = written(tmp / "random.json", json.dumps(RANDOM_FILE))
+    return {
+        "InitConfig": ("seed", lambda s: init_point(FOUR, EXACT_SET, InitConfig(seed=s)), start),
+        "init_points": ("seed", lambda s: init_points(FOUR, [EXACT_SET], [s])[0], start),
+        "random_array": ("seed", lambda s: random_array(4, -10.0, 10.0, seed=s).sensors,
+                         lambda rng: rng.uniform(-10.0, 10.0, (4, 2))),
+        "noisy_ranges": ("seed", lambda s: noisy_ranges(SOURCE, FOUR, NOISE, seed=s), heard),
+        # a zero noise draws nothing, and its seed is checked all the same
+        "noisy_ranges at zero noise": ("seed", lambda s: noisy_ranges(SOURCE, FOUR, SILENT, s),
+                                       lambda rng: true_ranges(SOURCE, FOUR)),
+        "noisy_rangediffs": ("seed", lambda s: noisy_rangediffs(SOURCE, FOUR, NOISE, s).values,
+                             lambda rng: rangediffs_from_ranges(heard(rng)).values),
+        "load_scenario": ("rng", lambda s: load_scenario(path, s).array.sensors,
+                          lambda rng: rng.uniform(-10.0, 10.0, (4, 2))),
+        "solve_one proposed": ("seed", lambda s: solve("proposed", s),
+                               lambda rng: solvit_solve(start(rng), FOUR, EXACT_SET)[0]),
+        "solve_one random": ("seed", lambda s: solve("random", s),
+                             lambda rng: solvit_solve(rng.uniform(0.0, 1.0, 2), FOUR,
+                                                      EXACT_SET)[0]),
+    }
+
+
+SEED_ENTRIES = ["InitConfig", "init_points", "random_array", "noisy_ranges",
+                "noisy_ranges at zero noise", "noisy_rangediffs", "load_scenario",
+                "solve_one proposed", "solve_one random"]
+# each made afresh per call: a Generator is used up by its draws
+GOOD_SEEDS = {"None": lambda: None, "0": lambda: 0, "np.int64(3)": lambda: np.int64(3),
+              "a SeedSequence": lambda: np.random.SeedSequence(3),
+              "a Generator": lambda: np.random.default_rng(3)}
+
+
+@pytest.mark.parametrize("bad", [True, 5.7, "3", -1], ids=["True", "5.7", "'3'", "-1"])
+@pytest.mark.parametrize("entry", SEED_ENTRIES)
+def test_a_bad_seed_is_refused_by_its_field(entry, bad, tmp_path):
+    field, call, _ = seed_entries(tmp_path)[entry]
+    with pytest.raises(ValueError) as exc:
+        call(bad)
+    assert str(exc.value) == (f"{field} must be >= 0" if bad == -1
+                              else f"{field} must be an integer, got {bad!r}")
+
+
+@pytest.mark.parametrize("good", GOOD_SEEDS)
+@pytest.mark.parametrize("entry", SEED_ENTRIES)
+def test_a_good_seed_keeps_its_draw(entry, good, tmp_path):
+    _, call, reference = seed_entries(tmp_path)[entry]
+    got = np.asarray(call(GOOD_SEEDS[good]()))
+    want = np.asarray(reference(np.random.default_rng(GOOD_SEEDS[good]())))
+    if good == "None":  # fresh entropy each time: only the shape is known
+        assert got.shape == want.shape and np.isfinite(got).all()
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_the_seeds_pick_different_pairs():
+    """The proposed entries above are held to a draw that matters."""
+    starts = {init_points(FOUR, [EXACT_SET], [seed])[0].tobytes() for seed in range(8)}
+    assert len(starts) > 1
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["solve"], ["solve", "--init", "random"],
+                                     ["solve", "--init", "centroid"], ["solve", "--x0", "2", "3"],
+                                     ["init"]], ids=" ".join)
+def test_the_cli_refuses_a_negative_seed(command, tmp_path, capsys):
+    save_scenario(tmp_path / "scen.json", Scenario(FOUR, SOURCE, NOISE))
+    write_rangediffs_csv(tmp_path / "rd.csv", EXACT_SET)
+    io = (["--out", str(tmp_path / "out.csv")] if command == ["simulate"]
+          else ["--measurements", str(tmp_path / "rd.csv")])
+    assert main([*command, "--scenario", str(tmp_path / "scen.json"), *io,
+                 "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_a_random_array_takes_its_draw_from_the_scenario_stream(tmp_path):
+    """A seed key in a random sensors spec is refused by name, in a file as
+    inline: the array draws from the generator the scenario reader is given."""
+    sensors = dict(RANDOM_FILE["sensors"], seed=3)
+    path = written(tmp_path / "scen.json", json.dumps(dict(RANDOM_FILE, sensors=sensors)))
+    for call in (lambda: load_scenario(path),
+                 lambda: ExperimentConfig(scenario={"sensors": sensors, "source": SOURCE},
+                                          snr_grid=[0.0], trials=2)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == "unknown sensors fields: ['seed']"

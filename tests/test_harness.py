@@ -30,7 +30,7 @@ from mmloc import (
     write_rmse_csv,
 )
 from mmloc.cli import main
-from mmloc.harness import (_measurement, _resolve_scenario, _sigma2_of, solve_one,
+from mmloc.harness import (_measurements, _resolve_scenario, _sigma2_of, solve_one,
                            start_rule)
 from mmloc.scenario import range_noise_std, true_ranges
 from mmloc.solvit import SINGULAR_SYSTEM
@@ -525,8 +525,9 @@ def per_trial_sweep(cfg):
         std = range_noise_std(source, array, replace(noise, sigma2=_sigma2_of(value)))
         sqerrs, failed = [], 0
         for eps, seed in states:
+            row = d_true + eps * std
             est, outcome = solve_one(cfg.solver, cfg.init, array,
-                                     _measurement(cfg.solver, d_true + eps * std), seed,
+                                     _measurements(cfg.solver, row[None])[0], seed,
                                      cfg.solver_config(), cfg.init_point)
             if outcome.status == SINGULAR_SYSTEM:
                 failed += 1
@@ -669,14 +670,14 @@ class TestSolvePath:
             (6, 0, 0, 1, 0, 1)
         assert calls(lambda: run_rmse_sweep(small_config(solver="sfp", init="random",
                                                          trials=3))) == (0, 6, 0, 0, 0, 0)
-        # a trace solves once per initialization, on one measurement draw;
-        # init_point is init_points on one row, and rangediffs_from_ranges the
-        # one-pass builder on one row
+        # a trace solves once per initialization, on one measurement draw; a
+        # single solve runs the sweep's stages on one row, so its start comes
+        # from init_points and its set from the one-pass builder
         trace_cfg = dict(snr_grid=None, freq_grid=None)
         assert calls(lambda: run_trace(small_config(init="both", **trace_cfg))) == \
-            (2, 0, 1, 1, 1, 1)
+            (2, 0, 0, 1, 0, 1)
         assert calls(lambda: run_trace(small_config(init="fixed", init_point=[1.0, 2.0],
-                                                    **trace_cfg))) == (1, 0, 0, 0, 1, 1)
+                                                    **trace_cfg))) == (1, 0, 0, 0, 0, 1)
         assert calls(lambda: run_trace(small_config(solver="sfp", init="centroid",
                                                     **trace_cfg))) == (0, 1, 0, 0, 0, 0)
 
@@ -689,7 +690,7 @@ class TestSolvePath:
         assert main(["simulate", "--scenario", str(scen_path), "--kind", "ranges",
                      "--out", str(r_path)]) == 0
         solve = ["solve", "--scenario", str(scen_path), "--measurements"]
-        assert calls(lambda: main(solve + [str(rd_path)])) == (1, 0, 1, 1, 0, 0)
+        assert calls(lambda: main(solve + [str(rd_path)])) == (1, 0, 0, 1, 0, 0)
         assert calls(lambda: main(solve + [str(rd_path), "--x0", "2", "3"])) == \
             (1, 0, 0, 0, 0, 0)
         assert calls(lambda: main(solve + [str(r_path), "--solver", "sfp"])) == (0, 1, 0, 0, 0, 0)

@@ -10,7 +10,8 @@ loops (solvit._STOP_RULE); the source is checked for where the
 zero-objective stop is tested, where source is compiled, where a trace is
 built and where a singular step is caught, since a second loop (an
 accelerated one, say) would need each of its own; one AST walk (sites)
-serves the four checks, each with its own match rule.  The loop builds a trace
+serves these four checks, each with its own match rule, and a fifth: the
+harness builds its starts and measurement sets in one place each.  The loop builds a trace
 only when the caller asks, and asking changes nothing else.  The planar
 sweeps of the criterion-7 config take every iteration in the generated
 loops.
@@ -220,6 +221,43 @@ def test_only_the_loop_and_its_template_test_the_zero_objective():
     for path in sorted(SRC.glob("*.py")):
         found += zero_objective_tests(path.read_text(), path.name)
     assert sorted(found) == ["solvit.py:_STOP_RULE", "solvit.py:_mm_loop"]
+
+
+STAGE_BUILDERS = ("init_points", "init_point", "_rangediff_rows", "rangediffs_from_ranges")
+
+
+def stage_calls(source, name="<source>"):
+    """file:function:builder of each call to a start or measurement-set
+    builder of STAGE_BUILDERS (by name or as an attribute), named by the
+    innermost enclosing function (None at module level)."""
+    def match(node, func, _):
+        if isinstance(node, ast.Call) and named(node.func) in STAGE_BUILDERS:
+            return f"{func}:{named(node.func)}"
+        return None
+
+    return sites(source, name, match)
+
+
+def test_stage_checker_sees_every_site():
+    source = """
+x0 = init_point(array, rd)
+
+def outer():
+    def inner():
+        return _init.init_points(array, rds, seeds)
+    return [_scen.rangediffs_from_ranges(r) for r in zip(*_rangediff_rows(R))], inner
+"""
+    assert stage_calls(source) == ["<source>:None:init_point", "<source>:inner:init_points",
+                                   "<source>:outer:rangediffs_from_ranges",
+                                   "<source>:outer:_rangediff_rows"]
+
+
+def test_a_single_solve_runs_the_sweep_stages():
+    """The harness picks every start in _starts and builds every measurement
+    set in _measurements, for a sweep and for a single solve (solve_one,
+    run_trace) alike: a second builder would be a second path to keep in step."""
+    assert stage_calls((SRC / "harness.py").read_text(), "harness.py") == [
+        "harness.py:_starts:init_points", "harness.py:_measurements:_rangediff_rows"]
 
 
 @pytest.mark.parametrize("solver, init", [("solvit", "proposed"), ("sfp", "centroid")])

@@ -44,3 +44,12 @@ def test_the_kinds_cover_every_line_of_the_package(capsys):
     counts = [list(map(int, row.split()[1:])) for row in rows]
     assert [int(v) for v in total.split()[1:]] == [sum(col) for col in zip(*counts)]
     assert all(sum(row[:4]) == row[4] for row in counts)
+
+
+def test_a_path_that_is_not_a_directory_is_an_error(tmp_path, capsys):
+    """A moved src/ fails the count, where it would read as zero lines."""
+    (tmp_path / "m.py").write_text(SAMPLE)
+    for path in (tmp_path / "missing", tmp_path / "m.py"):
+        assert src_lines.main([str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {path} is not a directory\n"

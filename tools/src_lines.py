@@ -2,7 +2,8 @@
 
     python tools/src_lines.py [DIR]
 
-DIR defaults to the src/ directory next to this script's parent.  Every
+DIR defaults to the src/ directory next to this script's parent; a DIR that
+is not a directory is one error line on stderr and exit status 2.  Every
 line of a module is one of four kinds, read from the module's tokens
 (stdlib tokenize), so a hand count cannot drift:
 
@@ -55,6 +56,9 @@ def line_kinds(path) -> list[str]:
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     root = Path(args[0]) if args else Path(__file__).resolve().parent.parent / "src"
+    if not root.is_dir():  # else a wrong path reads as a package with no lines
+        print(f"error: {root} is not a directory", file=sys.stderr)
+        return 2
     totals = dict.fromkeys(KINDS, 0)
     print(f"{'module':<28}" + "".join(f"{k:>10}" for k in KINDS) + f"{'total':>8}")
     for path in sorted(root.rglob("*.py")):
